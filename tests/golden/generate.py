@@ -1,0 +1,208 @@
+#!/usr/bin/env python3
+"""Write the CLI golden corpus: argv lists with their exact stdout and exit code.
+
+Run from the repository root against the code whose output is to be
+frozen:
+
+    PYTHONPATH=src python tests/golden/generate.py
+
+Every argv goes through ``polydual.cli.main`` in this process; argparse
+usage errors are recorded through their ``SystemExit`` code.  The result
+lands in ``cli_corpus.json`` next to this file and is replayed byte for
+byte by ``tests/test_golden.py``.  Regenerate only when a change to the
+CLI output is intended.
+
+Coverage: every command, the three render scenes, ``--mirror``,
+``pompeiu --construct``, the three degeneracy classes, an oracle run at
+``--grid 8 --refine 1``, usage and schema errors (exit 2), and every
+domain error code the CLI can reach (exit 1).  ``RANGE`` is not
+reachable: ``construct_dual`` re-raises it as ``NO_INTERSECTION``.
+``CONCENTRIC`` is reachable only through a tolerance large enough to
+swallow the radius gap.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import random
+from pathlib import Path
+
+from polydual.cli import main
+from polydual.geometry import Point2, RegularPolygonSpec, distances_from, vertices
+
+OUT = Path(__file__).with_name("cli_corpus.json")
+
+SQUARE_DISTANCES = "1,2.2360679774997896,2.2360679774997896,1"
+SQUARE_POLYGON = "4,0,0,1.4142135623730951,45deg"
+ON_CIRCLE = ",".join(
+    repr(v) for v in (math.sqrt(4 - 2 * math.sqrt(2)), math.sqrt(4 + 2 * math.sqrt(2))) * 2
+)
+PAIR = ["--polygon-a", SQUARE_POLYGON, "--polygon-b", "4,2,1,1,180deg"]
+COLLINEAR_PAIR = ["--polygon-a", "4,0,0,1,0", "--polygon-b", "4,3,0,2,180deg"]
+
+FIXED: list[list[str]] = [
+    # dual: the three degeneracy classes, n=3, the cap, errors
+    ["dual", "--distances", SQUARE_DISTANCES],
+    ["dual", "--distances", "3,5,7"],
+    ["dual", "--distances", "2,2,2,2,2"],
+    ["dual", "--distances", ON_CIRCLE],
+    ["dual", "--distances", SQUARE_DISTANCES, "--tol", "1e-6"],
+    ["dual", "--distances", "1,1,5"],
+    ["dual", "--distances", "1,1,1,10"],
+    # averages
+    ["averages", "--distances", "3,5,7"],
+    ["averages", "--distances", SQUARE_DISTANCES, "--max-n", "4"],
+    ["averages", "--distances", "1,2,3,4,5"],
+    ["averages", "--distances", "2,2,2,2,2,2", "--tol", "1e-12"],
+    # reconstruct
+    ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--direction", "0"],
+    ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--direction", "90deg"],
+    ["reconstruct", "--polygon", "5,0.2,-0.3,2,0.4", "--point", "1.1,0.2",
+     "--direction", "0.9", "--anchor-index", "3"],
+    ["reconstruct", "--polygon", "4,0,0,1,0", "--point", "0,0"],
+    ["reconstruct", "--polygon", "4,0,0,1,0", "--point", "0,1"],
+    # pompeiu
+    ["pompeiu", "--distances", "3,5,7"],
+    ["pompeiu", "--distances", "3,5,7", "--construct"],
+    ["pompeiu", "--distances", "1,2,3"],
+    ["pompeiu", "--distances", "1,2,3", "--construct"],
+    ["pompeiu", "--distances", "1,1,1"],
+    ["pompeiu", "--distances", "1,1,5"],
+    # two-points, including the collinear case and its four error codes
+    ["two-points", *PAIR],
+    ["two-points", *COLLINEAR_PAIR],
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,2,0,1,180deg"],
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,5,0,2,180deg"],
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,3.000000000001,0,2,180deg",
+     "--tol", "1e-15"],
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,-2,0,3,0", "--tol", "0.5"],
+    # verify: the oracle against the known parameters
+    ["verify", "--instances", "2", "--grid", "8", "--refine", "1", "--seed", "70000"],
+    ["verify", "--instances", "1", "--grid", "8", "--refine", "1", "--n-min", "5",
+     "--n-max", "5", "--seed", "3"],
+    # render: three scenes, the mirror, and its error paths
+    ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
+    ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0",
+     "--direction", "30deg", "--anchor-index", "1", "--mirror"],
+    ["render", "--scene", "two-points", *PAIR],
+    ["render", "--scene", "two-points", *COLLINEAR_PAIR],
+    ["render", "--scene", "pompeiu", "--distances", "3,5,7"],
+    ["render", "--scene", "pompeiu", "--distances", "1,2,3"],
+    ["render", "--scene", "dual", "--polygon", "4,0,0,1,0", "--point", "0,0"],
+    ["render", "--scene", "pompeiu", "--distances", "1,2,3,4"],
+    ["render", "--scene", "pompeiu"],
+    ["render", "--scene", "dual", "--point", "1,0"],
+    ["render", "--scene", "two-points", "--polygon-a", "4,0,0,1,0"],
+    # schema errors: exit 2 with empty stdout
+    ["dual", "--distances", "1,foo,3"],
+    ["dual", "--distances", "1,2"],
+    ["dual", "--distances", "-1,2,3"],
+    ["dual", "--distances", "nan,1,1"],
+    ["averages", "--distances", "1,2,inf"],
+    ["pompeiu", "--distances", "1,2,3,4"],
+    ["reconstruct", "--polygon", "4,0,0", "--point", "1,0"],
+    ["reconstruct", "--polygon", "4,0,0,1", "--point", "1"],
+    ["reconstruct", "--polygon", "4,0,0,1", "--point", "1,x"],
+    ["reconstruct", "--polygon", "4,0,0,1", "--point", "1,0", "--direction", "abc"],
+    ["reconstruct", "--polygon", "4,0,0,1,xdeg", "--point", "1,0"],
+    ["reconstruct", "--polygon", "2,0,0,1", "--point", "1,0"],
+    ["reconstruct", "--polygon", "4,0,0,-1", "--point", "1,0"],
+    ["reconstruct", "--polygon", "4.5,0,0,1", "--point", "1,0"],
+    ["two-points", "--polygon-a", "x,0,0,1", "--polygon-b", "4,2,0,1"],
+    # usage errors: argparse exits 2
+    [],
+    ["bogus"],
+    ["dual"],
+    ["render", "--scene", "star"],
+    ["reconstruct", "--polygon", "4,0,0,1", "--point", "1,0", "--anchor-index", "x"],
+    ["verify", "--instances", "two"],
+]
+
+
+def _csv(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+def _literal(p: RegularPolygonSpec) -> str:
+    return f"{p.n},{p.center.x!r},{p.center.y!r},{p.circumradius!r},{p.phase!r}"
+
+
+def _configuration(rng: random.Random, n: int) -> tuple[RegularPolygonSpec, Point2]:
+    radius = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+    ratio = rng.uniform(0.0, 3.0)
+    while abs(ratio - 1.0) < 1e-3:
+        ratio = rng.uniform(0.0, 3.0)
+    center = Point2(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+    az = rng.uniform(0.0, 2.0 * math.pi)
+    poly = RegularPolygonSpec(n, center, radius, rng.uniform(0.0, 2.0 * math.pi))
+    point = Point2(center.x + ratio * radius * math.cos(az), center.y + ratio * radius * math.sin(az))
+    return poly, point
+
+
+def _shared_vertex_pair(rng: random.Random, n: int) -> list[str]:
+    pa, _ = _configuration(rng, n)
+    v = vertices(pa)[rng.randrange(n)]
+    r_b = pa.circumradius * rng.choice((0.4, 0.7, 1.6, 2.3))
+    psi = rng.uniform(0.0, 2.0 * math.pi)
+    j = rng.randrange(n)
+    pb = RegularPolygonSpec(
+        n,
+        Point2(v.x + r_b * math.cos(psi), v.y + r_b * math.sin(psi)),
+        r_b,
+        (psi + math.pi) - 2.0 * math.pi * j / n,
+    )
+    return [f"--polygon-a={_literal(pa)}", f"--polygon-b={_literal(pb)}"]
+
+
+def seeded(seed: int = 20260) -> list[list[str]]:
+    """Random realizable inputs across vertex counts, as literal argv."""
+    rng = random.Random(seed)
+    out = []
+    for n in (3, 4, 5, 6, 7, 8, 12, 17, 33, 64):
+        poly, point = _configuration(rng, n)
+        out.append(["dual", "--distances", _csv(distances_from(point, poly).values)])
+    for n in (3, 6, 10, 24):
+        poly, point = _configuration(rng, n)
+        out.append(["averages", "--distances", _csv(distances_from(point, poly).values)])
+    for n in (3, 5, 8, 11):
+        poly, point = _configuration(rng, n)
+        # the '=' form keeps a leading minus sign from reading as an option
+        out.append(["reconstruct", f"--polygon={_literal(poly)}",
+                    f"--point={point.x!r},{point.y!r}",
+                    f"--direction={rng.uniform(-4.0, 4.0)!r}",
+                    f"--anchor-index={rng.randrange(n)}"])
+    for _ in range(4):
+        poly, point = _configuration(rng, 3)
+        out.append(["pompeiu", "--distances", _csv(distances_from(point, poly).values),
+                    "--construct"])
+    for n in (3, 4, 6, 9):
+        out.append(["two-points", *_shared_vertex_pair(rng, n)])
+    return out
+
+
+def replay(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``main(argv)`` in this process."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, buf.getvalue()
+
+
+def build() -> list[dict]:
+    corpus = []
+    for argv in FIXED + seeded():
+        code, stdout = replay(argv)
+        corpus.append({"argv": argv, "exit": code, "stdout": stdout})
+    return corpus
+
+
+if __name__ == "__main__":
+    entries = build()
+    OUT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(entries)} entries written to {OUT}")
