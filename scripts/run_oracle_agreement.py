@@ -17,7 +17,7 @@ import time
 
 from polydual.dual import solve
 from polydual.geometry import distances_from
-from polydual.oracle import OracleConfig, random_instance, search_second_polygon
+from polydual.oracle import OracleConfig, agreement, random_instance
 
 
 def main() -> int:
@@ -32,36 +32,23 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
+    n_range = (args.n_min, args.n_max)
     cfg = OracleConfig(grid_resolution=args.grid, refine_iterations=args.refine)
-    rows = []
-    worst = 0.0
-    misses = 0
     t0 = time.perf_counter()
-    for i in range(args.instances):
-        seed = args.seed + i
-        poly, point = random_instance(seed, (args.n_min, args.n_max))
-        res = search_second_polygon(poly, point, cfg)
-        r_in = poly.circumradius
-        l_in = point.distance_to(poly.center)
-        scale = max(r_in, l_in)
-        row = {"seed": seed, "n": poly.n, "found": res.found, "residual": res.residual}
-        if res.found and res.polygon is not None:
-            err = max(
-                abs(res.polygon.circumradius - l_in),
-                abs(point.distance_to(res.polygon.center) - r_in),
-            ) / scale
-            row["param_error"] = err
-            sol = solve(distances_from(point, poly))
-            row["solver_smaller_radius"] = sol.smaller.circumradius
-            worst = max(worst, err)
-            if err > args.threshold:
-                misses += 1
-                print(f"seed {seed}: parameter error {err:.3e}", file=sys.stderr)
-        else:
-            misses += 1
-            print(f"seed {seed}: no candidate found", file=sys.stderr)
-        rows.append(row)
+    report = agreement(args.seed, args.instances, n_range, cfg, args.threshold)
     elapsed = time.perf_counter() - t0
+    rows = report["results"]
+    for row in rows:
+        if "param_error" not in row:
+            print(f"seed {row['seed']}: no candidate found", file=sys.stderr)
+            continue
+        poly, point = random_instance(row["seed"], n_range)
+        row["solver_smaller_radius"] = solve(distances_from(point, poly)).smaller.circumradius
+        if row["param_error"] > args.threshold:
+            print(f"seed {row['seed']}: parameter error {row['param_error']:.3e}",
+                  file=sys.stderr)
+    misses = args.instances - report["agreed"]
+    worst = report["max_param_error"]
 
     summary = {
         "instances": args.instances,

@@ -18,9 +18,7 @@ from .cyclic import (
 from .dual import (
     Degeneracy,
     DualSolution,
-    PointClass,
     RadiusDistancePair,
-    classify_point,
     solve,
 )
 from .errors import (
@@ -40,11 +38,15 @@ from .geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    multiset_equal,
-    multiset_residual,
     vertices,
 )
-from .oracle import OracleConfig, OracleResult, random_instance, search_second_polygon
+from .oracle import (
+    OracleConfig,
+    OracleResult,
+    agreement,
+    random_instance,
+    search_second_polygon,
+)
 from .pompeiu import (
     EquilateralDual,
     PompeiuTriangle,
@@ -82,7 +84,6 @@ __all__ = [
     "OracleResult",
     "PermutationMatch",
     "Point2",
-    "PointClass",
     "PompeiuTriangle",
     "RadiusDistancePair",
     "RangeError",
@@ -93,17 +94,15 @@ __all__ = [
     "TrianglePair",
     "TriangleInequalityError",
     "TwoPointsSolution",
+    "agreement",
     "averages_from_distances",
     "averages_from_parameters",
     "check_consistency",
     "circle_circle_intersect",
-    "classify_point",
     "construct_both_triangles",
     "construct_dual",
     "construct_second_from_first",
     "distances_from",
-    "multiset_equal",
-    "multiset_residual",
     "pompeiu_from_distances",
     "random_instance",
     "search_second_polygon",

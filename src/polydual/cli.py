@@ -5,7 +5,9 @@ prints one JSON document (or an SVG for ``render``).  All numbers are
 rendered with 17 significant digits and dictionary order is fixed, so
 identical requests produce byte-identical output.  Exit codes: 0 on
 success, 1 on a domain error (with a machine-readable error object), 2 on
-usage or schema violations.
+usage or schema violations.  Errors are mapped in one place: ``run``
+turns domain errors into an error object and ``ValueError``/``TypeError``
+from a handler into ``SchemaError``; ``main`` maps schema errors to exit 2.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import cyclic, oracle, pompeiu, svg
-from .dual import DualSolution, classify_point, solve
+from .dual import Degeneracy, DualSolution, solve
 from .errors import DomainError, SchemaError
 from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
-from .reconstruct import construct_dual, verify_permutation
+from .reconstruct import DualPolygonPair, construct_dual, verify_permutation
 from .two_points import two_points
 
 COMMANDS = ("averages", "dual", "reconstruct", "pompeiu", "two-points", "verify", "render")
@@ -33,7 +35,6 @@ class JobRequest:
     payload: dict[str, Any] = field(default_factory=dict)
     tol: float = 1e-9
     seed: int = 0
-    output_path: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +89,9 @@ def _parse_angle(value: Any) -> float:
         return float(value)
     if isinstance(value, str):
         s = value.strip()
-        try:
-            if s.endswith("deg"):
-                return math.radians(float(s[:-3]))
-            return float(s)
-        except ValueError as exc:
-            raise SchemaError(f"cannot parse angle {value!r}") from exc
+        if s.endswith("deg"):
+            return math.radians(float(s[:-3]))
+        return float(s)
     raise SchemaError(f"cannot parse angle {value!r}")
 
 
@@ -101,19 +99,20 @@ def _parse_distances(payload: dict[str, Any]) -> DistanceSpec:
     raw = payload.get("distances")
     if not isinstance(raw, (list, tuple)) or len(raw) < 3:
         raise SchemaError("'distances' must be an array of at least 3 numbers")
-    try:
-        return DistanceSpec(tuple(float(v) for v in raw))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad distances: {exc}") from exc
+    return DistanceSpec(tuple(float(v) for v in raw))
+
+
+def _parse_triangle(payload: dict[str, Any]) -> tuple[float, ...]:
+    d = _parse_distances(payload)
+    if d.n != 3:
+        raise SchemaError("'pompeiu' needs exactly 3 distances")
+    return d.values
 
 
 def _parse_point(obj: Any, name: str) -> Point2:
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
         raise SchemaError(f"'{name}' must be an object with 'x' and 'y'")
-    try:
-        return Point2(float(obj["x"]), float(obj["y"]))
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad point '{name}': {exc}") from exc
+    return Point2(float(obj["x"]), float(obj["y"]))
 
 
 def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
@@ -122,19 +121,23 @@ def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
     for key in ("n", "center", "r"):
         if key not in obj:
             raise SchemaError(f"'{name}' is missing '{key}'")
-    try:
-        return RegularPolygonSpec(
-            int(obj["n"]),
-            _parse_point(obj["center"], f"{name}.center"),
-            float(obj["r"]),
-            _parse_angle(obj.get("phase", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad polygon '{name}': {exc}") from exc
+    return RegularPolygonSpec(
+        int(obj["n"]),
+        _parse_point(obj["center"], f"{name}.center"),
+        float(obj["r"]),
+        _parse_angle(obj.get("phase", 0.0)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # result shaping
+
+#: Where the point sits relative to the larger polygon's circumcircle.
+_POINT_CLASS = {
+    Degeneracy.NONE: "inside_larger",
+    Degeneracy.ON_CIRCUMCIRCLE: "on_circle",
+    Degeneracy.AT_CENTER: "center_degenerate",
+}
 
 
 def _point_json(p: Point2) -> dict[str, float]:
@@ -181,7 +184,7 @@ def _solution_json(sol: DualSolution) -> dict[str, Any]:
             "center_distance": sol.smaller.center_distance,
         },
         "degeneracy": sol.degeneracy.value,
-        "point_class": classify_point(sol).value,
+        "point_class": _POINT_CLASS[sol.degeneracy],
     }
 
 
@@ -214,15 +217,21 @@ def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     return out
 
 
-def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
-    p = _parse_polygon(request.payload.get("polygon"), "polygon")
-    point = _parse_point(request.payload.get("point"), "point")
-    direction = _parse_angle(request.payload.get("direction", 0.0))
-    anchor_index = int(request.payload.get("anchor_index", 0))
-    pair = construct_dual(
-        p, point, direction, request.tol, anchor_index=anchor_index
+def _dual_pair(request: JobRequest) -> DualPolygonPair:
+    payload = request.payload
+    return construct_dual(
+        _parse_polygon(payload.get("polygon"), "polygon"),
+        _parse_point(payload.get("point"), "point"),
+        _parse_angle(payload.get("direction", 0.0)),
+        request.tol,
+        anchor_index=int(payload.get("anchor_index", 0)),
     )
-    d_in = distances_from(point, p)
+
+
+def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
+    pair = _dual_pair(request)
+    point = pair.point
+    d_in = distances_from(point, pair.primary_polygon)
     d_b = distances_from(point, pair.b_polygon)
     match = verify_permutation(d_in, d_b, max(request.tol, 1e-10))
     return {
@@ -241,10 +250,7 @@ def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
 
 
 def _cmd_pompeiu(request: JobRequest) -> dict[str, Any]:
-    d = _parse_distances(request.payload)
-    if d.n != 3:
-        raise SchemaError("'pompeiu' needs exactly 3 distances")
-    d1, d2, d3 = d.values
+    d1, d2, d3 = _parse_triangle(request.payload)
     tri = pompeiu.pompeiu_from_distances(d1, d2, d3, request.tol)
     dual = pompeiu.solve_equilateral(tri)
     out: dict[str, Any] = {
@@ -286,70 +292,32 @@ def _cmd_two_points(request: JobRequest) -> dict[str, Any]:
 
 def _cmd_verify(request: JobRequest) -> dict[str, Any]:
     payload = request.payload
-    instances = int(payload.get("instances", 20))
-    n_min = int(payload.get("n_min", 3))
-    n_max = int(payload.get("n_max", 8))
     cfg = oracle.OracleConfig(
         grid_resolution=int(payload.get("grid", 64)),
         refine_iterations=int(payload.get("refine", 3)),
-        seed=request.seed,
-        tol=float(payload.get("oracle_tol", 1e-6)),
     )
-    results = []
-    agreed = 0
-    found = 0
-    worst = 0.0
-    for i in range(instances):
-        poly, point = oracle.random_instance(request.seed + i, (n_min, n_max))
-        res = oracle.search_second_polygon(poly, point, cfg)
-        r_in = poly.circumradius
-        l_in = point.distance_to(poly.center)
-        entry: dict[str, Any] = {
-            "seed": request.seed + i,
-            "n": poly.n,
-            "found": res.found,
-            "residual": res.residual,
-        }
-        if res.found and res.polygon is not None:
-            found += 1
-            err = max(
-                abs(res.polygon.circumradius - l_in),
-                abs(point.distance_to(res.polygon.center) - r_in),
-            ) / max(r_in, l_in)
-            entry["param_error"] = err
-            worst = max(worst, err)
-            if err <= 1e-5:
-                agreed += 1
-        results.append(entry)
-    return {
-        "instances": instances,
-        "found": found,
-        "agreed": agreed,
-        "max_param_error": worst,
-        "results": results,
-    }
+    return oracle.agreement(
+        request.seed,
+        int(payload.get("instances", 20)),
+        (int(payload.get("n_min", 3)), int(payload.get("n_max", 8))),
+        cfg,
+    )
 
 
 def _cmd_render(request: JobRequest) -> dict[str, Any]:
     payload = request.payload
     scene_kind = payload.get("scene")
     if scene_kind == "dual":
-        p = _parse_polygon(payload.get("polygon"), "polygon")
-        point = _parse_point(payload.get("point"), "point")
-        direction = _parse_angle(payload.get("direction", 0.0))
-        pair = construct_dual(p, point, direction, request.tol,
-                              anchor_index=int(payload.get("anchor_index", 0)))
-        scene = svg.scene_from_dual_pair(pair, include_mirror=bool(payload.get("mirror")))
+        scene = svg.scene_from_dual_pair(
+            _dual_pair(request), include_mirror=bool(payload.get("mirror"))
+        )
     elif scene_kind == "two-points":
         pa = _parse_polygon(payload.get("polygon_a"), "polygon_a")
         pb = _parse_polygon(payload.get("polygon_b"), "polygon_b")
         scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, request.tol))
     elif scene_kind == "pompeiu":
-        d = _parse_distances(payload)
-        if d.n != 3:
-            raise SchemaError("'pompeiu' scene needs exactly 3 distances")
         scene = svg.scene_from_triangle_pair(
-            pompeiu.construct_both_triangles(*d.values, tol=request.tol)
+            pompeiu.construct_both_triangles(*_parse_triangle(payload), tol=request.tol)
         )
     else:
         raise SchemaError("'scene' must be one of dual, two-points, pompeiu")
@@ -381,6 +349,8 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
             for k, v in exc.context.items()
         }
         return {"code": exc.code, "message": exc.message, "context": context}, 1
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -388,35 +358,26 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
 
 
 def _csv_floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise SchemaError(f"cannot parse number list {text!r}") from exc
+    return [float(part) for part in text.split(",")]
 
 
 def _polygon_payload(text: str, name: str) -> dict[str, Any]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) not in (4, 5):
         raise SchemaError(f"'{name}' must be 'n,cx,cy,r[,phase]'")
-    try:
-        return {
-            "n": int(parts[0]),
-            "center": {"x": float(parts[1]), "y": float(parts[2])},
-            "r": float(parts[3]),
-            "phase": parts[4] if len(parts) == 5 else 0.0,
-        }
-    except ValueError as exc:
-        raise SchemaError(f"bad polygon literal {text!r}") from exc
+    return {
+        "n": int(parts[0]),
+        "center": {"x": float(parts[1]), "y": float(parts[2])},
+        "r": float(parts[3]),
+        "phase": parts[4] if len(parts) == 5 else 0.0,
+    }
 
 
 def _point_payload(text: str) -> dict[str, Any]:
     parts = text.split(",")
     if len(parts) != 2:
         raise SchemaError("'--point' must be 'x,y'")
-    try:
-        return {"x": float(parts[0]), "y": float(parts[1])}
-    except ValueError as exc:
-        raise SchemaError(f"bad point literal {text!r}") from exc
+    return {"x": float(parts[0]), "y": float(parts[1])}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -428,7 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("averages", help="even-power distance means and closure checks")
@@ -463,6 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, default=8)
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--refine", type=int, default=3)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp)
 
     sp = sub.add_parser("render", help="emit an SVG figure")
@@ -475,7 +436,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--polygon-a")
     sp.add_argument("--polygon-b")
     sp.add_argument("--mirror", action="store_true")
-    sp.add_argument("--format", choices=("json", "svg"), default="svg")
     common(sp)
 
     return parser
@@ -484,6 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _request_from_args(args: argparse.Namespace) -> JobRequest:
     command = args.command
     payload: dict[str, Any] = {}
+    seed = 0
     if command in ("averages", "dual", "pompeiu"):
         payload["distances"] = _csv_floats(args.distances)
         if command == "averages":
@@ -499,6 +460,7 @@ def _request_from_args(args: argparse.Namespace) -> JobRequest:
         payload["polygon_a"] = _polygon_payload(args.polygon_a, "polygon_a")
         payload["polygon_b"] = _polygon_payload(args.polygon_b, "polygon_b")
     elif command == "verify":
+        seed = args.seed
         payload.update(
             instances=args.instances,
             n_min=args.n_min,
@@ -509,7 +471,6 @@ def _request_from_args(args: argparse.Namespace) -> JobRequest:
     elif command == "render":
         payload["scene"] = args.scene
         payload["mirror"] = bool(args.mirror)
-        payload["format"] = args.format
         if args.polygon:
             payload["polygon"] = _polygon_payload(args.polygon, "polygon")
         if args.point:
@@ -522,30 +483,20 @@ def _request_from_args(args: argparse.Namespace) -> JobRequest:
             payload["polygon_b"] = _polygon_payload(args.polygon_b, "polygon_b")
         payload["direction"] = args.direction
         payload["anchor_index"] = args.anchor_index
-    return JobRequest(
-        command=command,
-        payload=payload,
-        tol=args.tol,
-        seed=args.seed,
-        output_path=args.out,
-    )
+    return JobRequest(command=command, payload=payload, tol=args.tol, seed=seed)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        request = _request_from_args(args)
-        result, code = run(request)
-    except SchemaError as exc:
+        result, code = run(_request_from_args(args))
+    except (SchemaError, TypeError, ValueError) as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
-    if request.command == "render" and code == 0 and request.payload.get("format") == "svg":
-        text = result["svg"]
-    else:
-        text = dumps(result) + "\n"
-    if request.output_path:
-        with open(request.output_path, "w", encoding="utf-8") as fh:
+    text = result["svg"] if args.command == "render" and code == 0 else dumps(result) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     sys.stdout.write(text)
     return code

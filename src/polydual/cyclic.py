@@ -56,6 +56,25 @@ class ConsistencyReport:
     passed: bool
 
 
+def _power_mean(m: int, s2: float, spread: float) -> float:
+    """Mean of d^(2m) from the mean square s2 and spread = mean_fourth - s2^2.
+
+    Evaluates s2^m + sum_k C(m,2k)*C(2k,k)/2^k * spread^k * s2^(m-2k)
+    with exact integer binomials and compensated summation; the series
+    is exact for m <= n-1.
+    """
+    terms = [s2**m]
+    for k in range(1, m // 2 + 1):
+        terms.append(
+            math.comb(m, 2 * k)
+            * math.comb(2 * k, k)
+            / 2.0**k
+            * spread**k
+            * s2 ** (m - 2 * k)
+        )
+    return math.fsum(terms)
+
+
 def _check_cap(n: int, max_n: int) -> None:
     if n > max_n:
         raise ValueError(f"n={n} exceeds the supported cap {max_n}; raise max_n to override")
@@ -87,9 +106,8 @@ def averages_from_parameters(
 ) -> CyclicAverages:
     """Even-power means from the two size parameters alone.
 
-    Entry m-1 equals (r^2+l^2)^m plus the correction series
-    sum_k C(m,2k)*C(2k,k) * r^(2k) l^(2k) (r^2+l^2)^(m-2k); binomials are
-    exact integers via math.comb.
+    The mean square is r^2 + l^2 and the spread is 2 r^2 l^2, so entry
+    m-1 is the power-mean series of those two numbers.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
@@ -98,17 +116,8 @@ def averages_from_parameters(
     _check_cap(n, max_n)
     r2 = circumradius * circumradius
     l2 = center_distance * center_distance
-    base = r2 + l2
-    cross = r2 * l2
-    vals = []
-    for m in range(1, n):
-        terms = [base**m]
-        for k in range(1, m // 2 + 1):
-            terms.append(
-                math.comb(m, 2 * k) * math.comb(2 * k, k) * cross**k * base ** (m - 2 * k)
-            )
-        vals.append(math.fsum(terms))
-    return CyclicAverages(n, tuple(vals))
+    spread = 2.0 * r2 * l2
+    return CyclicAverages(n, tuple(_power_mean(m, r2 + l2, spread) for m in range(1, n)))
 
 
 def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyReport:
@@ -125,16 +134,7 @@ def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyRep
     spread = s4 - s2 * s2
     checks = []
     for m in range(3, avgs.n):
-        terms = [s2**m]
-        for k in range(1, m // 2 + 1):
-            terms.append(
-                math.comb(m, 2 * k)
-                * math.comb(2 * k, k)
-                / 2.0**k
-                * spread**k
-                * s2 ** (m - 2 * k)
-            )
-        expected = math.fsum(terms)
+        expected = _power_mean(m, s2, spread)
         actual = avgs.values[m - 1]
         residual = abs(actual - expected)
         passed = residual <= tol * max(abs(expected), abs(actual))

@@ -27,12 +27,6 @@ class Degeneracy(enum.Enum):
     AT_CENTER = "at_center"
 
 
-class PointClass(enum.Enum):
-    INSIDE_LARGER = "inside_larger"
-    ON_CIRCLE = "on_circle"
-    CENTER_DEGENERATE = "center_degenerate"
-
-
 @dataclass(frozen=True)
 class RadiusDistancePair:
     """A polygon circumradius together with the point-to-center distance."""
@@ -107,12 +101,3 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
         smaller=RadiusDistancePair(l1, r1),
         degeneracy=degeneracy,
     )
-
-
-def classify_point(sol: DualSolution) -> PointClass:
-    """Where the point sits relative to the larger polygon's circumcircle."""
-    if sol.degeneracy is Degeneracy.ON_CIRCUMCIRCLE:
-        return PointClass.ON_CIRCLE
-    if sol.degeneracy is Degeneracy.AT_CENTER:
-        return PointClass.CENTER_DEGENERATE
-    return PointClass.INSIDE_LARGER

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,10 +93,6 @@ class DistanceSpec:
         return len(self.values)
 
 
-def make_distances(values: Iterable[float]) -> DistanceSpec:
-    return DistanceSpec(tuple(values))
-
-
 def vertices(p: RegularPolygonSpec) -> list[Point2]:
     """Vertices in counterclockwise order; vertex i at angle phase + 2*pi*i/n."""
     step = TWO_PI / p.n
@@ -117,31 +112,3 @@ def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:
     direct form has no cancellation blow-up near the circumcircle.
     """
     return DistanceSpec(tuple(point.distance_to(v) for v in vertices(p)))
-
-
-def multiset_equal(
-    a: DistanceSpec,
-    b: DistanceSpec,
-    tol: float = 1e-9,
-    *,
-    abs_floor: float = ABS_FLOOR,
-) -> bool:
-    """True iff the sorted value lists agree elementwise.
-
-    Each pair is compared with tolerance max(abs_floor, tol*max(|x|, |y|)),
-    so values near zero still compare sanely.  Mismatched lengths are a
-    caller bug, not inequality.
-    """
-    if a.n != b.n:
-        raise ValueError(f"distance lists differ in length: {a.n} != {b.n}")
-    for x, y in zip(sorted(a.values), sorted(b.values)):
-        if abs(x - y) > max(abs_floor, tol * max(abs(x), abs(y))):
-            return False
-    return True
-
-
-def multiset_residual(a: DistanceSpec, b: DistanceSpec) -> float:
-    """Largest elementwise gap between the two sorted value lists."""
-    if a.n != b.n:
-        raise ValueError(f"distance lists differ in length: {a.n} != {b.n}")
-    return max(abs(x - y) for x, y in zip(sorted(a.values), sorted(b.values)))

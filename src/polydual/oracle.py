@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class OracleConfig:
 
     grid_resolution: int = 64
     refine_iterations: int = 3
-    seed: int = 0
     tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -346,3 +345,53 @@ def search_second_polygon(
     found_d = sorted(distances_from(point, candidate).values)
     residual = max(abs(u - v) for u, v in zip(found_d, target))
     return OracleResult(residual <= cfg.tol * scale, candidate, residual, samples)
+
+
+def agreement(
+    seed: int,
+    instances: int,
+    n_range: tuple[int, int],
+    cfg: OracleConfig,
+    threshold: float = 1e-5,
+) -> dict[str, Any]:
+    """Search ``random_instance(seed + i)`` for each i and score the finds.
+
+    A find agrees when its circumradius and center distance match the
+    input's center distance and circumradius (the swapped pair) within
+    ``threshold`` relative to the larger of the two; the swap is never
+    imposed on the search.  Returns the JSON-ready report: per-instance
+    rows plus the found and agreed counts and the worst parameter error.
+    """
+    results = []
+    agreed = 0
+    found = 0
+    worst = 0.0
+    for i in range(instances):
+        poly, point = random_instance(seed + i, n_range)
+        res = search_second_polygon(poly, point, cfg)
+        r_in = poly.circumradius
+        l_in = point.distance_to(poly.center)
+        entry: dict[str, Any] = {
+            "seed": seed + i,
+            "n": poly.n,
+            "found": res.found,
+            "residual": res.residual,
+        }
+        if res.found and res.polygon is not None:
+            found += 1
+            err = max(
+                abs(res.polygon.circumradius - l_in),
+                abs(point.distance_to(res.polygon.center) - r_in),
+            ) / max(r_in, l_in)
+            entry["param_error"] = err
+            worst = max(worst, err)
+            if err <= threshold:
+                agreed += 1
+        results.append(entry)
+    return {
+        "instances": instances,
+        "found": found,
+        "agreed": agreed,
+        "max_param_error": worst,
+        "results": results,
+    }

@@ -18,13 +18,11 @@ from .dual import Degeneracy, solve
 from .errors import DegenerateError, NoIntersectionError, RangeError
 from .geometry import (
     ABS_FLOOR,
-    TWO_PI,
     DistanceSpec,
     Point2,
     RegularPolygonSpec,
     azimuth,
     distances_from,
-    multiset_residual,
     normalize_angle,
 )
 
@@ -134,8 +132,8 @@ def construct_dual(
     b_polygon = RegularPolygonSpec(p.n, center, dist_in, phase_plus)
     c_polygon = RegularPolygonSpec(p.n, center, dist_in, phase_minus)
     residual = max(
-        multiset_residual(d, distances_from(point, b_polygon)),
-        multiset_residual(d, distances_from(point, c_polygon)),
+        verify_permutation(d, distances_from(point, b_polygon), tol).residual,
+        verify_permutation(d, distances_from(point, c_polygon), tol).residual,
     )
     return DualPolygonPair(
         primary_polygon=p,
@@ -156,21 +154,27 @@ def verify_permutation(
 ) -> PermutationMatch:
     """Best index pairing of the two lists: pi with x[pi[i]] matching d[i].
 
-    Matching in sorted order minimizes the largest pairwise gap, so the
-    reported residual is the best achievable over all permutations; the
-    permutation itself is returned even on failure.
+    This is the package's one sorted-multiset comparison.  Matching in
+    sorted order minimizes the largest pairwise gap, so the reported
+    residual is the best achievable over all permutations; the
+    permutation itself is returned even on failure.  Each matched pair
+    passes within max(abs_floor, tol times the larger magnitude), so
+    values near zero still compare sanely.  Mismatched lengths are a caller bug, not inequality.
     """
     if d.n != x.n:
         raise ValueError(f"distance lists differ in length: {d.n} != {x.n}")
-    order_d = sorted(range(d.n), key=d.values.__getitem__)
-    order_x = sorted(range(x.n), key=x.values.__getitem__)
+    dv, xv = d.values, x.values
+    order_d = sorted(range(d.n), key=dv.__getitem__)
+    order_x = sorted(range(x.n), key=xv.__getitem__)
+    gaps = [abs(dv[i] - xv[j]) for i, j in zip(order_d, order_x)]
+    residual = max(gaps)
+    # every gap within the absolute floor passes, so the per-pair test
+    # runs only when some gap exceeds it
+    ok = residual <= abs_floor or all(
+        g <= max(abs_floor, tol * max(abs(dv[i]), abs(xv[j])))
+        for g, i, j in zip(gaps, order_d, order_x)
+    )
     perm = [0] * d.n
-    ok = True
-    residual = 0.0
-    for i_d, i_x in zip(order_d, order_x):
-        perm[i_d] = i_x
-        gap = abs(d.values[i_d] - x.values[i_x])
-        residual = max(residual, gap)
-        if gap > max(abs_floor, tol * max(abs(d.values[i_d]), abs(x.values[i_x]))):
-            ok = False
+    for i, j in zip(order_d, order_x):
+        perm[i] = j
     return PermutationMatch(ok, tuple(perm), residual)

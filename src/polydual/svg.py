@@ -9,7 +9,7 @@ orientation.  Identical scenes produce byte-identical documents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import Point2, RegularPolygonSpec, vertices
 from .pompeiu import TrianglePair
@@ -30,7 +30,6 @@ class Scene:
     circles: tuple[tuple[Point2, float], ...] = ()
     markers: tuple[tuple[Point2, str], ...] = ()
     segments: tuple[tuple[Point2, Point2], ...] = ()
-    extra_labels: tuple[tuple[Point2, str], ...] = field(default=())
 
 
 def _fmt(v: float) -> str:
@@ -166,11 +165,6 @@ def render_svg(scene: Scene) -> str:
         lines.append(
             f'<text class="label" x="{_fmt(q.x + 1.2 * marker_r)}" '
             f'y="{_fmt(-(q.y - 1.2 * marker_r))}" font-size="{_fmt(font)}">{label}</text>'
-        )
-    for q, label in scene.extra_labels:
-        lines.append(
-            f'<text class="label" x="{_fmt(q.x)}" y="{_fmt(-q.y)}" '
-            f'font-size="{_fmt(font)}">{label}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

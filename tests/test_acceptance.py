@@ -24,7 +24,6 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    multiset_residual,
     vertices,
 )
 from polydual.oracle import random_instance, search_second_polygon
@@ -168,7 +167,7 @@ def test_criterion_5_construction_suite():
                 pair = construct_dual(poly, point, direction)
                 for q in (pair.b_polygon, pair.c_polygon):
                     x = distances_from(point, q)
-                    assert multiset_residual(d, x) <= 1e-8 * scale
+                    assert verify_permutation(d, x).residual <= 1e-8 * scale
                     match = verify_permutation(d, x, 1e-7)
                     assert match.ok
                 # swap conditions to 1e-10 relative
@@ -194,10 +193,8 @@ def test_criterion_6_two_points_suite():
                 tangencies += 1
                 assert sol.collinear_degenerate
             for q in points:
-                assert (
-                    multiset_residual(distances_from(q, pa), distances_from(q, pb))
-                    <= 1e-8 * scale
-                )
+                d_a, d_b = distances_from(q, pa), distances_from(q, pb)
+                assert verify_permutation(d_a, d_b).residual <= 1e-8 * scale
         assert tangencies < 10  # generic pairs; tangency is measure zero
         for _ in range(300):
             pa, pb, _v = shared_vertex_pair(rng, collinear=True)

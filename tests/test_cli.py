@@ -312,6 +312,35 @@ class TestVerifyCommand:
         assert result["max_param_error"] <= 1e-5
 
 
+ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "--distances", ALONG_LINE],
+        ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "5,2,0,1,180deg"],
+        ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--anchor-index", "9"],
+        ["verify", "--instances", "1", "--grid", "4"],
+        ["verify", "--instances", "1", "--n-min", "2"],
+        ["averages", "--distances", "3,5,7", "--max-n", "2"],
+        None,
+    ],
+    ids=["dual-n65", "two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2",
+         "max-n-2", "run-instances-x"],
+)
+def test_precondition_failures_are_schema_errors(argv, capsys):
+    if argv is None:
+        with pytest.raises(SchemaError):
+            run(JobRequest("verify", {"instances": "x"}))
+        return
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("schema error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_main_writes_output_file(tmp_path):
     out = tmp_path / "dual.json"
     code = main(["dual", "--distances", SQUARE_DISTANCES, "--out", str(out)])

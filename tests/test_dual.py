@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from polydual.dual import Degeneracy, PointClass, classify_point, solve
+from polydual.cli import JobRequest, run
+from polydual.dual import Degeneracy, solve
 from polydual.errors import RealizabilityError
 from polydual.geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
+
+
+def point_class(values):
+    """The ``point_class`` key of the ``dual`` command's result."""
+    result, code = run(JobRequest("dual", {"distances": list(values)}))
+    assert code == 0
+    return result["point_class"]
 
 
 class TestSquareExample:
@@ -23,7 +31,7 @@ class TestSquareExample:
         assert sol.smaller.circumradius == pytest.approx(1.0, rel=1e-12)
         assert sol.smaller.center_distance == pytest.approx(SQRT2, rel=1e-12)
         assert sol.degeneracy is Degeneracy.NONE
-        assert classify_point(sol) is PointClass.INSIDE_LARGER
+        assert point_class((1.0, SQRT5, SQRT5, 1.0)) == "inside_larger"
 
 
 class TestDegeneracies:
@@ -33,7 +41,7 @@ class TestDegeneracies:
         assert sol.larger.circumradius == pytest.approx(2.0, rel=1e-12)
         assert sol.larger.center_distance == pytest.approx(0.0, abs=1e-12)
         assert sol.smaller.circumradius == pytest.approx(0.0, abs=1e-12)
-        assert classify_point(sol) is PointClass.CENTER_DEGENERATE
+        assert point_class((2.0,) * 5) == "center_degenerate"
 
     def test_point_on_circumcircle(self):
         lo = math.sqrt(4 - 2 * SQRT2)
@@ -47,7 +55,7 @@ class TestDegeneracies:
             sol.smaller.center_distance,
         ):
             assert v == pytest.approx(SQRT2, rel=1e-9)
-        assert classify_point(sol) is PointClass.ON_CIRCLE
+        assert point_class((lo, hi, hi, lo)) == "on_circle"
 
 
 class TestRealizability:

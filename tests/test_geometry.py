@@ -9,11 +9,10 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    multiset_equal,
-    multiset_residual,
     normalize_angle,
     vertices,
 )
+from polydual.reconstruct import verify_permutation
 
 SQRT2 = math.sqrt(2.0)
 
@@ -109,25 +108,27 @@ class TestMultisetEqual:
     def test_permutation_matches(self):
         a = DistanceSpec((1.0, math.sqrt(5), math.sqrt(5), 1.0))
         b = DistanceSpec((math.sqrt(5), 1.0, 1.0, math.sqrt(5)))
-        assert multiset_equal(a, b, 1e-9)
+        assert verify_permutation(a, b, 1e-9).ok
 
     def test_detects_difference(self):
-        assert not multiset_equal(DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3.1)), 1e-9)
+        assert not verify_permutation(
+            DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3.1)), 1e-9
+        ).ok
 
     def test_zero_lists(self):
         z = DistanceSpec((0.0, 0.0, 0.0))
-        assert multiset_equal(z, z, 1e-9)
+        assert verify_permutation(z, z, 1e-9).ok
 
     def test_mismatched_n_is_an_error(self):
         with pytest.raises(ValueError):
-            multiset_equal(DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3, 4)), 1e-9)
+            verify_permutation(DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3, 4)), 1e-9)
         with pytest.raises(ValueError):
-            multiset_residual(DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3, 4)))
+            verify_permutation(DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3, 4)))
 
     @given(st.lists(st.floats(0.0, 1e6), min_size=3, max_size=10))
     def test_reflexive(self, values):
         d = DistanceSpec(tuple(values))
-        assert multiset_equal(d, d, 1e-12)
+        assert verify_permutation(d, d, 1e-12).ok
 
     @given(
         st.lists(st.floats(0.0, 1e6), min_size=3, max_size=10),
@@ -138,8 +139,8 @@ class TestMultisetEqual:
         shuffled = list(values)
         rnd.shuffle(shuffled)
         b = DistanceSpec(tuple(shuffled))
-        assert multiset_equal(a, b, 1e-12)
-        assert multiset_equal(b, a, 1e-12)
+        assert verify_permutation(a, b, 1e-12).ok
+        assert verify_permutation(b, a, 1e-12).ok
 
 
 def test_normalize_angle_range():

@@ -9,7 +9,6 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    multiset_equal,
     vertices,
 )
 from polydual.pompeiu import (
@@ -19,6 +18,7 @@ from polydual.pompeiu import (
     solve_equilateral,
     weitzenbock_margin,
 )
+from polydual.reconstruct import verify_permutation
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -203,9 +203,9 @@ class TestConstructionB:
         )
         q = construct_second_from_first(p, tp.point)
         assert q.circumradius * SQRT3 == pytest.approx(math.sqrt(19.0), rel=1e-12)
-        assert multiset_equal(
+        assert verify_permutation(
             distances_from(tp.point, p), distances_from(tp.point, q), 1e-10
-        )
+        ).ok
 
     def test_preserves_multiset_both_directions(self):
         rng = np.random.default_rng(34)
@@ -213,7 +213,7 @@ class TestConstructionB:
             poly, point = random_equilateral_with_point(rng)
             d = distances_from(point, poly)
             q = construct_second_from_first(poly, point)
-            assert multiset_equal(d, distances_from(point, q), 1e-10)
+            assert verify_permutation(d, distances_from(point, q), 1e-10).ok
             # swapped parameters
             assert q.circumradius == pytest.approx(
                 point.distance_to(poly.center), rel=1e-9, abs=1e-12 * max(d.values)
@@ -243,9 +243,9 @@ class TestConstructionB:
             assert point.distance_to(q_pos.center) == pytest.approx(
                 point.distance_to(q_neg.center), rel=1e-9
             )
-            assert multiset_equal(
+            assert verify_permutation(
                 distances_from(point, q_pos), distances_from(point, q_neg), 1e-9
-            )
+            ).ok
 
     def test_shared_vertex_kept(self):
         poly = RegularPolygonSpec(3, Point2(0.0, 0.0), 2.0, 0.3)

@@ -11,8 +11,6 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    multiset_equal,
-    multiset_residual,
     vertices,
 )
 from polydual.cyclic import averages_from_distances
@@ -72,7 +70,7 @@ class TestConstructDual:
         angles = [(b.phase + TWO_PI * i / 4) % TWO_PI for i in range(4)]
         assert any(abs(a - math.pi / 4) < 1e-9 for a in angles)
         d = distances_from(Point2(1.0, 0.0), b)
-        assert multiset_equal(d, DistanceSpec((1.0, 1.0, SQRT5, SQRT5)), 1e-9)
+        assert verify_permutation(d, DistanceSpec((1.0, 1.0, SQRT5, SQRT5)), 1e-9).ok
         assert pair.match_residual <= 1e-12
 
     def test_equilateral_three_five_seven(self):
@@ -109,7 +107,8 @@ class TestConstructDual:
             pair = construct_dual(poly, point, direction)
             scale = max(d.values)
             for q in (pair.b_polygon, pair.c_polygon):
-                assert multiset_residual(d, distances_from(point, q)) <= 1e-8 * scale
+                x = distances_from(point, q)
+                assert verify_permutation(d, x).residual <= 1e-8 * scale
             # swap conditions: companion center at the original circumradius,
             # companion radius equal to the original center distance
             radius = poly.circumradius
@@ -140,7 +139,7 @@ class TestConstructDual:
             pair = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI)))
             d_b = distances_from(point, pair.b_polygon)
             d_c = distances_from(point, pair.c_polygon)
-            assert multiset_equal(d_b, d_c, 1e-9)
+            assert verify_permutation(d_b, d_c, 1e-9).ok
             # reflecting b across the line point -> companion center gives c
             axis = math.atan2(
                 pair.b_polygon.center.y - point.y, pair.b_polygon.center.x - point.x
@@ -161,7 +160,7 @@ class TestConstructDual:
         d = distances_from(point, poly)
         for k in range(poly.n):
             pair = construct_dual(poly, point, 0.3, anchor_index=k)
-            assert multiset_equal(d, distances_from(point, pair.b_polygon), 1e-8)
+            assert verify_permutation(d, distances_from(point, pair.b_polygon), 1e-8).ok
             anchored = vertices(pair.b_polygon)[0]
             assert point.distance_to(anchored) == pytest.approx(
                 d.values[k], rel=1e-9, abs=1e-12 * max(d.values)

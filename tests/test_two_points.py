@@ -10,8 +10,8 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    multiset_residual,
 )
+from polydual.reconstruct import verify_permutation
 from polydual.two_points import circle_circle_intersect, two_points
 
 SQRT2 = math.sqrt(2.0)
@@ -134,7 +134,8 @@ class TestRandomPairs:
                 tangency_seen += 1
             scale = max(pa.circumradius, pb.circumradius)
             for q, match in zip(points, sol.matches):
-                res = multiset_residual(distances_from(q, pa), distances_from(q, pb))
+                d_a, d_b = distances_from(q, pa), distances_from(q, pb)
+                res = verify_permutation(d_a, d_b).residual
                 assert res <= 1e-8 * scale
                 assert match.ok
         # generic pairs essentially never land tangent
@@ -147,9 +148,9 @@ class TestRandomPairs:
             sol = two_points(pa, pb)
             assert sol.collinear_degenerate
             assert sol.m2 is None
-            res = multiset_residual(
+            res = verify_permutation(
                 distances_from(sol.m1, pa), distances_from(sol.m1, pb)
-            )
+            ).residual
             assert res <= 1e-8 * max(pa.circumradius, pb.circumradius)
 
     def test_consistency_with_dual_solver(self):
