@@ -26,8 +26,6 @@ from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
 from .reconstruct import DualPolygonPair, construct_dual, verify_permutation
 from .two_points import two_points
 
-COMMANDS = ("averages", "dual", "reconstruct", "pompeiu", "two-points", "verify", "render")
-
 
 @dataclass(frozen=True)
 class JobRequest:
