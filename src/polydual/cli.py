@@ -269,10 +269,16 @@ def _cmd_pompeiu(request: JobRequest) -> dict[str, Any]:
     return out
 
 
+def _polygon_pair(request: JobRequest) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
+    payload = request.payload
+    return (
+        _parse_polygon(payload.get("polygon_a"), "polygon_a"),
+        _parse_polygon(payload.get("polygon_b"), "polygon_b"),
+    )
+
+
 def _cmd_two_points(request: JobRequest) -> dict[str, Any]:
-    pa = _parse_polygon(request.payload.get("polygon_a"), "polygon_a")
-    pb = _parse_polygon(request.payload.get("polygon_b"), "polygon_b")
-    sol = two_points(pa, pb, request.tol)
+    sol = two_points(*_polygon_pair(request), request.tol)
     return {
         "m1": _point_json(sol.m1),
         "m2": None if sol.m2 is None else _point_json(sol.m2),
@@ -310,8 +316,7 @@ def _cmd_render(request: JobRequest) -> dict[str, Any]:
             _dual_pair(request), include_mirror=bool(payload.get("mirror"))
         )
     elif scene_kind == "two-points":
-        pa = _parse_polygon(payload.get("polygon_a"), "polygon_a")
-        pb = _parse_polygon(payload.get("polygon_b"), "polygon_b")
+        pa, pb = _polygon_pair(request)
         scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, request.tol))
     elif scene_kind == "pompeiu":
         scene = svg.scene_from_triangle_pair(
@@ -439,49 +444,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _payload_value(key: str, value: Any) -> Any:
+    """An option's payload value: list-valued options parsed, the rest as given."""
+    if key == "distances":
+        return _csv_floats(value)
+    if key == "point":
+        return _point_payload(value)
+    if key in ("polygon", "polygon_a", "polygon_b"):
+        return _polygon_payload(value, key)
+    return value
+
+
 def _request_from_args(args: argparse.Namespace) -> JobRequest:
-    command = args.command
-    payload: dict[str, Any] = {}
-    seed = 0
-    if command in ("averages", "dual", "pompeiu"):
-        payload["distances"] = _csv_floats(args.distances)
-        if command == "averages":
-            payload["max_n"] = args.max_n
-        if command == "pompeiu":
-            payload["construct"] = bool(args.construct)
-    elif command == "reconstruct":
-        payload["polygon"] = _polygon_payload(args.polygon, "polygon")
-        payload["point"] = _point_payload(args.point)
-        payload["direction"] = args.direction
-        payload["anchor_index"] = args.anchor_index
-    elif command == "two-points":
-        payload["polygon_a"] = _polygon_payload(args.polygon_a, "polygon_a")
-        payload["polygon_b"] = _polygon_payload(args.polygon_b, "polygon_b")
-    elif command == "verify":
-        seed = args.seed
-        payload.update(
-            instances=args.instances,
-            n_min=args.n_min,
-            n_max=args.n_max,
-            grid=args.grid,
-            refine=args.refine,
-        )
-    elif command == "render":
-        payload["scene"] = args.scene
-        payload["mirror"] = bool(args.mirror)
-        if args.polygon:
-            payload["polygon"] = _polygon_payload(args.polygon, "polygon")
-        if args.point:
-            payload["point"] = _point_payload(args.point)
-        if args.distances:
-            payload["distances"] = _csv_floats(args.distances)
-        if args.polygon_a:
-            payload["polygon_a"] = _polygon_payload(args.polygon_a, "polygon_a")
-        if args.polygon_b:
-            payload["polygon_b"] = _polygon_payload(args.polygon_b, "polygon_b")
-        payload["direction"] = args.direction
-        payload["anchor_index"] = args.anchor_index
-    return JobRequest(command=command, payload=payload, tol=args.tol, seed=seed)
+    """Every option but the request fields goes into the payload under its own name."""
+    payload = {
+        key: _payload_value(key, value)
+        for key, value in vars(args).items()
+        if key not in ("command", "tol", "out", "seed") and value is not None
+    }
+    return JobRequest(args.command, payload, args.tol, getattr(args, "seed", 0))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -6,6 +6,8 @@ assigning those roots describe two non-congruent regular polygons
 realizing the same distances: a larger one whose circumcircle contains
 the point and a smaller one whose circumcircle does not.  A double root
 means the point sits on the circumcircle and both assignments coincide.
+``solve_moments`` is the one place that quadratic is solved, clamped and
+classified; ``pompeiu`` feeds it the n=3 discriminant from the area.
 """
 
 from __future__ import annotations
@@ -46,21 +48,26 @@ class DualSolution:
 
 
 def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
-    """Both parameter pairs from the distances.
+    """Both parameter pairs from the distances, through ``solve_moments``."""
+    squares = [v * v for v in d.values]
+    s2 = math.fsum(squares) / d.n
+    s4 = math.fsum(q * q for q in squares) / d.n
+    return solve_moments(s2, s4, 3.0 * (s2 * s2) - 2.0 * s4, tol)
 
-    The quadratic is solved in the cancellation-safe form: the square
-    root of the discriminant is taken once, the larger root by addition,
-    and the smaller root as mean_square minus the larger.  A discriminant
-    within -tol*mean_square^2 of zero is clamped (measured geometry can
-    land infinitesimally negative); beyond that the distances are not
+
+def solve_moments(s2: float, s4: float, disc: float, tol: float = 1e-9) -> DualSolution:
+    """Both parameter pairs from the mean square, mean fourth and discriminant.
+
+    The discriminant 3*s2^2 - 2*s4 is passed in so that an n=3 caller can
+    use its closed form, (16/3)*area^2.  The quadratic is solved in the
+    cancellation-safe form: the square root of the discriminant is taken
+    once, the larger root by addition, and the smaller root as
+    mean_square minus the larger.  A discriminant within
+    -tol*mean_square^2 of zero is clamped (measured geometry can land
+    infinitesimally negative); beyond that the distances are not
     realizable by any regular polygon.
     """
-    n = d.n
-    squares = [v * v for v in d.values]
-    s2 = math.fsum(squares) / n
-    s4 = math.fsum(q * q for q in squares) / n
     scale = s2 * s2
-    disc = 3.0 * scale - 2.0 * s4
     if disc < -tol * scale:
         raise RealizabilityError(
             "no regular polygon realizes these distances "

@@ -362,6 +362,8 @@ def agreement(
     imposed on the search.  Returns the JSON-ready report: per-instance
     rows plus the found and agreed counts and the worst parameter error.
     """
+    if instances < 0:
+        raise ValueError(f"instances must be >= 0, got {instances}")
     results = []
     agreed = 0
     found = 0

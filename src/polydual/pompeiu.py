@@ -4,8 +4,10 @@ The three distances from any point to the vertices of an equilateral
 triangle themselves satisfy the triangle inequality (Pompeiu's theorem),
 degenerating exactly when the point lies on the circumcircle (Van
 Schooten).  The area of that distance triangle feeds closed forms for
-both equilateral triangles realizing the distances, and 60-degree
-rotations construct them explicitly.
+both equilateral triangles realizing the distances: the discriminant of
+the general quadratic is (16/3)*area^2, and ``dual.solve_moments`` solves
+and classifies it as it does for any n.  60-degree rotations construct
+both triangles explicitly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dual import DEGENERACY_EPS, Degeneracy, DualSolution, RadiusDistancePair, solve
+from .dual import Degeneracy, DualSolution, solve, solve_moments
 from .errors import DegenerateError, TriangleInequalityError
 from .geometry import (
     ABS_FLOOR,
@@ -60,6 +62,13 @@ class TrianglePair:
     smaller: tuple[Point2, Point2, Point2]
 
 
+def triangle_spec(tri: tuple[Point2, Point2, Point2]) -> RegularPolygonSpec:
+    """The equilateral triangle through three vertices, ``tri[0]`` first."""
+    center = Point2(sum(v.x for v in tri) / 3.0, sum(v.y for v in tri) / 3.0)
+    radius = center.distance_to(tri[0])
+    return RegularPolygonSpec(3, center, radius, azimuth(center, tri[0]) if radius > 0 else 0.0)
+
+
 def pompeiu_from_distances(
     d1: float, d2: float, d3: float, tol: float = 1e-9
 ) -> PompeiuTriangle:
@@ -95,42 +104,19 @@ def pompeiu_from_distances(
 def solve_equilateral(t: PompeiuTriangle) -> EquilateralDual:
     """Closed-form parameter pairs from the distance-triangle area.
 
-    The circumradii are (sum of squares +/- 4*sqrt(3)*area)/6 and the
-    side lengths are sqrt(3) times them; the discriminant comes out as
-    (16/3)*area^2, so degeneracy classification matches the general
-    solver's thresholds.
+    The discriminant of the general quadratic comes out as
+    (16/3)*area^2, so ``dual.solve_moments`` takes it from the area and
+    applies the general solver's clamp and degeneracy thresholds; the
+    circumradii are (sum of squares +/- 4*sqrt(3)*area)/6 and the side
+    lengths are sqrt(3) times them.
     """
     q1, q2, q3 = t.d1 * t.d1, t.d2 * t.d2, t.d3 * t.d3
-    qsum = q1 + q2 + q3
-    corr = 4.0 * SQRT3 * t.area
-    s2 = qsum / 3.0
+    s2 = (q1 + q2 + q3) / 3.0
     s4 = (q1 * q1 + q2 * q2 + q3 * q3) / 3.0
-    disc = (16.0 / 3.0) * t.area * t.area
-    if disc <= DEGENERACY_EPS * s2 * s2:
-        # on the circumcircle both triangles coincide; drop the residual
-        # area so all four values come out equal (matches the solver)
-        disc = 0.0
-        corr = 0.0
-        degeneracy = Degeneracy.ON_CIRCUMCIRCLE
-    else:
-        degeneracy = None
-    r1sq = (qsum + corr) / 6.0
-    l1sq = max((qsum - corr) / 6.0, 0.0)
-    if degeneracy is None:
-        degeneracy = (
-            Degeneracy.AT_CENTER if l1sq <= DEGENERACY_EPS * s2 else Degeneracy.NONE
-        )
-    r1 = math.sqrt(r1sq)
-    l1 = math.sqrt(l1sq)
-    sol = DualSolution(
-        mean_square=s2,
-        mean_fourth=s4,
-        discriminant=disc,
-        larger=RadiusDistancePair(r1, l1),
-        smaller=RadiusDistancePair(l1, r1),
-        degeneracy=degeneracy,
+    sol = solve_moments(s2, s4, (16.0 / 3.0) * t.area * t.area)
+    return EquilateralDual(
+        sol, SQRT3 * sol.larger.circumradius, SQRT3 * sol.smaller.circumradius
     )
-    return EquilateralDual(sol, r1 * SQRT3, l1 * SQRT3)
 
 
 def weitzenbock_margin(t: PompeiuTriangle) -> float:
@@ -228,5 +214,4 @@ def construct_second_from_first(
     if orientation < 0:
         b2 = _reflect_across(point, a1, b2)
         b3 = _reflect_across(point, a1, b3)
-    center = Point2((a1.x + b2.x + b3.x) / 3.0, (a1.y + b2.y + b3.y) / 3.0)
-    return RegularPolygonSpec(3, center, center.distance_to(a1), azimuth(center, a1))
+    return triangle_spec((a1, b2, b3))

@@ -8,11 +8,10 @@ orientation.  Identical scenes produce byte-identical documents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .geometry import Point2, RegularPolygonSpec, vertices
-from .pompeiu import TrianglePair
+from .pompeiu import TrianglePair, triangle_spec
 from .reconstruct import DualPolygonPair
 from .two_points import TwoPointsSolution
 
@@ -77,17 +76,10 @@ def scene_from_two_points(
 
 def scene_from_triangle_pair(tp: TrianglePair) -> Scene:
     """Both equilateral triangles with all six distance segments."""
-    polys = []
-    for tri, prefix in ((tp.larger, "A"), (tp.smaller, "B")):
-        cx = sum(v.x for v in tri) / 3.0
-        cy = sum(v.y for v in tri) / 3.0
-        center = Point2(cx, cy)
-        radius = center.distance_to(tri[0])
-        phase = math.atan2(tri[0].y - cy, tri[0].x - cx) if radius > 0 else 0.0
-        polys.append((RegularPolygonSpec(3, center, radius, phase), prefix))
+    polys = ((triangle_spec(tp.larger), "A"), (triangle_spec(tp.smaller), "B"))
     segments = tuple((tp.point, v) for tri in (tp.larger, tp.smaller) for v in tri)
     return Scene(
-        polygons=tuple(polys),
+        polygons=polys,
         markers=((tp.point, "M"),),
         segments=segments,
     )

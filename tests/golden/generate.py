@@ -121,6 +121,14 @@ FIXED: list[list[str]] = [
     ["verify", "--instances", "two"],
 ]
 
+#: Inputs added after the corpus was first written.  They go after the
+#: seeded entries so that every earlier entry keeps its index, which the
+#: replay test ids carry.
+APPENDED: list[list[str]] = [
+    # schema error: a negative instance count
+    ["verify", "--instances", "-2"],
+]
+
 
 def _csv(values) -> str:
     return ",".join(repr(float(v)) for v in values)
@@ -196,7 +204,7 @@ def replay(argv: list[str]) -> tuple[int, str]:
 
 def build() -> list[dict]:
     corpus = []
-    for argv in FIXED + seeded():
+    for argv in FIXED + seeded() + APPENDED:
         code, stdout = replay(argv)
         corpus.append({"argv": argv, "exit": code, "stdout": stdout})
     return corpus

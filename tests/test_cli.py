@@ -324,10 +324,11 @@ ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
         ["verify", "--instances", "1", "--grid", "4"],
         ["verify", "--instances", "1", "--n-min", "2"],
         ["averages", "--distances", "3,5,7", "--max-n", "2"],
+        ["verify", "--instances", "-2"],
         None,
     ],
     ids=["dual-n65", "two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2",
-         "max-n-2", "run-instances-x"],
+         "max-n-2", "instances-negative", "run-instances-x"],
 )
 def test_precondition_failures_are_schema_errors(argv, capsys):
     if argv is None:

@@ -6,6 +6,7 @@ import pytest
 from polydual.dual import Degeneracy, solve
 from polydual.errors import DegenerateError, TriangleInequalityError
 from polydual.geometry import (
+    DistanceSpec,
     Point2,
     RegularPolygonSpec,
     distances_from,
@@ -18,6 +19,7 @@ from polydual.pompeiu import (
     solve_equilateral,
     weitzenbock_margin,
 )
+from polydual.oracle import random_instance
 from polydual.reconstruct import verify_permutation
 
 SQRT3 = math.sqrt(3.0)
@@ -91,21 +93,34 @@ class TestClosedForms:
 
     def test_agreement_with_general_solver(self):
         rng = np.random.default_rng(31)
-        for _ in range(300):
-            poly, point = random_equilateral_with_point(rng)
-            d = distances_from(point, poly)
-            general = solve(d)
-            special = solve_equilateral(pompeiu_from_distances(*d.values)).solution
+        cases = [random_equilateral_with_point(rng) for _ in range(300)]
+        # the point on the circumcircle
+        cases += [random_instance(88_000 + s, (3, 3), degenerate_mode=True) for s in range(400)]
+        # the point near the center
+        cases += [
+            random_equilateral_with_point(rng, ratio_range=(q, q))
+            for q in (1e-6, 1e-7, 1e-8, 1e-9)
+            for _ in range(150)
+        ]
+        triples = [distances_from(point, poly).values for poly, point in cases]
+        # the point at the center, at several scales
+        triples += [(float(v),) * 3 for v in np.geomspace(1e-6, 1e6, 100)]
+        for values in triples:
+            general = solve(DistanceSpec(values))
+            special = solve_equilateral(pompeiu_from_distances(*values)).solution
+            assert special.degeneracy is general.degeneracy
             scale = max(general.larger.circumradius, general.smaller.center_distance)
-            for a, b in (
-                (general.larger.circumradius, special.larger.circumradius),
-                (general.larger.center_distance, special.larger.center_distance),
-                (general.smaller.circumradius, special.smaller.circumradius),
-                (general.smaller.center_distance, special.smaller.center_distance),
+            # at the center the small root keeps half the digits in both paths
+            near = 5e-8 if general.degeneracy is Degeneracy.AT_CENTER else 1e-10
+            for a, b, rel in (
+                (general.larger.circumradius, special.larger.circumradius, 1e-10),
+                (general.larger.center_distance, special.larger.center_distance, near),
+                (general.smaller.circumradius, special.smaller.circumradius, near),
+                (general.smaller.center_distance, special.smaller.center_distance, 1e-10),
             ):
-                assert abs(a - b) <= 1e-10 * scale
+                assert abs(a - b) <= rel * scale
             # the discriminant reduces to (16/3) * area^2
-            area = pompeiu_from_distances(*d.values).area
+            area = pompeiu_from_distances(*values).area
             expected = (16.0 / 3.0) * area * area
             assert abs(general.discriminant - expected) <= 1e-9 * max(
                 expected, general.mean_square**2
