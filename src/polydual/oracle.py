@@ -7,14 +7,17 @@ parameter pair excluded from the answers.  Nothing here consumes the
 solver or the reconstruction code; only the geometric primitives are
 used.
 
-A candidate polygon is parameterized by the azimuth of its center about
-the query point, the center distance, the circumradius and the phase.
-The distance multiset depends on the phase only through its offset from
-the center azimuth and repeats every 2*pi/n, so the phase grid covers one
+A rotation of a candidate polygon about the query point leaves its
+distances unchanged, so the search runs in the quotient by those
+rotations: a candidate is parameterized by its center distance, its
+circumradius and its phase relative to the direction of its center, and
+the center is placed on the horizontal through the point.  The distance
+multiset repeats every 2*pi/n in that phase, so the phase covers one
 period; the sorted-distance objective is also exactly symmetric under
 swapping radius and center distance, which is why every descent seed is
 paired with its swapped twin (this exploits a symmetry of the candidate
-parameterization, not of the expected answer).
+parameterization, not of the expected answer).  Only these isometries
+about the point are used, none of the solver's algebra.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ RATIO_EXCLUSION_HALF_WIDTH = 5e-4
 #: never excluded by accident.
 CONGRUENT_EXCLUSION_REL = 2e-4
 
-#: Coarse samples per size dimension inside every angular grid cell.
+#: Coarse samples per size dimension at every grid phase.
 COARSE_SIZE_STEPS = 12
 
 #: Number of grid cells seeding the descent stage.
@@ -48,9 +51,14 @@ DESCENT_SEEDS = 8
 class OracleConfig:
     """Search controls.
 
-    ``tol`` is relative to the largest target distance: a candidate is a
-    find when its worst sorted-distance gap is below tol times that
-    scale.
+    ``grid_resolution`` is the number of phase samples per period 2*pi/n
+    in the grid stage, each scored against a fixed coarse grid of center
+    distances and radii.  ``refine_iterations`` is the number of descent
+    levels per seed, each starting from a tenfold smaller step; the seed
+    loop stops at the first non-congruent descent that reaches the
+    stopping objective.  ``tol`` is relative to the largest target
+    distance: a candidate is a find when its worst sorted-distance gap is
+    below tol times that scale.
     """
 
     grid_resolution: int = 64
@@ -108,79 +116,69 @@ def random_instance(
 
 
 def _objective(
-    n: int,
-    point: Point2,
+    dirs: list[tuple[float, float]],
     target: list[float],
-    phi: float,
-    theta: float,
+    psi: float,
     ell: float,
     radius: float,
 ) -> float:
-    cx = point.x + ell * math.cos(phi)
-    cy = point.y + ell * math.sin(phi)
-    ds = []
-    for k in range(n):
-        a = theta + TWO_PI * k / n
-        ds.append(math.hypot(cx + radius * math.cos(a) - point.x, cy + radius * math.sin(a) - point.y))
-    ds.sort()
+    c = math.cos(psi)
+    s = math.sin(psi)
+    ds = sorted(
+        [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk)) for ck, sk in dirs]
+    )
     return sum((u - v) * (u - v) for u, v in zip(ds, target))
 
 
 def _pattern_descent(
-    n: int,
-    point: Point2,
+    dirs: list[tuple[float, float]],
     target: list[float],
-    start: tuple[float, float, float, float],
-    steps: tuple[float, float, float, float],
+    start: tuple[float, float, float],
+    steps: tuple[float, float, float],
     bounds_ell: tuple[float, float],
     bounds_r: tuple[float, float],
     stop_step: float,
     stop_objective: float,
     budget: int = 20000,
-) -> tuple[tuple[float, float, float, float], float, int]:
-    """Compass search over (phi, theta, ell, radius); angles wrap, sizes clip.
+) -> tuple[tuple[float, float, float], float, int]:
+    """Compass search over (psi, ell, radius); the phase wraps, sizes clip.
 
-    Besides the four axis probes, each sweep tries the two diagonal moves
-    that trade center distance against radius; near-equal parameter pairs
-    form a narrow curved valley in exactly that direction and axis-only
-    search stalls there.
+    Besides the three axis probe pairs, each sweep tries the two diagonal
+    moves that trade center distance against radius; near-equal parameter
+    pairs form a narrow curved valley in exactly that direction and
+    axis-only search stalls there.
     """
-    x = list(start)
-    f = _objective(n, point, target, *x)
+    x = start
+    f = _objective(dirs, target, *x)
     evals = 1
-    step = list(steps)
-    theta_period = TWO_PI / n
-    while f > stop_objective and max(step[2], step[3]) > stop_step and evals < budget:
-        h = min(step[2], step[3])
+    step_psi, step_ell, step_r = steps
+    psi_period = TWO_PI / len(dirs)
+    while f > stop_objective and max(step_ell, step_r) > stop_step and evals < budget:
+        h = min(step_ell, step_r)
         moves = (
-            (step[0], 0.0, 0.0, 0.0),
-            (-step[0], 0.0, 0.0, 0.0),
-            (0.0, step[1], 0.0, 0.0),
-            (0.0, -step[1], 0.0, 0.0),
-            (0.0, 0.0, step[2], 0.0),
-            (0.0, 0.0, -step[2], 0.0),
-            (0.0, 0.0, 0.0, step[3]),
-            (0.0, 0.0, 0.0, -step[3]),
-            (0.0, 0.0, h, -h),
-            (0.0, 0.0, -h, h),
+            (step_psi, 0.0, 0.0),
+            (-step_psi, 0.0, 0.0),
+            (0.0, step_ell, 0.0),
+            (0.0, -step_ell, 0.0),
+            (0.0, 0.0, step_r),
+            (0.0, 0.0, -step_r),
+            (0.0, h, -h),
+            (0.0, -h, h),
         )
-        improved = False
-        for move in moves:
-            trial = [
-                (x[0] + move[0]) % TWO_PI,
-                (x[1] + move[1]) % theta_period,
-                min(max(x[2] + move[2], bounds_ell[0]), bounds_ell[1]),
-                min(max(x[3] + move[3], bounds_r[0]), bounds_r[1]),
-            ]
-            ft = _objective(n, point, target, *trial)
+        for d_psi, d_ell, d_r in moves:
+            trial = (
+                (x[0] + d_psi) % psi_period,
+                min(max(x[1] + d_ell, bounds_ell[0]), bounds_ell[1]),
+                min(max(x[2] + d_r, bounds_r[0]), bounds_r[1]),
+            )
+            ft = _objective(dirs, target, *trial)
             evals += 1
             if ft < f:
                 x, f = trial, ft
-                improved = True
                 break
-        if not improved:
-            step = [s * 0.5 for s in step]
-    return (x[0], x[1], x[2], x[3]), f, evals
+        else:
+            step_psi, step_ell, step_r = 0.5 * step_psi, 0.5 * step_ell, 0.5 * step_r
+    return x, f, evals
 
 
 def search_second_polygon(
@@ -190,14 +188,22 @@ def search_second_polygon(
 ) -> OracleResult:
     """Best non-congruent polygon matching the distance multiset.
 
-    Grid stage: for every cell of the angular grid (center azimuth by
-    phase), the sorted-distance mismatch is minimized over a coarse grid
-    of center distances and radii; the size bounds come from plain
-    geometry (the center is the vertex centroid, so its distance from
-    the point is at most the mean target distance).  Descent stage: the
-    best separated cells, plus their radius/center-distance swapped
-    twins, seed compass searches; results inside the congruent exclusion
-    ball around the input parameters are discarded.
+    The search runs in the rotation quotient: every candidate has its
+    center at ``point + (ell, 0)`` and its phase ``psi`` in one period
+    [0, 2*pi/n), which reaches every distance multiset a regular n-gon can
+    produce.  The returned polygon is therefore placed on the horizontal
+    through the point; any rotation of it about the point is an equally
+    good answer.
+
+    Grid stage: one vectorized pass scores ``grid_resolution`` phases
+    against a coarse grid of center distances and radii; the size bounds
+    come from plain geometry (the center is the vertex centroid, so its
+    distance from the point is at most the mean target distance).
+    Descent stage: the best separated cells, plus their
+    radius/center-distance swapped twins, seed compass searches in turn;
+    results inside the congruent exclusion ball around the input
+    parameters are discarded, and the seed loop stops at the first
+    non-congruent descent that reaches the stopping objective.
     """
     n = p.n
     target_arr = np.sort(np.asarray(distances_from(point, p).values, dtype=float))
@@ -217,85 +223,70 @@ def search_second_polygon(
     r_hi = max(min_d + ell_hi, r_lo)
 
     res = cfg.grid_resolution
-    phis = np.linspace(0.0, TWO_PI, res, endpoint=False)
-    theta_period = TWO_PI / n
-    thetas = np.linspace(0.0, theta_period, res, endpoint=False)
+    psi_period = TWO_PI / n
+    psis = np.linspace(0.0, psi_period, res, endpoint=False)
     ells = np.linspace(0.0, ell_hi, COARSE_SIZE_STEPS)
     radii = np.linspace(r_lo, r_hi, COARSE_SIZE_STEPS)
-
     vertex_offsets = TWO_PI * np.arange(n) / n
-    ll = ells[:, None, None]
-    rr = radii[None, :, None]
-    sq = ll * ll + rr * rr
-    cross = 2.0 * ll * rr
-    samples = 0
-    cell_records = []  # (objective, phi_idx, theta_idx, ell_idx, r_idx)
-    for i, phi in enumerate(phis):
-        # relative vertex angles as seen from the candidate center
-        ang = thetas[:, None] + vertex_offsets[None, :] - (phi + math.pi)
-        cosang = np.cos(ang)  # [theta, k]
-        d2 = sq[None, :, :, :] - cross[None, :, :, :] * cosang[:, None, None, :]
-        np.maximum(d2, 0.0, out=d2)
-        dists = np.sort(np.sqrt(d2), axis=-1)
-        diff = dists - target_arr
-        obj = np.einsum("tlrk,tlrk->tlr", diff, diff)
-        samples += obj.size
-        flat = np.argsort(obj, axis=None)[: 2 * DESCENT_SEEDS]
-        for idx in flat:
-            t_i, l_i, r_i = np.unravel_index(idx, obj.shape)
-            cell_records.append((float(obj[t_i, l_i, r_i]), i, int(t_i), int(l_i), int(r_i)))
+    dirs = [(math.cos(a), math.sin(a)) for a in vertex_offsets.tolist()]
 
-    cell_records.sort(key=lambda rec: rec[0])
+    # vertex k of a candidate sits at ell + r*exp(i*(psi + 2*pi*k/n)) seen from the point
+    ll = ells[None, :, None, None]
+    rr = radii[None, None, :, None]
+    cosang = np.cos(psis[:, None] + vertex_offsets[None, :])[:, None, None, :]
+    d2 = ll * ll + rr * rr + 2.0 * ll * rr * cosang
+    np.maximum(d2, 0.0, out=d2)
+    dists = np.sort(np.sqrt(d2), axis=-1)
+    diff = dists - target_arr
+    obj = np.einsum("plrk,plrk->plr", diff, diff)
+    samples = obj.size
+
     # greedy pick of well-separated cells so the seeds cover distinct basins
-    picked = []
-    for rec in cell_records:
-        _, pi_, ti_, li_, ri_ = rec
-        dup = False
-        for _, pj, tj, lj, rj in picked:
-            d_phi = min(abs(pi_ - pj), res - abs(pi_ - pj))
-            d_theta = min(abs(ti_ - tj), res - abs(ti_ - tj))
-            if d_phi <= 1 and d_theta <= 1 and abs(li_ - lj) <= 1 and abs(ri_ - rj) <= 1:
-                dup = True
+    picked: list[tuple[int, int, int]] = []
+    for idx in np.argsort(obj, axis=None).tolist():
+        pi_, cell = divmod(idx, COARSE_SIZE_STEPS * COARSE_SIZE_STEPS)
+        li_, ri_ = divmod(cell, COARSE_SIZE_STEPS)
+        for pj, lj, rj in picked:
+            d_psi = min(abs(pi_ - pj), res - abs(pi_ - pj))
+            if d_psi <= 1 and abs(li_ - lj) <= 1 and abs(ri_ - rj) <= 1:
                 break
-        if not dup:
-            picked.append(rec)
-        if len(picked) >= DESCENT_SEEDS:
-            break
+        else:
+            picked.append((pi_, li_, ri_))
+            if len(picked) >= DESCENT_SEEDS:
+                break
 
-    phi_step = TWO_PI / res
-    theta_step = theta_period / res
+    psi_step = psi_period / res
     ell_step = ell_hi / (COARSE_SIZE_STEPS - 1)
     r_step = (r_hi - r_lo) / (COARSE_SIZE_STEPS - 1) or ell_step
     stop_step = 1e-13 * max(scale, 1e-30)
     stop_objective = (1e-9 * scale) ** 2
 
+    def swapped(x: tuple[float, float, float]) -> tuple[float, float, float]:
+        # same objective value by the radius/center-distance symmetry
+        return (x[0], min(max(x[2], 0.0), ell_hi), min(max(x[1], r_lo), r_hi))
+
     seeds = []
-    for _, pi_, ti_, li_, ri_ in picked:
-        base = (float(phis[pi_]), float(thetas[ti_]), float(ells[li_]), float(radii[ri_]))
-        seeds.append(base)
-        # swapped twin: same objective value by the radius/center-distance symmetry
-        twin_ell = min(max(base[3], 0.0), ell_hi)
-        twin_r = min(max(base[2], r_lo), r_hi)
-        seeds.append((base[0], base[1], twin_ell, twin_r))
+    for pi_, li_, ri_ in picked:
+        base = (float(psis[pi_]), float(ells[li_]), float(radii[ri_]))
+        seeds += [base, swapped(base)]
 
     exclusion_radius = CONGRUENT_EXCLUSION_REL * max(param_scale, 1e-30)
 
-    def is_congruent(x: tuple[float, float, float, float]) -> bool:
-        return max(abs(x[3] - r_in), abs(x[2] - l_in)) <= exclusion_radius
+    def is_congruent(x: tuple[float, float, float]) -> bool:
+        return max(abs(x[2] - r_in), abs(x[1] - l_in)) <= exclusion_radius
 
-    best_excluded: tuple[float, Optional[tuple[float, float, float, float]]] = (math.inf, None)
-    best_kept: tuple[float, Optional[tuple[float, float, float, float]]] = (math.inf, None)
+    best_excluded: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
+    best_kept: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
     for seed_x in seeds:
         x = seed_x
         f = math.inf
         for level in range(max(1, cfg.refine_iterations)):
             shrink = 10.0**level
             x, f, ev = _pattern_descent(
-                n,
-                point,
+                dirs,
                 target,
                 x,
-                (phi_step / shrink, theta_step / shrink, ell_step / shrink, r_step / shrink),
+                (psi_step / shrink, ell_step / shrink, r_step / shrink),
                 (0.0, ell_hi),
                 (r_lo, r_hi),
                 stop_step,
@@ -309,25 +300,20 @@ def search_second_polygon(
                 best_excluded = (f, x)
         elif f < best_kept[0]:
             best_kept = (f, x)
+            if f <= stop_objective:
+                break
 
     if best_excluded[1] is not None and best_excluded[0] < best_kept[0]:
         # swap the best congruent result; by the objective's exact symmetry
         # the swapped point scores identically and sits in the other basin,
         # so a fine-stepped descent refines the non-congruent twin
         xe = best_excluded[1]
-        swapped = (
-            xe[0],
-            xe[1],
-            min(max(xe[3], 0.0), ell_hi),
-            min(max(xe[2], r_lo), r_hi),
-        )
-        h = max(0.25 * abs(xe[2] - xe[3]), 10.0 * stop_step)
+        h = max(0.25 * abs(xe[1] - xe[2]), 10.0 * stop_step)
         x, f, ev = _pattern_descent(
-            n,
-            point,
+            dirs,
             target,
-            swapped,
-            (phi_step / 100.0, theta_step / 100.0, h, h),
+            swapped(xe),
+            (psi_step / 100.0, h, h),
             (0.0, ell_hi),
             (r_lo, r_hi),
             stop_step,
@@ -339,9 +325,8 @@ def search_second_polygon(
 
     if best_kept[1] is None:
         return OracleResult(False, None, math.inf, samples)
-    phi, theta, ell, radius = best_kept[1]
-    center = Point2(point.x + ell * math.cos(phi), point.y + ell * math.sin(phi))
-    candidate = RegularPolygonSpec(n, center, radius, theta)
+    psi, ell, radius = best_kept[1]
+    candidate = RegularPolygonSpec(n, Point2(point.x + ell, point.y), radius, psi)
     found_d = sorted(distances_from(point, candidate).values)
     residual = max(abs(u - v) for u, v in zip(found_d, target))
     return OracleResult(residual <= cfg.tol * scale, candidate, residual, samples)

@@ -101,6 +101,38 @@ class TestSearch:
         b = search_second_polygon(poly, point)
         assert a == b
 
+    def test_rigid_motion_invariance(self):
+        # the distance multiset is invariant under rotation about the point and
+        # under translation, so the answer's sizes must not move either
+        shift = Point2(3.25, -1.5)
+        for k in range(20):
+            poly, point = random_instance(70_000 + k, (3, 8))
+            ref = search_second_polygon(poly, point)
+            scale = max(poly.circumradius, point.distance_to(poly.center))
+            for angle in (0.3, 1.7, 4.0):
+                c, s = math.cos(angle), math.sin(angle)
+                dx, dy = poly.center.x - point.x, poly.center.y - point.y
+                moved_point = Point2(point.x + shift.x, point.y + shift.y)
+                moved = RegularPolygonSpec(
+                    poly.n,
+                    Point2(moved_point.x + c * dx - s * dy, moved_point.y + s * dx + c * dy),
+                    poly.circumradius,
+                    poly.phase + angle,
+                )
+                res = search_second_polygon(moved, moved_point)
+                assert res.found == ref.found
+                assert abs(res.polygon.circumradius - ref.polygon.circumradius) <= 1e-12 * scale
+                assert abs(
+                    moved_point.distance_to(res.polygon.center)
+                    - point.distance_to(ref.polygon.center)
+                ) <= 1e-12 * scale
+
+    def test_search_cost_is_bounded(self):
+        for k in range(20):
+            poly, point = random_instance(70_000 + k, (3, 8))
+            res = search_second_polygon(poly, point)
+            assert res.samples_evaluated <= 20_000, f"seed {70_000 + k}"
+
     def test_zero_scale_instance(self):
         p = RegularPolygonSpec(4, Point2(1.0, 2.0), 0.0, 0.0)
         res = search_second_polygon(p, Point2(1.0, 2.0))
