@@ -6,8 +6,9 @@ rendered with 17 significant digits and dictionary order is fixed, so
 identical requests produce byte-identical output.  Exit codes: 0 on
 success, 1 on a domain error (with a machine-readable error object), 2 on
 usage or schema violations.  Errors are mapped in one place: ``run``
-turns domain errors into an error object and ``ValueError``/``TypeError``
-from a handler into ``SchemaError``; ``main`` maps schema errors to exit 2.
+rejects a negative or non-finite ``tol``, turns domain errors into an
+error object and ``ValueError``/``TypeError`` from a handler into
+``SchemaError``; ``main`` maps schema errors to exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import cyclic, oracle, pompeiu, svg
+from . import cyclic, pompeiu, svg
 from .dual import Degeneracy, DualSolution, solve
 from .errors import DomainError, SchemaError
 from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
@@ -295,6 +296,8 @@ def _cmd_two_points(request: JobRequest) -> dict[str, Any]:
 
 
 def _cmd_verify(request: JobRequest) -> dict[str, Any]:
+    from . import oracle  # the one numpy user, loaded only for this command
+
     payload = request.payload
     cfg = oracle.OracleConfig(
         grid_resolution=int(payload.get("grid", 64)),
@@ -345,6 +348,8 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
     if not isinstance(request.payload, dict):
         raise SchemaError("payload must be an object")
     try:
+        if not 0.0 <= request.tol < math.inf:
+            raise SchemaError("'tol' must be a finite number >= 0")
         return _HANDLERS[request.command](request), 0
     except DomainError as exc:
         context = {

@@ -46,6 +46,10 @@ COARSE_SIZE_STEPS = 12
 #: Number of grid cells seeding the descent stage.
 DESCENT_SEEDS = 8
 
+#: A candidate is a find when its worst sorted-distance gap is below
+#: this fraction of the largest target distance.
+FIND_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -56,14 +60,12 @@ class OracleConfig:
     distances and radii.  ``refine_iterations`` is the number of descent
     levels per seed, each starting from a tenfold smaller step; the seed
     loop stops at the first non-congruent descent that reaches the
-    stopping objective.  ``tol`` is relative to the largest target
-    distance: a candidate is a find when its worst sorted-distance gap is
-    below tol times that scale.
+    stopping objective.  Whether the result is a find is judged against
+    the fixed ``FIND_TOL``.
     """
 
     grid_resolution: int = 64
     refine_iterations: int = 3
-    tol: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.grid_resolution < 8:
@@ -329,7 +331,7 @@ def search_second_polygon(
     candidate = RegularPolygonSpec(n, Point2(point.x + ell, point.y), radius, psi)
     found_d = sorted(distances_from(point, candidate).values)
     residual = max(abs(u - v) for u, v in zip(found_d, target))
-    return OracleResult(residual <= cfg.tol * scale, candidate, residual, samples)
+    return OracleResult(residual <= FIND_TOL * scale, candidate, residual, samples)
 
 
 def agreement(

@@ -127,6 +127,8 @@ FIXED: list[list[str]] = [
 APPENDED: list[list[str]] = [
     # schema error: a negative instance count
     ["verify", "--instances", "-2"],
+    # schema error: a negative tolerance (3,5,7 is a valid triangle)
+    ["dual", "--distances", "3,5,7", "--tol", "-1"],
 ]
 
 

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,7 @@ SQRT5 = math.sqrt(5.0)
 
 SQUARE_DISTANCES = "1,2.2360679774997896,2.2360679774997896,1"
 SQUARE_POLYGON = "4,0,0,1.4142135623730951,0.7853981633974483"
+README_PAIR = ["--polygon-a", "4,0,0,1.4142135623730951,45deg", "--polygon-b", "4,2,1,1,180deg"]
 
 
 def run_cli(argv):
@@ -325,10 +328,14 @@ ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
         ["verify", "--instances", "1", "--n-min", "2"],
         ["averages", "--distances", "3,5,7", "--max-n", "2"],
         ["verify", "--instances", "-2"],
+        ["dual", "--distances", "3,5,7", "--tol", "-1"],
+        ["two-points", *README_PAIR, "--tol", "nan"],
+        ["two-points", *README_PAIR, "--tol", "inf"],
         None,
     ],
     ids=["dual-n65", "two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2",
-         "max-n-2", "instances-negative", "run-instances-x"],
+         "max-n-2", "instances-negative", "tol-negative", "tol-nan", "tol-inf",
+         "run-instances-x"],
 )
 def test_precondition_failures_are_schema_errors(argv, capsys):
     if argv is None:
@@ -340,6 +347,32 @@ def test_precondition_failures_are_schema_errors(argv, capsys):
     assert captured.err.startswith("schema error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_zero_tol_is_valid(capsys):
+    assert main(["two-points", *README_PAIR, "--tol", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["m2"] is not None
+
+
+def test_only_verify_imports_numpy():
+    """A non-verify command runs without numpy, and submodules stay modules."""
+    script = "\n".join([
+        "import contextlib, io, sys, types",
+        "import polydual.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert polydual.cli.main(['dual', '--distances', '3,5,7']) == 0",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        "import polydual.two_points",
+        "assert isinstance(polydual.two_points, types.ModuleType), polydual.two_points",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_main_writes_output_file(tmp_path):
