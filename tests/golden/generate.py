@@ -129,6 +129,10 @@ APPENDED: list[list[str]] = [
     ["verify", "--instances", "-2"],
     # schema error: a negative tolerance (3,5,7 is a valid triangle)
     ["dual", "--distances", "3,5,7", "--tol", "-1"],
+    # schema errors: a vertex coordinate overflows to inf
+    ["render", "--scene", "dual", "--polygon", "5,1e308,0,1e308", "--point", "0,0"],
+    ["reconstruct", "--polygon", "5,1.7e308,0,1e308", "--point", "0,0"],
+    ["two-points", "--polygon-a", "4,1e308,0,1e308", "--polygon-b", "4,0,0,5e307"],
 ]
 
 
