@@ -1,7 +1,8 @@
 """Planar primitives: points, regular polygons, vertex distances.
 
 All types are immutable values and every function is pure, so everything
-here can be shared freely across threads.
+here can be shared freely across threads.  Vertices come from one float
+kernel, :func:`vertex_coords`; the hot paths read its floats directly.
 """
 
 from __future__ import annotations
@@ -93,16 +94,27 @@ class DistanceSpec:
         return len(self.values)
 
 
-def vertices(p: RegularPolygonSpec) -> list[Point2]:
-    """Vertices in counterclockwise order; vertex i at angle phase + 2*pi*i/n."""
+def vertex_coords(p: RegularPolygonSpec) -> list[tuple[float, float]]:
+    """Vertex i at angle phase + 2*pi*i/n, counterclockwise, as (x, y) floats.
+
+    |c + r*cos| never rounds above |c| + r, so one bound per polygon stands
+    in for the finiteness check of each ``Point2``.
+    """
+    cx, cy, r, phase = p.center.x, p.center.y, p.circumradius, p.phase
     step = TWO_PI / p.n
-    return [
-        Point2(
-            p.center.x + p.circumradius * math.cos(p.phase + step * i),
-            p.center.y + p.circumradius * math.sin(p.phase + step * i),
-        )
+    coords = [
+        (cx + r * math.cos(phase + step * i), cy + r * math.sin(phase + step * i))
         for i in range(p.n)
     ]
+    if not math.isfinite(max(abs(cx), abs(cy)) + r):
+        for xy in coords:
+            Point2(*xy)  # raises at the first vertex that overflowed
+    return coords
+
+
+def vertices(p: RegularPolygonSpec) -> list[Point2]:
+    """The vertices of :func:`vertex_coords` as points."""
+    return [Point2(x, y) for x, y in vertex_coords(p)]
 
 
 def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:
@@ -111,4 +123,5 @@ def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:
     Computed by coordinate subtraction rather than the law of cosines; the
     direct form has no cancellation blow-up near the circumcircle.
     """
-    return DistanceSpec(tuple(point.distance_to(v) for v in vertices(p)))
+    px, py = point.x, point.y
+    return DistanceSpec(tuple(math.hypot(px - x, py - y) for x, y in vertex_coords(p)))

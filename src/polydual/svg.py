@@ -3,14 +3,16 @@
 Scenes carry plain geometry (polygons, construction circles, point
 markers, distance segments, labels); the emitter fits the viewBox with a
 10% margin and flips the y axis so figures match mathematical
-orientation.  Identical scenes produce byte-identical documents.
+orientation.  Identical scenes produce byte-identical documents.  Each
+polygon's ``vertex_coords`` are built once and feed its outline and labels.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .geometry import Point2, RegularPolygonSpec, vertices
+from .geometry import Point2, RegularPolygonSpec, vertex_coords, vertices
 from .pompeiu import TrianglePair, triangle_spec
 from .reconstruct import DualPolygonPair
 from .two_points import TwoPointsSolution
@@ -31,20 +33,18 @@ class Scene:
     segments: tuple[tuple[Point2, Point2], ...] = ()
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".8g")
-
-
 def scene_from_dual_pair(pair: DualPolygonPair, include_mirror: bool = False) -> Scene:
     """Original polygon, companion(s), both circumcircles, auxiliary circle."""
     p = pair.primary_polygon
     polys: list[tuple[RegularPolygonSpec, str]] = [(p, "A"), (pair.b_polygon, "B")]
     if include_mirror:
         polys.append((pair.c_polygon, "C"))
-    anchor = pair.point.distance_to(vertices(pair.b_polygon)[0])
+    b = pair.b_polygon  # its vertex 0 sits at angle phase + step*0 == phase
+    anchor = math.hypot(pair.point.x - (b.center.x + b.circumradius * math.cos(b.phase)),
+                        pair.point.y - (b.center.y + b.circumradius * math.sin(b.phase)))
     circles = (
         (p.center, p.circumradius),
-        (pair.b_polygon.center, pair.b_polygon.circumradius),
+        (b.center, b.circumradius),
         (pair.point, anchor),
     )
     segments = tuple((pair.point, v) for v in vertices(p))
@@ -119,44 +119,45 @@ def render_svg(scene: Scene) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(vx)} {_fmt(-(vy + vh))} {_fmt(vw)} {_fmt(vh)}">',
+        f'viewBox="{vx:.8g} {-(vy + vh):.8g} {vw:.8g} {vh:.8g}">',
         '<g transform="scale(1,-1)">',
     ]
     for center, radius in scene.circles:
         lines.append(
-            f'<circle class="construction-circle" cx="{_fmt(center.x)}" cy="{_fmt(center.y)}" '
-            f'r="{_fmt(radius)}" fill="none" stroke="{_STROKES["construction-circle"]}" '
-            f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)} {_fmt(3 * stroke)}"/>'
+            f'<circle class="construction-circle" cx="{center.x:.8g}" cy="{center.y:.8g}" '
+            f'r="{radius:.8g}" fill="none" stroke="{_STROKES["construction-circle"]}" '
+            f'stroke-width="{stroke:.8g}" stroke-dasharray="{4 * stroke:.8g} {3 * stroke:.8g}"/>'
         )
-    for p, _prefix in scene.polygons:
-        pts = " ".join(f"{_fmt(v.x)},{_fmt(v.y)}" for v in vertices(p))
+    coords = [vertex_coords(p) for p, _ in scene.polygons]
+    for xy in coords:
+        pts = " ".join(f"{x:.8g},{y:.8g}" for x, y in xy)
         lines.append(
             f'<polygon class="polygon" points="{pts}" fill="none" '
-            f'stroke="{_STROKES["polygon"]}" stroke-width="{_fmt(1.6 * stroke)}"/>'
+            f'stroke="{_STROKES["polygon"]}" stroke-width="{1.6 * stroke:.8g}"/>'
         )
     for a, b in scene.segments:
         lines.append(
-            f'<line class="distance-segment" x1="{_fmt(a.x)}" y1="{_fmt(a.y)}" '
-            f'x2="{_fmt(b.x)}" y2="{_fmt(b.y)}" stroke="{_STROKES["distance-segment"]}" '
-            f'stroke-width="{_fmt(stroke)}"/>'
+            f'<line class="distance-segment" x1="{a.x:.8g}" y1="{a.y:.8g}" '
+            f'x2="{b.x:.8g}" y2="{b.y:.8g}" stroke="{_STROKES["distance-segment"]}" '
+            f'stroke-width="{stroke:.8g}"/>'
         )
     for q, _label in scene.markers:
         lines.append(
-            f'<circle class="point-marker" cx="{_fmt(q.x)}" cy="{_fmt(q.y)}" '
-            f'r="{_fmt(marker_r)}" fill="{_STROKES["point-marker"]}"/>'
+            f'<circle class="point-marker" cx="{q.x:.8g}" cy="{q.y:.8g}" '
+            f'r="{marker_r:.8g}" fill="{_STROKES["point-marker"]}"/>'
         )
     lines.append("</g>")
     # labels live outside the flipped group so the glyphs stay upright
-    for p, prefix in scene.polygons:
-        for i, v in enumerate(vertices(p), start=1):
+    for (_, prefix), xy in zip(scene.polygons, coords):
+        for i, (x, y) in enumerate(xy, start=1):
             lines.append(
-                f'<text class="label" x="{_fmt(v.x + 1.2 * marker_r)}" '
-                f'y="{_fmt(-(v.y + 1.2 * marker_r))}" font-size="{_fmt(font)}">{prefix}{i}</text>'
+                f'<text class="label" x="{x + 1.2 * marker_r:.8g}" '
+                f'y="{-(y + 1.2 * marker_r):.8g}" font-size="{font:.8g}">{prefix}{i}</text>'
             )
     for q, label in scene.markers:
         lines.append(
-            f'<text class="label" x="{_fmt(q.x + 1.2 * marker_r)}" '
-            f'y="{_fmt(-(q.y - 1.2 * marker_r))}" font-size="{_fmt(font)}">{label}</text>'
+            f'<text class="label" x="{q.x + 1.2 * marker_r:.8g}" '
+            f'y="{-(q.y - 1.2 * marker_r):.8g}" font-size="{font:.8g}">{label}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

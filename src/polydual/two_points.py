@@ -22,7 +22,7 @@ from .geometry import (
     azimuth,
     distances_from,
     normalize_angle,
-    vertices,
+    vertex_coords,
 )
 from .reconstruct import PermutationMatch, verify_permutation
 import math
@@ -98,18 +98,11 @@ def two_points(
             circumradius_b=r_b,
         )
     vtol = SHARED_VERTEX_EPS * scale
-    shared = None
-    for va in vertices(pa):
-        for vb in vertices(pb):
-            if va.distance_to(vb) <= vtol:
-                shared = va
-                break
-        if shared is not None:
-            break
-    if shared is None:
-        raise SharedVertexError(
-            "the polygons do not share a vertex", tolerance=vtol
-        )
+    coords_a, coords_b = vertex_coords(pa), vertex_coords(pb)
+    if not any(
+        math.hypot(xa - xb, ya - yb) <= vtol for xa, ya in coords_a for xb, yb in coords_b
+    ):
+        raise SharedVertexError("the polygons do not share a vertex", tolerance=vtol)
     gap = pa.center.distance_to(pb.center)
     if not (abs(r_a - r_b) - tol * scale <= gap <= r_a + r_b + tol * scale):
         raise NoIntersectionError(
@@ -129,16 +122,9 @@ def two_points(
         def side(q: Point2) -> float:
             return ox * (q.y - pa.center.y) - oy * (q.x - pa.center.x)
 
-        first, second = sorted(points, key=side, reverse=True)
-        m1: Point2 = first
-        m2: Optional[Point2] = second
-        collinear = False
-    else:
-        m1, m2 = points[0], None
-        collinear = True
-    matches = []
-    for q in (m1,) if m2 is None else (m1, m2):
-        matches.append(
-            verify_permutation(distances_from(q, pa), distances_from(q, pb), tol)
-        )
-    return TwoPointsSolution(m1, m2, tuple(matches), collinear)
+        points = sorted(points, key=side, reverse=True)
+    matches = tuple(
+        verify_permutation(distances_from(q, pa), distances_from(q, pb), tol) for q in points
+    )
+    m2 = points[1] if len(points) == 2 else None
+    return TwoPointsSolution(points[0], m2, matches, m2 is None)

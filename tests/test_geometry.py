@@ -5,14 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polydual.geometry import (
+    TWO_PI,
     DistanceSpec,
     Point2,
     RegularPolygonSpec,
     distances_from,
     normalize_angle,
+    vertex_coords,
     vertices,
 )
 from polydual.reconstruct import verify_permutation
+from polydual.svg import Scene, render_svg
+from polydual.two_points import two_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,6 +92,64 @@ class TestDistances:
         expected = (lo, hi, hi, lo)
         for got, want in zip(d.values, expected):
             assert got == pytest.approx(want, rel=1e-14)
+
+
+def point2_vertices(p):
+    """The per-vertex ``Point2`` construction the float kernel replaced."""
+    step = TWO_PI / p.n
+    return [
+        Point2(
+            p.center.x + p.circumradius * math.cos(p.phase + step * i),
+            p.center.y + p.circumradius * math.sin(p.phase + step * i),
+        )
+        for i in range(p.n)
+    ]
+
+
+class TestFloatKernel:
+    @given(
+        n=st.integers(3, 64),
+        scale=st.floats(1e-6, 1e6),
+        phase=st.floats(allow_nan=False, allow_infinity=False),
+        cx=st.floats(-5.0, 5.0),
+        cy=st.floats(-5.0, 5.0),
+        px=st.floats(-10.0, 10.0),
+        py=st.floats(-10.0, 10.0),
+    )
+    def test_bit_identical_to_point2_path(self, n, scale, phase, cx, cy, px, py):
+        p = RegularPolygonSpec(n, Point2(cx * scale, cy * scale), scale, phase)
+        point = Point2(px * scale, py * scale)
+        ref = point2_vertices(p)
+        # repr tells -0.0 from 0.0, so these compare bit for bit
+        assert repr(vertices(p)) == repr(ref)
+        assert repr(vertex_coords(p)) == repr([(v.x, v.y) for v in ref])
+        want = tuple(point.distance_to(v) for v in ref)
+        assert repr(distances_from(point, p).values) == repr(want)
+
+    def test_bound_overflow_without_vertex_overflow(self):
+        # |cx| + r overflows, but with phase pi every vertex stays below
+        # 1.75e308, so the slow path must pass the polygon
+        p = RegularPolygonSpec(3, Point2(1.5e308, 0.0), 0.5e308, math.pi)
+        assert vertex_coords(p) == [(v.x, v.y) for v in point2_vertices(p)]
+
+    def test_overflow_raises_point2_message(self):
+        p = RegularPolygonSpec(5, Point2(1.7e308, 0.0), 1e308, 0.0)
+        with pytest.raises(ValueError, match=r"coordinates must be finite, got \(inf, 0\.0\)"):
+            vertex_coords(p)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda big: distances_from(Point2(0.0, 0.0), big),
+            lambda big: two_points(big, RegularPolygonSpec(4, Point2(0.0, 0.0), 5e307)),
+            lambda big: two_points(RegularPolygonSpec(4, Point2(0.0, 0.0), 5e307), big),
+            lambda big: render_svg(Scene(polygons=((big, "A"),))),
+        ],
+        ids=["distances_from", "two_points-a", "two_points-b", "render_svg"],
+    )
+    def test_vertex_overflow_raises(self, call):
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            call(RegularPolygonSpec(4, Point2(1e308, 0.0), 1e308))
 
 
 class TestDistanceSpec:

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import shared_vertex_pair
+from polydual import two_points as two_points_module
 from polydual.dual import solve
 from polydual.errors import CongruentError, ConcentricError, SharedVertexError
 from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
+    vertices,
 )
 from polydual.reconstruct import verify_permutation
-from polydual.two_points import circle_circle_intersect, two_points
+from polydual.two_points import SHARED_VERTEX_EPS, circle_circle_intersect, two_points
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -120,6 +122,47 @@ class TestErrors:
         pb = RegularPolygonSpec(5, Point2(1.0, 1.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             two_points(pa, pb)
+
+
+class TestLastSharedVertex:
+    """A 64-gon pair sharing vertex 63 of both: the search reaches the last
+    pair of indices and must still build each polygon's vertices once."""
+
+    def setup_method(self):
+        n, step = 64, 2.0 * math.pi / 64
+        self.pa = RegularPolygonSpec(n, Point2(0.0, 0.0), 1.0, 0.3)
+        v = vertices(self.pa)[n - 1]
+        r_b, psi = 1.6, 2.0
+        center_b = Point2(v.x + r_b * math.cos(psi), v.y + r_b * math.sin(psi))
+        self.pb = RegularPolygonSpec(n, center_b, r_b, (psi + math.pi) - step * (n - 1))
+
+    def test_shared_vertex_is_last_of_both(self):
+        va, vb = vertices(self.pa), vertices(self.pb)
+        tol = SHARED_VERTEX_EPS * 1.6
+        shared = [(i, j) for i, a in enumerate(va) for j, b in enumerate(vb)
+                  if a.distance_to(b) <= tol]
+        assert shared == [(63, 63)]
+
+    def test_solves_and_matches(self):
+        sol = two_points(self.pa, self.pb)
+        assert sol.m2 is not None and not sol.collinear_degenerate
+        assert all(m.ok for m in sol.matches)
+        for q in (sol.m1, sol.m2):
+            assert q.distance_to(self.pb.center) == pytest.approx(1.0, rel=1e-12)
+            assert q.distance_to(self.pa.center) == pytest.approx(1.6, rel=1e-12)
+
+    def test_no_point_per_vertex(self, monkeypatch):
+        built = []
+        check = Point2.__post_init__
+        monkeypatch.setattr(Point2, "__post_init__", lambda q: built.append(check(q)))
+        calls = []
+        kernel = two_points_module.vertex_coords
+        monkeypatch.setattr(two_points_module, "vertex_coords",
+                            lambda p: calls.append(p) or kernel(p))
+        two_points(self.pa, self.pb)
+        assert calls == [self.pa, self.pb]
+        # the two circle intersections; vertex search and distances use floats
+        assert len(built) == 2
 
 
 class TestRandomPairs:
