@@ -121,6 +121,11 @@ FIXED: list[list[str]] = [
     ["verify", "--instances", "two"],
 ]
 
+
+def _csv(values) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
 #: Inputs added after the corpus was first written.  They go after the
 #: seeded entries so that every earlier entry keeps its index, which the
 #: replay test ids carry.
@@ -133,11 +138,13 @@ APPENDED: list[list[str]] = [
     ["render", "--scene", "dual", "--polygon", "5,1e308,0,1e308", "--point", "0,0"],
     ["reconstruct", "--polygon", "5,1.7e308,0,1e308", "--point", "0,0"],
     ["two-points", "--polygon-a", "4,1e308,0,1e308", "--polygon-b", "4,0,0,5e307"],
+    # extreme scales: the squared distances underflow, or higher powers overflow
+    ["dual", "--distances", "1e-170,2e-170,2.5e-170"],
+    ["dual", "--distances", "1e200,2e200,2.5e200"],
+    ["dual", "--distances", _csv(distances_from(
+        Point2(3e5, 4e5), RegularPolygonSpec(30, Point2(0.0, 0.0), 1e6, 0.25)).values)],
+    ["pompeiu", "--distances", "3e-30,5e-30,7e-30"],
 ]
-
-
-def _csv(values) -> str:
-    return ",".join(repr(float(v)) for v in values)
 
 
 def _literal(p: RegularPolygonSpec) -> str:
