@@ -5,7 +5,9 @@ prints one JSON document (or an SVG for ``render``).  All numbers are
 rendered with 17 significant digits and dictionary order is fixed, so
 identical requests produce byte-identical output.  Exit codes: 0 on
 success, 1 on a domain error (with a machine-readable error object), 2 on
-usage or schema violations.  Errors are mapped in one place: ``run``
+usage or schema violations.  ``dual`` judges consistency by the fit
+residual of ``dual.solve``; ``averages`` keeps the paper's even-power
+means and their closure identities.  Errors are mapped in one place: ``run``
 rejects a negative or non-finite ``tol``, turns domain errors into an
 error object and ``ValueError``/``TypeError`` from a handler into
 ``SchemaError``; ``main`` maps schema errors to exit 2.
@@ -172,7 +174,6 @@ def _consistency_json(report: cyclic.ConsistencyReport) -> dict[str, Any]:
 def _solution_json(sol: DualSolution) -> dict[str, Any]:
     return {
         "mean_square": sol.mean_square,
-        "mean_fourth": sol.mean_fourth,
         "discriminant": sol.discriminant,
         "larger": {
             "circumradius": sol.larger.circumradius,
@@ -205,14 +206,14 @@ def _cmd_averages(request: JobRequest) -> dict[str, Any]:
 
 def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     d = _parse_distances(request.payload)
+    cyclic.check_cap(d.n, cyclic.DEFAULT_MAX_N)
     if d.n == 3:
         # the sharper n=3 diagnosis: distances must form a triangle
         pompeiu.pompeiu_from_distances(*d.values, tol=request.tol)
     sol = solve(d, request.tol)
-    avgs = cyclic.averages_from_distances(d)
-    report = cyclic.check_consistency(avgs, max(request.tol, 1e-12))
     out = _solution_json(sol)
-    out["consistency"] = _consistency_json(report)
+    residual = sol.residual
+    out["consistency"] = {"passed": residual <= max(request.tol, 1e-12), "residual": residual}
     return out
 
 

@@ -57,7 +57,7 @@ class ConsistencyReport:
 
 
 def _power_mean(m: int, s2: float, spread: float) -> float:
-    """Mean of d^(2m) from the mean square s2 and spread = mean_fourth - s2^2.
+    """Mean of d^(2m) from the mean square s2 and spread = mean(d^4) - s2^2.
 
     Evaluates s2^m + sum_k C(m,2k)*C(2k,k)/2^k * spread^k * s2^(m-2k)
     with exact integer binomials and compensated summation; the series
@@ -75,7 +75,7 @@ def _power_mean(m: int, s2: float, spread: float) -> float:
     return math.fsum(terms)
 
 
-def _check_cap(n: int, max_n: int) -> None:
+def check_cap(n: int, max_n: int) -> None:
     if n > max_n:
         raise ValueError(f"n={n} exceeds the supported cap {max_n}; raise max_n to override")
 
@@ -87,7 +87,7 @@ def averages_from_distances(d: DistanceSpec, *, max_n: int = DEFAULT_MAX_N) -> C
     distances and each mean is accumulated with compensated summation;
     orders up to 2(n-1) on mixed magnitudes lose digits otherwise.
     """
-    _check_cap(d.n, max_n)
+    check_cap(d.n, max_n)
     squares = [v * v for v in d.values]
     current = list(squares)
     vals = []
@@ -113,7 +113,7 @@ def averages_from_parameters(
         raise ValueError(f"need n >= 3, got {n}")
     if circumradius < 0.0 or center_distance < 0.0:
         raise ValueError("circumradius and center_distance must be >= 0")
-    _check_cap(n, max_n)
+    check_cap(n, max_n)
     r2 = circumradius * circumradius
     l2 = center_distance * center_distance
     spread = 2.0 * r2 * l2

@@ -1,26 +1,27 @@
 """Recover the two size-parameter pairs behind a vertex-distance list.
 
-The first two even-power means pin down r^2 + l^2 and 2 r^2 l^2, so r^2
-and l^2 are the two roots of a single quadratic.  The two ways of
-assigning those roots describe two non-congruent regular polygons
-realizing the same distances: a larger one whose circumcircle contains
-the point and a smaller one whose circumcircle does not.  A double root
-means the point sits on the circumcircle and both assignments coincide.
-``solve_moments`` is the one place that quadratic is solved, clamped and
-classified; ``pompeiu`` feeds it the n=3 discriminant from the area.
+For a point at distance l from the center of a regular n-gon of
+circumradius r, d_k^2 = r^2 + l^2 + 2*r*l*cos(psi + 2*pi*k/n).  The mean
+s2 = r^2 + l^2 and the modulus P = r*l of the first Fourier coefficient
+of the squared distances fix {r, l}; its two assignments describe two
+non-congruent regular polygons realizing the same distances, a larger one
+whose circumcircle contains the point and a smaller one whose
+circumcircle does not.  ``solve`` is the one place the pair is fitted and
+``classify`` the one degeneracy rule: r = l puts the point on the
+circumcircle, l = 0 at the center.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
+import sys
 from dataclasses import dataclass
 
 from .errors import RealizabilityError
-from .geometry import DistanceSpec
-
-#: Scale-free threshold for degeneracy classification.
-DEGENERACY_EPS = 1e-10
+from .geometry import TWO_PI, DistanceSpec
 
 
 class Degeneracy(enum.Enum):
@@ -40,71 +41,76 @@ class RadiusDistancePair:
 @dataclass(frozen=True)
 class DualSolution:
     mean_square: float
-    mean_fourth: float
     discriminant: float
     larger: RadiusDistancePair
     smaller: RadiusDistancePair
     degeneracy: Degeneracy
+    #: Largest misfit of the squared distances, relative to max(d)^2.
+    residual: float
+
+
+def classify(r: float, l: float) -> Degeneracy:
+    """Where the point sits, from the ratio t = min(r, l)/max(r, l) alone.
+
+    A class is declared when (1 - t)^2 or t is within 64*eps*(1 + t^2)
+    of zero, about the rounding the fit itself leaves on them.
+    """
+    hi, lo = (r, l) if r >= l else (l, r)
+    t = lo / hi if hi > 0.0 else 1.0
+    slack = 64.0 * sys.float_info.epsilon * (1.0 + t * t)
+    if (1.0 - t) * (1.0 - t) <= slack:
+        return Degeneracy.ON_CIRCUMCIRCLE
+    if t <= slack:
+        return Degeneracy.AT_CENTER
+    return Degeneracy.NONE
+
+
+@functools.lru_cache(maxsize=256)
+def _slot_tables(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """cos and sin of the slot angles 2*pi*s/n for s = 0, -1, +1, -2, +2, ..."""
+    slots = [(j + 1) // 2 * (1 if j % 2 == 0 else -1) for j in range(n)]
+    angles = [TWO_PI * s / n for s in slots]
+    return tuple(math.cos(a) for a in angles), tuple(math.sin(a) for a in angles)
 
 
 def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
-    """Both parameter pairs from the distances, through ``solve_moments``."""
-    squares = [v * v for v in d.values]
-    s2 = math.fsum(squares) / d.n
-    s4 = math.fsum(q * q for q in squares) / d.n
-    return solve_moments(s2, s4, 3.0 * (s2 * s2) - 2.0 * s4, tol)
+    """Both parameter pairs from a second-order phase fit of the squared distances.
 
-
-def solve_moments(s2: float, s4: float, disc: float, tol: float = 1e-9) -> DualSolution:
-    """Both parameter pairs from the mean square, mean fourth and discriminant.
-
-    The discriminant 3*s2^2 - 2*s4 is passed in so that an n=3 caller can
-    use its closed form, (16/3)*area^2.  The quadratic is solved in the
-    cancellation-safe form: the square root of the discriminant is taken
-    once, the larger root by addition, and the smaller root as
-    mean_square minus the larger.  A discriminant within
-    -tol*mean_square^2 of zero is clamped (measured geometry can land
-    infinitesimally negative); beyond that the distances are not
-    realizable by any regular polygon.
+    The distances are scaled by their maximum m, sorted in descending
+    order and put at the cyclic slots 0, -1, +1, -2, +2, ...: a regular
+    polygon's vertices get farther from the point in that order (up to
+    mirror), so any permutation of the input gives the same answer.  With
+    A = r + l = sqrt(s2 + 2P) and B = |r - l| = sqrt(s2 - 2P), the small
+    root is 2P/(A + B), which needs no subtraction.  (s2 + 2P)(s2 - 2P)
+    within -tol*s2^2 of zero is clamped; below that no regular polygon
+    realizes the distances.  Only scaled values are squared, and results
+    scale back by products: they read inf or 0 only outside the float range.
     """
-    scale = s2 * s2
-    if disc < -tol * scale:
+    values = sorted(d.values, reverse=True)
+    m = values[0] or 1.0  # all-zero distances: nothing to scale
+    squares = [(v / m) * (v / m) for v in values]
+    cos_t, sin_t = _slot_tables(d.n)
+    s2 = math.fsum(squares) / d.n
+    dev = [q - s2 for q in squares]
+    # twice the first Fourier coefficient of the squares: 2P*cos(psi), -2P*sin(psi)
+    re = 2.0 * sum(map(operator.mul, dev, cos_t)) / d.n
+    im = 2.0 * sum(map(operator.mul, dev, sin_t)) / d.n
+    two_p = math.hypot(re, im)
+    disc = (s2 + two_p) * (s2 - two_p)
+    if disc < -tol * (s2 * s2):
         raise RealizabilityError(
-            "no regular polygon realizes these distances "
-            "(3*mean_square^2 - 2*mean_fourth is negative)",
-            discriminant=disc,
-            mean_square=s2,
-            mean_fourth=s4,
+            "no regular polygon realizes these distances (the fitted squares dip below 0)",
+            discriminant=disc * m * m * m * m,
+            mean_square=s2 * m * m,
         )
-    if s4 < scale * (1.0 - tol):
-        raise RealizabilityError(
-            "no regular polygon realizes these distances "
-            "(mean_fourth below mean_square^2)",
-            mean_square=s2,
-            mean_fourth=s4,
-        )
-    disc = max(disc, 0.0)
-    if disc <= DEGENERACY_EPS * scale:
-        # point on the circumcircle: the double root makes all four values
-        # equal, so the residual float noise in the discriminant is dropped
-        disc = 0.0
-        degeneracy = Degeneracy.ON_CIRCUMCIRCLE
-    else:
-        degeneracy = None  # decided below once the roots exist
-    root = math.sqrt(disc)
-    r1sq = 0.5 * (s2 + root)
-    l1sq = max(s2 - r1sq, 0.0)
-    r1 = math.sqrt(r1sq)
-    l1 = math.sqrt(l1sq)
-    if degeneracy is None:
-        degeneracy = (
-            Degeneracy.AT_CENTER if l1sq <= DEGENERACY_EPS * s2 else Degeneracy.NONE
-        )
-    return DualSolution(
-        mean_square=s2,
-        mean_fourth=s4,
-        discriminant=disc,
-        larger=RadiusDistancePair(r1, l1),
-        smaller=RadiusDistancePair(l1, r1),
-        degeneracy=degeneracy,
-    )
+    residual = max([abs(x - (re * c + im * s)) for x, c, s in zip(dev, cos_t, sin_t)])
+    a = math.sqrt(s2 + two_p)
+    b = math.sqrt(max(s2 - two_p, 0.0))
+    r, l = 0.5 * (a + b), (two_p / (a + b) if a else 0.0)
+    degeneracy = classify(r, l)
+    if degeneracy is Degeneracy.ON_CIRCUMCIRCLE:
+        # the double root: r = l up to rounding, so the noise in B is dropped
+        b, r, l = 0.0, 0.5 * a, 0.5 * a
+    r, l, ab = r * m, l * m, a * b * m * m
+    pair = RadiusDistancePair(r, l)
+    return DualSolution(s2 * m * m, ab * ab, pair, RadiusDistancePair(l, r), degeneracy, residual)

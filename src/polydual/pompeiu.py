@@ -3,11 +3,10 @@
 The three distances from any point to the vertices of an equilateral
 triangle themselves satisfy the triangle inequality (Pompeiu's theorem),
 degenerating exactly when the point lies on the circumcircle (Van
-Schooten).  The area of that distance triangle feeds closed forms for
-both equilateral triangles realizing the distances: the discriminant of
-the general quadratic is (16/3)*area^2, and ``dual.solve_moments`` solves
-and classifies it as it does for any n.  60-degree rotations construct
-both triangles explicitly.
+Schooten).  Both equilateral triangles realizing the distances come
+from ``dual.solve`` as for any n; the area of the distance triangle is
+reported beside them, and (16/3)*area^2 equals the fit's discriminant.
+60-degree rotations construct both triangles explicitly.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dual import Degeneracy, DualSolution, solve, solve_moments
+from .dual import Degeneracy, DualSolution, classify, solve
 from .errors import DegenerateError, TriangleInequalityError
 from .geometry import (
-    ABS_FLOOR,
+    DistanceSpec,
     Point2,
     RegularPolygonSpec,
     azimuth,
-    distances_from,
     rotate_about,
     vertices,
 )
@@ -84,14 +82,13 @@ def pompeiu_from_distances(
             raise ValueError(f"distances must be finite and >= 0, got {v}")
     a, b, c = sorted((d1, d2, d3), reverse=True)
     slack = (b + c) - a
-    scale = max(a, ABS_FLOOR)
-    if slack < -tol * scale:
+    if slack < -tol * a:
         raise TriangleInequalityError(
             "largest distance exceeds the sum of the others",
             sides=(d1, d2, d3),
             gap=-slack,
         )
-    degenerate = slack <= tol * scale
+    degenerate = slack <= tol * a
     if degenerate:
         area = 0.0
     else:
@@ -102,18 +99,17 @@ def pompeiu_from_distances(
 
 
 def solve_equilateral(t: PompeiuTriangle) -> EquilateralDual:
-    """Closed-form parameter pairs from the distance-triangle area.
+    """Both parameter pairs of the triple from ``dual.solve``, and the side lengths.
 
-    The discriminant of the general quadratic comes out as
-    (16/3)*area^2, so ``dual.solve_moments`` takes it from the area and
-    applies the general solver's clamp and degeneracy thresholds; the
-    circumradii are (sum of squares +/- 4*sqrt(3)*area)/6 and the side
-    lengths are sqrt(3) times them.
+    The squared circumradii are (sum of squares +/- 4*sqrt(3)*area)/6, so
+    the fit's discriminant equals (16/3)*area^2; the fit is used rather
+    than the area because l^2 taken from the area cancels, losing digits
+    in proportion to (r/l)^2 near the center.  The distance triangle has
+    already passed the triangle inequality, which is the n=3
+    realizability test, so the fit is not asked to judge it again.  The
+    side lengths are sqrt(3) times the circumradii.
     """
-    q1, q2, q3 = t.d1 * t.d1, t.d2 * t.d2, t.d3 * t.d3
-    s2 = (q1 + q2 + q3) / 3.0
-    s4 = (q1 * q1 + q2 * q2 + q3 * q3) / 3.0
-    sol = solve_moments(s2, s4, (16.0 / 3.0) * t.area * t.area)
+    sol = solve(DistanceSpec((t.d1, t.d2, t.d3)), math.inf)
     return EquilateralDual(
         sol, SQRT3 * sol.larger.circumradius, SQRT3 * sol.smaller.circumradius
     )
@@ -181,11 +177,7 @@ def _reflect_across(a: Point2, b: Point2, p: Point2) -> Point2:
 
 
 def construct_second_from_first(
-    p: RegularPolygonSpec,
-    point: Point2,
-    tol: float = 1e-9,
-    *,
-    orientation: int = 1,
+    p: RegularPolygonSpec, point: Point2, *, orientation: int = 1
 ) -> RegularPolygonSpec:
     """The companion equilateral triangle through the first vertex.
 
@@ -201,11 +193,11 @@ def construct_second_from_first(
     """
     if p.n != 3:
         raise ValueError(f"only defined for triangles, got n={p.n}")
-    sol = solve(distances_from(point, p), tol)
-    if sol.degeneracy is not Degeneracy.NONE:
+    degeneracy = classify(p.circumradius, point.distance_to(p.center))
+    if degeneracy is not Degeneracy.NONE:
         raise DegenerateError(
             "no non-congruent companion triangle exists for this configuration",
-            degeneracy=sol.degeneracy.value,
+            degeneracy=degeneracy.value,
         )
     a1, a2, _ = vertices(p)
     aux = rotate_about(a2, point, -math.pi / 3.0)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dual import Degeneracy, solve
+from .dual import Degeneracy, classify
 from .errors import DegenerateError, NoIntersectionError, RangeError
 from .geometry import (
     ABS_FLOOR,
@@ -66,11 +66,9 @@ def solve_phase(
         raise ValueError(f"need n >= 3, got {n}")
     if circumradius <= 0.0 or center_distance <= 0.0:
         raise ValueError("circumradius and center_distance must be positive")
-    cos_arg = (
-        circumradius * circumradius
-        + center_distance * center_distance
-        - anchor_distance * anchor_distance
-    ) / (2.0 * circumradius * center_distance)
+    e = -math.frexp(max(circumradius, center_distance))[1]  # exact: keeps the squares in range
+    r, l, a = (math.ldexp(v, e) for v in (circumradius, center_distance, anchor_distance))
+    cos_arg = (r * r + l * l - a * a) / (2.0 * r * l)
     if cos_arg > 1.0 + COS_CLAMP_TOL or cos_arg < -1.0 - COS_CLAMP_TOL:
         raise RangeError(
             "anchor distance unreachable on the target circle",
@@ -104,14 +102,14 @@ def construct_dual(
     if not 0 <= anchor_index < p.n:
         raise ValueError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
     d = distances_from(point, p)
-    sol = solve(d, tol)
-    if sol.degeneracy is not Degeneracy.NONE:
-        raise DegenerateError(
-            "no non-congruent companion polygon exists for this configuration",
-            degeneracy=sol.degeneracy.value,
-        )
     radius_in = p.circumradius
     dist_in = point.distance_to(p.center)
+    degeneracy = classify(radius_in, dist_in)
+    if degeneracy is not Degeneracy.NONE:
+        raise DegenerateError(
+            "no non-congruent companion polygon exists for this configuration",
+            degeneracy=degeneracy.value,
+        )
     center = Point2(
         point.x + radius_in * math.cos(center_direction),
         point.y + radius_in * math.sin(center_direction),

@@ -60,6 +60,16 @@ class TestPompeiuTriangle:
         with pytest.raises(ValueError):
             pompeiu_from_distances(-1.0, 1.0, 1.0)
 
+    def test_tiny_scale_is_not_degenerate(self):
+        # the slack used to be judged against an absolute floor of 1e-12
+        tri = pompeiu_from_distances(3e-30, 5e-30, 7e-30)
+        assert not tri.degenerate
+        assert tri.area == pytest.approx(15.0 * SQRT3 / 4.0 * 1e-60, rel=1e-14)
+        dual = solve_equilateral(tri)
+        assert dual.solution.degeneracy is Degeneracy.NONE
+        assert dual.side_larger == pytest.approx(8e-30, rel=1e-14)
+        assert dual.side_smaller == pytest.approx(math.sqrt(19.0) * 1e-30, rel=1e-14)
+
 
 class TestClosedForms:
     def test_three_five_seven(self):

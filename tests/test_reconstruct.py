@@ -90,6 +90,27 @@ class TestConstructDual:
         side = pair.b_polygon.circumradius * math.sqrt(3.0)
         assert side == pytest.approx(math.sqrt(19.0), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # the point-to-center classification used to underflow (DEGENERATE),
+        # and the law of cosines divided by an underflowed product or
+        # overflowed its squares
+        def scaled(v):
+            return math.ldexp(v, k)
+
+        p = RegularPolygonSpec(5, Point2(0.2, -0.3), 2.0, 0.4)
+        point = Point2(1.1, 0.2)
+        want = construct_dual(p, point, 0.9, anchor_index=3)
+        got = construct_dual(
+            RegularPolygonSpec(5, Point2(scaled(0.2), scaled(-0.3)), scaled(2.0), 0.4),
+            Point2(scaled(1.1), scaled(0.2)),
+            0.9,
+            anchor_index=3,
+        )
+        for g, w in ((got.b_polygon, want.b_polygon), (got.c_polygon, want.c_polygon)):
+            assert (g.center.x, g.center.y) == (scaled(w.center.x), scaled(w.center.y))
+            assert (g.circumradius, g.phase) == (scaled(w.circumradius), w.phase)
+
     def test_point_on_circumcircle_is_degenerate(self):
         with pytest.raises(DegenerateError):
             construct_dual(unit_square(), Point2(SQRT2, 0.0), 0.0)
