@@ -144,6 +144,8 @@ APPENDED: list[list[str]] = [
     ["dual", "--distances", _csv(distances_from(
         Point2(3e5, 4e5), RegularPolygonSpec(30, Point2(0.0, 0.0), 1e6, 0.25)).values)],
     ["pompeiu", "--distances", "3e-30,5e-30,7e-30"],
+    # n=3 on the circumcircle within tol: pompeiu answers it, so dual must too
+    ["dual", "--distances", "1,1,2.000000001"],
 ]
 
 
