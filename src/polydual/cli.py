@@ -208,9 +208,10 @@ def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     d = _parse_distances(request.payload)
     cyclic.check_cap(d.n, cyclic.DEFAULT_MAX_N)
     if d.n == 3:
-        # the sharper n=3 diagnosis: distances must form a triangle
+        # the sharper n=3 diagnosis: distances must form a triangle, and a
+        # triangle is realizable, so the fit does not judge it again
         pompeiu.pompeiu_from_distances(*d.values, tol=request.tol)
-    sol = solve(d, request.tol)
+    sol = solve(d, math.inf if d.n == 3 else request.tol)
     out = _solution_json(sol)
     residual = sol.residual
     out["consistency"] = {"passed": residual <= max(request.tol, 1e-12), "residual": residual}

@@ -38,12 +38,6 @@ class NoIntersectionError(DomainError):
     code = "NO_INTERSECTION"
 
 
-class RangeError(DomainError):
-    """A law-of-cosines inversion left the valid cosine range."""
-
-    code = "RANGE"
-
-
 class TriangleInequalityError(DomainError):
     """Three lengths violate the triangle inequality beyond tolerance."""
 

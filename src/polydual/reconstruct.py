@@ -1,12 +1,16 @@
 """Coordinates for the companion polygon sharing a distance multiset.
 
-Given a polygon, a point M and one anchored vertex distance, the
-companion is pinned down up to mirror once its center is chosen: the
-center may sit anywhere on the circle about M of radius equal to the
-original circumradius, the companion's own radius equals the original
-center distance, and the anchored vertex must land on the circle about M
-through the anchor distance.  Intersecting that auxiliary circle with the
-companion circumcircle gives the two mirror-image companions.
+Given a polygon with center C and circumradius r, a point M at distance
+l from C and one anchored vertex, the companion is pinned down up to
+mirror once its center is chosen: the center C' may sit anywhere on the
+circle about M of radius r, the companion's own radius is l, and the
+anchored vertex must land on the auxiliary circle about M through the
+anchor distance.  It lands there by the vertex-angle identity: the
+triangles C, M, anchor and C', M, companion vertex have two sides l and r
+in swapped roles, so when the angle at C' between M and the vertex equals
+the angle at C between M and the anchor, they are congruent and the third
+sides agree.  The two sides of C'M on which that angle can open give the
+two mirror-image companions, with no law of cosines to invert.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ import math
 from dataclasses import dataclass
 
 from .dual import Degeneracy, classify
-from .errors import DegenerateError, NoIntersectionError, RangeError
+from .errors import DegenerateError
 from .geometry import (
     ABS_FLOOR,
+    TWO_PI,
     DistanceSpec,
     Point2,
     RegularPolygonSpec,
@@ -25,9 +30,6 @@ from .geometry import (
     distances_from,
     normalize_angle,
 )
-
-#: Absolute slack allowed on the law-of-cosines value before raising.
-COS_CLAMP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -47,41 +49,6 @@ class DualPolygonPair:
     match_residual: float
 
 
-def solve_phase(
-    point: Point2,
-    center: Point2,
-    n: int,
-    circumradius: float,
-    center_distance: float,
-    anchor_distance: float,
-) -> tuple[float, float]:
-    """Two first-vertex angles placing a vertex at ``anchor_distance`` from ``point``.
-
-    Inverts the law of cosines on the triangle (center, point, vertex):
-    the vertex sits at azimuth(center -> point) +/- alpha as seen from the
-    center, and the two signs give the mirror pair.  The cosine is clamped
-    within COS_CLAMP_TOL of [-1, 1] to absorb boundary tangency.
-    """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
-    if circumradius <= 0.0 or center_distance <= 0.0:
-        raise ValueError("circumradius and center_distance must be positive")
-    e = -math.frexp(max(circumradius, center_distance))[1]  # exact: keeps the squares in range
-    r, l, a = (math.ldexp(v, e) for v in (circumradius, center_distance, anchor_distance))
-    cos_arg = (r * r + l * l - a * a) / (2.0 * r * l)
-    if cos_arg > 1.0 + COS_CLAMP_TOL or cos_arg < -1.0 - COS_CLAMP_TOL:
-        raise RangeError(
-            "anchor distance unreachable on the target circle",
-            cos_value=cos_arg,
-            circumradius=circumradius,
-            center_distance=center_distance,
-            anchor_distance=anchor_distance,
-        )
-    alpha = math.acos(min(1.0, max(-1.0, cos_arg)))
-    base = azimuth(center, point)
-    return normalize_angle(base + alpha), normalize_angle(base - alpha)
-
-
 def construct_dual(
     p: RegularPolygonSpec,
     point: Point2,
@@ -96,8 +63,11 @@ def construct_dual(
     along ``center_direction`` (a genuinely free choice: every direction
     yields a valid companion).  Vertex 0 of each returned polygon is the
     anchored vertex, at the same distance from ``point`` as vertex
-    ``anchor_index`` of the original; the b/c polygons are the two mirror
-    solutions, counterclockwise offset first.
+    ``anchor_index`` of the original: with alpha the angle at the original
+    center between ``point`` and that vertex, the companion phases are
+    azimuth(companion center -> point) +/- alpha, taken from angles alone.
+    The b/c polygons are the two mirror solutions, counterclockwise offset
+    first; alpha = 0 or pi gives one companion twice.
     """
     if not 0 <= anchor_index < p.n:
         raise ValueError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
@@ -114,21 +84,11 @@ def construct_dual(
         point.x + radius_in * math.cos(center_direction),
         point.y + radius_in * math.sin(center_direction),
     )
-    anchor = d.values[anchor_index]
-    try:
-        phase_plus, phase_minus = solve_phase(
-            point, center, p.n, dist_in, radius_in, anchor
-        )
-    except RangeError as exc:
-        raise NoIntersectionError(
-            "auxiliary circle misses the companion circumcircle",
-            anchor_distance=anchor,
-            companion_radius=dist_in,
-            companion_center_distance=radius_in,
-            cos_value=exc.context.get("cos_value"),
-        ) from exc
-    b_polygon = RegularPolygonSpec(p.n, center, dist_in, phase_plus)
-    c_polygon = RegularPolygonSpec(p.n, center, dist_in, phase_minus)
+    anchor_angle = p.phase + TWO_PI / p.n * anchor_index
+    alpha = abs(math.remainder(azimuth(point, p.center) - anchor_angle - math.pi, TWO_PI))
+    base = azimuth(center, point)
+    b_polygon = RegularPolygonSpec(p.n, center, dist_in, base + alpha)
+    c_polygon = RegularPolygonSpec(p.n, center, dist_in, base - alpha)
     residual = max(
         verify_permutation(d, distances_from(point, b_polygon), tol).residual,
         verify_permutation(d, distances_from(point, c_polygon), tol).residual,

@@ -15,10 +15,9 @@ CLI output is intended.
 Coverage: every command, the three render scenes, ``--mirror``,
 ``pompeiu --construct``, the three degeneracy classes, an oracle run at
 ``--grid 8 --refine 1``, usage and schema errors (exit 2), and every
-domain error code the CLI can reach (exit 1).  ``RANGE`` is not
-reachable: ``construct_dual`` re-raises it as ``NO_INTERSECTION``.
-``CONCENTRIC`` is reachable only through a tolerance large enough to
-swallow the radius gap.
+domain error code (exit 1); ``tests/test_golden.py`` checks that every
+code defined in ``polydual.errors`` appears.  ``CONCENTRIC`` is reachable
+only through a tolerance large enough to swallow the radius gap.
 """
 
 from __future__ import annotations

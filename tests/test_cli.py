@@ -69,6 +69,18 @@ class TestRun:
         assert result["code"] == "TRIANGLE_INEQUALITY"
         assert "message" in result and "context" in result
 
+    def test_dual_triple_on_circumcircle_matches_pompeiu(self):
+        # degenerate within tol: a triangle, so dual answers as pompeiu does
+        # rather than letting the fit's sharper test call it unrealizable
+        payload = {"distances": [1.0, 1.0, 2.000000001]}
+        dual, dual_code = run(JobRequest("dual", payload))
+        pomp, pomp_code = run(JobRequest("pompeiu", payload))
+        assert (dual_code, pomp_code) == (0, 0)
+        assert dual.pop("consistency")["passed"] is True
+        assert dual == pomp["solution"]
+        assert list(dual) == list(pomp["solution"])
+        assert dual["degeneracy"] == "on_circumcircle"
+
     def test_unknown_command(self):
         with pytest.raises(SchemaError):
             run(JobRequest("bogus", {}))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from golden.generate import replay
+from polydual.errors import DomainError
 
 CORPUS = json.loads(
     (Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
@@ -46,3 +47,9 @@ def test_corpus_coverage():
     flags = {a for e in CORPUS if e["exit"] == 0 for a in e["argv"]}
     assert {"--mirror", "--construct"} <= flags
     assert any("verify --instances 2 --grid 8 --refine 1" in " ".join(e["argv"]) for e in CORPUS)
+
+
+def test_every_domain_error_code_is_reachable():
+    # a code no CLI input can produce is a dead field
+    errors = {json.loads(e["stdout"])["code"] for e in CORPUS if e["exit"] == 1}
+    assert {c.code for c in DomainError.__subclasses__()} == errors

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from polydual.dual import solve
-from polydual.errors import DegenerateError, RangeError
+from polydual.dual import Degeneracy, classify, solve
+from polydual.errors import DegenerateError
 from polydual.geometry import (
     DistanceSpec,
     Point2,
@@ -14,7 +14,7 @@ from polydual.geometry import (
     vertices,
 )
 from polydual.cyclic import averages_from_distances
-from polydual.reconstruct import construct_dual, solve_phase, verify_permutation
+from polydual.reconstruct import construct_dual, verify_permutation
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -23,40 +23,6 @@ TWO_PI = 2.0 * math.pi
 
 def unit_square():
     return RegularPolygonSpec(4, Point2(0.0, 0.0), SQRT2, math.pi / 4)
-
-
-class TestSolvePhase:
-    def test_square_companion_angle(self):
-        center = Point2(1.0 + SQRT2, 0.0)
-        point = Point2(1.0, 0.0)
-        plus, minus = solve_phase(point, center, 4, 1.0, SQRT2, 1.0)
-        # cos(alpha) = (1 + 2 - 1) / (2*sqrt(2)) = 1/sqrt(2)
-        base = math.pi
-        assert plus == pytest.approx(base + math.pi / 4, rel=1e-12)
-        assert minus == pytest.approx(base - math.pi / 4, rel=1e-12)
-
-    def test_anchor_at_sum_is_unique(self):
-        center = Point2(3.0, 0.0)
-        point = Point2(0.0, 0.0)
-        plus, minus = solve_phase(point, center, 5, 1.0, 3.0, 4.0)
-        # alpha = pi: the two phases coincide at the far pole
-        assert math.cos(plus) == pytest.approx(math.cos(minus), abs=1e-12)
-        assert plus == pytest.approx((math.pi + math.pi) % TWO_PI, abs=1e-6)
-
-    def test_anchor_at_difference_is_unique(self):
-        center = Point2(3.0, 0.0)
-        point = Point2(0.0, 0.0)
-        plus, minus = solve_phase(point, center, 5, 1.0, 3.0, 2.0)
-        assert plus == pytest.approx(math.pi, rel=1e-12)
-        assert minus == pytest.approx(math.pi, rel=1e-12)
-
-    def test_out_of_range_anchor(self):
-        center = Point2(3.0, 0.0)
-        point = Point2(0.0, 0.0)
-        with pytest.raises(RangeError):
-            solve_phase(point, center, 5, 1.0, 3.0, 4.1)
-        with pytest.raises(RangeError):
-            solve_phase(point, center, 5, 1.0, 3.0, 1.9)
 
 
 class TestConstructDual:
@@ -72,6 +38,30 @@ class TestConstructDual:
         d = distances_from(Point2(1.0, 0.0), b)
         assert verify_permutation(d, DistanceSpec((1.0, 1.0, SQRT5, SQRT5)), 1e-9).ok
         assert pair.match_residual <= 1e-12
+
+    def test_square_companion_phases(self):
+        # seen from the companion center (1 + sqrt2, 0), the point is at
+        # azimuth pi and the anchored vertex pi/4 off it on either side
+        pair = construct_dual(unit_square(), Point2(1.0, 0.0), 0.0)
+        assert pair.b_polygon.phase == pytest.approx(math.pi + math.pi / 4, abs=1e-12)
+        assert pair.c_polygon.phase == pytest.approx(math.pi - math.pi / 4, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "point, anchor_distance",
+        [(Point2(-3.0, 0.0), 4.0), (Point2(3.0, 0.0), 2.0)],
+        ids=["far-pole", "near-pole"],
+    )
+    def test_anchor_at_a_pole_has_one_companion(self, point, anchor_distance):
+        # vertex 0 of the unit square, on the line through the point and the
+        # center, at r + l or |r - l|: alpha is pi or 0, so the mirrors coincide
+        square = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
+        for direction in (0.0, 1.0, 4.0):
+            pair = construct_dual(square, point, direction)
+            b, c = pair.b_polygon, pair.c_polygon
+            assert abs(math.remainder(b.phase - c.phase, TWO_PI)) <= 1e-12
+            assert point.distance_to(vertices(b)[0]) == pytest.approx(
+                anchor_distance, rel=1e-12
+            )
 
     def test_equilateral_three_five_seven(self):
         # place the distance triple around an equilateral triangle of side 8
@@ -129,7 +119,7 @@ class TestConstructDual:
             scale = max(d.values)
             for q in (pair.b_polygon, pair.c_polygon):
                 x = distances_from(point, q)
-                assert verify_permutation(d, x).residual <= 1e-8 * scale
+                assert verify_permutation(d, x).residual <= 1e-12 * scale
             # swap conditions: companion center at the original circumradius,
             # companion radius equal to the original center distance
             radius = poly.circumradius
@@ -140,6 +130,26 @@ class TestConstructDual:
             assert pair.b_polygon.circumradius == pytest.approx(
                 dist, rel=1e-10, abs=1e-12 * scale
             )
+
+    def test_point_near_center_or_circumcircle_never_raises(self):
+        # the anchor must be met to rounding however small l/r is, or
+        # however close to 1: no step may cancel as l/r -> 0 or 1
+        rng = np.random.default_rng(12)
+        for i in range(2000):
+            n = int(rng.integers(3, 65))
+            if i % 2 == 0:
+                ratio = 10.0 ** rng.uniform(-14.0, -6.0)
+            else:
+                ratio = 1.0 + float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-6.0, -3.0)
+            poly, point = random_configuration(rng, n, ratio_range=(ratio, ratio), ratio_gap=0.0)
+            if classify(poly.circumradius, point.distance_to(poly.center)) is not Degeneracy.NONE:
+                continue
+            direction = float(rng.uniform(0.0, TWO_PI))
+            pair = construct_dual(poly, point, direction, anchor_index=int(rng.integers(0, n)))
+            d = distances_from(point, poly)
+            for q in (pair.b_polygon, pair.c_polygon):
+                x = distances_from(point, q)
+                assert verify_permutation(d, x).residual <= 1e-12 * max(d.values)
 
     def test_power_sum_transfer(self):
         rng = np.random.default_rng(778)
