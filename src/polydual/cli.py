@@ -210,8 +210,10 @@ def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     if d.n == 3:
         # the sharper n=3 diagnosis: distances must form a triangle, and a
         # triangle is realizable, so the fit does not judge it again
-        pompeiu.pompeiu_from_distances(*d.values, tol=request.tol)
-    sol = solve(d, math.inf if d.n == 3 else request.tol)
+        tri = pompeiu.pompeiu_from_distances(*d.values, tol=request.tol)
+        sol = pompeiu.solve_equilateral(tri).solution
+    else:
+        sol = solve(d, request.tol)
     out = _solution_json(sol)
     residual = sol.residual
     out["consistency"] = {"passed": residual <= max(request.tol, 1e-12), "residual": residual}

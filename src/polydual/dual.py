@@ -82,8 +82,8 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     mirror), so any permutation of the input gives the same answer.  With
     A = r + l = sqrt(s2 + 2P) and B = |r - l| = sqrt(s2 - 2P), the small
     root is 2P/(A + B), which needs no subtraction.  (s2 + 2P)(s2 - 2P)
-    within -tol*s2^2 of zero is clamped; below that no regular polygon
-    realizes the distances.  Only scaled values are squared, and results
+    within -tol*s2^2 of zero is clamped to the double root r = l on the
+    circumcircle; below that no regular polygon realizes the distances.  Only scaled values are squared, and results
     scale back by products: they read inf or 0 only outside the float range.
     """
     values = sorted(d.values, reverse=True)
@@ -107,7 +107,8 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     a = math.sqrt(s2 + two_p)
     b = math.sqrt(max(s2 - two_p, 0.0))
     r, l = 0.5 * (a + b), (two_p / (a + b) if a else 0.0)
-    degeneracy = classify(r, l)
+    # B = 0 is the clamp, however far below zero the discriminant was
+    degeneracy = classify(r, l) if b else Degeneracy.ON_CIRCUMCIRCLE
     if degeneracy is Degeneracy.ON_CIRCUMCIRCLE:
         # the double root: r = l up to rounding, so the noise in B is dropped
         b, r, l = 0.0, 0.5 * a, 0.5 * a

@@ -81,7 +81,7 @@ class DistanceSpec:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         if len(vals) < 3:
             raise ValueError(f"need at least 3 distances, got {len(vals)}")
@@ -117,11 +117,16 @@ def vertices(p: RegularPolygonSpec) -> list[Point2]:
     return [Point2(x, y) for x, y in vertex_coords(p)]
 
 
-def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:
-    """Euclidean distances from ``point`` to each vertex, in vertex order.
+def distances_to(point: Point2, coords: list[tuple[float, float]]) -> DistanceSpec:
+    """Euclidean distances from ``point`` to each of ``coords``, in order.
 
     Computed by coordinate subtraction rather than the law of cosines; the
     direct form has no cancellation blow-up near the circumcircle.
     """
     px, py = point.x, point.y
-    return DistanceSpec(tuple(math.hypot(px - x, py - y) for x, y in vertex_coords(p)))
+    return DistanceSpec(tuple(math.hypot(px - x, py - y) for x, y in coords))
+
+
+def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:
+    """Distances from ``point`` to each vertex of ``p``, in vertex order."""
+    return distances_to(point, vertex_coords(p))

@@ -18,11 +18,19 @@ swapping radius and center distance, which is why every descent seed is
 paired with its swapped twin (this exploits a symmetry of the candidate
 parameterization, not of the expected answer).  Only these isometries
 about the point are used, none of the solver's algebra.
+
+The grid needs no per-cell sort: a vertex's squared distance
+ell^2 + r^2 + 2*ell*r*cos(angle) is non-decreasing in the cosine because
+ell, r >= 0, and every rounded step after it (the product, the sum, the
+clamp at 0, the square root) is monotone too.  So the n cosines are
+sorted once per phase, and every cell's distances come out sorted: the
+same floats a per-cell sort gives.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -126,10 +134,34 @@ def _objective(
 ) -> float:
     c = math.cos(psi)
     s = math.sin(psi)
-    ds = sorted(
-        [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk)) for ck, sk in dirs]
-    )
-    return sum((u - v) * (u - v) for u, v in zip(ds, target))
+    ds = [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk)) for ck, sk in dirs]
+    ds.sort()
+    e = list(map(operator.sub, ds, target))
+    return sum(map(operator.mul, e, e))
+
+
+def _grid_scores(
+    psis: np.ndarray,
+    ells: np.ndarray,
+    radii: np.ndarray,
+    vertex_offsets: np.ndarray,
+    target_arr: np.ndarray,
+) -> np.ndarray:
+    """Sorted-distance objective of every (psi, ell, radius) cell, shape (psi, ell, radius).
+
+    Vertex k of a candidate sits at ell + r*exp(i*(psi + vertex_offsets[k]))
+    seen from the point; the cosines are sorted once per phase (see the
+    module docstring), so each cell's distances need no sort of their own.
+    """
+    cosang = np.sort(np.cos(psis[:, None] + vertex_offsets), axis=-1)
+    ll = ells[None, :, None, None]
+    rr = radii[None, None, :, None]
+    d = 2.0 * ll * rr * cosang[:, None, None, :]
+    d += ll * ll + rr * rr
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
+    d -= target_arr
+    return np.einsum("plrk,plrk->plr", d, d)
 
 
 def _pattern_descent(
@@ -232,20 +264,12 @@ def search_second_polygon(
     vertex_offsets = TWO_PI * np.arange(n) / n
     dirs = [(math.cos(a), math.sin(a)) for a in vertex_offsets.tolist()]
 
-    # vertex k of a candidate sits at ell + r*exp(i*(psi + 2*pi*k/n)) seen from the point
-    ll = ells[None, :, None, None]
-    rr = radii[None, None, :, None]
-    cosang = np.cos(psis[:, None] + vertex_offsets[None, :])[:, None, None, :]
-    d2 = ll * ll + rr * rr + 2.0 * ll * rr * cosang
-    np.maximum(d2, 0.0, out=d2)
-    dists = np.sort(np.sqrt(d2), axis=-1)
-    diff = dists - target_arr
-    obj = np.einsum("plrk,plrk->plr", diff, diff)
+    obj = _grid_scores(psis, ells, radii, vertex_offsets, target_arr)
     samples = obj.size
 
     # greedy pick of well-separated cells so the seeds cover distinct basins
     picked: list[tuple[int, int, int]] = []
-    for idx in np.argsort(obj, axis=None).tolist():
+    for idx in map(int, np.argsort(obj, axis=None)):
         pi_, cell = divmod(idx, COARSE_SIZE_STEPS * COARSE_SIZE_STEPS)
         li_, ri_ = divmod(cell, COARSE_SIZE_STEPS)
         for pj, lj, rj in picked:

@@ -11,6 +11,7 @@ reported beside them, and (16/3)*area^2 equals the fit's discriminant.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,15 +68,28 @@ def triangle_spec(tri: tuple[Point2, Point2, Point2]) -> RegularPolygonSpec:
     return RegularPolygonSpec(3, center, radius, azimuth(center, tri[0]) if radius > 0 else 0.0)
 
 
+@functools.lru_cache(maxsize=1)
+def _fit(d1: float, d2: float, d3: float) -> DualSolution:
+    """The phase fit of one triple, which every entry point below reads.
+
+    They see a triple back to back (the triangle, its solution, its
+    construction), so the last fit is kept and each triple is fitted once.
+    The triangle inequality is the n=3 realizability test and is checked
+    first, so the fit is not asked to judge it again.
+    """
+    return solve(DistanceSpec((d1, d2, d3)), math.inf)
+
+
 def pompeiu_from_distances(
     d1: float, d2: float, d3: float, tol: float = 1e-9
 ) -> PompeiuTriangle:
     """Build the distance triangle, with Kahan's ordering-stable Heron area.
 
-    Degeneracy (largest value equal to the sum of the others within tol,
-    relative to the largest value) forces the area to exactly zero; a
-    violation beyond tol means no point/equilateral-triangle pair can
-    produce the triple.
+    A violation of the triangle inequality beyond tol, relative to the
+    largest value, means no point/equilateral-triangle pair can produce
+    the triple.  The triple is degenerate exactly when its phase fit puts
+    the point on the circumcircle (``dual.classify``), which forces the
+    area to exactly zero.
     """
     for v in (d1, d2, d3):
         if not math.isfinite(v) or v < 0.0:
@@ -88,7 +102,7 @@ def pompeiu_from_distances(
             sides=(d1, d2, d3),
             gap=-slack,
         )
-    degenerate = slack <= tol * a
+    degenerate = _fit(d1, d2, d3).degeneracy is Degeneracy.ON_CIRCUMCIRCLE
     if degenerate:
         area = 0.0
     else:
@@ -104,12 +118,10 @@ def solve_equilateral(t: PompeiuTriangle) -> EquilateralDual:
     The squared circumradii are (sum of squares +/- 4*sqrt(3)*area)/6, so
     the fit's discriminant equals (16/3)*area^2; the fit is used rather
     than the area because l^2 taken from the area cancels, losing digits
-    in proportion to (r/l)^2 near the center.  The distance triangle has
-    already passed the triangle inequality, which is the n=3
-    realizability test, so the fit is not asked to judge it again.  The
-    side lengths are sqrt(3) times the circumradii.
+    in proportion to (r/l)^2 near the center.  The side lengths are
+    sqrt(3) times the circumradii.
     """
-    sol = solve(DistanceSpec((t.d1, t.d2, t.d3)), math.inf)
+    sol = _fit(t.d1, t.d2, t.d3)
     return EquilateralDual(
         sol, SQRT3 * sol.larger.circumradius, SQRT3 * sol.smaller.circumradius
     )

@@ -20,7 +20,7 @@ from .geometry import (
     Point2,
     RegularPolygonSpec,
     azimuth,
-    distances_from,
+    distances_to,
     normalize_angle,
     vertex_coords,
 )
@@ -124,7 +124,8 @@ def two_points(
 
         points = sorted(points, key=side, reverse=True)
     matches = tuple(
-        verify_permutation(distances_from(q, pa), distances_from(q, pb), tol) for q in points
+        verify_permutation(distances_to(q, coords_a), distances_to(q, coords_b), tol)
+        for q in points
     )
     m2 = points[1] if len(points) == 2 else None
     return TwoPointsSolution(points[0], m2, matches, m2 is None)

@@ -145,6 +145,8 @@ APPENDED: list[list[str]] = [
     ["pompeiu", "--distances", "3e-30,5e-30,7e-30"],
     # n=3 on the circumcircle within tol: pompeiu answers it, so dual must too
     ["dual", "--distances", "1,1,2.000000001"],
+    # flat within tol but off the circumcircle: degenerate only by the fit's class
+    ["pompeiu", "--distances", "1,1,1.9999999999"],
 ]
 
 

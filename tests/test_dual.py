@@ -102,6 +102,12 @@ class TestRealizability:
         assert sol.discriminant >= 0.0
         assert sol.degeneracy is Degeneracy.ON_CIRCUMCIRCLE
 
+    def test_clamp_far_below_zero_is_the_double_root(self):
+        sol = solve(DistanceSpec((1.0, 1.0, 2.001)), math.inf)
+        assert sol.discriminant == 0.0
+        assert sol.degeneracy is Degeneracy.ON_CIRCUMCIRCLE
+        assert sol.larger == sol.smaller
+
 
 class TestRoundTrip:
     def test_recovers_generating_parameters(self):

@@ -1,11 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 
-from polydual.geometry import Point2, RegularPolygonSpec, distances_from
+from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
     RATIO_EXCLUSION_HALF_WIDTH,
     OracleConfig,
+    _grid_scores,
+    _objective,
     search_second_polygon,
     random_instance,
 )
@@ -146,3 +149,41 @@ class TestConfig:
             OracleConfig(grid_resolution=4)
         with pytest.raises(ValueError):
             OracleConfig(refine_iterations=-1)
+
+
+class TestKernels:
+    """The fast kernels give the same floats as their plain full-sort forms."""
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("r_lo", [0.0, 0.7])
+    def test_grid_scores_match_a_per_cell_sort(self, n, r_lo):
+        rng = np.random.default_rng(600 + n)
+        target = np.sort(rng.uniform(0.1, 3.0, n))
+        psis = np.linspace(0.0, TWO_PI / n, 16, endpoint=False)
+        ells = np.linspace(0.0, 2.0, 12)  # the first row is ell = 0
+        radii = np.linspace(r_lo, 3.5, 12)
+        offsets = TWO_PI * np.arange(n) / n
+        ll = ells[None, :, None, None]
+        rr = radii[None, None, :, None]
+        cosang = np.cos(psis[:, None] + offsets)[:, None, None, :]
+        d2 = ll * ll + rr * rr + 2.0 * ll * rr * cosang
+        np.maximum(d2, 0.0, out=d2)
+        diff = np.sort(np.sqrt(d2), axis=-1) - target
+        want = np.einsum("plrk,plrk->plr", diff, diff)
+        assert np.array_equal(_grid_scores(psis, ells, radii, offsets, target), want)
+
+    def test_objective_matches_sorted_generator_sum(self):
+        rng = np.random.default_rng(601)
+        for _ in range(10_000):
+            n = int(rng.integers(3, 13))
+            dirs = [(math.cos(TWO_PI * k / n), math.sin(TWO_PI * k / n)) for k in range(n)]
+            target = sorted(rng.uniform(0.0, 5.0, n).tolist())
+            psi = float(rng.uniform(0.0, TWO_PI / n))
+            ell, radius = (float(v) for v in rng.uniform(0.0, 3.0, 2))
+            c, s = math.cos(psi), math.sin(psi)
+            ds = sorted(
+                [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk))
+                 for ck, sk in dirs]
+            )
+            want = sum((u - v) * (u - v) for u, v in zip(ds, target))
+            assert _objective(dirs, target, psi, ell, radius).hex() == want.hex()

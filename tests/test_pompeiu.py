@@ -60,6 +60,29 @@ class TestPompeiuTriangle:
         with pytest.raises(ValueError):
             pompeiu_from_distances(-1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "sides, degenerate",
+        [
+            ((1.0, 2.0, 3.0), True),
+            ((3.0, 5.0, 8.0), True),
+            ((1e-5, 2e-5, 3e-5), True),
+            ((1.0, 1.0, 2.000000001), True),
+            ((1.0, 1.0, 1.9999999999), False),
+        ],
+    )
+    def test_degenerate_is_the_fits_circumcircle_class(self, sides, degenerate):
+        tri = pompeiu_from_distances(*sides)
+        on_circle = solve_equilateral(tri).solution.degeneracy is Degeneracy.ON_CIRCUMCIRCLE
+        assert tri.degenerate is on_circle is degenerate
+        assert (tri.area == 0.0) is degenerate
+
+    def test_wide_tol_violation_is_degenerate(self):
+        # far beyond the fit's rounding, but within tol: the clamp is the double root
+        tri = pompeiu_from_distances(0.5, 0.0, 0.5001, tol=1e-3)
+        assert tri.degenerate
+        with pytest.raises(DegenerateError):
+            construct_both_triangles(0.5, 0.0, 0.5001, tol=1e-3)
+
     def test_tiny_scale_is_not_degenerate(self):
         # the slack used to be judged against an absolute floor of 1e-12
         tri = pompeiu_from_distances(3e-30, 5e-30, 7e-30)
