@@ -147,6 +147,9 @@ APPENDED: list[list[str]] = [
     ["dual", "--distances", "1,1,2.000000001"],
     # flat within tol but off the circumcircle: degenerate only by the fit's class
     ["pompeiu", "--distances", "1,1,1.9999999999"],
+    # common center, vertex shared within its tolerance: the radii agree too
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,0,0,1.0000000001,0",
+     "--tol", "0"],
 ]
 
 
