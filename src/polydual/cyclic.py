@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import ABS_FLOOR, DistanceSpec
+from .geometry import DistanceSpec
 
 #: Largest vertex count accepted by default; power sums of order 2(n-1)
 #: on doubles degrade past this.
@@ -139,7 +139,7 @@ def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyRep
         residual = abs(actual - expected)
         passed = residual <= tol * max(abs(expected), abs(actual))
         checks.append(ConsistencyCheck(m, expected, actual, residual, passed))
-    moment_ok = spread >= -tol * max(s2 * s2, ABS_FLOOR)
+    moment_ok = spread >= -tol * (s2 * s2)
     return ConsistencyReport(
         tuple(checks), moment_ok, moment_ok and all(c.passed for c in checks)
     )

@@ -32,22 +32,10 @@ class DegenerateError(DomainError):
     code = "DEGENERATE"
 
 
-class NoIntersectionError(DomainError):
-    """Two construction circles that must meet failed to intersect."""
-
-    code = "NO_INTERSECTION"
-
-
 class TriangleInequalityError(DomainError):
     """Three lengths violate the triangle inequality beyond tolerance."""
 
     code = "TRIANGLE_INEQUALITY"
-
-
-class ConcentricError(DomainError):
-    """Circle intersection is ill-posed: the circles coincide."""
-
-    code = "CONCENTRIC"
 
 
 class SharedVertexError(DomainError):

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
-#: Absolute floor used when comparing lengths that may be exactly zero.
-ABS_FLOOR = 1e-12
-
 
 def normalize_angle(angle: float) -> float:
     """Reduce an angle to [0, 2*pi)."""

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from .dual import Degeneracy, classify
 from .errors import DegenerateError
 from .geometry import (
-    ABS_FLOOR,
     TWO_PI,
     DistanceSpec,
     Point2,
@@ -104,35 +103,26 @@ def construct_dual(
 
 
 def verify_permutation(
-    d: DistanceSpec,
-    x: DistanceSpec,
-    tol: float = 1e-9,
-    *,
-    abs_floor: float = ABS_FLOOR,
+    d: DistanceSpec, x: DistanceSpec, tol: float = 1e-9
 ) -> PermutationMatch:
     """Best index pairing of the two lists: pi with x[pi[i]] matching d[i].
 
     This is the package's one sorted-multiset comparison.  Matching in
     sorted order minimizes the largest pairwise gap, so the reported
     residual is the best achievable over all permutations; the
-    permutation itself is returned even on failure.  Each matched pair
-    passes within max(abs_floor, tol times the larger magnitude), so
-    values near zero still compare sanely.  Mismatched lengths are a caller bug, not inequality.
+    permutation itself is returned even on failure.  The lists match when
+    the residual is within tol times their largest value: computed
+    distances carry errors of order eps times that value, so the lists'
+    own scale is the floor.  Mismatched lengths are a caller bug, not
+    inequality.
     """
     if d.n != x.n:
         raise ValueError(f"distance lists differ in length: {d.n} != {x.n}")
     dv, xv = d.values, x.values
     order_d = sorted(range(d.n), key=dv.__getitem__)
     order_x = sorted(range(x.n), key=xv.__getitem__)
-    gaps = [abs(dv[i] - xv[j]) for i, j in zip(order_d, order_x)]
-    residual = max(gaps)
-    # every gap within the absolute floor passes, so the per-pair test
-    # runs only when some gap exceeds it
-    ok = residual <= abs_floor or all(
-        g <= max(abs_floor, tol * max(abs(dv[i]), abs(xv[j])))
-        for g, i, j in zip(gaps, order_d, order_x)
-    )
+    residual = max(abs(dv[i] - xv[j]) for i, j in zip(order_d, order_x))
     perm = [0] * d.n
     for i, j in zip(order_d, order_x):
         perm[i] = j
-    return PermutationMatch(ok, tuple(perm), residual)
+    return PermutationMatch(residual <= tol * max(max(dv), max(xv)), tuple(perm), residual)

@@ -2,11 +2,12 @@
 locate the points seeing equal distance multisets to both vertex sets.
 
 Any such point must sit at the first polygon's circumradius from the
-second polygon's center and vice versa, so the candidates are the
-intersections of two circles with swapped radii; the shared vertex
-guarantees (by the triangle inequality through it) that those circles
-meet.  They are tangent, giving a single point, exactly when the shared
-vertex is collinear with both centers.
+second polygon's center and vice versa.  The two isometries that swap
+the centers, the half-turn about their midpoint and the reflection in
+their perpendicular bisector, carry the shared vertex V (at r_a from C_a
+and r_b from C_b) to exactly such points, so the two answers are the
+images of V.  They coincide exactly when V is collinear with both
+centers.
 """
 
 from __future__ import annotations
@@ -14,16 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CongruentError, ConcentricError, NoIntersectionError, SharedVertexError
-from .geometry import (
-    ABS_FLOOR,
-    Point2,
-    RegularPolygonSpec,
-    azimuth,
-    distances_to,
-    normalize_angle,
-    vertex_coords,
-)
+from .errors import CongruentError, SharedVertexError
+from .geometry import Point2, RegularPolygonSpec, distances_to, vertex_coords
 from .reconstruct import PermutationMatch, verify_permutation
 import math
 
@@ -39,90 +32,53 @@ class TwoPointsSolution:
     collinear_degenerate: bool
 
 
-def circle_circle_intersect(
-    c1: Point2, r1: float, c2: Point2, r2: float, tol: float = 1e-9
-) -> list[Point2]:
-    """Intersection points of two circles: zero, one (tangency) or two.
-
-    Tangency is detected within tol*(r1+r2) of either the external or the
-    internal critical distance.  Two-point results are ordered by angle
-    about c1.  Coincident circles have no isolated intersection and are
-    rejected.
-    """
-    if r1 < 0.0 or r2 < 0.0:
-        raise ValueError("radii must be >= 0")
-    d = c1.distance_to(c2)
-    rsum = r1 + r2
-    rdiff = abs(r1 - r2)
-    scale = max(rsum, ABS_FLOOR)
-    if d <= tol * scale and rdiff <= tol * scale:
-        raise ConcentricError(
-            "circles coincide; intersection is not isolated",
-            center_gap=d,
-            radius_gap=rdiff,
-        )
-    band = tol * rsum
-    tangent = abs(d - rsum) <= band or abs(d - rdiff) <= band
-    if not tangent and (d > rsum or d < rdiff):
-        return []
-    ux, uy = (c2.x - c1.x) / d, (c2.y - c1.y) / d
-    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    bx, by = c1.x + a * ux, c1.y + a * uy
-    if tangent:
-        return [Point2(bx, by)]
-    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-    p1 = Point2(bx + h * uy, by - h * ux)
-    p2 = Point2(bx - h * uy, by + h * ux)
-    return sorted((p1, p2), key=lambda q: normalize_angle(azimuth(c1, q)))
-
-
 def two_points(
     pa: RegularPolygonSpec, pb: RegularPolygonSpec, tol: float = 1e-9
 ) -> TwoPointsSolution:
     """Both equal-multiset points for a shared-vertex polygon pair.
 
-    The first returned point is the intersection on the positive side of
-    the oriented line from pa's center to pb's center; the second is
-    absent exactly in the collinear (tangent) case.  Each returned point
-    carries the explicit distance-index permutation matching the two
-    vertex lists.
+    The first returned point is the image on the positive side of the
+    oriented line from pa's center to pb's center (the reflection keeps
+    V's side, the half-turn flips it); the second is absent exactly when
+    V lies within tol times the larger circumradius of that line, where
+    the half-turn image is the one answer.  Each returned point carries
+    the explicit distance-index permutation matching the two vertex lists.
     """
     if pa.n != pb.n:
         raise ValueError(f"vertex counts differ: {pa.n} != {pb.n}")
     r_a, r_b = pa.circumradius, pb.circumradius
     scale = max(r_a, r_b)
-    if abs(r_a - r_b) <= tol * scale:
+    vtol = SHARED_VERTEX_EPS * scale
+    coords_a, coords_b = vertex_coords(pa), vertex_coords(pb)
+    shared = next(
+        (va for va in coords_a for xb, yb in coords_b
+         if math.hypot(va[0] - xb, va[1] - yb) <= vtol),
+        None,
+    )
+    if shared is None:
+        raise SharedVertexError("the polygons do not share a vertex", tolerance=vtol)
+    ca, cb = pa.center, pb.center
+    # a shared vertex and a common center force |r_a - r_b| <= vtol
+    if abs(r_a - r_b) <= tol * scale or ca == cb:
         raise CongruentError(
             "polygons are congruent; the construction needs distinct sizes",
             circumradius_a=r_a,
             circumradius_b=r_b,
         )
-    vtol = SHARED_VERTEX_EPS * scale
-    coords_a, coords_b = vertex_coords(pa), vertex_coords(pb)
-    if not any(
-        math.hypot(xa - xb, ya - yb) <= vtol for xa, ya in coords_a for xb, yb in coords_b
-    ):
-        raise SharedVertexError("the polygons do not share a vertex", tolerance=vtol)
-    gap = pa.center.distance_to(pb.center)
-    if not (abs(r_a - r_b) - tol * scale <= gap <= r_a + r_b + tol * scale):
-        raise NoIntersectionError(
-            "center gap incompatible with the swapped radii",
-            center_gap=gap,
-            circumradius_a=r_a,
-            circumradius_b=r_b,
-        )
-    points = circle_circle_intersect(pb.center, r_a, pa.center, r_b, tol)
-    if not points:
-        raise NoIntersectionError(
-            "swapped-radius circles unexpectedly miss", center_gap=gap
-        )
-    if len(points) == 2:
-        ox, oy = pb.center.x - pa.center.x, pb.center.y - pa.center.y
-
-        def side(q: Point2) -> float:
-            return ox * (q.y - pa.center.y) - oy * (q.x - pa.center.x)
-
-        points = sorted(points, key=side, reverse=True)
+    vx, vy = shared
+    # s = (C_a - V) + (C_b - V); the half-turn sends V to V + s, the
+    # reflection to V plus the part of s along the center line
+    sx, sy = (ca.x - vx) + (cb.x - vx), (ca.y - vy) + (cb.y - vy)
+    gap = math.hypot(cb.x - ca.x, cb.y - ca.y)
+    ux, uy = (cb.x - ca.x) / gap, (cb.y - ca.y) / gap
+    along = sx * ux + sy * uy
+    half_turn = Point2(vx + sx, vy + sy)
+    reflection = Point2(vx + along * ux, vy + along * uy)
+    side = ux * (vy - ca.y) - uy * (vx - ca.x)  # signed distance of V from the line
+    if abs(side) <= tol * scale:
+        points: tuple[Point2, ...] = (half_turn,)
+    else:
+        points = (reflection, half_turn) if side > 0.0 else (half_turn, reflection)
     matches = tuple(
         verify_permutation(distances_to(q, coords_a), distances_to(q, coords_b), tol)
         for q in points

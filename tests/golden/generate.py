@@ -16,8 +16,7 @@ Coverage: every command, the three render scenes, ``--mirror``,
 ``pompeiu --construct``, the three degeneracy classes, an oracle run at
 ``--grid 8 --refine 1``, usage and schema errors (exit 2), and every
 domain error code (exit 1); ``tests/test_golden.py`` checks that every
-code defined in ``polydual.errors`` appears.  ``CONCENTRIC`` is reachable
-only through a tolerance large enough to swallow the radius gap.
+code defined in ``polydual.errors`` appears.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ FIXED: list[list[str]] = [
     ["pompeiu", "--distances", "1,2,3", "--construct"],
     ["pompeiu", "--distances", "1,1,1"],
     ["pompeiu", "--distances", "1,1,5"],
-    # two-points, including the collinear case and its four error codes
+    # two-points: collinear with V between and beyond the centers, and two error codes
     ["two-points", *PAIR],
     ["two-points", *COLLINEAR_PAIR],
     ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,2,0,1,180deg"],

@@ -37,8 +37,7 @@ def test_corpus_coverage():
     }
     assert {e["exit"] for e in CORPUS} == {0, 1, 2}
     assert errors == {
-        "REALIZABILITY", "DEGENERATE", "NO_INTERSECTION", "TRIANGLE_INEQUALITY",
-        "CONCENTRIC", "SHARED_VERTEX", "CONGRUENT",
+        "REALIZABILITY", "DEGENERATE", "TRIANGLE_INEQUALITY", "SHARED_VERTEX", "CONGRUENT",
     }
     classes = {o.get("solution", o).get("degeneracy") for o in ok}
     assert {"none", "on_circumcircle", "at_center"} <= classes

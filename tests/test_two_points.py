@@ -6,60 +6,96 @@ import pytest
 from conftest import shared_vertex_pair
 from polydual import two_points as two_points_module
 from polydual.dual import solve
-from polydual.errors import CongruentError, ConcentricError, SharedVertexError
+from polydual.errors import CongruentError, SharedVertexError
 from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
+    rotate_about,
     vertices,
 )
 from polydual.reconstruct import verify_permutation
-from polydual.two_points import SHARED_VERTEX_EPS, circle_circle_intersect, two_points
+from polydual.two_points import SHARED_VERTEX_EPS, two_points
 
 SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
+
+
+def side_of_center_line(pa, pb, q):
+    """Signed distance of q from the oriented line through pa's and pb's centers."""
+    ox, oy = pb.center.x - pa.center.x, pb.center.y - pa.center.y
+    return (ox * (q.y - pa.center.y) - oy * (q.x - pa.center.x)) / math.hypot(ox, oy)
 
 
 class TestCircleIntersection:
+    """The two points are the intersections of the swapped-radius circles,
+    built as the half-turn and reflection images of the shared vertex."""
+
     def test_external_tangency(self):
-        pts = circle_circle_intersect(Point2(0, 0), 1.0, Point2(2, 0), 1.0)
-        assert len(pts) == 1
-        assert pts[0].x == pytest.approx(1.0, rel=1e-12)
-        assert pts[0].y == pytest.approx(0.0, abs=1e-12)
-
-    def test_symmetric_lens(self):
-        pts = circle_circle_intersect(Point2(0, 0), 1.0, Point2(1, 0), 1.0)
-        assert len(pts) == 2
-        ys = sorted(p.y for p in pts)
-        assert ys[0] == pytest.approx(-SQRT3 / 2, rel=1e-12)
-        assert ys[1] == pytest.approx(SQRT3 / 2, rel=1e-12)
-        for p in pts:
-            assert p.x == pytest.approx(0.5, rel=1e-12)
-
-    def test_disjoint(self):
-        assert circle_circle_intersect(Point2(0, 0), 1.0, Point2(3, 0), 1.0) == []
-
-    def test_contained(self):
-        assert circle_circle_intersect(Point2(0, 0), 3.0, Point2(0.1, 0), 1.0) == []
+        # the shared vertex (1, 0) lies between the centers (0, 0) and (3, 0)
+        pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
+        pb = RegularPolygonSpec(4, Point2(3.0, 0.0), 2.0, math.pi)
+        sol = two_points(pa, pb)
+        assert sol.collinear_degenerate and sol.m2 is None
+        assert sol.m1 == Point2(2.0, 0.0)
 
     def test_internal_tangency(self):
-        pts = circle_circle_intersect(Point2(0, 0), 2.0, Point2(1, 0), 1.0)
-        assert len(pts) == 1
-        assert pts[0].x == pytest.approx(2.0, rel=1e-12)
+        # the shared vertex (1, 0) lies beyond both centers (0, 0) and (-2, 0)
+        pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
+        pb = RegularPolygonSpec(4, Point2(-2.0, 0.0), 3.0, 0.0)
+        sol = two_points(pa, pb)
+        assert sol.collinear_degenerate and sol.m2 is None
+        assert sol.m1 == Point2(-3.0, 0.0)
+        assert sol.matches[0].ok
 
     def test_concentric_rejected(self):
-        with pytest.raises(ConcentricError):
-            circle_circle_intersect(Point2(0, 0), 1.0, Point2(0, 0), 1.0)
+        # a vertex shared within its tolerance about a common center: the
+        # radii differ by less than that tolerance, so the pair is congruent
+        pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
+        pb = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0000000001, 0.0)
+        with pytest.raises(CongruentError):
+            two_points(pa, pb, tol=0.0)
 
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            circle_circle_intersect(Point2(0, 0), -1.0, Point2(1, 0), 1.0)
+    def test_symmetric_lens(self):
+        # both points sit on the swapped-radius circles, mirrored across the
+        # line through the centers
+        rng = np.random.default_rng(905)
+        for _ in range(200):
+            pa, pb, _v = shared_vertex_pair(rng)
+            sol = two_points(pa, pb)
+            scale = max(pa.circumradius, pb.circumradius)
+            for q in (sol.m1, sol.m2):
+                assert abs(q.distance_to(pb.center) - pa.circumradius) <= 1e-14 * scale
+                assert abs(q.distance_to(pa.center) - pb.circumradius) <= 1e-14 * scale
+            mid = Point2((sol.m1.x + sol.m2.x) / 2, (sol.m1.y + sol.m2.y) / 2)
+            assert abs(side_of_center_line(pa, pb, mid)) <= 1e-14 * scale
+            chord = (sol.m2.x - sol.m1.x, sol.m2.y - sol.m1.y)
+            axis = (pb.center.x - pa.center.x, pb.center.y - pa.center.y)
+            dot = chord[0] * axis[0] + chord[1] * axis[1]
+            assert abs(dot) <= 1e-14 * scale * math.hypot(*axis)
 
     def test_ordering_by_angle(self):
-        p1, p2 = circle_circle_intersect(Point2(0, 0), 1.0, Point2(1, 0), 1.0)
-        a1 = math.atan2(p1.y, p1.x) % (2 * math.pi)
-        a2 = math.atan2(p2.y, p2.x) % (2 * math.pi)
-        assert a1 < a2
+        # seen from pa's center, m1 lies counterclockwise of the center line
+        # and m2 clockwise
+        rng = np.random.default_rng(906)
+        for _ in range(200):
+            pa, pb, _v = shared_vertex_pair(rng)
+            sol = two_points(pa, pb)
+            assert side_of_center_line(pa, pb, sol.m1) > 0.0
+            assert side_of_center_line(pa, pb, sol.m2) < 0.0
+
+    def test_points_coincide_exactly_when_vertex_is_on_the_line(self):
+        # the mirror images sit at twice the vertex's distance from the line
+        rng = np.random.default_rng(907)
+        for i in range(200):
+            pa, pb, v = shared_vertex_pair(rng, collinear=i % 2 == 0)
+            sol = two_points(pa, pb)
+            scale = max(pa.circumradius, pb.circumradius)
+            off_line = abs(side_of_center_line(pa, pb, v))
+            if sol.m2 is None:
+                assert off_line <= 1e-9 * scale
+            else:
+                assert off_line > 1e-9 * scale
+                assert sol.m1.distance_to(sol.m2) == pytest.approx(2 * off_line, rel=1e-9)
 
 
 class TestSquaresWorkedExample:
@@ -161,7 +197,7 @@ class TestLastSharedVertex:
                             lambda p: calls.append(p) or kernel(p))
         two_points(self.pa, self.pb)
         assert calls == [self.pa, self.pb]
-        # the two circle intersections; vertex search and distances use floats
+        # the half-turn and reflection images; vertex search and distances use floats
         assert len(built) == 2
 
 
@@ -220,3 +256,49 @@ class TestRandomPairs:
             assert err_a <= 1e-8 * scale
             assert err_b <= 1e-8 * scale
             assert got  # evidence computed
+
+    def test_near_collinear_gives_two_points(self):
+        # a collinear partner rotated about the shared vertex by 1e-6 rad
+        rng = np.random.default_rng(912)
+        for _ in range(200):
+            pa, pb, v = shared_vertex_pair(rng, collinear=True)
+            turned = RegularPolygonSpec(
+                pb.n, rotate_about(pb.center, v, 1e-6), pb.circumradius, pb.phase + 1e-6
+            )
+            sol = two_points(pa, turned)
+            assert not sol.collinear_degenerate
+            assert sol.m2 is not None and sol.m1 != sol.m2
+            assert all(m.ok for m in sol.matches)
+
+
+def scaled_pair(pa, pb, k):
+    return tuple(
+        RegularPolygonSpec(
+            p.n,
+            Point2(math.ldexp(p.center.x, k), math.ldexp(p.center.y, k)),
+            math.ldexp(p.circumradius, k),
+            p.phase,
+        )
+        for p in (pa, pb)
+    )
+
+
+def scaled_point(q, k):
+    return None if q is None else Point2(math.ldexp(q.x, k), math.ldexp(q.y, k))
+
+
+@pytest.mark.parametrize("k", [-1000, -700, -71, -1, 1, 511, 700, 1000])
+def test_power_of_two_scaling_is_exact(k):
+    # every step is a sum, product, quotient or hypot of lengths, so scaling
+    # every input length by 2^k scales every output length by exactly 2^k
+    rng = np.random.default_rng(913)
+    for i in range(300):
+        pa, pb, _v = shared_vertex_pair(rng, collinear=i % 5 == 0)
+        want = two_points(pa, pb)
+        got = two_points(*scaled_pair(pa, pb, k))
+        assert got.collinear_degenerate == want.collinear_degenerate
+        assert (got.m1, got.m2) == (scaled_point(want.m1, k), scaled_point(want.m2, k))
+        assert len(got.matches) == len(want.matches)
+        for g, w in zip(got.matches, want.matches):
+            assert (g.ok, g.permutation) == (w.ok, w.permutation)
+            assert g.residual == math.ldexp(w.residual, k)
