@@ -149,6 +149,8 @@ APPENDED: list[list[str]] = [
     # common center, vertex shared within its tolerance: the radii agree too
     ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,0,0,1.0000000001,0",
      "--tol", "0"],
+    # congruent polygons that share no vertex
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,5,0,1,0"],
 ]
 
 
