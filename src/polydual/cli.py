@@ -193,9 +193,7 @@ def _solution_json(sol: DualSolution) -> dict[str, Any]:
 
 
 def _cmd_averages(request: JobRequest) -> dict[str, Any]:
-    d = _parse_distances(request.payload)
-    max_n = int(request.payload.get("max_n", cyclic.DEFAULT_MAX_N))
-    avgs = cyclic.averages_from_distances(d, max_n=max_n)
+    avgs = cyclic.averages_from_distances(_parse_distances(request.payload))
     report = cyclic.check_consistency(avgs, max(request.tol, 1e-12))
     return {
         "n": avgs.n,
@@ -206,7 +204,6 @@ def _cmd_averages(request: JobRequest) -> dict[str, Any]:
 
 def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     d = _parse_distances(request.payload)
-    cyclic.check_cap(d.n, cyclic.DEFAULT_MAX_N)
     if d.n == 3:
         # the sharper n=3 diagnosis: distances must form a triangle, and a
         # triangle is realizable, so the fit does not judge it again
@@ -405,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("averages", help="even-power distance means and closure checks")
     sp.add_argument("--distances", required=True)
-    sp.add_argument("--max-n", type=int, default=cyclic.DEFAULT_MAX_N)
     common(sp)
 
     sp = sub.add_parser("dual", help="both size-parameter pairs from distances")

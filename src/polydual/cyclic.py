@@ -3,10 +3,12 @@
 For a point at distance ``l`` from the center of a regular n-gon with
 circumradius ``r``, the mean of the 2m-th powers of the vertex distances
 does not depend on where the vertices sit on the circumcircle as long as
-m <= n-1: it is a polynomial in r and l alone.  A configuration therefore
-carries n-1 rotation-invariant numbers, and once the first two are known
-the rest are forced, which yields closure identities any realizable
-distance list must satisfy.
+m <= n-1: it equals the mean over the whole circumcircle.  A configuration
+therefore carries n-1 rotation-invariant numbers, and once the first two
+are known the rest are forced, which yields closure identities any
+realizable distance list must satisfy.  The circle means obey the
+three-term recurrence of the Legendre polynomials (Laplace's integral),
+so the n-1 means that the first two force cost O(n), for any n.
 """
 
 from __future__ import annotations
@@ -15,10 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .geometry import DistanceSpec
-
-#: Largest vertex count accepted by default; power sums of order 2(n-1)
-#: on doubles degrade past this.
-DEFAULT_MAX_N = 64
 
 
 @dataclass(frozen=True)
@@ -56,68 +54,64 @@ class ConsistencyReport:
     passed: bool
 
 
-def _power_mean(m: int, s2: float, spread: float) -> float:
-    """Mean of d^(2m) from the mean square s2 and spread = mean(d^4) - s2^2.
+def _power_means(s2: float, spread: float, count: int) -> list[float]:
+    """Means of d^2, ..., d^(2*count) from s2 = mean(d^2) and spread = mean(d^4) - s2^2.
 
-    Evaluates s2^m + sum_k C(m,2k)*C(2k,k)/2^k * spread^k * s2^(m-2k)
-    with exact integer binomials and compensated summation; the series
-    is exact for m <= n-1.
+    With d^2 = s2 + b*cos(t) and b^2 = 2*spread, the circle mean M_m of
+    d^(2m) follows Legendre's recurrence (m+1) M_(m+1) = (2m+1) s2 M_m -
+    m (s2^2 - 2*spread) M_(m-1).  It is run on the increments
+    E_m = M_m - s2*M_(m-1): (m+1) E_(m+1) = m (s2 E_m + 2*spread*M_(m-1)).
+    For spread >= 0 every term is nonnegative, so nothing cancels and
+    rounding grows linearly in m; the three-term form cancels when spread
+    is small and loses digits as m^2.
     """
-    terms = [s2**m]
-    for k in range(1, m // 2 + 1):
-        terms.append(
-            math.comb(m, 2 * k)
-            * math.comb(2 * k, k)
-            / 2.0**k
-            * spread**k
-            * s2 ** (m - 2 * k)
-        )
-    return math.fsum(terms)
+    means = [1.0, s2]
+    step = 0.0
+    for m in range(1, count):
+        step = m * (s2 * step + 2.0 * spread * means[m - 1]) / (m + 1)
+        means.append(s2 * means[m] + step)
+    return means[1:]
 
 
-def check_cap(n: int, max_n: int) -> None:
-    if n > max_n:
-        raise ValueError(f"n={n} exceeds the supported cap {max_n}; raise max_n to override")
+def _mean(terms: list[float]) -> float:
+    """Compensated mean; a sum past the float range is inf, as a term would be."""
+    try:
+        return math.fsum(terms) / len(terms)
+    except OverflowError:
+        return math.inf
 
 
-def averages_from_distances(d: DistanceSpec, *, max_n: int = DEFAULT_MAX_N) -> CyclicAverages:
+def averages_from_distances(d: DistanceSpec) -> CyclicAverages:
     """Even-power means straight from the definition.
 
     Per-term powers are built by repeated multiplication of the squared
     distances and each mean is accumulated with compensated summation;
     orders up to 2(n-1) on mixed magnitudes lose digits otherwise.
     """
-    check_cap(d.n, max_n)
     squares = [v * v for v in d.values]
     current = list(squares)
     vals = []
     for _ in range(1, d.n):
-        vals.append(math.fsum(current) / d.n)
+        vals.append(_mean(current))
         current = [c * q for c, q in zip(current, squares)]
     return CyclicAverages(d.n, tuple(vals))
 
 
 def averages_from_parameters(
-    n: int,
-    circumradius: float,
-    center_distance: float,
-    *,
-    max_n: int = DEFAULT_MAX_N,
+    n: int, circumradius: float, center_distance: float
 ) -> CyclicAverages:
     """Even-power means from the two size parameters alone.
 
     The mean square is r^2 + l^2 and the spread is 2 r^2 l^2, so entry
-    m-1 is the power-mean series of those two numbers.
+    m-1 is the m-th power mean of the recurrence on those two numbers.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
     if circumradius < 0.0 or center_distance < 0.0:
         raise ValueError("circumradius and center_distance must be >= 0")
-    check_cap(n, max_n)
     r2 = circumradius * circumradius
     l2 = center_distance * center_distance
-    spread = 2.0 * r2 * l2
-    return CyclicAverages(n, tuple(_power_mean(m, r2 + l2, spread) for m in range(1, n)))
+    return CyclicAverages(n, tuple(_power_means(r2 + l2, 2.0 * r2 * l2, n - 1)))
 
 
 def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyReport:
@@ -132,9 +126,10 @@ def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyRep
     s2 = avgs.values[0]
     s4 = avgs.values[1]
     spread = s4 - s2 * s2
+    means = _power_means(s2, spread, avgs.n - 1)
     checks = []
     for m in range(3, avgs.n):
-        expected = _power_mean(m, s2, spread)
+        expected = means[m - 1]
         actual = avgs.values[m - 1]
         residual = abs(actual - expected)
         passed = residual <= tol * max(abs(expected), abs(actual))

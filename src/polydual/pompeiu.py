@@ -15,16 +15,9 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .dual import Degeneracy, DualSolution, classify, solve
+from .dual import Degeneracy, DualSolution, solve
 from .errors import DegenerateError, TriangleInequalityError
-from .geometry import (
-    DistanceSpec,
-    Point2,
-    RegularPolygonSpec,
-    azimuth,
-    rotate_about,
-    vertices,
-)
+from .geometry import DistanceSpec, Point2, RegularPolygonSpec, azimuth, rotate_about
 
 SQRT3 = math.sqrt(3.0)
 
@@ -177,45 +170,3 @@ def construct_both_triangles(
     else:
         larger, smaller = tri_cw, tri_ccw
     return TrianglePair(m, larger, smaller)
-
-
-def _reflect_across(a: Point2, b: Point2, p: Point2) -> Point2:
-    """Mirror image of ``p`` across the line through a and b."""
-    ux, uy = b.x - a.x, b.y - a.y
-    norm = ux * ux + uy * uy
-    px, py = p.x - a.x, p.y - a.y
-    s = (px * ux + py * uy) / norm
-    return Point2(a.x + 2.0 * s * ux - px, a.y + 2.0 * s * uy - py)
-
-
-def construct_second_from_first(
-    p: RegularPolygonSpec, point: Point2, *, orientation: int = 1
-) -> RegularPolygonSpec:
-    """The companion equilateral triangle through the first vertex.
-
-    The second vertex of the input is carried twice through a 60-degree
-    rotation about the point (clockwise for the counterclockwise vertex
-    order used here); the intermediate image is the auxiliary apex, the
-    final image is the companion's second vertex, and its third vertex
-    follows by the rotation about the second vertex taking the apex onto
-    the point.  Works in both directions (larger input gives the smaller
-    companion and vice versa).  ``orientation=-1`` returns the mirror
-    companion, reflected across the line through the point and the
-    shared vertex.
-    """
-    if p.n != 3:
-        raise ValueError(f"only defined for triangles, got n={p.n}")
-    degeneracy = classify(p.circumradius, point.distance_to(p.center))
-    if degeneracy is not Degeneracy.NONE:
-        raise DegenerateError(
-            "no non-congruent companion triangle exists for this configuration",
-            degeneracy=degeneracy.value,
-        )
-    a1, a2, _ = vertices(p)
-    aux = rotate_about(a2, point, -math.pi / 3.0)
-    b2 = rotate_about(a2, point, -2.0 * math.pi / 3.0)
-    b3 = _rotation_image(a1, b2, aux, point)
-    if orientation < 0:
-        b2 = _reflect_across(point, a1, b2)
-        b3 = _reflect_across(point, a1, b3)
-    return triangle_spec((a1, b2, b3))

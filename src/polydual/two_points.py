@@ -12,16 +12,14 @@ centers.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import CongruentError, SharedVertexError
-from .geometry import Point2, RegularPolygonSpec, distances_to, vertex_coords
+from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_to, vertex_coords
 from .reconstruct import PermutationMatch, verify_permutation
-import math
-
-#: Vertex coincidence tolerance, times the larger circumradius.
-SHARED_VERTEX_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,29 +35,35 @@ def two_points(
 ) -> TwoPointsSolution:
     """Both equal-multiset points for a shared-vertex polygon pair.
 
-    The first returned point is the image on the positive side of the
-    oriented line from pa's center to pb's center (the reflection keeps
-    V's side, the half-turn flips it); the second is absent exactly when
-    V lies within tol times the larger circumradius of that line, where
-    the half-turn image is the one answer.  Each returned point carries
-    the explicit distance-index permutation matching the two vertex lists.
+    V is a vertex of pa within tol (at least 64 ulps) times the larger
+    circumradius of a vertex of pb.  Each vertex of pa is compared with
+    one vertex of pb only: the one nearest in angle about pb's center,
+    which is also the nearest.  The first returned point is the image on
+    the positive side of the oriented line from pa's center to pb's
+    center (the reflection keeps V's side, the half-turn flips it); the
+    second is absent exactly when V lies within the same tolerance of
+    that line, where the half-turn image is the one answer.  Each
+    returned point carries the explicit distance-index permutation
+    matching the two vertex lists.
     """
     if pa.n != pb.n:
         raise ValueError(f"vertex counts differ: {pa.n} != {pb.n}")
     r_a, r_b = pa.circumradius, pb.circumradius
-    scale = max(r_a, r_b)
-    vtol = SHARED_VERTEX_EPS * scale
+    # computed vertices carry a few ulps of rounding, so a vertex shared in
+    # exact arithmetic is found even at tol 0 (the slack of dual.classify)
+    vtol = max(tol, 64.0 * sys.float_info.epsilon) * max(r_a, r_b)
+    ca, cb = pa.center, pb.center
     coords_a, coords_b = vertex_coords(pa), vertex_coords(pb)
-    shared = next(
-        (va for va in coords_a for xb, yb in coords_b
-         if math.hypot(va[0] - xb, va[1] - yb) <= vtol),
-        None,
-    )
+    shared = None
+    for va in coords_a:
+        k = round((math.atan2(va[1] - cb.y, va[0] - cb.x) - pb.phase) * pb.n / TWO_PI) % pb.n
+        if math.hypot(va[0] - coords_b[k][0], va[1] - coords_b[k][1]) <= vtol:
+            shared = va
+            break
     if shared is None:
         raise SharedVertexError("the polygons do not share a vertex", tolerance=vtol)
-    ca, cb = pa.center, pb.center
     # a shared vertex and a common center force |r_a - r_b| <= vtol
-    if abs(r_a - r_b) <= tol * scale or ca == cb:
+    if abs(r_a - r_b) <= vtol or ca == cb:
         raise CongruentError(
             "polygons are congruent; the construction needs distinct sizes",
             circumradius_a=r_a,
@@ -75,7 +79,7 @@ def two_points(
     half_turn = Point2(vx + sx, vy + sy)
     reflection = Point2(vx + along * ux, vy + along * uy)
     side = ux * (vy - ca.y) - uy * (vx - ca.x)  # signed distance of V from the line
-    if abs(side) <= tol * scale:
+    if abs(side) <= vtol:
         points: tuple[Point2, ...] = (half_turn,)
     else:
         points = (reflection, half_turn) if side > 0.0 else (half_turn, reflection)

@@ -42,7 +42,7 @@ PAIR = ["--polygon-a", SQUARE_POLYGON, "--polygon-b", "4,2,1,1,180deg"]
 COLLINEAR_PAIR = ["--polygon-a", "4,0,0,1,0", "--polygon-b", "4,3,0,2,180deg"]
 
 FIXED: list[list[str]] = [
-    # dual: the three degeneracy classes, n=3, the cap, errors
+    # dual: the three degeneracy classes, n=3, errors
     ["dual", "--distances", SQUARE_DISTANCES],
     ["dual", "--distances", "3,5,7"],
     ["dual", "--distances", "2,2,2,2,2"],
@@ -52,7 +52,7 @@ FIXED: list[list[str]] = [
     ["dual", "--distances", "1,1,1,10"],
     # averages
     ["averages", "--distances", "3,5,7"],
-    ["averages", "--distances", SQUARE_DISTANCES, "--max-n", "4"],
+    ["averages", "--distances", SQUARE_DISTANCES],
     ["averages", "--distances", "1,2,3,4,5"],
     ["averages", "--distances", "2,2,2,2,2,2", "--tol", "1e-12"],
     # reconstruct
@@ -124,6 +124,9 @@ def _csv(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
+REGULAR_65 = _csv(distances_from(
+    Point2(0.25, 0.1), RegularPolygonSpec(65, Point2(0.0, 0.0), 1.0, 0.3)).values)
+
 #: Inputs added after the corpus was first written.  They go after the
 #: seeded entries so that every earlier entry keeps its index, which the
 #: replay test ids carry.
@@ -151,6 +154,13 @@ APPENDED: list[list[str]] = [
      "--tol", "0"],
     # congruent polygons that share no vertex
     ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,5,0,1,0"],
+    # past 64 vertices: a regular 65-gon
+    ["dual", "--distances", REGULAR_65],
+    ["averages", "--distances", REGULAR_65],
+    # schema error: each square is finite, their sum is not
+    ["averages", "--distances", "1e154,1.1e154,1.2e154"],
+    # common center, vertex shared within the default tolerance: congruent
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,0,0,1.0000000001,0"],
 ]
 
 

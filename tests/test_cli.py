@@ -10,6 +10,7 @@ import pytest
 
 from polydual.cli import JobRequest, dumps, main, run
 from polydual.errors import SchemaError
+from polydual.geometry import Point2, RegularPolygonSpec, distances_from
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -330,24 +331,48 @@ class TestVerifyCommand:
 ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
 
 
+def test_dual_fits_65_distances_that_no_polygon_gives(capsys):
+    # no vertex cap: 65 distances along a line get a fit, whose residual
+    # rejects them
+    assert main(["dual", "--distances", ALONG_LINE]) == 0
+    consistency = json.loads(capsys.readouterr().out)["consistency"]
+    assert consistency["passed"] is False
+    assert consistency["residual"] == pytest.approx(0.106, abs=5e-4)
+
+
+@pytest.mark.parametrize("n", [65, 200, 1000])
+def test_regular_polygons_past_64_vertices(n, capsys):
+    poly = RegularPolygonSpec(n, Point2(0.0, 0.0), 1.0, 0.3)
+    point = Point2(0.25, 0.1)
+    distances = ",".join(repr(v) for v in distances_from(point, poly).values)
+    assert main(["dual", "--distances", distances]) == 0
+    dual = json.loads(capsys.readouterr().out)
+    assert dual["consistency"]["passed"]
+    assert dual["larger"]["circumradius"] == pytest.approx(1.0, rel=1e-12)
+    assert dual["larger"]["center_distance"] == pytest.approx(math.hypot(0.25, 0.1), rel=1e-12)
+    assert main(["averages", "--distances", distances]) == 0
+    averages = json.loads(capsys.readouterr().out)
+    assert len(averages["values"]) == n - 1
+    assert averages["consistency"]["passed"]
+    assert [c["order"] for c in averages["consistency"]["checks"]] == list(range(3, n))
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dual", "--distances", ALONG_LINE],
         ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "5,2,0,1,180deg"],
         ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--anchor-index", "9"],
         ["verify", "--instances", "1", "--grid", "4"],
         ["verify", "--instances", "1", "--n-min", "2"],
-        ["averages", "--distances", "3,5,7", "--max-n", "2"],
         ["verify", "--instances", "-2"],
+        ["averages", "--distances", "1e154,1.1e154,1.2e154"],
         ["dual", "--distances", "3,5,7", "--tol", "-1"],
         ["two-points", *README_PAIR, "--tol", "nan"],
         ["two-points", *README_PAIR, "--tol", "inf"],
         None,
     ],
-    ids=["dual-n65", "two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2",
-         "max-n-2", "instances-negative", "tol-negative", "tol-nan", "tol-inf",
-         "run-instances-x"],
+    ids=["two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2", "instances-negative",
+         "averages-sum-overflow", "tol-negative", "tol-nan", "tol-inf", "run-instances-x"],
 )
 def test_precondition_failures_are_schema_errors(argv, capsys):
     if argv is None:

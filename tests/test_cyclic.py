@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -38,11 +39,17 @@ class TestFromDistances:
         assert avgs.values[0] == pytest.approx(83.0 / 3.0, rel=1e-15)
         assert avgs.values[1] == pytest.approx(3107.0 / 3.0, rel=1e-15)
 
-    def test_cap_enforced(self):
-        d = DistanceSpec((1.0,) * 70)
-        with pytest.raises(ValueError):
-            averages_from_distances(d)
-        assert averages_from_distances(d, max_n=80).n == 70
+    def test_no_vertex_cap(self):
+        avgs = averages_from_distances(DistanceSpec((1.0,) * 70))
+        assert avgs.values == (1.0,) * 69
+        assert check_consistency(avgs).passed
+
+    def test_all_zero_distances(self):
+        avgs = averages_from_distances(DistanceSpec((0.0,) * 6))
+        assert avgs.values == (0.0,) * 5
+        report = check_consistency(avgs)
+        assert report.passed
+        assert [c.expected for c in report.checks] == [0.0] * 3
 
 
 class TestFromParameters:
@@ -99,6 +106,44 @@ class TestPhaseIndependence:
         # ... but the order-n mean does not
         gap = abs(power_mean(0.0, n) - power_mean(math.pi / n, n))
         assert gap > 1e-6
+
+
+def _series_mean(s2: float, spread: float, m: int) -> Decimal:
+    """Mean of d^(2m) as the exact series, to 50 digits:
+    s2^m * sum_k C(m,2k)*C(2k,k)/2^k * (spread/s2^2)^k."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(spread) / (Decimal(s2) * Decimal(s2))
+        term = total = Decimal(1)
+        for k in range(1, m // 2 + 1):
+            term = term * ((m - 2 * k + 2) * (m - 2 * k + 1)) / (2 * k * k) * q
+            total += term
+        return total * Decimal(s2) ** m
+
+
+class TestRecurrenceAccuracy:
+    @pytest.mark.parametrize("ratio", [1e-4, 0.01, 0.3, 0.9, 1.0, 1.2, 3.0])
+    def test_closure_values_against_decimal_series(self, ratio):
+        """The closure values for orders up to 999 lie within 1e-14 of the
+        exact series through order 63 and within 5e-13 beyond.
+
+        The reference takes the same s2 and float spread the check forms,
+        so it measures the recurrence alone.  The mean square is near 1 so
+        that order 999 stays in the float range; past order 63 every ninth
+        order and the last are compared.
+        """
+        r = 1.0 / math.sqrt(1.0 + ratio * ratio)
+        avgs = averages_from_parameters(1000, r, ratio * r)
+        s2 = avgs.values[0]
+        spread = avgs.values[1] - s2 * s2
+        checks = check_consistency(avgs).checks
+        assert [c.order for c in checks] == list(range(3, 1000))
+        for c in checks:
+            if c.order > 63 and c.order % 9 and c.order != 999:
+                continue
+            want = _series_mean(s2, spread, c.order)
+            err = float(abs(Decimal(c.expected) - want) / want)
+            assert err <= (1e-14 if c.order <= 63 else 5e-13), c.order
 
 
 class TestConsistency:

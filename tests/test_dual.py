@@ -304,7 +304,7 @@ class TestFitProperties:
 
     @settings(max_examples=200)
     @given(
-        n=st.integers(3, 200),
+        n=st.integers(3, 1000),
         exponent=st.floats(-300.0, 300.0),
         log_gap=st.floats(-12.0, -0.31),
         near_circle=st.booleans(),

@@ -9,18 +9,19 @@ from polydual.geometry import (
     DistanceSpec,
     Point2,
     RegularPolygonSpec,
+    azimuth,
     distances_from,
     vertices,
 )
 from polydual.pompeiu import (
     construct_both_triangles,
-    construct_second_from_first,
     pompeiu_from_distances,
     solve_equilateral,
+    triangle_spec,
     weitzenbock_margin,
 )
 from polydual.oracle import random_instance
-from polydual.reconstruct import verify_permutation
+from polydual.reconstruct import construct_dual, verify_permutation
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -237,19 +238,12 @@ class TestConstructionA:
 
 
 class TestConstructionB:
+    """The companion of one equilateral triangle: ``construct_dual`` at n=3."""
+
     def test_three_five_seven(self):
         tp = construct_both_triangles(3.0, 5.0, 7.0)
-        tri = tp.larger
-        cx = sum(v.x for v in tri) / 3.0
-        cy = sum(v.y for v in tri) / 3.0
-        center = Point2(cx, cy)
-        p = RegularPolygonSpec(
-            3,
-            center,
-            center.distance_to(tri[0]),
-            math.atan2(tri[0].y - cy, tri[0].x - cx),
-        )
-        q = construct_second_from_first(p, tp.point)
+        p = triangle_spec(tp.larger)
+        q = construct_dual(p, tp.point).b_polygon
         assert q.circumradius * SQRT3 == pytest.approx(math.sqrt(19.0), rel=1e-12)
         assert verify_permutation(
             distances_from(tp.point, p), distances_from(tp.point, q), 1e-10
@@ -260,7 +254,7 @@ class TestConstructionB:
         for _ in range(200):
             poly, point = random_equilateral_with_point(rng)
             d = distances_from(point, poly)
-            q = construct_second_from_first(poly, point)
+            q = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI))).b_polygon
             assert verify_permutation(d, distances_from(point, q), 1e-10).ok
             # swapped parameters
             assert q.circumradius == pytest.approx(
@@ -274,8 +268,8 @@ class TestConstructionB:
         rng = np.random.default_rng(35)
         for _ in range(100):
             poly, point = random_equilateral_with_point(rng)
-            q = construct_second_from_first(poly, point)
-            back = construct_second_from_first(q, point)
+            q = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI))).b_polygon
+            back = construct_dual(q, point, float(rng.uniform(0.0, TWO_PI))).b_polygon
             assert back.circumradius == pytest.approx(poly.circumradius, rel=1e-9)
             assert point.distance_to(back.center) == pytest.approx(
                 point.distance_to(poly.center), rel=1e-9
@@ -285,38 +279,41 @@ class TestConstructionB:
         rng = np.random.default_rng(36)
         for _ in range(100):
             poly, point = random_equilateral_with_point(rng)
-            q_pos = construct_second_from_first(poly, point, orientation=1)
-            q_neg = construct_second_from_first(poly, point, orientation=-1)
-            assert q_pos.circumradius == pytest.approx(q_neg.circumradius, rel=1e-12)
-            assert point.distance_to(q_pos.center) == pytest.approx(
-                point.distance_to(q_neg.center), rel=1e-9
-            )
+            pair = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI)))
+            q_pos, q_neg = pair.b_polygon, pair.c_polygon
+            assert q_pos.circumradius == q_neg.circumradius
+            assert q_pos.center == q_neg.center
             assert verify_permutation(
                 distances_from(point, q_pos), distances_from(point, q_neg), 1e-9
             ).ok
 
     def test_shared_vertex_kept(self):
+        # mirroring the center across the bisector of point and anchor puts
+        # the companion center at r from the point and at l from the anchor,
+        # so one of the two companions has the anchor itself as vertex 0
         poly = RegularPolygonSpec(3, Point2(0.0, 0.0), 2.0, 0.3)
         point = Point2(0.9, 0.4)
-        a1 = vertices(poly)[0]
-        for orientation in (1, -1):
-            q = construct_second_from_first(poly, point, orientation=orientation)
-            assert min(a1.distance_to(v) for v in vertices(q)) <= 1e-12
+        c = poly.center
+        for k, a in enumerate(vertices(poly)):
+            ux, uy = a.x - point.x, a.y - point.y
+            t = ((2.0 * c.x - point.x - a.x) * ux + (2.0 * c.y - point.y - a.y) * uy) / (
+                ux * ux + uy * uy
+            )
+            mirrored = Point2(c.x - t * ux, c.y - t * uy)
+            pair = construct_dual(poly, point, azimuth(point, mirrored), anchor_index=k)
+            assert min(
+                a.distance_to(vertices(q)[0]) for q in (pair.b_polygon, pair.c_polygon)
+            ) <= 1e-12
 
     def test_center_point_raises(self):
         poly = RegularPolygonSpec(3, Point2(0.0, 0.0), 2.0, 0.0)
         with pytest.raises(DegenerateError):
-            construct_second_from_first(poly, Point2(0.0, 0.0))
+            construct_dual(poly, Point2(0.0, 0.0))
 
     def test_circumcircle_point_raises(self):
         poly = RegularPolygonSpec(3, Point2(0.0, 0.0), 2.0, 0.0)
         with pytest.raises(DegenerateError):
-            construct_second_from_first(poly, Point2(2.0 * math.cos(1.0), 2.0 * math.sin(1.0)))
-
-    def test_requires_triangle(self):
-        poly = RegularPolygonSpec(4, Point2(0.0, 0.0), 2.0, 0.0)
-        with pytest.raises(ValueError):
-            construct_second_from_first(poly, Point2(0.5, 0.0))
+            construct_dual(poly, Point2(2.0 * math.cos(1.0), 2.0 * math.sin(1.0)))
 
 
 class TestPompeiuForward:

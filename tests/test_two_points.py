@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from polydual.geometry import (
     vertices,
 )
 from polydual.reconstruct import verify_permutation
-from polydual.two_points import SHARED_VERTEX_EPS, two_points
+from polydual.two_points import two_points
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,10 +50,13 @@ class TestCircleIntersection:
 
     def test_concentric_rejected(self):
         # a vertex shared within its tolerance about a common center: the
-        # radii differ by less than that tolerance, so the pair is congruent
+        # radii differ by less than that tolerance, so the pair is congruent;
+        # at tol 0 the vertices, 1e-10 apart, are not shared
         pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
         pb = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0000000001, 0.0)
         with pytest.raises(CongruentError):
+            two_points(pa, pb, tol=1e-9)
+        with pytest.raises(SharedVertexError):
             two_points(pa, pb, tol=0.0)
 
     def test_symmetric_lens(self):
@@ -153,6 +157,15 @@ class TestErrors:
         with pytest.raises(SharedVertexError):
             two_points(pa, pb)
 
+    def test_shared_vertex_tolerance_is_tol(self):
+        # vertex (1, 0) of pa and (1.000000000001, 0) of pb: 1e-12 apart
+        pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
+        pb = RegularPolygonSpec(4, Point2(3.000000000001, 0.0), 2.0, math.pi)
+        with pytest.raises(SharedVertexError) as err:
+            two_points(pa, pb, 1e-13)
+        assert err.value.context["tolerance"] == 1e-13 * 2.0
+        assert two_points(pa, pb, 1e-9).collinear_degenerate
+
     def test_mismatched_counts_rejected(self):
         pa = RegularPolygonSpec(4, Point2(0.0, 0.0), SQRT2, math.pi / 4)
         pb = RegularPolygonSpec(5, Point2(1.0, 1.0), 1.0, 0.0)
@@ -174,7 +187,7 @@ class TestLastSharedVertex:
 
     def test_shared_vertex_is_last_of_both(self):
         va, vb = vertices(self.pa), vertices(self.pb)
-        tol = SHARED_VERTEX_EPS * 1.6
+        tol = 1e-9 * 1.6  # the default tol times the larger radius
         shared = [(i, j) for i, a in enumerate(va) for j, b in enumerate(vb)
                   if a.distance_to(b) <= tol]
         assert shared == [(63, 63)]
@@ -186,6 +199,17 @@ class TestLastSharedVertex:
         for q in (sol.m1, sol.m2):
             assert q.distance_to(self.pb.center) == pytest.approx(1.0, rel=1e-12)
             assert q.distance_to(self.pa.center) == pytest.approx(1.6, rel=1e-12)
+
+    def test_one_comparison_per_vertex(self, monkeypatch):
+        calls = []
+        hypot = math.hypot
+        counting = types.SimpleNamespace(
+            **{**vars(math), "hypot": lambda *xy: calls.append(xy) or hypot(*xy)}
+        )
+        monkeypatch.setattr(two_points_module, "math", counting)
+        two_points(self.pa, self.pb)
+        # 64 vertex comparisons, the last one the match, and the center gap
+        assert len(calls) == 64 + 1
 
     def test_no_point_per_vertex(self, monkeypatch):
         built = []
@@ -219,6 +243,29 @@ class TestRandomPairs:
                 assert match.ok
         # generic pairs essentially never land tangent
         assert tangency_seen <= 2
+
+    def test_vertex_search_agrees_with_all_pairs_scan(self):
+        # pb's center moved by half or twice the vertex tolerance: only the
+        # vertex nearest in angle is compared, and it decides as a scan of
+        # all n^2 vertex pairs does
+        rng = np.random.default_rng(2027)
+        tol = 1e-9
+        for i in range(300):
+            pa, pb, _ = shared_vertex_pair(rng, int(rng.integers(3, 65)))
+            vtol = tol * max(pa.circumradius, pb.circumradius)
+            gap = vtol * (0.5 if i % 2 else 2.0)
+            turn = float(rng.uniform(0.0, 2.0 * math.pi))
+            pb = RegularPolygonSpec(pb.n, Point2(pb.center.x + gap * math.cos(turn),
+                                                 pb.center.y + gap * math.sin(turn)),
+                                    pb.circumradius, pb.phase)
+            scan = any(a.distance_to(b) <= vtol for a in vertices(pa) for b in vertices(pb))
+            assert scan == bool(i % 2)
+            try:
+                two_points(pa, pb, tol)
+                found = True
+            except SharedVertexError:
+                found = False
+            assert found == scan
 
     def test_collinear_gives_single_point(self):
         rng = np.random.default_rng(910)
