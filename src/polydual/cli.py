@@ -207,8 +207,7 @@ def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     if d.n == 3:
         # the sharper n=3 diagnosis: distances must form a triangle, and a
         # triangle is realizable, so the fit does not judge it again
-        tri = pompeiu.pompeiu_from_distances(*d.values, tol=request.tol)
-        sol = pompeiu.solve_equilateral(tri).solution
+        sol = pompeiu.pompeiu_from_distances(*d.values, tol=request.tol).solution
     else:
         sol = solve(d, request.tol)
     out = _solution_json(sol)
@@ -223,7 +222,6 @@ def _dual_pair(request: JobRequest) -> DualPolygonPair:
         _parse_polygon(payload.get("polygon"), "polygon"),
         _parse_point(payload.get("point"), "point"),
         _parse_angle(payload.get("direction", 0.0)),
-        request.tol,
         anchor_index=int(payload.get("anchor_index", 0)),
     )
 
@@ -432,7 +430,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=64)
     sp.add_argument("--refine", type=int, default=3)
     sp.add_argument("--seed", type=int, default=0)
-    common(sp)
+    # no --tol: the oracle judges its finds at its own fixed tolerance
+    sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("render", help="emit an SVG figure")
     sp.add_argument("--scene", required=True, choices=("dual", "two-points", "pompeiu"))
@@ -461,13 +460,15 @@ def _payload_value(key: str, value: Any) -> Any:
 
 
 def _request_from_args(args: argparse.Namespace) -> JobRequest:
-    """Every option but the request fields goes into the payload under its own name."""
+    """Options go into the payload by name; ``tol`` and ``seed``, where defined, are fields."""
+    options = vars(args)
     payload = {
         key: _payload_value(key, value)
-        for key, value in vars(args).items()
+        for key, value in options.items()
         if key not in ("command", "tol", "out", "seed") and value is not None
     }
-    return JobRequest(args.command, payload, args.tol, getattr(args, "seed", 0))
+    fields = {key: options[key] for key in ("tol", "seed") if key in options}
+    return JobRequest(args.command, payload, **fields)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -14,6 +14,7 @@ so the n-1 means that the first two force cost O(n), for any n.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .geometry import DistanceSpec
@@ -118,10 +119,13 @@ def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyRep
     """Verify the closure identities the higher means must satisfy.
 
     For each m in 3..n-1 the mean of d^(2m) is recomputed from the first
-    two means and compared against the stored entry; residuals are judged
-    relative to the larger of the two values.  These conditions are
-    necessary for realizability; a failing check is a result, not an
-    error.
+    two means and compared against the stored entry, relative to the
+    larger of the two, at max(tol, 2*m^2*eps): spread = s4 - s2^2 carries
+    about 3*eps*s2^2 of rounding, and s2^2 * dM_m/d(spread) <= C(m, 2) * M_m
+    term by term in the circle mean's binomial expansion, so the check's
+    own error is up to 3*eps*C(m, 2) < 1.5*m^2*eps relative, plus O(m*eps)
+    from the powers and the recurrence.  These conditions are necessary
+    for realizability; a failing check is a result, not an error.
     """
     s2 = avgs.values[0]
     s4 = avgs.values[1]
@@ -132,7 +136,8 @@ def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyRep
         expected = means[m - 1]
         actual = avgs.values[m - 1]
         residual = abs(actual - expected)
-        passed = residual <= tol * max(abs(expected), abs(actual))
+        floor = max(tol, 2.0 * m * m * sys.float_info.epsilon)
+        passed = residual <= floor * max(abs(expected), abs(actual))
         checks.append(ConsistencyCheck(m, expected, actual, residual, passed))
     moment_ok = spread >= -tol * (s2 * s2)
     return ConsistencyReport(

@@ -65,8 +65,8 @@ class OracleConfig:
 
     ``grid_resolution`` is the number of phase samples per period 2*pi/n
     in the grid stage, each scored against a fixed coarse grid of center
-    distances and radii.  ``refine_iterations`` is the number of descent
-    levels per seed, each starting from a tenfold smaller step; the seed
+    distances and radii.  ``refine_iterations``, at least 1, is the number
+    of descent levels per seed, each from a tenfold smaller step; the seed
     loop stops at the first non-congruent descent that reaches the
     stopping objective.  Whether the result is a find is judged against
     the fixed ``FIND_TOL``.
@@ -78,8 +78,8 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.grid_resolution < 8:
             raise ValueError("grid_resolution must be >= 8")
-        if self.refine_iterations < 0:
-            raise ValueError("refine_iterations must be >= 0")
+        if self.refine_iterations < 1:
+            raise ValueError("refine_iterations must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -305,8 +305,7 @@ def search_second_polygon(
     best_kept: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
     for seed_x in seeds:
         x = seed_x
-        f = math.inf
-        for level in range(max(1, cfg.refine_iterations)):
+        for level in range(cfg.refine_iterations):
             shrink = 10.0**level
             x, f, ev = _pattern_descent(
                 dirs,

@@ -4,14 +4,15 @@ The three distances from any point to the vertices of an equilateral
 triangle themselves satisfy the triangle inequality (Pompeiu's theorem),
 degenerating exactly when the point lies on the circumcircle (Van
 Schooten).  Both equilateral triangles realizing the distances come
-from ``dual.solve`` as for any n; the area of the distance triangle is
-reported beside them, and (16/3)*area^2 equals the fit's discriminant.
-60-degree rotations construct both triangles explicitly.
+from ``dual.solve`` as for any n, fitted once by ``pompeiu_from_distances``
+and carried on the ``PompeiuTriangle`` it returns.  The area of the
+distance triangle is reported beside the fit, and (16/3)*area^2 equals
+the fit's discriminant.  60-degree rotations construct both triangles
+explicitly.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -24,13 +25,14 @@ SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class PompeiuTriangle:
-    """The triangle whose sides are the three vertex distances."""
+    """The triangle whose sides are the three vertex distances, and their fit."""
 
     d1: float
     d2: float
     d3: float
     area: float
     degenerate: bool
+    solution: DualSolution
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,6 @@ def triangle_spec(tri: tuple[Point2, Point2, Point2]) -> RegularPolygonSpec:
     return RegularPolygonSpec(3, center, radius, azimuth(center, tri[0]) if radius > 0 else 0.0)
 
 
-@functools.lru_cache(maxsize=1)
-def _fit(d1: float, d2: float, d3: float) -> DualSolution:
-    """The phase fit of one triple, which every entry point below reads.
-
-    They see a triple back to back (the triangle, its solution, its
-    construction), so the last fit is kept and each triple is fitted once.
-    The triangle inequality is the n=3 realizability test and is checked
-    first, so the fit is not asked to judge it again.
-    """
-    return solve(DistanceSpec((d1, d2, d3)), math.inf)
-
-
 def pompeiu_from_distances(
     d1: float, d2: float, d3: float, tol: float = 1e-9
 ) -> PompeiuTriangle:
@@ -80,13 +70,13 @@ def pompeiu_from_distances(
 
     A violation of the triangle inequality beyond tol, relative to the
     largest value, means no point/equilateral-triangle pair can produce
-    the triple.  The triple is degenerate exactly when its phase fit puts
-    the point on the circumcircle (``dual.classify``), which forces the
-    area to exactly zero.
+    the triple.  The triangle inequality is the n=3 realizability test, so
+    the phase fit that follows is not asked to judge it again; the fit
+    rides on the returned triangle as ``solution``.  The triple is
+    degenerate exactly when the fit puts the point on the circumcircle
+    (``dual.classify``), which forces the area to exactly zero.
     """
-    for v in (d1, d2, d3):
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"distances must be finite and >= 0, got {v}")
+    spec = DistanceSpec((d1, d2, d3))
     a, b, c = sorted((d1, d2, d3), reverse=True)
     slack = (b + c) - a
     if slack < -tol * a:
@@ -95,18 +85,19 @@ def pompeiu_from_distances(
             sides=(d1, d2, d3),
             gap=-slack,
         )
-    degenerate = _fit(d1, d2, d3).degeneracy is Degeneracy.ON_CIRCUMCIRCLE
+    solution = solve(spec, math.inf)
+    degenerate = solution.degeneracy is Degeneracy.ON_CIRCUMCIRCLE
     if degenerate:
         area = 0.0
     else:
         area = 0.25 * math.sqrt(
             max((a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c)), 0.0)
         )
-    return PompeiuTriangle(d1, d2, d3, area, degenerate)
+    return PompeiuTriangle(d1, d2, d3, area, degenerate, solution)
 
 
 def solve_equilateral(t: PompeiuTriangle) -> EquilateralDual:
-    """Both parameter pairs of the triple from ``dual.solve``, and the side lengths.
+    """Both parameter pairs of the triple's fit, and the side lengths.
 
     The squared circumradii are (sum of squares +/- 4*sqrt(3)*area)/6, so
     the fit's discriminant equals (16/3)*area^2; the fit is used rather
@@ -114,7 +105,7 @@ def solve_equilateral(t: PompeiuTriangle) -> EquilateralDual:
     in proportion to (r/l)^2 near the center.  The side lengths are
     sqrt(3) times the circumradii.
     """
-    sol = _fit(t.d1, t.d2, t.d3)
+    sol = t.solution
     return EquilateralDual(
         sol, SQRT3 * sol.larger.circumradius, SQRT3 * sol.smaller.circumradius
     )
@@ -144,11 +135,10 @@ def construct_both_triangles(
     Canonical placement: the point at the origin and the edge of length
     d2 supporting the auxiliary equilateral triangles along the positive
     x axis; the shared vertex (distance d1 from the point) goes in the
-    upper half plane.  The counterclockwise auxiliary apex is built
-    first, the clockwise one second; each apex becomes the second vertex
-    of one output triangle and the third vertex is the image of the
-    shared vertex under the rotation about that apex taking the support
-    edge's far end onto the point.
+    upper half plane.  Each auxiliary apex becomes the second vertex of
+    one output triangle and the third vertex is the image of the shared
+    vertex under the rotation about that apex taking the support edge's
+    far end onto the point.
     """
     t = pompeiu_from_distances(d1, d2, d3, tol)
     if t.degenerate:
@@ -165,8 +155,5 @@ def construct_both_triangles(
     apex_cw = rotate_about(support, m, -math.pi / 3.0)
     tri_ccw = (shared, apex_ccw, _rotation_image(shared, apex_ccw, support, m))
     tri_cw = (shared, apex_cw, _rotation_image(shared, apex_cw, support, m))
-    if shared.distance_to(apex_ccw) >= shared.distance_to(apex_cw):
-        larger, smaller = tri_ccw, tri_cw
-    else:
-        larger, smaller = tri_cw, tri_ccw
-    return TrianglePair(m, larger, smaller)
+    # shared is above the support edge, so the clockwise apex is always the farther one
+    return TrianglePair(m, tri_cw, tri_ccw)

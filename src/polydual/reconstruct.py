@@ -52,7 +52,6 @@ def construct_dual(
     p: RegularPolygonSpec,
     point: Point2,
     center_direction: float = 0.0,
-    tol: float = 1e-9,
     *,
     anchor_index: int = 0,
 ) -> DualPolygonPair:
@@ -66,7 +65,8 @@ def construct_dual(
     center between ``point`` and that vertex, the companion phases are
     azimuth(companion center -> point) +/- alpha, taken from angles alone.
     The b/c polygons are the two mirror solutions, counterclockwise offset
-    first; alpha = 0 or pi gives one companion twice.
+    first; alpha = 0 or pi gives one companion twice.  ``match_residual``
+    is the larger sorted-distance gap of the two to the original.
     """
     if not 0 <= anchor_index < p.n:
         raise ValueError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
@@ -89,8 +89,8 @@ def construct_dual(
     b_polygon = RegularPolygonSpec(p.n, center, dist_in, base + alpha)
     c_polygon = RegularPolygonSpec(p.n, center, dist_in, base - alpha)
     residual = max(
-        verify_permutation(d, distances_from(point, b_polygon), tol).residual,
-        verify_permutation(d, distances_from(point, c_polygon), tol).residual,
+        verify_permutation(d, distances_from(point, b_polygon)).residual,
+        verify_permutation(d, distances_from(point, c_polygon)).residual,
     )
     return DualPolygonPair(
         primary_polygon=p,

@@ -106,12 +106,17 @@ def _scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
 
 
 def render_svg(scene: Scene) -> str:
-    """Emit the scene as an SVG 1.1 document (y axis pointing up)."""
+    """Emit the scene as an SVG 1.1 document (y axis up); ValueError past the float range."""
+    coords = [vertex_coords(p) for p, _ in scene.polygons]
     x0, y0, x1, y1 = _scene_bounds(scene)
     span = max(x1 - x0, y1 - y0, 1e-9)
     margin = 0.1 * span
     vx, vy = x0 - margin, y0 - margin
     vw, vh = (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin
+    # every number printed below is at most one of these in magnitude, and
+    # rounding to 8 digits is monotone, so if these print finite, all do
+    if not all(math.isfinite(float(f"{v:.8g}")) for v in (vx, vy, vx + vw, vy + vh, vw, vh)):
+        raise ValueError("the scene's extent is outside the float range")
     stroke = 0.005 * span
     marker_r = 0.012 * span
     font = 0.035 * span
@@ -128,7 +133,6 @@ def render_svg(scene: Scene) -> str:
             f'r="{radius:.8g}" fill="none" stroke="{_STROKES["construction-circle"]}" '
             f'stroke-width="{stroke:.8g}" stroke-dasharray="{4 * stroke:.8g} {3 * stroke:.8g}"/>'
         )
-    coords = [vertex_coords(p) for p, _ in scene.polygons]
     for xy in coords:
         pts = " ".join(f"{x:.8g},{y:.8g}" for x, y in xy)
         lines.append(

@@ -161,6 +161,11 @@ APPENDED: list[list[str]] = [
     ["averages", "--distances", "1e154,1.1e154,1.2e154"],
     # common center, vertex shared within the default tolerance: congruent
     ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,0,0,1.0000000001,0"],
+    # usage and schema errors: verify takes no --tol, and --refine is at least 1
+    ["verify", "--instances", "1", "--grid", "8", "--refine", "1", "--tol", "1e-9"],
+    ["verify", "--instances", "1", "--grid", "8", "--refine", "0"],
+    # schema error: every coordinate is finite, the scene's width is not
+    ["render", "--scene", "dual", "--polygon", "4,0,0,8e307", "--point", "1e307,0"],
 ]
 
 

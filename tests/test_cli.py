@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from polydual.cli import JobRequest, dumps, main, run
+from polydual.cli import JobRequest, _build_parser, dumps, main, run
 from polydual.errors import SchemaError
 from polydual.geometry import Point2, RegularPolygonSpec, distances_from
+from polydual.svg import Scene, render_svg
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -369,10 +372,13 @@ def test_regular_polygons_past_64_vertices(n, capsys):
         ["dual", "--distances", "3,5,7", "--tol", "-1"],
         ["two-points", *README_PAIR, "--tol", "nan"],
         ["two-points", *README_PAIR, "--tol", "inf"],
+        ["render", "--scene", "dual", "--polygon", "4,0,0,8e307", "--point", "1e307,0"],
+        ["verify", "--instances", "1", "--grid", "8", "--refine", "0"],
         None,
     ],
     ids=["two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2", "instances-negative",
-         "averages-sum-overflow", "tol-negative", "tol-nan", "tol-inf", "run-instances-x"],
+         "averages-sum-overflow", "tol-negative", "tol-nan", "tol-inf", "render-width-overflow",
+         "refine-0", "run-instances-x"],
 )
 def test_precondition_failures_are_schema_errors(argv, capsys):
     if argv is None:
@@ -384,6 +390,55 @@ def test_precondition_failures_are_schema_errors(argv, capsys):
     assert captured.err.startswith("schema error:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_option_count():
+    # a new knob must be a deliberate change: update this count with it
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = [
+        a for sp in sub.choices.values() for a in sp._actions
+        if not isinstance(a, argparse._HelpAction)
+    ]
+    assert len(options) == 38
+
+
+def test_verify_takes_no_tol(capsys):
+    # the oracle judges its finds at a fixed tolerance, so --tol would change nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--instances", "1", "--grid", "8", "--refine", "1", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def _svg_numbers(text):
+    """Every number-like token in the document's attribute values."""
+    numbers = []
+    for value in re.findall(r'="([^"]*)"', text):
+        for token in re.split(r"[ ,]", value):
+            try:
+                numbers.append(float(token))
+            except ValueError:
+                pass
+    return numbers
+
+
+def test_render_svg_near_the_float_limit_prints_finite_numbers():
+    # a width of 2 * 1.2 * 7.4e307 = 1.78e308 still fits; at 7.5e307 it does not
+    def scene(r):
+        far = Point2(0.9 * r, 0.0)
+        return Scene(
+            polygons=((RegularPolygonSpec(5, Point2(0.0, 0.0), r, 0.3), "A"),),
+            circles=((Point2(0.0, 0.0), r),),
+            markers=((far, "M"),),
+            segments=((Point2(0.0, 0.0), far),),
+        )
+
+    numbers = _svg_numbers(render_svg(scene(7.4e307)))
+    assert len(numbers) > 20
+    assert all(math.isfinite(v) for v in numbers)
+    with pytest.raises(ValueError):
+        render_svg(scene(7.5e307))
 
 
 def test_zero_tol_is_valid(capsys):

@@ -186,6 +186,53 @@ class TestConsistency:
         assert not report.passed
 
 
+def _regular_distances(n, ratio):
+    """Distances from a regular n-gon at l/r = ratio, scaled so max(d) = 1."""
+    r = 1.0 / (1.0 + ratio)
+    point = Point2(ratio * r * math.cos(0.7), ratio * r * math.sin(0.7))
+    return distances_from(point, RegularPolygonSpec(n, Point2(0.0, 0.0), r, 0.3)).values
+
+
+def _pairwise_means(values):
+    """The n-1 even-power means, summed pairwise by numpy.
+
+    Within about log2(n) ulps of the compensated sums of
+    ``averages_from_distances``, far under the closure floor, and fast
+    enough for n = 3000, where the compensated sums take seconds.
+    """
+    squares = np.square(np.asarray(values))
+    powers = squares.copy()
+    means = []
+    for _ in range(1, len(values)):
+        means.append(float(powers.mean()))
+        powers *= squares
+    return CyclicAverages(len(values), tuple(means))
+
+
+class TestClosureFloor:
+    """Order m is judged at max(tol, 2*m^2*eps), the check's own conditioning."""
+
+    RATIOS = [1e-4, 1e-2, 0.1, 0.5, 0.9, 1.1, 3.0]
+
+    @pytest.mark.parametrize("n", [200, 1000, 3000])
+    def test_genuine_polygons_pass_at_tight_tol(self, n):
+        for ratio in self.RATIOS:
+            assert check_consistency(_pairwise_means(_regular_distances(n, ratio)), 1e-12).passed
+
+    @pytest.mark.parametrize("n", [200, 1000, 3000])
+    def test_moved_largest_distance_fails(self, n):
+        for ratio in self.RATIOS:
+            values = list(_regular_distances(n, ratio))
+            values[values.index(max(values))] *= 1.0 + 1e-6
+            assert not check_consistency(_pairwise_means(values), 1e-12).passed
+
+    @pytest.mark.parametrize("ratio", [1e-4, 1e-2])
+    def test_compensated_means_pass_at_tight_tol(self, ratio):
+        # at a flat 1e-12, 889 and 831 of these 997 orders fail
+        d = DistanceSpec(_regular_distances(1000, ratio))
+        assert check_consistency(averages_from_distances(d), 1e-12).passed
+
+
 def test_cyclic_averages_shape_validation():
     with pytest.raises(ValueError):
         CyclicAverages(4, (1.0, 2.0))

@@ -147,8 +147,9 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(grid_resolution=4)
-        with pytest.raises(ValueError):
-            OracleConfig(refine_iterations=-1)
+        for refine in (-1, 0):  # a search runs at least one descent level
+            with pytest.raises(ValueError):
+                OracleConfig(refine_iterations=refine)
 
 
 class TestKernels:

@@ -61,6 +61,13 @@ class TestPompeiuTriangle:
         with pytest.raises(ValueError):
             pompeiu_from_distances(-1.0, 1.0, 1.0)
 
+    def test_triangle_carries_the_fit(self):
+        rng = np.random.default_rng(39)
+        for _ in range(50):
+            poly, point = random_equilateral_with_point(rng)
+            d = distances_from(point, poly).values
+            assert pompeiu_from_distances(*d).solution == solve(DistanceSpec(d), math.inf)
+
     @pytest.mark.parametrize(
         "sides, degenerate",
         [
@@ -221,20 +228,22 @@ class TestConstructionA:
 
     def test_matches_closed_forms_on_random_triples(self):
         rng = np.random.default_rng(33)
-        for _ in range(200):
-            poly, point = random_equilateral_with_point(rng, ratio_gap=1e-2)
+        # general triples, then triples within 1e-6..1e-3 of the circumcircle,
+        # where the two triangles are closest in size
+        inputs = [{"ratio_gap": 1e-2}] * 200 + [
+            {"ratio_range": (1.0 - 1e-3, 1.0 + 1e-3), "ratio_gap": 1e-6}
+        ] * 200
+        for kwargs in inputs:
+            poly, point = random_equilateral_with_point(rng, **kwargs)
             d = distances_from(point, poly)
             tp = construct_both_triangles(*d.values)
             dual = solve_equilateral(pompeiu_from_distances(*d.values))
             scale = max(d.values)
-            assert (
-                abs(tp.larger[0].distance_to(tp.larger[1]) - dual.side_larger)
-                <= 1e-9 * scale
-            )
-            assert (
-                abs(tp.smaller[0].distance_to(tp.smaller[1]) - dual.side_smaller)
-                <= 1e-9 * scale
-            )
+            side_larger = tp.larger[0].distance_to(tp.larger[1])
+            side_smaller = tp.smaller[0].distance_to(tp.smaller[1])
+            assert side_larger > side_smaller
+            assert abs(side_larger - dual.side_larger) <= 1e-9 * scale
+            assert abs(side_smaller - dual.side_smaller) <= 1e-9 * scale
 
 
 class TestConstructionB:
