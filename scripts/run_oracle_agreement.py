@@ -27,13 +27,17 @@ def main() -> int:
     parser.add_argument("--n-min", type=int, default=3)
     parser.add_argument("--n-max", type=int, default=8)
     parser.add_argument("--grid", type=int, default=64)
-    parser.add_argument("--refine", type=int, default=3)
+    parser.add_argument("--refine", type=int, default=3,
+                        help="caps each seed's descent at 20 * REFINE iterations")
     parser.add_argument("--threshold", type=float, default=1e-5)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
     n_range = (args.n_min, args.n_max)
-    cfg = OracleConfig(grid_resolution=args.grid, refine_iterations=args.refine)
+    try:
+        cfg = OracleConfig(grid_resolution=args.grid, refine_iterations=args.refine)
+    except ValueError as exc:
+        parser.error(str(exc))
     t0 = time.perf_counter()
     report = agreement(args.seed, args.instances, n_range, cfg, args.threshold)
     elapsed = time.perf_counter() - t0

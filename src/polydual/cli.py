@@ -428,7 +428,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-min", type=int, default=3)
     sp.add_argument("--n-max", type=int, default=8)
     sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--refine", type=int, default=3)
+    sp.add_argument("--refine", type=int, default=3,
+                    help="caps each seed's descent at 20 * REFINE iterations")
     sp.add_argument("--seed", type=int, default=0)
     # no --tol: the oracle judges its finds at its own fixed tolerance
     sp.add_argument("--out", default=None)

@@ -2,10 +2,11 @@
 
 This is the trust anchor for the algebraic solver: candidates are scored
 purely by the gap between sorted distance lists, scanned on a coarse grid
-and polished by deterministic pattern descent, with the input's own
-parameter pair excluded from the answers.  Nothing here consumes the
-solver or the reconstruction code; only the geometric primitives are
-used.
+and polished by a Levenberg-Marquardt descent on the sorted-distance
+residuals, with the input's own parameter pair excluded from the answers.
+Nothing here consumes the solver or the reconstruction code; only the
+geometric primitives are used, and the descent's Jacobian is the
+calculus of ``hypot``, not the paper's algebra.
 
 A rotation of a candidate polygon about the query point leaves its
 distances unchanged, so the search runs in the quotient by those
@@ -65,11 +66,11 @@ class OracleConfig:
 
     ``grid_resolution`` is the number of phase samples per period 2*pi/n
     in the grid stage, each scored against a fixed coarse grid of center
-    distances and radii.  ``refine_iterations``, at least 1, is the number
-    of descent levels per seed, each from a tenfold smaller step; the seed
-    loop stops at the first non-congruent descent that reaches the
-    stopping objective.  Whether the result is a find is judged against
-    the fixed ``FIND_TOL``.
+    distances and radii.  ``refine_iterations``, at least 1, caps each
+    seed's descent at ``20 * refine_iterations`` Levenberg-Marquardt
+    iterations; the seed loop stops at the first non-congruent descent
+    that reaches the stopping objective.  Whether the result is a find is
+    judged against the fixed ``FIND_TOL``.
     """
 
     grid_resolution: int = 64
@@ -125,19 +126,36 @@ def random_instance(
     return polygon, point
 
 
-def _objective(
+def _residuals(
     dirs: list[tuple[float, float]],
     target: list[float],
     psi: float,
     ell: float,
     radius: float,
-) -> float:
+) -> tuple[list[float], list[tuple[float, float, float]]]:
+    """Sorted-distance residuals and their Jacobian rows over (psi, ell, radius).
+
+    Residual k is the k-th smallest candidate distance minus the k-th
+    smallest target distance.  A vertex at angle phi about the candidate
+    center lies D = hypot(ell + r*cos(phi), r*sin(phi)) from the point, so
+    dD/dpsi = -ell*r*sin(phi)/D, dD/dell = (ell + r*cos(phi))/D and
+    dD/dr = (r + ell*cos(phi))/D; each row moves with its distance in the
+    sort.
+    """
     c = math.cos(psi)
     s = math.sin(psi)
-    ds = [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk)) for ck, sk in dirs]
-    ds.sort()
-    e = list(map(operator.sub, ds, target))
-    return sum(map(operator.mul, e, e))
+    ds = []
+    rows = []
+    for ck, sk in dirs:
+        cos_phi = c * ck - s * sk
+        sin_phi = s * ck + c * sk
+        x = ell + radius * cos_phi
+        d = math.hypot(x, radius * sin_phi)
+        inv = 1.0 / d if d > 0.0 else 0.0
+        ds.append(d)
+        rows.append((-ell * radius * sin_phi * inv, x * inv, (radius + ell * cos_phi) * inv))
+    order = sorted(range(len(ds)), key=ds.__getitem__)
+    return [ds[i] - t for i, t in zip(order, target)], [rows[i] for i in order]
 
 
 def _grid_scores(
@@ -164,54 +182,73 @@ def _grid_scores(
     return np.einsum("plrk,plrk->plr", d, d)
 
 
-def _pattern_descent(
+def _lm_descent(
     dirs: list[tuple[float, float]],
     target: list[float],
     start: tuple[float, float, float],
-    steps: tuple[float, float, float],
     bounds_ell: tuple[float, float],
     bounds_r: tuple[float, float],
-    stop_step: float,
     stop_objective: float,
-    budget: int = 20000,
+    max_iterations: int,
 ) -> tuple[tuple[float, float, float], float, int]:
-    """Compass search over (psi, ell, radius); the phase wraps, sizes clip.
+    """Levenberg-Marquardt over (psi, ell, radius); the phase wraps, sizes clip.
 
-    Besides the three axis probe pairs, each sweep tries the two diagonal
-    moves that trade center distance against radius; near-equal parameter
-    pairs form a narrow curved valley in exactly that direction and
-    axis-only search stalls there.
+    Every find is a zero-residual least-squares problem, where the damped
+    Gauss-Newton step converges quadratically.  The phase enters the
+    normal equations as the arc length ``scale * psi``, so all three
+    Jacobian columns are dimensionless and one damping ``lam`` suits them
+    all.  A step that lowers the objective is taken and ``lam`` falls
+    tenfold; otherwise ``lam`` grows tenfold.
     """
     x = start
-    f = _objective(dirs, target, *x)
+    e, jac = _residuals(dirs, target, *x)
+    f = sum(map(operator.mul, e, e))
     evals = 1
-    step_psi, step_ell, step_r = steps
+    scale = target[-1]
     psi_period = TWO_PI / len(dirs)
-    while f > stop_objective and max(step_ell, step_r) > stop_step and evals < budget:
-        h = min(step_ell, step_r)
-        moves = (
-            (step_psi, 0.0, 0.0),
-            (-step_psi, 0.0, 0.0),
-            (0.0, step_ell, 0.0),
-            (0.0, -step_ell, 0.0),
-            (0.0, 0.0, step_r),
-            (0.0, 0.0, -step_r),
-            (0.0, h, -h),
-            (0.0, -h, h),
+    lam = 1e-3
+    for _ in range(max_iterations):
+        if f <= stop_objective:
+            break
+        a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = 0.0
+        for (j0, j1, j2), ek in zip(jac, e):
+            j0 /= scale
+            a00 += j0 * j0
+            a01 += j0 * j1
+            a02 += j0 * j2
+            a11 += j1 * j1
+            a12 += j1 * j2
+            a22 += j2 * j2
+            g0 += j0 * ek
+            g1 += j1 * ek
+            g2 += j2 * ek
+        a00 += lam
+        a11 += lam
+        a22 += lam
+        # Cramer's rule on the symmetric positive definite damped system
+        c00 = a11 * a22 - a12 * a12
+        c01 = a02 * a12 - a01 * a22
+        c02 = a01 * a12 - a02 * a11
+        det = a00 * c00 + a01 * c01 + a02 * c02
+        if not det > 0.0:  # only if lam has underflowed on a singular system
+            lam *= 10.0
+            continue
+        c11 = a00 * a22 - a02 * a02
+        c12 = a01 * a02 - a00 * a12
+        c22 = a00 * a11 - a01 * a01
+        trial = (
+            (x[0] - (c00 * g0 + c01 * g1 + c02 * g2) / (det * scale)) % psi_period,
+            min(max(x[1] - (c01 * g0 + c11 * g1 + c12 * g2) / det, bounds_ell[0]), bounds_ell[1]),
+            min(max(x[2] - (c02 * g0 + c12 * g1 + c22 * g2) / det, bounds_r[0]), bounds_r[1]),
         )
-        for d_psi, d_ell, d_r in moves:
-            trial = (
-                (x[0] + d_psi) % psi_period,
-                min(max(x[1] + d_ell, bounds_ell[0]), bounds_ell[1]),
-                min(max(x[2] + d_r, bounds_r[0]), bounds_r[1]),
-            )
-            ft = _objective(dirs, target, *trial)
-            evals += 1
-            if ft < f:
-                x, f = trial, ft
-                break
+        et, jt = _residuals(dirs, target, *trial)
+        ft = sum(map(operator.mul, et, et))
+        evals += 1
+        if ft < f:
+            x, f, e, jac = trial, ft, et, jt
+            lam *= 0.1
         else:
-            step_psi, step_ell, step_r = 0.5 * step_psi, 0.5 * step_ell, 0.5 * step_r
+            lam *= 10.0
     return x, f, evals
 
 
@@ -234,10 +271,10 @@ def search_second_polygon(
     come from plain geometry (the center is the vertex centroid, so its
     distance from the point is at most the mean target distance).
     Descent stage: the best separated cells, plus their
-    radius/center-distance swapped twins, seed compass searches in turn;
-    results inside the congruent exclusion ball around the input
-    parameters are discarded, and the seed loop stops at the first
-    non-congruent descent that reaches the stopping objective.
+    radius/center-distance swapped twins, seed Levenberg-Marquardt
+    descents in turn; results inside the congruent exclusion ball around
+    the input parameters are discarded, and the seed loop stops at the
+    first non-congruent descent that reaches the stopping objective.
     """
     n = p.n
     target_arr = np.sort(np.asarray(distances_from(point, p).values, dtype=float))
@@ -281,15 +318,15 @@ def search_second_polygon(
             if len(picked) >= DESCENT_SEEDS:
                 break
 
-    psi_step = psi_period / res
-    ell_step = ell_hi / (COARSE_SIZE_STEPS - 1)
-    r_step = (r_hi - r_lo) / (COARSE_SIZE_STEPS - 1) or ell_step
-    stop_step = 1e-13 * max(scale, 1e-30)
     stop_objective = (1e-9 * scale) ** 2
+    max_iterations = 20 * cfg.refine_iterations
 
     def swapped(x: tuple[float, float, float]) -> tuple[float, float, float]:
         # same objective value by the radius/center-distance symmetry
         return (x[0], min(max(x[2], 0.0), ell_hi), min(max(x[1], r_lo), r_hi))
+
+    def descend(x: tuple[float, float, float]) -> tuple[tuple[float, float, float], float, int]:
+        return _lm_descent(dirs, target, x, (0.0, ell_hi), (r_lo, r_hi), stop_objective, max_iterations)
 
     seeds = []
     for pi_, li_, ri_ in picked:
@@ -304,22 +341,8 @@ def search_second_polygon(
     best_excluded: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
     best_kept: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
     for seed_x in seeds:
-        x = seed_x
-        for level in range(cfg.refine_iterations):
-            shrink = 10.0**level
-            x, f, ev = _pattern_descent(
-                dirs,
-                target,
-                x,
-                (psi_step / shrink, ell_step / shrink, r_step / shrink),
-                (0.0, ell_hi),
-                (r_lo, r_hi),
-                stop_step,
-                stop_objective,
-            )
-            samples += ev
-            if f <= stop_objective:
-                break
+        x, f, ev = descend(seed_x)
+        samples += ev
         if is_congruent(x):
             if f < best_excluded[0]:
                 best_excluded = (f, x)
@@ -330,20 +353,8 @@ def search_second_polygon(
 
     if best_excluded[1] is not None and best_excluded[0] < best_kept[0]:
         # swap the best congruent result; by the objective's exact symmetry
-        # the swapped point scores identically and sits in the other basin,
-        # so a fine-stepped descent refines the non-congruent twin
-        xe = best_excluded[1]
-        h = max(0.25 * abs(xe[1] - xe[2]), 10.0 * stop_step)
-        x, f, ev = _pattern_descent(
-            dirs,
-            target,
-            swapped(xe),
-            (psi_step / 100.0, h, h),
-            (0.0, ell_hi),
-            (r_lo, r_hi),
-            stop_step,
-            stop_objective,
-        )
+        # the swapped point scores identically and sits in the other basin
+        x, f, ev = descend(swapped(best_excluded[1]))
         samples += ev
         if not is_congruent(x) and f < best_kept[0]:
             best_kept = (f, x)

@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
+    COARSE_SIZE_STEPS,
     RATIO_EXCLUSION_HALF_WIDTH,
     OracleConfig,
     _grid_scores,
-    _objective,
+    _residuals,
     search_second_polygon,
     random_instance,
 )
@@ -136,6 +141,19 @@ class TestSearch:
             res = search_second_polygon(poly, point)
             assert res.samples_evaluated <= 20_000, f"seed {70_000 + k}"
 
+    @pytest.mark.parametrize(
+        "cfg", [OracleConfig(), OracleConfig(grid_resolution=8, refine_iterations=1)]
+    )
+    @pytest.mark.parametrize("seed", range(5))
+    def test_circumcircle_search_is_bounded(self, cfg, seed):
+        # no non-congruent answer exists, so every descent ends congruent or
+        # at its iteration cap, and all seeds and the swap fallback run
+        poly, point = random_instance(seed, (3, 12), degenerate_mode=True)
+        res = search_second_polygon(poly, point, cfg)
+        assert res.found is False
+        grid = cfg.grid_resolution * COARSE_SIZE_STEPS**2
+        assert res.samples_evaluated - grid <= 2_000
+
     def test_zero_scale_instance(self):
         p = RegularPolygonSpec(4, Point2(1.0, 2.0), 0.0, 0.0)
         res = search_second_polygon(p, Point2(1.0, 2.0))
@@ -150,6 +168,21 @@ class TestConfig:
         for refine in (-1, 0):  # a search runs at least one descent level
             with pytest.raises(ValueError):
                 OracleConfig(refine_iterations=refine)
+
+
+@pytest.mark.parametrize("flag", [["--grid", "4"], ["--refine", "0"]])
+def test_agreement_script_reports_bad_config_as_usage_error(flag):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_oracle_agreement.py"), "--instances", "1", *flag],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage:")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 class TestKernels:
@@ -173,18 +206,51 @@ class TestKernels:
         want = np.einsum("plrk,plrk->plr", diff, diff)
         assert np.array_equal(_grid_scores(psis, ells, radii, offsets, target), want)
 
-    def test_objective_matches_sorted_generator_sum(self):
+    def test_residuals_match_sorted_hypot_differences(self):
         rng = np.random.default_rng(601)
         for _ in range(10_000):
             n = int(rng.integers(3, 13))
-            dirs = [(math.cos(TWO_PI * k / n), math.sin(TWO_PI * k / n)) for k in range(n)]
+            dirs = _dirs(n)
             target = sorted(rng.uniform(0.0, 5.0, n).tolist())
             psi = float(rng.uniform(0.0, TWO_PI / n))
             ell, radius = (float(v) for v in rng.uniform(0.0, 3.0, 2))
-            c, s = math.cos(psi), math.sin(psi)
-            ds = sorted(
-                [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk))
-                 for ck, sk in dirs]
-            )
-            want = sum((u - v) * (u - v) for u, v in zip(ds, target))
-            assert _objective(dirs, target, psi, ell, radius).hex() == want.hex()
+            want = [u - v for u, v in zip(sorted(_distances(dirs, psi, ell, radius)), target)]
+            got, _ = _residuals(dirs, target, psi, ell, radius)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_jacobian_matches_central_differences(self):
+        rng = np.random.default_rng(602)
+        candidates = []
+        for _ in range(2_000):
+            n = int(rng.integers(3, 13))
+            ell, radius = (float(v) for v in rng.uniform(0.1, 3.0, 2))
+            candidates.append((n, float(rng.uniform(0.0, TWO_PI / n)), ell, radius))
+        # at psi = 0 the vertices k and n - k lie at the same distance
+        candidates += [(n, 0.0, ell, radius) for n in range(3, 13)
+                       for ell, radius in ((0.4, 1.3), (2.2, 0.7), (1.0, 1.5))]
+        h = 1e-6
+        for n, psi, ell, radius in candidates:
+            dirs = _dirs(n)
+            base = _distances(dirs, psi, ell, radius)
+            order = sorted(range(n), key=base.__getitem__)
+            _, jac = _residuals(dirs, sorted(base), psi, ell, radius)
+            for j in range(3):
+                lo, hi = [psi, ell, radius], [psi, ell, radius]
+                lo[j] -= h
+                hi[j] += h
+                plus, minus = _distances(dirs, *hi), _distances(dirs, *lo)
+                # row k follows the vertex that sits at rank k
+                for row, i in zip(jac, order):
+                    fd = (plus[i] - minus[i]) / (2.0 * h)
+                    assert abs(row[j] - fd) <= 1e-6 * max(abs(fd), 1.0), (n, psi, ell, radius, j)
+
+
+def _dirs(n):
+    return [(math.cos(TWO_PI * k / n), math.sin(TWO_PI * k / n)) for k in range(n)]
+
+
+def _distances(dirs, psi, ell, radius):
+    """Each vertex's distance from the point, in vertex order."""
+    c, s = math.cos(psi), math.sin(psi)
+    return [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk))
+            for ck, sk in dirs]
