@@ -33,6 +33,10 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
+    if args.instances < 0:
+        parser.error(f"--instances must be >= 0, got {args.instances}")
+    if not 3 <= args.n_min <= args.n_max:
+        parser.error(f"need 3 <= --n-min <= --n-max, got {args.n_min} and {args.n_max}")
     n_range = (args.n_min, args.n_max)
     try:
         cfg = OracleConfig(grid_resolution=args.grid, refine_iterations=args.refine)

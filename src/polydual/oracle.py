@@ -13,12 +13,20 @@ distances unchanged, so the search runs in the quotient by those
 rotations: a candidate is parameterized by its center distance, its
 circumradius and its phase relative to the direction of its center, and
 the center is placed on the horizontal through the point.  The distance
-multiset repeats every 2*pi/n in that phase, so the phase covers one
-period; the sorted-distance objective is also exactly symmetric under
-swapping radius and center distance, which is why every descent seed is
-paired with its swapped twin (this exploits a symmetry of the candidate
-parameterization, not of the expected answer).  Only these isometries
-about the point are used, none of the solver's algebra.
+multiset repeats every 2*pi/n in that phase.  Reflecting a candidate in
+the line through the point and its center keeps every distance too and
+maps phase psi to -psi, so the grid scans the rotation-and-mirror
+quotient: phases from 0 to half a period, pi/n.  The descent still moves
+over the whole period.  The sorted-distance objective is also exactly
+symmetric under swapping radius and center distance, which is why every
+descent seed is paired with its swapped twin (this exploits a symmetry of
+the candidate parameterization, not of the expected answer).  Only these
+isometries about the point are used, none of the solver's algebra.
+
+The search runs on the distances times the power of two that brings the
+largest into [0.5, 1), so the squares it takes stay in range at any input
+scale; the scaling is exact while the values are normal doubles, so the
+answer is the same floats a search at the input's own scale would give.
 
 The grid needs no per-cell sort: a vertex's squared distance
 ell^2 + r^2 + 2*ell*r*cos(angle) is non-decreasing in the cosine because
@@ -55,6 +63,10 @@ COARSE_SIZE_STEPS = 12
 #: Number of grid cells seeding the descent stage.
 DESCENT_SEEDS = 8
 
+#: Best grid cells the seed pick may read: each picked cell turns away at
+#: most its 26 grid neighbours, so the last seed is among this many.
+PICK_WINDOW = DESCENT_SEEDS + (DESCENT_SEEDS - 1) * 26
+
 #: A candidate is a find when its worst sorted-distance gap is below
 #: this fraction of the largest target distance.
 FIND_TOL = 1e-6
@@ -64,13 +76,15 @@ FIND_TOL = 1e-6
 class OracleConfig:
     """Search controls.
 
-    ``grid_resolution`` is the number of phase samples per period 2*pi/n
-    in the grid stage, each scored against a fixed coarse grid of center
-    distances and radii.  ``refine_iterations``, at least 1, caps each
-    seed's descent at ``20 * refine_iterations`` Levenberg-Marquardt
-    iterations; the seed loop stops at the first non-congruent descent
-    that reaches the stopping objective.  Whether the result is a find is
-    judged against the fixed ``FIND_TOL``.
+    ``grid_resolution`` is the grid stage's phase spacing: phases
+    k * (2*pi/n) / grid_resolution.  Only k = 0 .. grid_resolution // 2
+    are scored, since the rest are mirror images of those; each is scored
+    against a fixed coarse grid of center distances and radii.
+    ``refine_iterations``, at least 1, caps each seed's descent at
+    ``20 * refine_iterations`` Levenberg-Marquardt iterations; the seed
+    loop stops at the first non-congruent descent that reaches the
+    stopping objective.  Whether the result is a find is judged against
+    the fixed ``FIND_TOL``.
     """
 
     grid_resolution: int = 64
@@ -182,6 +196,30 @@ def _grid_scores(
     return np.einsum("plrk,plrk->plr", d, d)
 
 
+def _pick_seeds(obj: np.ndarray) -> list[tuple[int, int, int]]:
+    """Greedy pick of the ``DESCENT_SEEDS`` best cells, no two of them grid neighbours.
+
+    Cells are read best first (ties in index order) and a cell within one
+    step of a picked one on every axis is passed over, so the seeds cover
+    distinct basins.  No axis wraps: the phase axis spans half a period,
+    and its end phases are their own mirror images.  Only the
+    ``PICK_WINDOW`` best cells are ever read, so only they are sorted.
+    """
+    flat = obj.ravel()
+    best = np.argpartition(flat, PICK_WINDOW - 1)[:PICK_WINDOW]
+    best = best[np.lexsort((best, flat[best]))]
+    picked: list[tuple[int, int, int]] = []
+    for pi_, li_, ri_ in zip(*(axis.tolist() for axis in np.unravel_index(best, obj.shape))):
+        for pj, lj, rj in picked:
+            if abs(pi_ - pj) <= 1 and abs(li_ - lj) <= 1 and abs(ri_ - rj) <= 1:
+                break
+        else:
+            picked.append((pi_, li_, ri_))
+            if len(picked) >= DESCENT_SEEDS:
+                break
+    return picked
+
+
 def _lm_descent(
     dirs: list[tuple[float, float]],
     target: list[float],
@@ -263,28 +301,32 @@ def search_second_polygon(
     center at ``point + (ell, 0)`` and its phase ``psi`` in one period
     [0, 2*pi/n), which reaches every distance multiset a regular n-gon can
     produce.  The returned polygon is therefore placed on the horizontal
-    through the point; any rotation of it about the point is an equally
-    good answer.
+    through the point; any rotation of it about the point, and its mirror
+    image in that horizontal, is an equally good answer.
 
-    Grid stage: one vectorized pass scores ``grid_resolution`` phases
-    against a coarse grid of center distances and radii; the size bounds
-    come from plain geometry (the center is the vertex centroid, so its
-    distance from the point is at most the mean target distance).
-    Descent stage: the best separated cells, plus their
-    radius/center-distance swapped twins, seed Levenberg-Marquardt
-    descents in turn; results inside the congruent exclusion ball around
-    the input parameters are discarded, and the seed loop stops at the
-    first non-congruent descent that reaches the stopping objective.
+    Grid stage: one vectorized pass scores the phases of the first half
+    period, 0 to pi/n in steps of (2*pi/n) / ``grid_resolution``, against
+    a coarse grid of center distances and radii; the other half holds the
+    mirror images of these candidates.  The size bounds come from plain
+    geometry (the center is the vertex centroid, so its distance from the
+    point is at most the mean target distance).  Descent stage: the best
+    separated cells, plus their radius/center-distance swapped twins, seed
+    Levenberg-Marquardt descents in turn; results inside the congruent
+    exclusion ball around the input parameters are discarded, and the
+    seed loop stops at the first non-congruent descent that reaches the
+    stopping objective.  Both stages run on sizes scaled by a power of
+    two (see the module docstring), mapped back for the answer.
     """
     n = p.n
-    target_arr = np.sort(np.asarray(distances_from(point, p).values, dtype=float))
-    scale = float(target_arr[-1])
-    if scale <= 0.0:
+    distances = np.sort(np.asarray(distances_from(point, p).values, dtype=float))
+    if distances[-1] <= 0.0:
         return OracleResult(False, None, math.inf, 0)
-    target = [float(v) for v in target_arr]
-    r_in = p.circumradius
-    l_in = point.distance_to(p.center)
-    param_scale = max(r_in, l_in)
+    exp = math.frexp(float(distances[-1]))[1]
+    target_arr = np.ldexp(distances, -exp)
+    scale = float(target_arr[-1])
+    target = target_arr.tolist()
+    r_in = math.ldexp(p.circumradius, -exp)
+    l_in = math.ldexp(point.distance_to(p.center), -exp)
     mean_d = float(target_arr.mean())
     min_d = float(target_arr[0])
 
@@ -295,7 +337,7 @@ def search_second_polygon(
 
     res = cfg.grid_resolution
     psi_period = TWO_PI / n
-    psis = np.linspace(0.0, psi_period, res, endpoint=False)
+    psis = np.arange(res // 2 + 1) * (psi_period / res)
     ells = np.linspace(0.0, ell_hi, COARSE_SIZE_STEPS)
     radii = np.linspace(r_lo, r_hi, COARSE_SIZE_STEPS)
     vertex_offsets = TWO_PI * np.arange(n) / n
@@ -303,20 +345,7 @@ def search_second_polygon(
 
     obj = _grid_scores(psis, ells, radii, vertex_offsets, target_arr)
     samples = obj.size
-
-    # greedy pick of well-separated cells so the seeds cover distinct basins
-    picked: list[tuple[int, int, int]] = []
-    for idx in map(int, np.argsort(obj, axis=None)):
-        pi_, cell = divmod(idx, COARSE_SIZE_STEPS * COARSE_SIZE_STEPS)
-        li_, ri_ = divmod(cell, COARSE_SIZE_STEPS)
-        for pj, lj, rj in picked:
-            d_psi = min(abs(pi_ - pj), res - abs(pi_ - pj))
-            if d_psi <= 1 and abs(li_ - lj) <= 1 and abs(ri_ - rj) <= 1:
-                break
-        else:
-            picked.append((pi_, li_, ri_))
-            if len(picked) >= DESCENT_SEEDS:
-                break
+    picked = _pick_seeds(obj)
 
     stop_objective = (1e-9 * scale) ** 2
     max_iterations = 20 * cfg.refine_iterations
@@ -333,7 +362,7 @@ def search_second_polygon(
         base = (float(psis[pi_]), float(ells[li_]), float(radii[ri_]))
         seeds += [base, swapped(base)]
 
-    exclusion_radius = CONGRUENT_EXCLUSION_REL * max(param_scale, 1e-30)
+    exclusion_radius = CONGRUENT_EXCLUSION_REL * max(r_in, l_in)
 
     def is_congruent(x: tuple[float, float, float]) -> bool:
         return max(abs(x[2] - r_in), abs(x[1] - l_in)) <= exclusion_radius
@@ -362,10 +391,13 @@ def search_second_polygon(
     if best_kept[1] is None:
         return OracleResult(False, None, math.inf, samples)
     psi, ell, radius = best_kept[1]
-    candidate = RegularPolygonSpec(n, Point2(point.x + ell, point.y), radius, psi)
+    candidate = RegularPolygonSpec(
+        n, Point2(point.x + math.ldexp(ell, exp), point.y), math.ldexp(radius, exp), psi
+    )
     found_d = sorted(distances_from(point, candidate).values)
-    residual = max(abs(u - v) for u, v in zip(found_d, target))
-    return OracleResult(residual <= FIND_TOL * scale, candidate, residual, samples)
+    target_d = distances.tolist()
+    residual = max(abs(u - v) for u, v in zip(found_d, target_d))
+    return OracleResult(residual <= FIND_TOL * target_d[-1], candidate, residual, samples)
 
 
 def agreement(

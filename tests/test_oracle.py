@@ -6,13 +6,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
     COARSE_SIZE_STEPS,
+    DESCENT_SEEDS,
     RATIO_EXCLUSION_HALF_WIDTH,
     OracleConfig,
     _grid_scores,
+    _pick_seeds,
     _residuals,
     search_second_polygon,
     random_instance,
@@ -151,8 +155,18 @@ class TestSearch:
         poly, point = random_instance(seed, (3, 12), degenerate_mode=True)
         res = search_second_polygon(poly, point, cfg)
         assert res.found is False
-        grid = cfg.grid_resolution * COARSE_SIZE_STEPS**2
+        grid = (cfg.grid_resolution // 2 + 1) * COARSE_SIZE_STEPS**2
         assert res.samples_evaluated - grid <= 2_000
+
+    @pytest.mark.parametrize("k", [-560, 660])
+    def test_pool_search_is_scale_free(self, k):
+        for j in range(20):
+            _assert_search_scales_exactly(*random_instance(70_000 + j, (3, 8)), k)
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 19), st.integers(-1000, 1000))
+    def test_search_is_scale_free_at_any_binary_scale(self, j, k):
+        _assert_search_scales_exactly(*random_instance(70_000 + j, (3, 8)), k)
 
     def test_zero_scale_instance(self):
         p = RegularPolygonSpec(4, Point2(1.0, 2.0), 0.0, 0.0)
@@ -170,7 +184,16 @@ class TestConfig:
                 OracleConfig(refine_iterations=refine)
 
 
-@pytest.mark.parametrize("flag", [["--grid", "4"], ["--refine", "0"]])
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--grid", "4"],
+        ["--refine", "0"],
+        ["--n-min", "2"],
+        ["--n-min", "9", "--n-max", "8"],
+        ["--instances", "-1"],
+    ],
+)
 def test_agreement_script_reports_bad_config_as_usage_error(flag):
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -205,6 +228,44 @@ class TestKernels:
         diff = np.sort(np.sqrt(d2), axis=-1) - target
         want = np.einsum("plrk,plrk->plr", diff, diff)
         assert np.array_equal(_grid_scores(psis, ells, radii, offsets, target), want)
+
+    def test_grid_scores_are_mirror_symmetric(self):
+        # reflecting a candidate in the line through the point and its center
+        # maps phase psi to 2*pi/n - psi and keeps every distance
+        rng = np.random.default_rng(603)
+        for n in range(3, 65):
+            target = np.sort(rng.uniform(0.1, 3.0, n))
+            psis = rng.uniform(0.0, TWO_PI / n, 8)
+            ells = rng.uniform(0.0, 2.0, 6)
+            radii = rng.uniform(0.0, 3.5, 6)
+            offsets = TWO_PI * np.arange(n) / n
+            got = _grid_scores(psis, ells, radii, offsets, target)
+            mirrored = _grid_scores(TWO_PI / n - psis, ells, radii, offsets, target)
+            assert np.allclose(mirrored, got, rtol=1e-12, atol=0.0), n
+
+    def test_seed_pick_matches_a_full_sort(self):
+        rng = np.random.default_rng(604)
+        steps = COARSE_SIZE_STEPS
+        for trial in range(1_000):
+            shape = (int(rng.integers(5, 34)), steps, steps)
+            cells = np.indices(shape).reshape(3, -1).T
+            if trial % 3 == 2:
+                # interior cells 3 apart, so no two share a neighbour
+                cells_ok = np.all((cells % 3 == 1) & (cells < np.array(shape) - 1), axis=1)
+                pool = cells[cells_ok]
+            else:
+                pool = cells
+            centers = pool[rng.choice(len(pool), DESCENT_SEEDS + 2, replace=False)]
+            gap2 = ((cells[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+            if trial % 3 == 0:  # unstructured
+                obj = rng.uniform(size=shape)
+            elif trial % 3 == 1:  # smooth basins of random depth
+                obj = (gap2 + rng.uniform(0.0, 20.0, len(centers))).min(axis=1).reshape(shape)
+            else:  # all 26 neighbours of a basin come before the next basin
+                depth = np.where(gap2 <= 3, 3.5 * np.arange(len(centers)) + gap2, 1e3)
+                obj = depth.min(axis=1).reshape(shape)
+            obj = obj + rng.uniform(0.0, 1e-3, shape)
+            assert _pick_seeds(obj) == _full_sort_pick(obj), trial
 
     def test_residuals_match_sorted_hypot_differences(self):
         rng = np.random.default_rng(601)
@@ -243,6 +304,37 @@ class TestKernels:
                 for row, i in zip(jac, order):
                     fd = (plus[i] - minus[i]) / (2.0 * h)
                     assert abs(row[j] - fd) <= 1e-6 * max(abs(fd), 1.0), (n, psi, ell, radius, j)
+
+
+def _assert_search_scales_exactly(poly, point, k):
+    """The search on the instance scaled by 2**k finds 2**k times the sizes."""
+    def scaled(q):
+        return Point2(math.ldexp(q.x, k), math.ldexp(q.y, k))
+
+    ref = search_second_polygon(poly, point)
+    moved_point = scaled(point)
+    res = search_second_polygon(
+        RegularPolygonSpec(poly.n, scaled(poly.center), math.ldexp(poly.circumradius, k), poly.phase),
+        moved_point,
+    )
+    assert ref.found and res.found, k
+    assert res.samples_evaluated == ref.samples_evaluated
+    assert res.polygon.circumradius == math.ldexp(ref.polygon.circumradius, k)
+    assert moved_point.distance_to(res.polygon.center) == math.ldexp(
+        point.distance_to(ref.polygon.center), k
+    )
+
+
+def _full_sort_pick(obj):
+    """The seed pick over a full sort of the grid, for reference."""
+    picked = []
+    for idx in np.argsort(obj, axis=None, kind="stable").tolist():
+        cell = np.unravel_index(idx, obj.shape)
+        if all(max(abs(a - b) for a, b in zip(cell, other)) > 1 for other in picked):
+            picked.append(cell)
+            if len(picked) == DESCENT_SEEDS:
+                break
+    return [tuple(map(int, cell)) for cell in picked]
 
 
 def _dirs(n):
