@@ -19,8 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import cyclic, pompeiu, svg
 from .dual import Degeneracy, DualSolution, solve
@@ -30,10 +29,9 @@ from .reconstruct import DualPolygonPair, construct_dual, verify_permutation
 from .two_points import two_points
 
 
-@dataclass(frozen=True)
-class JobRequest:
+class JobRequest(NamedTuple):
     command: str
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
     tol: float = 1e-9
     seed: int = 0
 
@@ -68,7 +66,7 @@ def _emit(obj: Any, out: list[str]) -> None:
             out.append(":")
             _emit(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)):
+    elif type(obj) in (list, tuple):  # records are tuples too; they stay unserializable
         out.append("[")
         for i, v in enumerate(obj):
             if i:

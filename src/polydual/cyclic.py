@@ -15,32 +15,30 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .geometry import DistanceSpec
 
 
-@dataclass(frozen=True)
-class CyclicAverages:
+class CyclicAverages(namedtuple("CyclicAverages", "n values")):
     """The n-1 even-power means; entry m-1 holds the mean of d_i^(2m)."""
 
-    n: int
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got {self.n}")
-        if len(vals) != self.n - 1:
-            raise ValueError(f"expected {self.n - 1} entries, got {len(vals)}")
+    def __new__(cls, n: int, values: tuple[float, ...]) -> "CyclicAverages":
+        vals = tuple(float(v) for v in values)
+        if n < 3:
+            raise ValueError(f"need n >= 3, got {n}")
+        if len(vals) != n - 1:
+            raise ValueError(f"expected {n - 1} entries, got {len(vals)}")
         for v in vals:
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"entries must be finite and >= 0, got {v}")
+        return tuple.__new__(cls, (n, vals))
 
 
-@dataclass(frozen=True)
-class ConsistencyCheck:
+class ConsistencyCheck(NamedTuple):
     order: int  # half-power index m; the check covers the mean of d^(2m)
     expected: float
     actual: float
@@ -48,8 +46,7 @@ class ConsistencyCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     checks: tuple[ConsistencyCheck, ...]
     moment_inequality_ok: bool
     passed: bool

@@ -18,7 +18,7 @@ import functools
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RealizabilityError
 from .geometry import TWO_PI, DistanceSpec
@@ -30,16 +30,14 @@ class Degeneracy(enum.Enum):
     AT_CENTER = "at_center"
 
 
-@dataclass(frozen=True)
-class RadiusDistancePair:
+class RadiusDistancePair(NamedTuple):
     """A polygon circumradius together with the point-to-center distance."""
 
     circumradius: float
     center_distance: float
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     mean_square: float
     discriminant: float
     larger: RadiusDistancePair

@@ -1,14 +1,15 @@
 """Planar primitives: points, regular polygons, vertex distances.
 
-All types are immutable values and every function is pure, so everything
-here can be shared freely across threads.  Vertices come from one float
-kernel, :func:`vertex_coords`; the hot paths read its floats directly.
+All types are immutable tuple records and every function is pure, so
+everything here can be shared freely across threads.  Vertices come from
+one float kernel, :func:`vertex_coords`; the hot paths read its floats
+directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -20,14 +21,13 @@ def normalize_angle(angle: float) -> float:
     return 0.0 if a >= TWO_PI else a
 
 
-@dataclass(frozen=True)
-class Point2:
-    x: float
-    y: float
+class Point2(namedtuple("Point2", "x y")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
+    def __new__(cls, x: float, y: float) -> "Point2":
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+        return tuple.__new__(cls, (x, y))
 
     def distance_to(self, other: "Point2") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
@@ -45,8 +45,7 @@ def rotate_about(p: Point2, center: Point2, angle: float) -> Point2:
     return Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy)
 
 
-@dataclass(frozen=True)
-class RegularPolygonSpec:
+class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n center circumradius phase")):
     """A regular n-gon given by center, circumradius and first-vertex angle.
 
     ``circumradius == 0`` is allowed as an explicit degenerate carrier; all
@@ -54,37 +53,33 @@ class RegularPolygonSpec:
     [0, 2*pi) on construction.
     """
 
-    n: int
-    center: Point2
-    circumradius: float
-    phase: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError(f"need at least 3 vertices, got n={self.n}")
-        if not math.isfinite(self.circumradius) or self.circumradius < 0.0:
-            raise ValueError(
-                f"circumradius must be finite and >= 0, got {self.circumradius}"
-            )
-        if not math.isfinite(self.phase):
+    def __new__(
+        cls, n: int, center: Point2, circumradius: float, phase: float = 0.0
+    ) -> "RegularPolygonSpec":
+        if n < 3:
+            raise ValueError(f"need at least 3 vertices, got n={n}")
+        if not math.isfinite(circumradius) or circumradius < 0.0:
+            raise ValueError(f"circumradius must be finite and >= 0, got {circumradius}")
+        if not math.isfinite(phase):
             raise ValueError("phase must be finite")
-        object.__setattr__(self, "phase", normalize_angle(self.phase))
+        return tuple.__new__(cls, (n, center, circumradius, normalize_angle(phase)))
 
 
-@dataclass(frozen=True)
-class DistanceSpec:
+class DistanceSpec(namedtuple("DistanceSpec", "values")):
     """Ordered distances from one point to the n polygon vertices."""
 
-    values: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        vals = tuple(map(float, self.values))
-        object.__setattr__(self, "values", vals)
+    def __new__(cls, values: tuple[float, ...]) -> "DistanceSpec":
+        vals = tuple(map(float, values))
         if len(vals) < 3:
             raise ValueError(f"need at least 3 distances, got {len(vals)}")
         for v in vals:
             if not math.isfinite(v) or v < 0.0:
                 raise ValueError(f"distances must be finite and >= 0, got {v}")
+        return tuple.__new__(cls, (vals,))
 
     @property
     def n(self) -> int:

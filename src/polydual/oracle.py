@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Any, Optional
+from collections import namedtuple
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -72,8 +72,7 @@ PICK_WINDOW = DESCENT_SEEDS + (DESCENT_SEEDS - 1) * 26
 FIND_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class OracleConfig:
+class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations")):
     """Search controls.
 
     ``grid_resolution`` is the grid stage's phase spacing: phases
@@ -87,18 +86,17 @@ class OracleConfig:
     the fixed ``FIND_TOL``.
     """
 
-    grid_resolution: int = 64
-    refine_iterations: int = 3
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.grid_resolution < 8:
+    def __new__(cls, grid_resolution: int = 64, refine_iterations: int = 3) -> "OracleConfig":
+        if grid_resolution < 8:
             raise ValueError("grid_resolution must be >= 8")
-        if self.refine_iterations < 1:
+        if refine_iterations < 1:
             raise ValueError("refine_iterations must be >= 1")
+        return tuple.__new__(cls, (grid_resolution, refine_iterations))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     found: bool
     polygon: Optional[RegularPolygonSpec]
     residual: float

@@ -14,7 +14,7 @@ explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dual import Degeneracy, DualSolution, solve
 from .errors import DegenerateError, TriangleInequalityError
@@ -23,8 +23,7 @@ from .geometry import DistanceSpec, Point2, RegularPolygonSpec, azimuth, rotate_
 SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class PompeiuTriangle:
+class PompeiuTriangle(NamedTuple):
     """The triangle whose sides are the three vertex distances, and their fit."""
 
     d1: float
@@ -35,8 +34,7 @@ class PompeiuTriangle:
     solution: DualSolution
 
 
-@dataclass(frozen=True)
-class EquilateralDual:
+class EquilateralDual(NamedTuple):
     """Closed-form parameter pairs plus the two triangle side lengths."""
 
     solution: DualSolution
@@ -44,8 +42,7 @@ class EquilateralDual:
     side_smaller: float
 
 
-@dataclass(frozen=True)
-class TrianglePair:
+class TrianglePair(NamedTuple):
     """Both equilateral triangles realizing one distance triple.
 
     The first vertex of ``larger`` and of ``smaller`` is the shared one.

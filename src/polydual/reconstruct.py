@@ -16,7 +16,7 @@ two mirror-image companions, with no law of cosines to invert.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .dual import Degeneracy, classify
 from .errors import DegenerateError
@@ -31,15 +31,13 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
-class PermutationMatch:
+class PermutationMatch(NamedTuple):
     ok: bool
     permutation: tuple[int, ...]
     residual: float
 
 
-@dataclass(frozen=True)
-class DualPolygonPair:
+class DualPolygonPair(NamedTuple):
     primary_polygon: RegularPolygonSpec
     point: Point2
     b_polygon: RegularPolygonSpec

@@ -10,7 +10,7 @@ polygon's ``vertex_coords`` are built once and feed its outline and labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import Point2, RegularPolygonSpec, vertex_coords, vertices
 from .pompeiu import TrianglePair, triangle_spec
@@ -25,8 +25,7 @@ _STROKES = {
 }
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     polygons: tuple[tuple[RegularPolygonSpec, str], ...] = ()  # (spec, label prefix)
     circles: tuple[tuple[Point2, float], ...] = ()
     markers: tuple[tuple[Point2, str], ...] = ()

@@ -14,16 +14,14 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import CongruentError, SharedVertexError
 from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_to, vertex_coords
 from .reconstruct import PermutationMatch, verify_permutation
 
 
-@dataclass(frozen=True)
-class TwoPointsSolution:
+class TwoPointsSolution(NamedTuple):
     m1: Point2
     m2: Optional[Point2]
     matches: tuple[PermutationMatch, ...]

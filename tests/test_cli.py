@@ -48,6 +48,12 @@ class TestDumps:
     def test_booleans_are_not_integers(self):
         assert dumps({"flag": True}) == '{"flag":true}'
 
+    def test_records_are_not_arrays(self):
+        with pytest.raises(TypeError, match="cannot serialize Point2"):
+            dumps(Point2(1.0, 2.0))
+        with pytest.raises(TypeError, match="cannot serialize JobRequest"):
+            dumps([JobRequest("dual", {})])
+
 
 class TestRun:
     def test_square_dual(self):
@@ -446,9 +452,20 @@ def test_zero_tol_is_valid(capsys):
     assert json.loads(capsys.readouterr().out)["m2"] is not None
 
 
+def _run_fresh(lines):
+    """Run a script in a new interpreter that imports the package from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_only_verify_imports_numpy():
     """A non-verify command runs without numpy, and submodules stay modules."""
-    script = "\n".join([
+    proc = _run_fresh([
         "import contextlib, io, sys, types",
         "import polydual.cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
@@ -457,13 +474,21 @@ def test_only_verify_imports_numpy():
         "import polydual.two_points",
         "assert isinstance(polydual.two_points, types.ModuleType), polydual.two_points",
     ])
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_process_skips_dataclasses_inspect_and_numpy():
+    """The records are tuples, so ``dual`` and ``render`` load none of these."""
+    proc = _run_fresh([
+        "import contextlib, io, sys",
+        "import polydual.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert polydual.cli.main(['dual', '--distances', '3,5,7']) == 0",
+        "    assert polydual.cli.main(",
+        "        ['render', '--scene', 'pompeiu', '--distances', '3,5,7']) == 0",
+        "loaded = sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules))",
+        "assert not loaded, loaded",
+    ])
     assert proc.returncode == 0, proc.stderr
 
 
