@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 import sys
 from typing import NamedTuple
 
@@ -90,9 +89,14 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     cos_t, sin_t = _slot_tables(d.n)
     s2 = math.fsum(squares) / d.n
     dev = [q - s2 for q in squares]
-    # twice the first Fourier coefficient of the squares: 2P*cos(psi), -2P*sin(psi)
-    re = 2.0 * sum(map(operator.mul, dev, cos_t)) / d.n
-    im = 2.0 * sum(map(operator.mul, dev, sin_t)) / d.n
+    # twice the first Fourier coefficient of the squares: 2P*cos(psi), -2P*sin(psi);
+    # added left to right, since the builtin sum compensates from Python 3.12
+    re = im = 0.0
+    for q, c, s in zip(dev, cos_t, sin_t):
+        re += q * c
+        im += q * s
+    re = 2.0 * re / d.n
+    im = 2.0 * im / d.n
     two_p = math.hypot(re, im)
     disc = (s2 + two_p) * (s2 - two_p)
     if disc < -tol * (s2 * s2):

@@ -33,15 +33,24 @@ ell^2 + r^2 + 2*ell*r*cos(angle) is non-decreasing in the cosine because
 ell, r >= 0, and every rounded step after it (the product, the sum, the
 clamp at 0, the square root) is monotone too.  So the n cosines are
 sorted once per phase, and every cell's distances come out sorted: the
-same floats a per-cell sort gives.
+same floats a per-cell sort gives.  The grid's work array is laid out
+(phase, vertex, center distance, radius), so each array pass runs over a
+contiguous size grid, and the sum over the vertices adds them left to
+right, one size grid at a time.  The row ell = 0 (a candidate centered on
+the point) has every distance equal to its radius at any phase, so it is
+scored once and broadcast over the phases.
+
+The seeds are drawn lazily: the best cell comes from one ``argmin`` (on
+ties the lowest index, the cell a stable sort puts first), and the
+partial sort of the best cells runs only if the descent loop asks for a
+second grid seed, which most searches never do.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -170,6 +179,14 @@ def _residuals(
     return [ds[i] - t for i, t in zip(order, target)], [rows[i] for i in order]
 
 
+def _sum_squares(e: list[float]) -> float:
+    """Sum of squares added left to right: the builtin ``sum`` compensates from Python 3.12."""
+    f = 0.0
+    for ek in e:
+        f += ek * ek
+    return f
+
+
 def _grid_scores(
     psis: np.ndarray,
     ells: np.ndarray,
@@ -182,40 +199,51 @@ def _grid_scores(
     Vertex k of a candidate sits at ell + r*exp(i*(psi + vertex_offsets[k]))
     seen from the point; the cosines are sorted once per phase (see the
     module docstring), so each cell's distances need no sort of their own.
+    ``ells[0]`` must be 0: that row is scored once for every phase.
     """
     cosang = np.sort(np.cos(psis[:, None] + vertex_offsets), axis=-1)
-    ll = ells[None, :, None, None]
-    rr = radii[None, None, :, None]
-    d = 2.0 * ll * rr * cosang[:, None, None, :]
-    d += ll * ll + rr * rr
+    ll = ells[1:, None]
+    d = cosang[:, :, None, None] * (2.0 * ll * radii)
+    d += ll * ll + radii * radii
     np.maximum(d, 0.0, out=d)
     np.sqrt(d, out=d)
-    d -= target_arr
-    return np.einsum("plrk,plrk->plr", d, d)
+    d -= target_arr[:, None, None]
+    d *= d
+    obj = np.empty((len(psis), len(ells), len(radii)))
+    np.add.reduce(d, axis=1, out=obj[:, 1:])
+    # at ell = 0 every vertex lies r from the point, whatever the phase
+    row = np.sqrt(radii * radii) - target_arr[:, None]
+    row *= row
+    obj[:, 0] = np.add.reduce(row, axis=0)
+    return obj
 
 
-def _pick_seeds(obj: np.ndarray) -> list[tuple[int, int, int]]:
+def _pick_seeds(obj: np.ndarray) -> Iterator[tuple[int, int, int]]:
     """Greedy pick of the ``DESCENT_SEEDS`` best cells, no two of them grid neighbours.
 
     Cells are read best first (ties in index order) and a cell within one
     step of a picked one on every axis is passed over, so the seeds cover
     distinct basins.  No axis wraps: the phase axis spans half a period,
-    and its end phases are their own mirror images.  Only the
-    ``PICK_WINDOW`` best cells are ever read, so only they are sorted.
+    and its end phases are their own mirror images.  The best cell comes
+    from one ``argmin``; only when a second seed is asked for are the
+    ``PICK_WINDOW`` best cells, the most the pick can read, partitioned
+    out and sorted.
     """
     flat = obj.ravel()
+    first = tuple(map(int, np.unravel_index(flat.argmin(), obj.shape)))
+    yield first
+    picked = [first]
     best = np.argpartition(flat, PICK_WINDOW - 1)[:PICK_WINDOW]
     best = best[np.lexsort((best, flat[best]))]
-    picked: list[tuple[int, int, int]] = []
     for pi_, li_, ri_ in zip(*(axis.tolist() for axis in np.unravel_index(best, obj.shape))):
         for pj, lj, rj in picked:
             if abs(pi_ - pj) <= 1 and abs(li_ - lj) <= 1 and abs(ri_ - rj) <= 1:
                 break
         else:
+            yield pi_, li_, ri_
             picked.append((pi_, li_, ri_))
             if len(picked) >= DESCENT_SEEDS:
-                break
-    return picked
+                return
 
 
 def _lm_descent(
@@ -238,7 +266,7 @@ def _lm_descent(
     """
     x = start
     e, jac = _residuals(dirs, target, *x)
-    f = sum(map(operator.mul, e, e))
+    f = _sum_squares(e)
     evals = 1
     scale = target[-1]
     psi_period = TWO_PI / len(dirs)
@@ -278,7 +306,7 @@ def _lm_descent(
             min(max(x[2] - (c02 * g0 + c12 * g1 + c22 * g2) / det, bounds_r[0]), bounds_r[1]),
         )
         et, jt = _residuals(dirs, target, *trial)
-        ft = sum(map(operator.mul, et, et))
+        ft = _sum_squares(et)
         evals += 1
         if ft < f:
             x, f, e, jac = trial, ft, et, jt
@@ -336,14 +364,16 @@ def search_second_polygon(
     res = cfg.grid_resolution
     psi_period = TWO_PI / n
     psis = np.arange(res // 2 + 1) * (psi_period / res)
-    ells = np.linspace(0.0, ell_hi, COARSE_SIZE_STEPS)
-    radii = np.linspace(r_lo, r_hi, COARSE_SIZE_STEPS)
+    # np.linspace's arithmetic (and floats) for both size axes, without its per-call overhead
+    lo, hi = np.array(((0.0, r_lo), (ell_hi, r_hi)))
+    sizes = np.arange(COARSE_SIZE_STEPS)[:, None] * ((hi - lo) / (COARSE_SIZE_STEPS - 1)) + lo
+    sizes[-1] = hi
+    ells, radii = sizes.T
     vertex_offsets = TWO_PI * np.arange(n) / n
     dirs = [(math.cos(a), math.sin(a)) for a in vertex_offsets.tolist()]
 
     obj = _grid_scores(psis, ells, radii, vertex_offsets, target_arr)
     samples = obj.size
-    picked = _pick_seeds(obj)
 
     stop_objective = (1e-9 * scale) ** 2
     max_iterations = 20 * cfg.refine_iterations
@@ -355,10 +385,12 @@ def search_second_polygon(
     def descend(x: tuple[float, float, float]) -> tuple[tuple[float, float, float], float, int]:
         return _lm_descent(dirs, target, x, (0.0, ell_hi), (r_lo, r_hi), stop_objective, max_iterations)
 
-    seeds = []
-    for pi_, li_, ri_ in picked:
-        base = (float(psis[pi_]), float(ells[li_]), float(radii[ri_]))
-        seeds += [base, swapped(base)]
+    def seeds() -> Iterator[tuple[float, float, float]]:
+        # drawn as the loop asks, so a search that stops early picks no more
+        for pi_, li_, ri_ in _pick_seeds(obj):
+            base = (float(psis[pi_]), float(ells[li_]), float(radii[ri_]))
+            yield base
+            yield swapped(base)
 
     exclusion_radius = CONGRUENT_EXCLUSION_REL * max(r_in, l_in)
 
@@ -367,7 +399,7 @@ def search_second_polygon(
 
     best_excluded: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
     best_kept: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
-    for seed_x in seeds:
+    for seed_x in seeds():
         x, f, ev = descend(seed_x)
         samples += ev
         if is_congruent(x):

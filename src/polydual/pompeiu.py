@@ -55,7 +55,11 @@ class TrianglePair(NamedTuple):
 
 def triangle_spec(tri: tuple[Point2, Point2, Point2]) -> RegularPolygonSpec:
     """The equilateral triangle through three vertices, ``tri[0]`` first."""
-    center = Point2(sum(v.x for v in tri) / 3.0, sum(v.y for v in tri) / 3.0)
+    cx = cy = 0.0
+    for v in tri:  # left to right: the builtin sum compensates from Python 3.12
+        cx += v.x
+        cy += v.y
+    center = Point2(cx / 3.0, cy / 3.0)
     radius = center.distance_to(tri[0])
     return RegularPolygonSpec(3, center, radius, azimuth(center, tri[0]) if radius > 0 else 0.0)
 

@@ -211,7 +211,7 @@ def test_agreement_script_reports_bad_config_as_usage_error(flag):
 class TestKernels:
     """The fast kernels give the same floats as their plain full-sort forms."""
 
-    @pytest.mark.parametrize("n", range(3, 13))
+    @pytest.mark.parametrize("n", range(3, 65))
     @pytest.mark.parametrize("r_lo", [0.0, 0.7])
     def test_grid_scores_match_a_per_cell_sort(self, n, r_lo):
         rng = np.random.default_rng(600 + n)
@@ -226,7 +226,9 @@ class TestKernels:
         d2 = ll * ll + rr * rr + 2.0 * ll * rr * cosang
         np.maximum(d2, 0.0, out=d2)
         diff = np.sort(np.sqrt(d2), axis=-1) - target
-        want = np.einsum("plrk,plrk->plr", diff, diff)
+        want = np.zeros(diff.shape[:-1])
+        for k in range(n):  # the vertices added left to right
+            want += diff[..., k] * diff[..., k]
         assert np.array_equal(_grid_scores(psis, ells, radii, offsets, target), want)
 
     def test_grid_scores_are_mirror_symmetric(self):
@@ -236,7 +238,7 @@ class TestKernels:
         for n in range(3, 65):
             target = np.sort(rng.uniform(0.1, 3.0, n))
             psis = rng.uniform(0.0, TWO_PI / n, 8)
-            ells = rng.uniform(0.0, 2.0, 6)
+            ells = np.r_[0.0, rng.uniform(0.0, 2.0, 6)]  # _grid_scores needs ells[0] == 0
             radii = rng.uniform(0.0, 3.5, 6)
             offsets = TWO_PI * np.arange(n) / n
             got = _grid_scores(psis, ells, radii, offsets, target)
@@ -265,7 +267,24 @@ class TestKernels:
                 depth = np.where(gap2 <= 3, 3.5 * np.arange(len(centers)) + gap2, 1e3)
                 obj = depth.min(axis=1).reshape(shape)
             obj = obj + rng.uniform(0.0, 1e-3, shape)
-            assert _pick_seeds(obj) == _full_sort_pick(obj), trial
+            assert list(_pick_seeds(obj)) == _full_sort_pick(obj), trial
+
+    def test_seed_pick_yields_the_best_cell_before_any_partition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("partitioned the grid")
+
+        monkeypatch.setattr(np, "argpartition", refuse)
+        rng = np.random.default_rng(605)
+        for trial in range(300):
+            shape = (int(rng.integers(5, 34)), COARSE_SIZE_STEPS, COARSE_SIZE_STEPS)
+            if trial % 2:
+                obj = rng.integers(0, 3, shape).astype(float)  # many tied best cells
+            else:
+                obj = rng.uniform(size=shape)
+            seeds = _pick_seeds(obj)
+            assert next(seeds) == _full_sort_pick(obj)[0], trial
+            with pytest.raises(AssertionError, match="partitioned"):
+                next(seeds)  # only a second seed needs the partition
 
     def test_residuals_match_sorted_hypot_differences(self):
         rng = np.random.default_rng(601)
