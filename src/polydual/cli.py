@@ -10,7 +10,8 @@ residual of ``dual.solve``; ``averages`` keeps the paper's even-power
 means and their closure identities.  Errors are mapped in one place: ``run``
 rejects a negative or non-finite ``tol``, turns domain errors into an
 error object and ``ValueError``/``TypeError`` from a handler into
-``SchemaError``; ``main`` maps schema errors to exit 2.
+``SchemaError``; ``main`` maps schema errors to exit 2.  Each handler
+imports the modules it runs, so a process loads only its own command's.
 """
 
 from __future__ import annotations
@@ -19,14 +20,15 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, NamedTuple, Optional
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
-from . import cyclic, pompeiu, svg
-from .dual import Degeneracy, DualSolution, solve
 from .errors import DomainError, SchemaError
 from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
-from .reconstruct import DualPolygonPair, construct_dual, verify_permutation
-from .two_points import two_points
+
+if TYPE_CHECKING:
+    from .cyclic import ConsistencyReport
+    from .dual import DualSolution
+    from .reconstruct import DualPolygonPair
 
 
 class JobRequest(NamedTuple):
@@ -131,11 +133,12 @@ def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
 # ---------------------------------------------------------------------------
 # result shaping
 
-#: Where the point sits relative to the larger polygon's circumcircle.
+#: Where the point sits relative to the larger polygon's circumcircle, by
+#: ``Degeneracy`` value.
 _POINT_CLASS = {
-    Degeneracy.NONE: "inside_larger",
-    Degeneracy.ON_CIRCUMCIRCLE: "on_circle",
-    Degeneracy.AT_CENTER: "center_degenerate",
+    "none": "inside_larger",
+    "on_circumcircle": "on_circle",
+    "at_center": "center_degenerate",
 }
 
 
@@ -152,7 +155,7 @@ def _polygon_json(p: RegularPolygonSpec) -> dict[str, Any]:
     }
 
 
-def _consistency_json(report: cyclic.ConsistencyReport) -> dict[str, Any]:
+def _consistency_json(report: ConsistencyReport) -> dict[str, Any]:
     return {
         "passed": report.passed,
         "moment_inequality_ok": report.moment_inequality_ok,
@@ -182,7 +185,7 @@ def _solution_json(sol: DualSolution) -> dict[str, Any]:
             "center_distance": sol.smaller.center_distance,
         },
         "degeneracy": sol.degeneracy.value,
-        "point_class": _POINT_CLASS[sol.degeneracy],
+        "point_class": _POINT_CLASS[sol.degeneracy.value],
     }
 
 
@@ -191,6 +194,8 @@ def _solution_json(sol: DualSolution) -> dict[str, Any]:
 
 
 def _cmd_averages(request: JobRequest) -> dict[str, Any]:
+    from . import cyclic
+
     avgs = cyclic.averages_from_distances(_parse_distances(request.payload))
     report = cyclic.check_consistency(avgs, max(request.tol, 1e-12))
     return {
@@ -205,8 +210,12 @@ def _cmd_dual(request: JobRequest) -> dict[str, Any]:
     if d.n == 3:
         # the sharper n=3 diagnosis: distances must form a triangle, and a
         # triangle is realizable, so the fit does not judge it again
-        sol = pompeiu.pompeiu_from_distances(*d.values, tol=request.tol).solution
+        from .pompeiu import pompeiu_from_distances
+
+        sol = pompeiu_from_distances(*d.values, tol=request.tol).solution
     else:
+        from .dual import solve
+
         sol = solve(d, request.tol)
     out = _solution_json(sol)
     residual = sol.residual
@@ -215,6 +224,8 @@ def _cmd_dual(request: JobRequest) -> dict[str, Any]:
 
 
 def _dual_pair(request: JobRequest) -> DualPolygonPair:
+    from .reconstruct import construct_dual
+
     payload = request.payload
     return construct_dual(
         _parse_polygon(payload.get("polygon"), "polygon"),
@@ -225,6 +236,8 @@ def _dual_pair(request: JobRequest) -> DualPolygonPair:
 
 
 def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
+    from .reconstruct import verify_permutation
+
     pair = _dual_pair(request)
     point = pair.point
     d_in = distances_from(point, pair.primary_polygon)
@@ -246,6 +259,8 @@ def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
 
 
 def _cmd_pompeiu(request: JobRequest) -> dict[str, Any]:
+    from . import pompeiu
+
     d1, d2, d3 = _parse_triangle(request.payload)
     tri = pompeiu.pompeiu_from_distances(d1, d2, d3, request.tol)
     dual = pompeiu.solve_equilateral(tri)
@@ -276,6 +291,8 @@ def _polygon_pair(request: JobRequest) -> tuple[RegularPolygonSpec, RegularPolyg
 
 
 def _cmd_two_points(request: JobRequest) -> dict[str, Any]:
+    from .two_points import two_points
+
     sol = two_points(*_polygon_pair(request), request.tol)
     return {
         "m1": _point_json(sol.m1),
@@ -309,6 +326,8 @@ def _cmd_verify(request: JobRequest) -> dict[str, Any]:
 
 
 def _cmd_render(request: JobRequest) -> dict[str, Any]:
+    from . import svg
+
     payload = request.payload
     scene_kind = payload.get("scene")
     if scene_kind == "dual":
@@ -316,11 +335,15 @@ def _cmd_render(request: JobRequest) -> dict[str, Any]:
             _dual_pair(request), include_mirror=bool(payload.get("mirror"))
         )
     elif scene_kind == "two-points":
+        from .two_points import two_points
+
         pa, pb = _polygon_pair(request)
         scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, request.tol))
     elif scene_kind == "pompeiu":
+        from .pompeiu import construct_both_triangles
+
         scene = svg.scene_from_triangle_pair(
-            pompeiu.construct_both_triangles(*_parse_triangle(payload), tol=request.tol)
+            construct_both_triangles(*_parse_triangle(payload), tol=request.tol)
         )
     else:
         raise SchemaError("'scene' must be one of dual, two-points, pompeiu")

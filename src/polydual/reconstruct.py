@@ -86,9 +86,11 @@ def construct_dual(
     base = azimuth(center, point)
     b_polygon = RegularPolygonSpec(p.n, center, dist_in, base + alpha)
     c_polygon = RegularPolygonSpec(p.n, center, dist_in, base - alpha)
+    # the residual verify_permutation reports: the gap of the sorted lists
+    ds = sorted(d.values)
     residual = max(
-        verify_permutation(d, distances_from(point, b_polygon)).residual,
-        verify_permutation(d, distances_from(point, c_polygon)).residual,
+        max([abs(x - y) for x, y in zip(ds, sorted(distances_from(point, q).values))])
+        for q in (b_polygon, c_polygon)
     )
     return DualPolygonPair(
         primary_polygon=p,
@@ -105,7 +107,8 @@ def verify_permutation(
 ) -> PermutationMatch:
     """Best index pairing of the two lists: pi with x[pi[i]] matching d[i].
 
-    This is the package's one sorted-multiset comparison.  Matching in
+    This is the package's one sorted-multiset comparison; ``construct_dual``
+    needs only its residual and takes it from the sorted values.  Matching in
     sorted order minimizes the largest pairwise gap, so the reported
     residual is the best achievable over all permutations; the
     permutation itself is returned even on failure.  The lists match when

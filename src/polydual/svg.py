@@ -10,12 +10,14 @@ polygon's ``vertex_coords`` are built once and feed its outline and labels.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .geometry import Point2, RegularPolygonSpec, vertex_coords, vertices
-from .pompeiu import TrianglePair, triangle_spec
-from .reconstruct import DualPolygonPair
-from .two_points import TwoPointsSolution
+
+if TYPE_CHECKING:
+    from .pompeiu import TrianglePair
+    from .reconstruct import DualPolygonPair
+    from .two_points import TwoPointsSolution
 
 _STROKES = {
     "polygon": "#1f4e79",
@@ -75,6 +77,8 @@ def scene_from_two_points(
 
 def scene_from_triangle_pair(tp: TrianglePair) -> Scene:
     """Both equilateral triangles with all six distance segments."""
+    from .pompeiu import triangle_spec
+
     polys = ((triangle_spec(tp.larger), "A"), (triangle_spec(tp.smaller), "B"))
     segments = tuple((tp.point, v) for tri in (tp.larger, tp.smaller) for v in tri)
     return Scene(
@@ -118,7 +122,27 @@ def render_svg(scene: Scene) -> str:
         raise ValueError("the scene's extent is outside the float range")
     stroke = 0.005 * span
     marker_r = 0.012 * span
-    font = 0.035 * span
+    offset = 1.2 * marker_r  # labels sit this far from their vertex or marker
+    # the attributes every element of a kind shares are formatted once
+    width = "%.8g" % stroke
+    circle = (
+        '<circle class="construction-circle" cx="%%.8g" cy="%%.8g" r="%%.8g" fill="none" '
+        'stroke="%s" stroke-width="%s" stroke-dasharray="%.8g %.8g"/>'
+        % (_STROKES["construction-circle"], width, 4 * stroke, 3 * stroke)
+    )
+    polygon = (
+        '<polygon class="polygon" points="%%s" fill="none" stroke="%s" stroke-width="%.8g"/>'
+        % (_STROKES["polygon"], 1.6 * stroke)
+    )
+    segment = (
+        '<line class="distance-segment" x1="%%.8g" y1="%%.8g" x2="%%.8g" y2="%%.8g" '
+        'stroke="%s" stroke-width="%s"/>' % (_STROKES["distance-segment"], width)
+    )
+    marker = (
+        '<circle class="point-marker" cx="%%.8g" cy="%%.8g" r="%.8g" fill="%s"/>'
+        % (marker_r, _STROKES["point-marker"])
+    )
+    label = '<text class="label" x="%%.8g" y="%%.8g" font-size="%.8g">%%s</text>' % (0.035 * span)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -126,41 +150,17 @@ def render_svg(scene: Scene) -> str:
         f'viewBox="{vx:.8g} {-(vy + vh):.8g} {vw:.8g} {vh:.8g}">',
         '<g transform="scale(1,-1)">',
     ]
-    for center, radius in scene.circles:
-        lines.append(
-            f'<circle class="construction-circle" cx="{center.x:.8g}" cy="{center.y:.8g}" '
-            f'r="{radius:.8g}" fill="none" stroke="{_STROKES["construction-circle"]}" '
-            f'stroke-width="{stroke:.8g}" stroke-dasharray="{4 * stroke:.8g} {3 * stroke:.8g}"/>'
-        )
-    for xy in coords:
-        pts = " ".join(f"{x:.8g},{y:.8g}" for x, y in xy)
-        lines.append(
-            f'<polygon class="polygon" points="{pts}" fill="none" '
-            f'stroke="{_STROKES["polygon"]}" stroke-width="{1.6 * stroke:.8g}"/>'
-        )
-    for a, b in scene.segments:
-        lines.append(
-            f'<line class="distance-segment" x1="{a.x:.8g}" y1="{a.y:.8g}" '
-            f'x2="{b.x:.8g}" y2="{b.y:.8g}" stroke="{_STROKES["distance-segment"]}" '
-            f'stroke-width="{stroke:.8g}"/>'
-        )
-    for q, _label in scene.markers:
-        lines.append(
-            f'<circle class="point-marker" cx="{q.x:.8g}" cy="{q.y:.8g}" '
-            f'r="{marker_r:.8g}" fill="{_STROKES["point-marker"]}"/>'
-        )
+    lines += [circle % (c.x, c.y, radius) for c, radius in scene.circles]
+    lines += [polygon % " ".join(["%.8g,%.8g" % xy for xy in xys]) for xys in coords]
+    lines += [segment % (a.x, a.y, b.x, b.y) for a, b in scene.segments]
+    lines += [marker % (q.x, q.y) for q, _ in scene.markers]
     lines.append("</g>")
     # labels live outside the flipped group so the glyphs stay upright
-    for (_, prefix), xy in zip(scene.polygons, coords):
-        for i, (x, y) in enumerate(xy, start=1):
-            lines.append(
-                f'<text class="label" x="{x + 1.2 * marker_r:.8g}" '
-                f'y="{-(y + 1.2 * marker_r):.8g}" font-size="{font:.8g}">{prefix}{i}</text>'
-            )
-    for q, label in scene.markers:
-        lines.append(
-            f'<text class="label" x="{q.x + 1.2 * marker_r:.8g}" '
-            f'y="{-(q.y - 1.2 * marker_r):.8g}" font-size="{font:.8g}">{label}</text>'
-        )
+    for (_, prefix), xys in zip(scene.polygons, coords):
+        lines += [
+            label % (x + offset, -(y + offset), f"{prefix}{i}")
+            for i, (x, y) in enumerate(xys, start=1)
+        ]
+    lines += [label % (q.x + offset, -(q.y - offset), text) for q, text in scene.markers]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -492,6 +492,45 @@ def test_cli_process_skips_dataclasses_inspect_and_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
+#: What ``import polydual.cli`` loads before any command runs.
+CLI_BASE = {"polydual", "polydual.cli", "polydual.errors", "polydual.geometry"}
+PENTAGON_DISTANCES = ",".join(
+    map(repr, distances_from(Point2(0.3, 0.1), RegularPolygonSpec(5, Point2(0.0, 0.0), 1.0)).values)
+)
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["dual", "--distances", "3,5,7"], {"dual", "pompeiu"}),
+        (["dual", "--distances", PENTAGON_DISTANCES], {"dual"}),
+        (["averages", "--distances", SQUARE_DISTANCES], {"cyclic"}),
+        (["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"], {"dual", "reconstruct"}),
+        (["pompeiu", "--distances", "3,5,7", "--construct"], {"dual", "pompeiu"}),
+        (["two-points", *README_PAIR], {"dual", "reconstruct", "two_points"}),
+        (["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
+         {"dual", "reconstruct", "svg"}),
+        (["render", "--scene", "two-points", *README_PAIR],
+         {"dual", "reconstruct", "svg", "two_points"}),
+        (["render", "--scene", "pompeiu", "--distances", "3,5,7"], {"dual", "pompeiu", "svg"}),
+        (["verify", "--instances", "1"], {"oracle"}),
+    ],
+    ids=["dual-3", "dual-5", "averages", "reconstruct", "pompeiu-construct", "two-points",
+         "render-dual", "render-two-points", "render-pompeiu", "verify"],
+)
+def test_each_command_loads_only_its_modules(argv, modules):
+    """A fresh process loads the CLI's base modules plus its own command's."""
+    proc = _run_fresh([
+        "import contextlib, io, sys",
+        "import polydual.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert polydual.cli.main({argv!r}) == 0",
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'polydual')))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == CLI_BASE | {f"polydual.{m}" for m in modules}
+
+
 def test_main_writes_output_file(tmp_path):
     out = tmp_path / "dual.json"
     code = main(["dual", "--distances", SQUARE_DISTANCES, "--out", str(out)])
