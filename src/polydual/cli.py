@@ -408,65 +408,101 @@ def _point_payload(text: str) -> dict[str, Any]:
     return {"x": float(parts[0]), "y": float(parts[1])}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, kwargs
+
+
+_TOL_OUT = (_opt("--tol", type=float, default=1e-9), _opt("--out", default=None))
+_POLYGON_HELP = "n,cx,cy,r[,phase]"
+
+#: Each command's help line and options, in the order ``polydual --help`` lists them.
+_SUBCOMMANDS = {
+    "averages": (
+        "even-power distance means and closure checks",
+        (_opt("--distances", required=True), *_TOL_OUT),
+    ),
+    "dual": (
+        "both size-parameter pairs from distances",
+        (_opt("--distances", required=True), *_TOL_OUT),
+    ),
+    "reconstruct": (
+        "coordinates of the companion polygon",
+        (
+            _opt("--polygon", required=True, help=_POLYGON_HELP),
+            _opt("--point", required=True, help="x,y"),
+            _opt("--direction", default="0"),
+            _opt("--anchor-index", type=int, default=0),
+            *_TOL_OUT,
+        ),
+    ),
+    "pompeiu": (
+        "equilateral-triangle closed forms",
+        (_opt("--distances", required=True), _opt("--construct", action="store_true"), *_TOL_OUT),
+    ),
+    "two-points": (
+        "equal-multiset points for a shared-vertex pair",
+        (
+            _opt("--polygon-a", required=True, help=_POLYGON_HELP),
+            _opt("--polygon-b", required=True, help=_POLYGON_HELP),
+            *_TOL_OUT,
+        ),
+    ),
+    "verify": (
+        "closed-form-free search vs solver agreement",
+        (
+            _opt("--instances", type=int, default=20),
+            _opt("--n-min", type=int, default=3),
+            _opt("--n-max", type=int, default=8),
+            _opt("--grid", type=int, default=64),
+            _opt("--refine", type=int, default=3,
+                 help="caps each seed's descent at 20 * REFINE iterations"),
+            _opt("--seed", type=int, default=0),
+            # no --tol: the oracle judges its finds at its own fixed tolerance
+            _opt("--out", default=None),
+        ),
+    ),
+    "render": (
+        "emit an SVG figure",
+        (
+            _opt("--scene", required=True, choices=("dual", "two-points", "pompeiu")),
+            _opt("--polygon"),
+            _opt("--point"),
+            _opt("--direction", default="0"),
+            _opt("--anchor-index", type=int, default=0),
+            _opt("--distances"),
+            _opt("--polygon-a"),
+            _opt("--polygon-b"),
+            _opt("--mirror", action="store_true"),
+            *_TOL_OUT,
+        ),
+    ),
+}
+
+#: The command argument's usage text, as argparse writes it for all the commands.
+_COMMAND_METAVAR = "{" + ",".join(_SUBCOMMANDS) + "}"
+
+
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; for a known ``command``, with that command's subparser only.
+
+    A one-command parser shows the full command list as its metavar, so
+    its usage line is the full parser's.  The full parser keeps argparse's
+    own metavar, which names the argument ``command`` in the errors only
+    it can raise: a missing or unknown command.
+    """
     parser = argparse.ArgumentParser(
         prog="polydual",
         description="Both regular n-gons realizing a list of point-to-vertex distances",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--tol", type=float, default=1e-9)
-        sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("averages", help="even-power distance means and closure checks")
-    sp.add_argument("--distances", required=True)
-    common(sp)
-
-    sp = sub.add_parser("dual", help="both size-parameter pairs from distances")
-    sp.add_argument("--distances", required=True)
-    common(sp)
-
-    sp = sub.add_parser("reconstruct", help="coordinates of the companion polygon")
-    sp.add_argument("--polygon", required=True, help="n,cx,cy,r[,phase]")
-    sp.add_argument("--point", required=True, help="x,y")
-    sp.add_argument("--direction", default="0")
-    sp.add_argument("--anchor-index", type=int, default=0)
-    common(sp)
-
-    sp = sub.add_parser("pompeiu", help="equilateral-triangle closed forms")
-    sp.add_argument("--distances", required=True)
-    sp.add_argument("--construct", action="store_true")
-    common(sp)
-
-    sp = sub.add_parser("two-points", help="equal-multiset points for a shared-vertex pair")
-    sp.add_argument("--polygon-a", required=True, help="n,cx,cy,r[,phase]")
-    sp.add_argument("--polygon-b", required=True, help="n,cx,cy,r[,phase]")
-    common(sp)
-
-    sp = sub.add_parser("verify", help="closed-form-free search vs solver agreement")
-    sp.add_argument("--instances", type=int, default=20)
-    sp.add_argument("--n-min", type=int, default=3)
-    sp.add_argument("--n-max", type=int, default=8)
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--refine", type=int, default=3,
-                    help="caps each seed's descent at 20 * REFINE iterations")
-    sp.add_argument("--seed", type=int, default=0)
-    # no --tol: the oracle judges its finds at its own fixed tolerance
-    sp.add_argument("--out", default=None)
-
-    sp = sub.add_parser("render", help="emit an SVG figure")
-    sp.add_argument("--scene", required=True, choices=("dual", "two-points", "pompeiu"))
-    sp.add_argument("--polygon")
-    sp.add_argument("--point")
-    sp.add_argument("--direction", default="0")
-    sp.add_argument("--anchor-index", type=int, default=0)
-    sp.add_argument("--distances")
-    sp.add_argument("--polygon-a")
-    sp.add_argument("--polygon-b")
-    sp.add_argument("--mirror", action="store_true")
-    common(sp)
-
+    only = command if command in _SUBCOMMANDS else None
+    sub = parser.add_subparsers(
+        dest="command", required=True, metavar=None if only is None else _COMMAND_METAVAR
+    )
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        if only in (None, name):
+            sp = sub.add_parser(name, help=help_text)
+            for flags, kwargs in options:
+                sp.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -494,8 +530,9 @@ def _request_from_args(args: argparse.Namespace) -> JobRequest:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result, code = run(_request_from_args(args))
     except (SchemaError, TypeError, ValueError) as exc:

@@ -44,10 +44,17 @@ The seeds are drawn lazily: the best cell comes from one ``argmin`` (on
 ties the lowest index, the cell a stable sort puts first), and the
 partial sort of the best cells runs only if the descent loop asks for a
 second grid seed, which most searches never do.
+
+The phases, the sorted cosine table and the vertex directions depend only
+on ``(n, grid_resolution)``, so they are built once per pair, kept in a
+bounded cache and shared read-only: the table's array cannot be written
+and the other two are tuples.  A search writes only to arrays of its own,
+so it is still safe to call from several threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from typing import Any, Iterator, NamedTuple, Optional
@@ -187,29 +194,52 @@ def _sum_squares(e: list[float]) -> float:
     return f
 
 
+def _sorted_cosines(psis: np.ndarray, vertex_offsets: np.ndarray) -> np.ndarray:
+    """cos(psi + vertex_offsets[k]) sorted over k at each phase, shaped (psi, k, 1, 1)."""
+    return np.sort(np.cos(psis[:, None] + vertex_offsets), axis=-1)[:, :, None, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _phase_tables(
+    n: int, grid_resolution: int
+) -> tuple[tuple[float, ...], np.ndarray, tuple[tuple[float, float], ...]]:
+    """The grid's phases, their sorted cosine table and the vertex directions.
+
+    The phases are k * (2*pi/n) / ``grid_resolution`` for k = 0 ..
+    ``grid_resolution // 2``; the table is ``_sorted_cosines`` of them,
+    read-only since every search at this ``(n, grid_resolution)`` shares
+    it; the directions are (cos, sin) of the vertex offsets 2*pi*k/n.
+    """
+    psis = np.arange(grid_resolution // 2 + 1) * (TWO_PI / n / grid_resolution)
+    vertex_offsets = TWO_PI * np.arange(n) / n
+    cosang = _sorted_cosines(psis, vertex_offsets)
+    cosang.flags.writeable = False
+    dirs = tuple((math.cos(a), math.sin(a)) for a in vertex_offsets.tolist())
+    return tuple(psis.tolist()), cosang, dirs
+
+
 def _grid_scores(
-    psis: np.ndarray,
+    cosang: np.ndarray,
     ells: np.ndarray,
     radii: np.ndarray,
-    vertex_offsets: np.ndarray,
     target_arr: np.ndarray,
 ) -> np.ndarray:
     """Sorted-distance objective of every (psi, ell, radius) cell, shape (psi, ell, radius).
 
     Vertex k of a candidate sits at ell + r*exp(i*(psi + vertex_offsets[k]))
-    seen from the point; the cosines are sorted once per phase (see the
-    module docstring), so each cell's distances need no sort of their own.
-    ``ells[0]`` must be 0: that row is scored once for every phase.
+    seen from the point; ``cosang`` holds those cosines from
+    ``_sorted_cosines``, sorted once per phase (see the module docstring),
+    so each cell's distances need no sort of their own.  ``ells[0]`` must
+    be 0: that row is scored once for every phase.
     """
-    cosang = np.sort(np.cos(psis[:, None] + vertex_offsets), axis=-1)
     ll = ells[1:, None]
-    d = cosang[:, :, None, None] * (2.0 * ll * radii)
+    d = cosang * (2.0 * ll * radii)
     d += ll * ll + radii * radii
     np.maximum(d, 0.0, out=d)
     np.sqrt(d, out=d)
     d -= target_arr[:, None, None]
     d *= d
-    obj = np.empty((len(psis), len(ells), len(radii)))
+    obj = np.empty((len(cosang), len(ells), len(radii)))
     np.add.reduce(d, axis=1, out=obj[:, 1:])
     # at ell = 0 every vertex lies r from the point, whatever the phase
     row = np.sqrt(radii * radii) - target_arr[:, None]
@@ -230,7 +260,9 @@ def _pick_seeds(obj: np.ndarray) -> Iterator[tuple[int, int, int]]:
     out and sorted.
     """
     flat = obj.ravel()
-    first = tuple(map(int, np.unravel_index(flat.argmin(), obj.shape)))
+    i = int(flat.argmin())
+    _, ell_steps, r_steps = obj.shape
+    first = (i // (ell_steps * r_steps), i // r_steps % ell_steps, i % r_steps)
     yield first
     picked = [first]
     best = np.argpartition(flat, PICK_WINDOW - 1)[:PICK_WINDOW]
@@ -316,6 +348,12 @@ def _lm_descent(
     return x, f, evals
 
 
+def _size_axis(lo: float, hi: float) -> list[float]:
+    """``np.linspace(lo, hi, COARSE_SIZE_STEPS)``'s floats, without its per-call overhead."""
+    step = (hi - lo) / (COARSE_SIZE_STEPS - 1)
+    return [i * step + lo for i in range(COARSE_SIZE_STEPS - 1)] + [hi]
+
+
 def search_second_polygon(
     p: RegularPolygonSpec,
     point: Point2,
@@ -344,35 +382,28 @@ def search_second_polygon(
     two (see the module docstring), mapped back for the answer.
     """
     n = p.n
-    distances = np.sort(np.asarray(distances_from(point, p).values, dtype=float))
+    distances = sorted(distances_from(point, p).values)
     if distances[-1] <= 0.0:
         return OracleResult(False, None, math.inf, 0)
-    exp = math.frexp(float(distances[-1]))[1]
-    target_arr = np.ldexp(distances, -exp)
-    scale = float(target_arr[-1])
-    target = target_arr.tolist()
+    exp = math.frexp(distances[-1])[1]
+    target = [math.ldexp(v, -exp) for v in distances]
+    target_arr = np.array(target)
+    scale = target[-1]
     r_in = math.ldexp(p.circumradius, -exp)
     l_in = math.ldexp(point.distance_to(p.center), -exp)
-    mean_d = float(target_arr.mean())
-    min_d = float(target_arr[0])
+    mean_d = float(np.add.reduce(target_arr) / n)  # the floats of ``target_arr.mean()``
 
     ell_hi = mean_d * (1.0 + 1e-9)
     r_lo = max(0.0, scale - ell_hi)
     # realizable inputs always give r_lo <= r_hi; keep the grid sane otherwise
-    r_hi = max(min_d + ell_hi, r_lo)
+    r_hi = max(target[0] + ell_hi, r_lo)
 
-    res = cfg.grid_resolution
-    psi_period = TWO_PI / n
-    psis = np.arange(res // 2 + 1) * (psi_period / res)
-    # np.linspace's arithmetic (and floats) for both size axes, without its per-call overhead
-    lo, hi = np.array(((0.0, r_lo), (ell_hi, r_hi)))
-    sizes = np.arange(COARSE_SIZE_STEPS)[:, None] * ((hi - lo) / (COARSE_SIZE_STEPS - 1)) + lo
-    sizes[-1] = hi
-    ells, radii = sizes.T
-    vertex_offsets = TWO_PI * np.arange(n) / n
-    dirs = [(math.cos(a), math.sin(a)) for a in vertex_offsets.tolist()]
+    psis, cosang, dirs = _phase_tables(n, cfg.grid_resolution)
+    ell_axis = _size_axis(0.0, ell_hi)
+    r_axis = _size_axis(r_lo, r_hi)
+    ells, radii = np.array((ell_axis, r_axis))
 
-    obj = _grid_scores(psis, ells, radii, vertex_offsets, target_arr)
+    obj = _grid_scores(cosang, ells, radii, target_arr)
     samples = obj.size
 
     stop_objective = (1e-9 * scale) ** 2
@@ -388,7 +419,7 @@ def search_second_polygon(
     def seeds() -> Iterator[tuple[float, float, float]]:
         # drawn as the loop asks, so a search that stops early picks no more
         for pi_, li_, ri_ in _pick_seeds(obj):
-            base = (float(psis[pi_]), float(ells[li_]), float(radii[ri_]))
+            base = (psis[pi_], ell_axis[li_], r_axis[ri_])
             yield base
             yield swapped(base)
 
@@ -425,9 +456,8 @@ def search_second_polygon(
         n, Point2(point.x + math.ldexp(ell, exp), point.y), math.ldexp(radius, exp), psi
     )
     found_d = sorted(distances_from(point, candidate).values)
-    target_d = distances.tolist()
-    residual = max(abs(u - v) for u, v in zip(found_d, target_d))
-    return OracleResult(residual <= FIND_TOL * target_d[-1], candidate, residual, samples)
+    residual = max(abs(u - v) for u, v in zip(found_d, distances))
+    return OracleResult(residual <= FIND_TOL * distances[-1], candidate, residual, samples)
 
 
 def agreement(

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polydual.cli import JobRequest, _build_parser, dumps, main, run
+from polydual.cli import _HANDLERS, JobRequest, _build_parser, dumps, main, run
 from polydual.errors import SchemaError
 from polydual.geometry import Point2, RegularPolygonSpec, distances_from
 from polydual.svg import Scene, render_svg
@@ -407,6 +407,52 @@ def test_option_count():
         if not isinstance(a, argparse._HelpAction)
     ]
     assert len(options) == 38
+
+
+#: argv lists that argparse answers itself, with help or a usage error.
+PARSER_EXITS = [
+    ["--help"],
+    *([command, "--help"] for command in _HANDLERS),
+    ["averages"],
+    ["dual", "--tol", "1e-9"],
+    ["reconstruct", "--polygon", SQUARE_POLYGON],
+    ["pompeiu", "--construct"],
+    ["two-points", "--polygon-b", "4,2,1,1,180deg"],
+    ["verify", "--grid"],  # verify has no required option: its value is missing instead
+    ["render", "--mirror"],
+    ["bogus"],
+    [],
+    ["dual", "--distances", SQUARE_DISTANCES, "extra"],
+]
+
+
+def _parser_exit(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, exc.value.code
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_one_subparser_parses_as_all_of_them(argv, capsys):
+    want = _parser_exit(_build_parser().parse_args, argv, capsys)
+    one = _build_parser(argv[0] if argv else None)
+    (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ([argv[0]] if argv and argv[0] in _HANDLERS else list(_HANDLERS))
+    assert _parser_exit(one.parse_args, argv, capsys) == want
+    assert _parser_exit(main, argv, capsys) == want
+    assert want[2] == (0 if "--help" in argv else 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([], "the following arguments are required: command"),
+     (["bogus"], "argument command: invalid choice: 'bogus'")],
+)
+def test_command_errors_name_the_command_argument(argv, message, capsys):
+    _, err, code = _parser_exit(main, argv, capsys)
+    assert code == 2
+    assert f"polydual: error: {message}" in err
 
 
 def test_verify_takes_no_tol(capsys):
