@@ -17,7 +17,7 @@ import time
 
 from polydual.dual import solve
 from polydual.geometry import distances_from
-from polydual.oracle import OracleConfig, agreement, random_instance
+from polydual.oracle import AGREE_TOL, OracleConfig, agreement, random_instance
 
 
 def main() -> int:
@@ -29,7 +29,6 @@ def main() -> int:
     parser.add_argument("--grid", type=int, default=64)
     parser.add_argument("--refine", type=int, default=3,
                         help="caps each seed's descent at 20 * REFINE iterations")
-    parser.add_argument("--threshold", type=float, default=1e-5)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
@@ -43,7 +42,7 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
     t0 = time.perf_counter()
-    report = agreement(args.seed, args.instances, n_range, cfg, args.threshold)
+    report = agreement(args.seed, args.instances, n_range, cfg)
     elapsed = time.perf_counter() - t0
     rows = report["results"]
     for row in rows:
@@ -52,7 +51,7 @@ def main() -> int:
             continue
         poly, point = random_instance(row["seed"], n_range)
         row["solver_smaller_radius"] = solve(distances_from(point, poly)).smaller.circumradius
-        if row["param_error"] > args.threshold:
+        if row["param_error"] > AGREE_TOL:
             print(f"seed {row['seed']}: parameter error {row['param_error']:.3e}",
                   file=sys.stderr)
     misses = args.instances - report["agreed"]

@@ -1,17 +1,21 @@
 """Command-line front end: JSON in/out, SVG figures, stable formatting.
 
-Every command builds a ``JobRequest``, dispatches through ``run`` and
-prints one JSON document (or an SVG for ``render``).  All numbers are
-rendered with 17 significant digits and dictionary order is fixed, so
-identical requests produce byte-identical output.  Exit codes: 0 on
-success, 1 on a domain error (with a machine-readable error object), 2 on
-usage or schema violations.  ``dual`` judges consistency by the fit
-residual of ``dual.solve``; ``averages`` keeps the paper's even-power
-means and their closure identities.  Errors are mapped in one place: ``run``
-rejects a negative or non-finite ``tol``, turns domain errors into an
-error object and ``ValueError``/``TypeError`` from a handler into
-``SchemaError``; ``main`` maps schema errors to exit 2.  Each handler
-imports the modules it runs, so a process loads only its own command's.
+Every command builds a ``JobRequest(command, payload)``, dispatches
+through ``run`` and prints one JSON document (or an SVG for ``render``).
+Every option but ``--out`` is a payload key, its flag with underscores;
+an unset option stays out, and the code that reads the key supplies its
+default.  All numbers are rendered with 17 significant digits and
+dictionary order is fixed, so identical requests produce byte-identical
+output.  Exit codes: 0 on success, 1 on a domain error (with a
+machine-readable error object), 2 on usage or schema violations.
+``dual`` judges consistency by the fit residual of ``dual.solve``;
+``averages`` keeps the paper's even-power means and their closure
+identities.  Errors are mapped in one place: ``run`` rejects a negative
+or non-finite ``tol`` (default 1e-9), turns domain errors into an error
+object and ``ValueError``/``TypeError`` from a handler into
+``SchemaError``; ``main`` maps schema errors, and a failure to write
+``--out``, to exit 2.  Each handler imports the modules it runs, so a
+process loads only its own command's.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ if TYPE_CHECKING:
 class JobRequest(NamedTuple):
     command: str
     payload: dict[str, Any]
-    tol: float = 1e-9
-    seed: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +195,11 @@ def _solution_json(sol: DualSolution) -> dict[str, Any]:
 # command handlers
 
 
-def _cmd_averages(request: JobRequest) -> dict[str, Any]:
+def _cmd_averages(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from . import cyclic
 
-    avgs = cyclic.averages_from_distances(_parse_distances(request.payload))
-    report = cyclic.check_consistency(avgs, max(request.tol, 1e-12))
+    avgs = cyclic.averages_from_distances(_parse_distances(payload))
+    report = cyclic.check_consistency(avgs, max(tol, 1e-12))
     return {
         "n": avgs.n,
         "values": list(avgs.values),
@@ -205,28 +207,27 @@ def _cmd_averages(request: JobRequest) -> dict[str, Any]:
     }
 
 
-def _cmd_dual(request: JobRequest) -> dict[str, Any]:
-    d = _parse_distances(request.payload)
+def _cmd_dual(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    d = _parse_distances(payload)
     if d.n == 3:
         # the sharper n=3 diagnosis: distances must form a triangle, and a
         # triangle is realizable, so the fit does not judge it again
         from .pompeiu import pompeiu_from_distances
 
-        sol = pompeiu_from_distances(*d.values, tol=request.tol).solution
+        sol = pompeiu_from_distances(*d.values, tol=tol).solution
     else:
         from .dual import solve
 
-        sol = solve(d, request.tol)
+        sol = solve(d, tol)
     out = _solution_json(sol)
     residual = sol.residual
-    out["consistency"] = {"passed": residual <= max(request.tol, 1e-12), "residual": residual}
+    out["consistency"] = {"passed": residual <= max(tol, 1e-12), "residual": residual}
     return out
 
 
-def _dual_pair(request: JobRequest) -> DualPolygonPair:
+def _dual_pair(payload: dict[str, Any]) -> DualPolygonPair:
     from .reconstruct import construct_dual
 
-    payload = request.payload
     return construct_dual(
         _parse_polygon(payload.get("polygon"), "polygon"),
         _parse_point(payload.get("point"), "point"),
@@ -235,14 +236,14 @@ def _dual_pair(request: JobRequest) -> DualPolygonPair:
     )
 
 
-def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
+def _cmd_reconstruct(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from .reconstruct import verify_permutation
 
-    pair = _dual_pair(request)
+    pair = _dual_pair(payload)
     point = pair.point
     d_in = distances_from(point, pair.primary_polygon)
     d_b = distances_from(point, pair.b_polygon)
-    match = verify_permutation(d_in, d_b, max(request.tol, 1e-10))
+    match = verify_permutation(d_in, d_b, max(tol, 1e-10))
     return {
         "b_polygon": _polygon_json(pair.b_polygon),
         "c_polygon": _polygon_json(pair.c_polygon),
@@ -258,11 +259,11 @@ def _cmd_reconstruct(request: JobRequest) -> dict[str, Any]:
     }
 
 
-def _cmd_pompeiu(request: JobRequest) -> dict[str, Any]:
+def _cmd_pompeiu(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from . import pompeiu
 
-    d1, d2, d3 = _parse_triangle(request.payload)
-    tri = pompeiu.pompeiu_from_distances(d1, d2, d3, request.tol)
+    d1, d2, d3 = _parse_triangle(payload)
+    tri = pompeiu.pompeiu_from_distances(d1, d2, d3, tol)
     dual = pompeiu.solve_equilateral(tri)
     out: dict[str, Any] = {
         "area": tri.area,
@@ -272,8 +273,8 @@ def _cmd_pompeiu(request: JobRequest) -> dict[str, Any]:
         "side_smaller": dual.side_smaller,
         "solution": _solution_json(dual.solution),
     }
-    if request.payload.get("construct"):
-        tp = pompeiu.construct_both_triangles(d1, d2, d3, request.tol)
+    if payload.get("construct"):
+        tp = pompeiu.construct_both_triangles(d1, d2, d3, tol)
         out["construction"] = {
             "point": _point_json(tp.point),
             "larger": [_point_json(v) for v in tp.larger],
@@ -282,18 +283,17 @@ def _cmd_pompeiu(request: JobRequest) -> dict[str, Any]:
     return out
 
 
-def _polygon_pair(request: JobRequest) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
-    payload = request.payload
+def _polygon_pair(payload: dict[str, Any]) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
     return (
         _parse_polygon(payload.get("polygon_a"), "polygon_a"),
         _parse_polygon(payload.get("polygon_b"), "polygon_b"),
     )
 
 
-def _cmd_two_points(request: JobRequest) -> dict[str, Any]:
+def _cmd_two_points(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from .two_points import two_points
 
-    sol = two_points(*_polygon_pair(request), request.tol)
+    sol = two_points(*_polygon_pair(payload), tol)
     return {
         "m1": _point_json(sol.m1),
         "m2": None if sol.m2 is None else _point_json(sol.m2),
@@ -309,68 +309,55 @@ def _cmd_two_points(request: JobRequest) -> dict[str, Any]:
     }
 
 
-def _cmd_verify(request: JobRequest) -> dict[str, Any]:
+def _cmd_verify(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """Ignores ``tol``: the oracle judges its finds at its own fixed tolerance."""
     from . import oracle  # the one numpy user, loaded only for this command
 
-    payload = request.payload
-    cfg = oracle.OracleConfig(
-        grid_resolution=int(payload.get("grid", 64)),
-        refine_iterations=int(payload.get("refine", 3)),
-    )
+    fields = {"grid": "grid_resolution", "refine": "refine_iterations"}
+    cfg = oracle.OracleConfig(**{fields[k]: int(payload[k]) for k in fields if k in payload})
     return oracle.agreement(
-        request.seed,
+        int(payload.get("seed", 0)),
         int(payload.get("instances", 20)),
         (int(payload.get("n_min", 3)), int(payload.get("n_max", 8))),
         cfg,
     )
 
 
-def _cmd_render(request: JobRequest) -> dict[str, Any]:
+def _cmd_render(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from . import svg
 
-    payload = request.payload
     scene_kind = payload.get("scene")
     if scene_kind == "dual":
         scene = svg.scene_from_dual_pair(
-            _dual_pair(request), include_mirror=bool(payload.get("mirror"))
+            _dual_pair(payload), include_mirror=bool(payload.get("mirror"))
         )
     elif scene_kind == "two-points":
         from .two_points import two_points
 
-        pa, pb = _polygon_pair(request)
-        scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, request.tol))
+        pa, pb = _polygon_pair(payload)
+        scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, tol))
     elif scene_kind == "pompeiu":
         from .pompeiu import construct_both_triangles
 
         scene = svg.scene_from_triangle_pair(
-            construct_both_triangles(*_parse_triangle(payload), tol=request.tol)
+            construct_both_triangles(*_parse_triangle(payload), tol=tol)
         )
     else:
         raise SchemaError("'scene' must be one of dual, two-points, pompeiu")
     return {"svg": svg.render_svg(scene)}
 
 
-_HANDLERS = {
-    "averages": _cmd_averages,
-    "dual": _cmd_dual,
-    "reconstruct": _cmd_reconstruct,
-    "pompeiu": _cmd_pompeiu,
-    "two-points": _cmd_two_points,
-    "verify": _cmd_verify,
-    "render": _cmd_render,
-}
-
-
 def run(request: JobRequest) -> tuple[dict[str, Any], int]:
     """Dispatch a request; returns the JSON-ready result and an exit status."""
-    if request.command not in _HANDLERS:
+    if request.command not in _SUBCOMMANDS:
         raise SchemaError(f"unknown command {request.command!r}")
     if not isinstance(request.payload, dict):
         raise SchemaError("payload must be an object")
     try:
-        if not 0.0 <= request.tol < math.inf:
+        tol = request.payload.get("tol", 1e-9)
+        if not 0.0 <= tol < math.inf:
             raise SchemaError("'tol' must be a finite number >= 0")
-        return _HANDLERS[request.command](request), 0
+        return _SUBCOMMANDS[request.command][0](request.payload, tol), 0
     except DomainError as exc:
         context = {
             k: (v if isinstance(v, (int, float, str, bool, type(None))) else str(v))
@@ -412,34 +399,40 @@ def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
     return flags, kwargs
 
 
-_TOL_OUT = (_opt("--tol", type=float, default=1e-9), _opt("--out", default=None))
+_TOL_OUT = (_opt("--tol", type=float), _opt("--out"))
 _POLYGON_HELP = "n,cx,cy,r[,phase]"
 
-#: Each command's help line and options, in the order ``polydual --help`` lists them.
+#: Each command's handler, help line and options (none with a default), in the
+#: order ``polydual --help`` lists them.
 _SUBCOMMANDS = {
     "averages": (
+        _cmd_averages,
         "even-power distance means and closure checks",
         (_opt("--distances", required=True), *_TOL_OUT),
     ),
     "dual": (
+        _cmd_dual,
         "both size-parameter pairs from distances",
         (_opt("--distances", required=True), *_TOL_OUT),
     ),
     "reconstruct": (
+        _cmd_reconstruct,
         "coordinates of the companion polygon",
         (
             _opt("--polygon", required=True, help=_POLYGON_HELP),
             _opt("--point", required=True, help="x,y"),
-            _opt("--direction", default="0"),
-            _opt("--anchor-index", type=int, default=0),
+            _opt("--direction"),
+            _opt("--anchor-index", type=int),
             *_TOL_OUT,
         ),
     ),
     "pompeiu": (
+        _cmd_pompeiu,
         "equilateral-triangle closed forms",
         (_opt("--distances", required=True), _opt("--construct", action="store_true"), *_TOL_OUT),
     ),
     "two-points": (
+        _cmd_two_points,
         "equal-multiset points for a shared-vertex pair",
         (
             _opt("--polygon-a", required=True, help=_POLYGON_HELP),
@@ -448,27 +441,28 @@ _SUBCOMMANDS = {
         ),
     ),
     "verify": (
+        _cmd_verify,
         "closed-form-free search vs solver agreement",
         (
-            _opt("--instances", type=int, default=20),
-            _opt("--n-min", type=int, default=3),
-            _opt("--n-max", type=int, default=8),
-            _opt("--grid", type=int, default=64),
-            _opt("--refine", type=int, default=3,
-                 help="caps each seed's descent at 20 * REFINE iterations"),
-            _opt("--seed", type=int, default=0),
+            _opt("--instances", type=int),
+            _opt("--n-min", type=int),
+            _opt("--n-max", type=int),
+            _opt("--grid", type=int),
+            _opt("--refine", type=int, help="caps each seed's descent at 20 * REFINE iterations"),
+            _opt("--seed", type=int),
             # no --tol: the oracle judges its finds at its own fixed tolerance
-            _opt("--out", default=None),
+            _opt("--out"),
         ),
     ),
     "render": (
+        _cmd_render,
         "emit an SVG figure",
         (
             _opt("--scene", required=True, choices=("dual", "two-points", "pompeiu")),
             _opt("--polygon"),
             _opt("--point"),
-            _opt("--direction", default="0"),
-            _opt("--anchor-index", type=int, default=0),
+            _opt("--direction"),
+            _opt("--anchor-index", type=int),
             _opt("--distances"),
             _opt("--polygon-a"),
             _opt("--polygon-b"),
@@ -498,7 +492,7 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command", required=True, metavar=None if only is None else _COMMAND_METAVAR
     )
-    for name, (help_text, options) in _SUBCOMMANDS.items():
+    for name, (_, help_text, options) in _SUBCOMMANDS.items():
         if only in (None, name):
             sp = sub.add_parser(name, help=help_text)
             for flags, kwargs in options:
@@ -518,15 +512,13 @@ def _payload_value(key: str, value: Any) -> Any:
 
 
 def _request_from_args(args: argparse.Namespace) -> JobRequest:
-    """Options go into the payload by name; ``tol`` and ``seed``, where defined, are fields."""
-    options = vars(args)
+    """Every option set but ``out`` goes into the payload by name."""
     payload = {
         key: _payload_value(key, value)
-        for key, value in options.items()
-        if key not in ("command", "tol", "out", "seed") and value is not None
+        for key, value in vars(args).items()
+        if key not in ("command", "out") and value is not None
     }
-    fields = {key: options[key] for key in ("tol", "seed") if key in options}
-    return JobRequest(args.command, payload, **fields)
+    return JobRequest(args.command, payload)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -540,8 +532,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     text = result["svg"] if args.command == "render" and code == 0 else dumps(result) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # written before stdout, so nothing is printed yet
+            sys.stderr.write(f"schema error: {exc}\n")
+            return 2
     sys.stdout.write(text)
     return code
 

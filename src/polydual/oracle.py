@@ -87,6 +87,9 @@ PICK_WINDOW = DESCENT_SEEDS + (DESCENT_SEEDS - 1) * 26
 #: this fraction of the largest target distance.
 FIND_TOL = 1e-6
 
+#: The relative parameter error within which ``agreement`` counts a find as agreeing.
+AGREE_TOL = 1e-5
+
 
 class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations")):
     """Search controls.
@@ -465,13 +468,12 @@ def agreement(
     instances: int,
     n_range: tuple[int, int],
     cfg: OracleConfig,
-    threshold: float = 1e-5,
 ) -> dict[str, Any]:
     """Search ``random_instance(seed + i)`` for each i and score the finds.
 
     A find agrees when its circumradius and center distance match the
     input's center distance and circumradius (the swapped pair) within
-    ``threshold`` relative to the larger of the two; the swap is never
+    ``AGREE_TOL`` relative to the larger of the two; the swap is never
     imposed on the search.  Returns the JSON-ready report: per-instance
     rows plus the found and agreed counts and the worst parameter error.
     """
@@ -500,7 +502,7 @@ def agreement(
             ) / max(r_in, l_in)
             entry["param_error"] = err
             worst = max(worst, err)
-            if err <= threshold:
+            if err <= AGREE_TOL:
                 agreed += 1
         results.append(entry)
     return {

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polydual.cli import _HANDLERS, JobRequest, _build_parser, dumps, main, run
+from polydual.cli import _SUBCOMMANDS, JobRequest, _build_parser, dumps, main, run
 from polydual.errors import SchemaError
 from polydual.geometry import Point2, RegularPolygonSpec, distances_from
 from polydual.svg import Scene, render_svg
@@ -328,7 +328,7 @@ class TestRenderStructure:
 class TestVerifyCommand:
     def test_small_verify_run(self):
         result, code = run(
-            JobRequest("verify", {"instances": 3, "n_min": 3, "n_max": 5}, seed=100)
+            JobRequest("verify", {"instances": 3, "n_min": 3, "n_max": 5, "seed": 100})
         )
         assert code == 0
         assert result["instances"] == 3
@@ -412,7 +412,7 @@ def test_option_count():
 #: argv lists that argparse answers itself, with help or a usage error.
 PARSER_EXITS = [
     ["--help"],
-    *([command, "--help"] for command in _HANDLERS),
+    *([command, "--help"] for command in _SUBCOMMANDS),
     ["averages"],
     ["dual", "--tol", "1e-9"],
     ["reconstruct", "--polygon", SQUARE_POLYGON],
@@ -438,7 +438,7 @@ def test_one_subparser_parses_as_all_of_them(argv, capsys):
     want = _parser_exit(_build_parser().parse_args, argv, capsys)
     one = _build_parser(argv[0] if argv else None)
     (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == ([argv[0]] if argv and argv[0] in _HANDLERS else list(_HANDLERS))
+    assert list(sub.choices) == ([argv[0]] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS))
     assert _parser_exit(one.parse_args, argv, capsys) == want
     assert _parser_exit(main, argv, capsys) == want
     assert want[2] == (0 if "--help" in argv else 2)
@@ -583,3 +583,42 @@ def test_main_writes_output_file(tmp_path):
     assert code == 0
     data = json.loads(out.read_text())
     assert data["larger"]["circumradius"] == pytest.approx(SQRT2, rel=1e-12)
+
+
+def test_unwritable_out_is_a_schema_error(tmp_path, capsys):
+    assert main(["dual", "--distances", "3,5,7", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("schema error:")
+    assert "Traceback" not in captured.err
+
+
+SQUARE = {"n": 4, "center": {"x": 0.0, "y": 0.0}, "r": SQRT2, "phase": "45deg"}
+README_PAYLOAD_PAIR = {
+    "polygon_a": SQUARE,
+    "polygon_b": {"n": 4, "center": {"x": 2.0, "y": 1.0}, "r": 1.0, "phase": "180deg"},
+}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["averages", "--distances", "3,5,7"], {"distances": [3.0, 5.0, 7.0]}),
+        (["dual", "--distances", "3,5,7"], {"distances": [3.0, 5.0, 7.0]}),
+        (["pompeiu", "--distances", "3,5,7"], {"distances": [3.0, 5.0, 7.0]}),
+        (["reconstruct", "--polygon", "4,0,0,1.4142135623730951,45deg", "--point", "1,0"],
+         {"polygon": SQUARE, "point": {"x": 1.0, "y": 0.0}}),
+        (["render", "--scene", "dual", "--polygon", "4,0,0,1.4142135623730951,45deg",
+          "--point", "1,0"],
+         {"scene": "dual", "polygon": SQUARE, "point": {"x": 1.0, "y": 0.0}}),
+        (["two-points", *README_PAIR], README_PAYLOAD_PAIR),
+        (["verify", "--instances", "1"], {"instances": 1}),
+    ],
+    ids=["averages", "dual", "pompeiu", "reconstruct", "render-dual", "two-points", "verify"],
+)
+def test_json_api_and_argv_share_defaults(argv, payload, capsys):
+    # only the required inputs: every default comes from where both entry points read it
+    result, code = run(JobRequest(argv[0], payload))
+    assert code == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (result["svg"] if argv[0] == "render" else dumps(result) + "\n")
