@@ -531,7 +531,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
     text = result["svg"] if args.command == "render" and code == 0 else dumps(result) + "\n"
-    if args.out:
+    if args.out is not None:  # an empty path fails to open, as any bad path does
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)

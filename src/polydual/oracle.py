@@ -479,6 +479,8 @@ def agreement(
     """
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
+    if not 3 <= n_range[0] <= n_range[1]:  # checked even when no instance is drawn
+        raise ValueError(f"invalid vertex-count range {n_range}")
     results = []
     agreed = 0
     found = 0

@@ -12,11 +12,11 @@ lands in ``cli_corpus.json`` next to this file and is replayed byte for
 byte by ``tests/test_golden.py``.  Regenerate only when a change to the
 CLI output is intended.
 
-Coverage: every command, the three render scenes, ``--mirror``,
-``pompeiu --construct``, the three degeneracy classes, an oracle run at
-``--grid 8 --refine 1``, usage and schema errors (exit 2), and every
-domain error code (exit 1); ``tests/test_golden.py`` checks that every
-code defined in ``polydual.errors`` appears.
+Coverage: every command, the three render scenes and the four standard
+figures, ``--mirror``, ``pompeiu --construct``, the three degeneracy
+classes, an oracle run at ``--grid 8 --refine 1``, usage and schema errors
+(exit 2), and every domain error code (exit 1); ``tests/test_golden.py``
+checks that every code defined in ``polydual.errors`` appears.
 """
 
 from __future__ import annotations
@@ -166,6 +166,10 @@ APPENDED: list[list[str]] = [
     ["verify", "--instances", "1", "--grid", "8", "--refine", "0"],
     # schema error: every coordinate is finite, the scene's width is not
     ["render", "--scene", "dual", "--polygon", "4,0,0,8e307", "--point", "1e307,0"],
+    # the square and pentagon companion figures, each with its mirror
+    ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--mirror"],
+    ["render", "--scene", "dual", "--polygon", "5,0,0,1.3,0.2", "--point", "0.6,0.25",
+     "--direction", "0.8", "--mirror"],
 ]
 
 

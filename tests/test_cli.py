@@ -380,11 +380,13 @@ def test_regular_polygons_past_64_vertices(n, capsys):
         ["two-points", *README_PAIR, "--tol", "inf"],
         ["render", "--scene", "dual", "--polygon", "4,0,0,8e307", "--point", "1e307,0"],
         ["verify", "--instances", "1", "--grid", "8", "--refine", "0"],
+        ["verify", "--instances", "1", "--n-min", "9", "--n-max", "8"],
+        ["verify", "--instances", "0", "--n-min", "9", "--n-max", "8"],
         None,
     ],
     ids=["two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2", "instances-negative",
          "averages-sum-overflow", "tol-negative", "tol-nan", "tol-inf", "render-width-overflow",
-         "refine-0", "run-instances-x"],
+         "refine-0", "n-range-reversed", "n-range-reversed-no-instances", "run-instances-x"],
 )
 def test_precondition_failures_are_schema_errors(argv, capsys):
     if argv is None:
@@ -586,11 +588,12 @@ def test_main_writes_output_file(tmp_path):
 
 
 def test_unwritable_out_is_a_schema_error(tmp_path, capsys):
-    assert main(["dual", "--distances", "3,5,7", "--out", str(tmp_path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("schema error:")
-    assert "Traceback" not in captured.err
+    for out in (str(tmp_path), ""):
+        assert main(["dual", "--distances", "3,5,7", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("schema error:")
+        assert "Traceback" not in captured.err
 
 
 SQUARE = {"n": 4, "center": {"x": 0.0, "y": 0.0}, "r": SQRT2, "phase": "45deg"}

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,30 +180,6 @@ class TestConfig:
         for refine in (-1, 0):  # a search runs at least one descent level
             with pytest.raises(ValueError):
                 OracleConfig(refine_iterations=refine)
-
-
-@pytest.mark.parametrize(
-    "flag",
-    [
-        ["--grid", "4"],
-        ["--refine", "0"],
-        ["--n-min", "2"],
-        ["--n-min", "9", "--n-max", "8"],
-        ["--instances", "-1"],
-    ],
-)
-def test_agreement_script_reports_bad_config_as_usage_error(flag):
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_oracle_agreement.py"), "--instances", "1", *flag],
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("usage:")
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout == ""
 
 
 class TestKernels:
