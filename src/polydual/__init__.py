@@ -8,6 +8,6 @@ equilateral triangles, finds the two equal-multiset points of a
 shared-vertex polygon pair, and cross-checks everything against a
 closed-form-free numerical search.
 
-Import each name from the module that defines it.  Only ``oracle``
-imports numpy, so the package and the CLI load it only for ``verify``.
+Import each name from the module that defines it.  The package needs
+only the standard library.
 """

@@ -85,6 +85,14 @@ def _emit(obj: Any, out: list[str]) -> None:
 # payload parsing
 
 
+def _parse_int(value: Any, name: str) -> int:
+    """``int(value)``; a value it refuses, an infinite float among them, is a schema error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"'{name}' must be an integer, got {value!r}") from exc
+
+
 def _parse_angle(value: Any) -> float:
     if isinstance(value, bool):
         raise SchemaError("angle must be a number or a 'deg'-suffixed string")
@@ -125,7 +133,7 @@ def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
         if key not in obj:
             raise SchemaError(f"'{name}' is missing '{key}'")
     return RegularPolygonSpec(
-        int(obj["n"]),
+        _parse_int(obj["n"], f"{name}.n"),
         _parse_point(obj["center"], f"{name}.center"),
         float(obj["r"]),
         _parse_angle(obj.get("phase", 0.0)),
@@ -232,7 +240,7 @@ def _dual_pair(payload: dict[str, Any]) -> DualPolygonPair:
         _parse_polygon(payload.get("polygon"), "polygon"),
         _parse_point(payload.get("point"), "point"),
         _parse_angle(payload.get("direction", 0.0)),
-        anchor_index=int(payload.get("anchor_index", 0)),
+        anchor_index=_parse_int(payload.get("anchor_index", 0), "anchor_index"),
     )
 
 
@@ -311,14 +319,17 @@ def _cmd_two_points(payload: dict[str, Any], tol: float) -> dict[str, Any]:
 
 def _cmd_verify(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     """Ignores ``tol``: the oracle judges its finds at its own fixed tolerance."""
-    from . import oracle  # the one numpy user, loaded only for this command
+    from . import oracle
+
+    def integer(key: str, default: int) -> int:
+        return _parse_int(payload.get(key, default), key)
 
     fields = {"grid": "grid_resolution", "refine": "refine_iterations"}
-    cfg = oracle.OracleConfig(**{fields[k]: int(payload[k]) for k in fields if k in payload})
+    cfg = oracle.OracleConfig(**{fields[k]: integer(k, 0) for k in fields if k in payload})
     return oracle.agreement(
-        int(payload.get("seed", 0)),
-        int(payload.get("instances", 20)),
-        (int(payload.get("n_min", 3)), int(payload.get("n_max", 8))),
+        integer("seed", 0),
+        integer("instances", 20),
+        (integer("n_min", 3), integer("n_max", 8)),
         cfg,
     )
 

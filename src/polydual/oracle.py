@@ -33,33 +33,24 @@ ell^2 + r^2 + 2*ell*r*cos(angle) is non-decreasing in the cosine because
 ell, r >= 0, and every rounded step after it (the product, the sum, the
 clamp at 0, the square root) is monotone too.  So the n cosines are
 sorted once per phase, and every cell's distances come out sorted: the
-same floats a per-cell sort gives.  The grid's work array is laid out
-(phase, vertex, center distance, radius), so each array pass runs over a
-contiguous size grid, and the sum over the vertices adds them left to
-right, one size grid at a time.  The row ell = 0 (a candidate centered on
-the point) has every distance equal to its radius at any phase, so it is
-scored once and broadcast over the phases.
+same floats a per-cell sort gives.  The row ell = 0 (a candidate centered
+on the point) has every distance equal to its radius at any phase, so it
+is one cell per radius, placed at phase 0.  The grid is small (64 cells
+at the default), and a search rarely needs more than its best cell.
 
-The seeds are drawn lazily: the best cell comes from one ``argmin`` (on
-ties the lowest index, the cell a stable sort puts first), and the
-partial sort of the best cells runs only if the descent loop asks for a
-second grid seed, which most searches never do.
-
-The phases, the sorted cosine table and the vertex directions depend only
-on ``(n, grid_resolution)``, so they are built once per pair, kept in a
-bounded cache and shared read-only: the table's array cannot be written
-and the other two are tuples.  A search writes only to arrays of its own,
-so it is still safe to call from several threads.
+The phases, the sorted cosines and the vertex directions depend only on
+``(n, grid_resolution)``, so they are built once per pair, kept in a
+bounded cache and shared as tuples, which no search can write: a search
+is safe to call from several threads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import random
 from collections import namedtuple
 from typing import Any, Iterator, NamedTuple, Optional
-
-import numpy as np
 
 from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 
@@ -74,14 +65,10 @@ RATIO_EXCLUSION_HALF_WIDTH = 5e-4
 CONGRUENT_EXCLUSION_REL = 2e-4
 
 #: Coarse samples per size dimension at every grid phase.
-COARSE_SIZE_STEPS = 12
+COARSE_SIZE_STEPS = 4
 
 #: Number of grid cells seeding the descent stage.
 DESCENT_SEEDS = 8
-
-#: Best grid cells the seed pick may read: each picked cell turns away at
-#: most its 26 grid neighbours, so the last seed is among this many.
-PICK_WINDOW = DESCENT_SEEDS + (DESCENT_SEEDS - 1) * 26
 
 #: A candidate is a find when its worst sorted-distance gap is below
 #: this fraction of the largest target distance.
@@ -97,7 +84,8 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
     ``grid_resolution`` is the grid stage's phase spacing: phases
     k * (2*pi/n) / grid_resolution.  Only k = 0 .. grid_resolution // 2
     are scored, since the rest are mirror images of those; each is scored
-    against a fixed coarse grid of center distances and radii.
+    against a coarse grid of ``COARSE_SIZE_STEPS`` center distances and
+    as many radii.
     ``refine_iterations``, at least 1, caps each seed's descent at
     ``20 * refine_iterations`` Levenberg-Marquardt iterations; the seed
     loop stops at the first non-congruent descent that reaches the
@@ -107,7 +95,7 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
 
     __slots__ = ()
 
-    def __new__(cls, grid_resolution: int = 64, refine_iterations: int = 3) -> "OracleConfig":
+    def __new__(cls, grid_resolution: int = 8, refine_iterations: int = 3) -> "OracleConfig":
         if grid_resolution < 8:
             raise ValueError("grid_resolution must be >= 8")
         if refine_iterations < 1:
@@ -135,22 +123,23 @@ def random_instance(
     uniform in [0, 3] minus a narrow band around 1 (so the point never
     accidentally sits on the circumcircle), and the phase and point
     azimuth uniform.  ``degenerate_mode`` pins the ratio to exactly 1
-    instead.
+    instead.  The draws come from ``random.Random(seed)``; the radius is
+    ``math.exp`` of a uniform draw, so it rests on the platform's libm.
     """
     lo, hi = n_range
     if not 3 <= lo <= hi:
         raise ValueError(f"invalid vertex-count range {n_range}")
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(lo, hi + 1))
-    radius = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+    rng = random.Random(seed)
+    n = rng.randint(lo, hi)
+    radius = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
     if degenerate_mode:
         ratio = 1.0
     else:
-        ratio = float(rng.uniform(0.0, 3.0))
+        ratio = rng.uniform(0.0, 3.0)
         while abs(ratio - 1.0) < RATIO_EXCLUSION_HALF_WIDTH:
-            ratio = float(rng.uniform(0.0, 3.0))
-    phase = float(rng.uniform(0.0, TWO_PI))
-    point_azimuth = float(rng.uniform(0.0, TWO_PI))
+            ratio = rng.uniform(0.0, 3.0)
+    phase = rng.uniform(0.0, TWO_PI)
+    point_azimuth = rng.uniform(0.0, TWO_PI)
     dist = ratio * radius
     polygon = RegularPolygonSpec(n, Point2(0.0, 0.0), radius, phase)
     point = Point2(dist * math.cos(point_azimuth), dist * math.sin(point_azimuth))
@@ -197,87 +186,70 @@ def _sum_squares(e: list[float]) -> float:
     return f
 
 
-def _sorted_cosines(psis: np.ndarray, vertex_offsets: np.ndarray) -> np.ndarray:
-    """cos(psi + vertex_offsets[k]) sorted over k at each phase, shaped (psi, k, 1, 1)."""
-    return np.sort(np.cos(psis[:, None] + vertex_offsets), axis=-1)[:, :, None, None]
-
-
 @functools.lru_cache(maxsize=64)
 def _phase_tables(
     n: int, grid_resolution: int
-) -> tuple[tuple[float, ...], np.ndarray, tuple[tuple[float, float], ...]]:
-    """The grid's phases, their sorted cosine table and the vertex directions.
+) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...], tuple[tuple[float, float], ...]]:
+    """The grid's phases, each phase's sorted vertex cosines and the vertex directions.
 
     The phases are k * (2*pi/n) / ``grid_resolution`` for k = 0 ..
-    ``grid_resolution // 2``; the table is ``_sorted_cosines`` of them,
-    read-only since every search at this ``(n, grid_resolution)`` shares
-    it; the directions are (cos, sin) of the vertex offsets 2*pi*k/n.
+    ``grid_resolution // 2``; the cosines are cos(phase + 2*pi*j/n) over
+    the vertices j, sorted; the directions are (cos, sin) of 2*pi*j/n.
     """
-    psis = np.arange(grid_resolution // 2 + 1) * (TWO_PI / n / grid_resolution)
-    vertex_offsets = TWO_PI * np.arange(n) / n
-    cosang = _sorted_cosines(psis, vertex_offsets)
-    cosang.flags.writeable = False
-    dirs = tuple((math.cos(a), math.sin(a)) for a in vertex_offsets.tolist())
-    return tuple(psis.tolist()), cosang, dirs
+    step = TWO_PI / n / grid_resolution
+    psis = tuple(k * step for k in range(grid_resolution // 2 + 1))
+    offsets = [TWO_PI * j / n for j in range(n)]
+    cosines = tuple(tuple(sorted(math.cos(psi + a) for a in offsets)) for psi in psis)
+    dirs = tuple((math.cos(a), math.sin(a)) for a in offsets)
+    return psis, cosines, dirs
 
 
 def _grid_scores(
-    cosang: np.ndarray,
-    ells: np.ndarray,
-    radii: np.ndarray,
-    target_arr: np.ndarray,
-) -> np.ndarray:
-    """Sorted-distance objective of every (psi, ell, radius) cell, shape (psi, ell, radius).
+    cosines: tuple[tuple[float, ...], ...],
+    ells: list[float],
+    radii: list[float],
+    target: list[float],
+) -> list[tuple[float, tuple[int, int, int]]]:
+    """Sorted-distance objective of every grid cell, as (objective, (phase, ell, radius)) pairs.
 
-    Vertex k of a candidate sits at ell + r*exp(i*(psi + vertex_offsets[k]))
-    seen from the point; ``cosang`` holds those cosines from
-    ``_sorted_cosines``, sorted once per phase (see the module docstring),
-    so each cell's distances need no sort of their own.  ``ells[0]`` must
-    be 0: that row is scored once for every phase.
+    Vertex k of a candidate sits at ell + r*exp(i*(psi + 2*pi*k/n)) seen
+    from the point; ``cosines`` holds those cosines sorted once per phase
+    (see the module docstring), so each cell's distances need no sort of
+    their own.  ``ells[0]`` must be 0: that row is one cell per radius, at
+    phase 0.  Each objective adds the vertices' squared gaps left to right.
     """
-    ll = ells[1:, None]
-    d = cosang * (2.0 * ll * radii)
-    d += ll * ll + radii * radii
-    np.maximum(d, 0.0, out=d)
-    np.sqrt(d, out=d)
-    d -= target_arr[:, None, None]
-    d *= d
-    obj = np.empty((len(cosang), len(ells), len(radii)))
-    np.add.reduce(d, axis=1, out=obj[:, 1:])
+    sqrt = math.sqrt
     # at ell = 0 every vertex lies r from the point, whatever the phase
-    row = np.sqrt(radii * radii) - target_arr[:, None]
-    row *= row
-    obj[:, 0] = np.add.reduce(row, axis=0)
-    return obj
+    cells = [(_sum_squares([r - t for t in target]), (0, 0, i)) for i, r in enumerate(radii)]
+    for p, cos_sorted in enumerate(cosines):
+        for j in range(1, len(ells)):
+            ell = ells[j]
+            for i, r in enumerate(radii):
+                two_lr = 2.0 * ell * r
+                base = ell * ell + r * r
+                f = 0.0
+                for c, t in zip(cos_sorted, target):
+                    d2 = c * two_lr + base
+                    e = (sqrt(d2) if d2 > 0.0 else 0.0) - t
+                    f += e * e
+                cells.append((f, (p, j, i)))
+    return cells
 
 
-def _pick_seeds(obj: np.ndarray) -> Iterator[tuple[int, int, int]]:
+def _pick_seeds(cells: list[tuple[float, tuple[int, int, int]]]) -> Iterator[tuple[int, int, int]]:
     """Greedy pick of the ``DESCENT_SEEDS`` best cells, no two of them grid neighbours.
 
     Cells are read best first (ties in index order) and a cell within one
     step of a picked one on every axis is passed over, so the seeds cover
     distinct basins.  No axis wraps: the phase axis spans half a period,
-    and its end phases are their own mirror images.  The best cell comes
-    from one ``argmin``; only when a second seed is asked for are the
-    ``PICK_WINDOW`` best cells, the most the pick can read, partitioned
-    out and sorted.
+    and its end phases are their own mirror images.
     """
-    flat = obj.ravel()
-    i = int(flat.argmin())
-    _, ell_steps, r_steps = obj.shape
-    first = (i // (ell_steps * r_steps), i // r_steps % ell_steps, i % r_steps)
-    yield first
-    picked = [first]
-    best = np.argpartition(flat, PICK_WINDOW - 1)[:PICK_WINDOW]
-    best = best[np.lexsort((best, flat[best]))]
-    for pi_, li_, ri_ in zip(*(axis.tolist() for axis in np.unravel_index(best, obj.shape))):
-        for pj, lj, rj in picked:
-            if abs(pi_ - pj) <= 1 and abs(li_ - lj) <= 1 and abs(ri_ - rj) <= 1:
-                break
-        else:
-            yield pi_, li_, ri_
-            picked.append((pi_, li_, ri_))
-            if len(picked) >= DESCENT_SEEDS:
+    picked: list[tuple[int, int, int]] = []
+    for _, cell in sorted(cells):
+        if all(max(abs(a - b) for a, b in zip(cell, other)) > 1 for other in picked):
+            yield cell
+            picked.append(cell)
+            if len(picked) == DESCENT_SEEDS:
                 return
 
 
@@ -352,7 +324,7 @@ def _lm_descent(
 
 
 def _size_axis(lo: float, hi: float) -> list[float]:
-    """``np.linspace(lo, hi, COARSE_SIZE_STEPS)``'s floats, without its per-call overhead."""
+    """``COARSE_SIZE_STEPS`` evenly spaced floats from ``lo`` to ``hi``, both ends included."""
     step = (hi - lo) / (COARSE_SIZE_STEPS - 1)
     return [i * step + lo for i in range(COARSE_SIZE_STEPS - 1)] + [hi]
 
@@ -371,8 +343,8 @@ def search_second_polygon(
     through the point; any rotation of it about the point, and its mirror
     image in that horizontal, is an equally good answer.
 
-    Grid stage: one vectorized pass scores the phases of the first half
-    period, 0 to pi/n in steps of (2*pi/n) / ``grid_resolution``, against
+    Grid stage: one pass scores the phases of the first half period, 0
+    to pi/n in steps of (2*pi/n) / ``grid_resolution``, against
     a coarse grid of center distances and radii; the other half holds the
     mirror images of these candidates.  The size bounds come from plain
     geometry (the center is the vertex centroid, so its distance from the
@@ -390,26 +362,26 @@ def search_second_polygon(
         return OracleResult(False, None, math.inf, 0)
     exp = math.frexp(distances[-1])[1]
     target = [math.ldexp(v, -exp) for v in distances]
-    target_arr = np.array(target)
     scale = target[-1]
     r_in = math.ldexp(p.circumradius, -exp)
     l_in = math.ldexp(point.distance_to(p.center), -exp)
-    mean_d = float(np.add.reduce(target_arr) / n)  # the floats of ``target_arr.mean()``
+    mean_d = math.fsum(target) / n
 
     ell_hi = mean_d * (1.0 + 1e-9)
     r_lo = max(0.0, scale - ell_hi)
     # realizable inputs always give r_lo <= r_hi; keep the grid sane otherwise
     r_hi = max(target[0] + ell_hi, r_lo)
 
-    psis, cosang, dirs = _phase_tables(n, cfg.grid_resolution)
+    psis, cosines, dirs = _phase_tables(n, cfg.grid_resolution)
     ell_axis = _size_axis(0.0, ell_hi)
     r_axis = _size_axis(r_lo, r_hi)
-    ells, radii = np.array((ell_axis, r_axis))
 
-    obj = _grid_scores(cosang, ells, radii, target_arr)
-    samples = obj.size
+    cells = _grid_scores(cosines, ell_axis, r_axis, target)
+    samples = len(cells)
 
-    stop_objective = (1e-9 * scale) ** 2
+    # a descent that stops here has its sizes to about 1e-13 of the largest
+    # distance, so inputs a rigid motion apart give sizes 1e-12 apart
+    stop_objective = (1e-13 * scale) ** 2
     max_iterations = 20 * cfg.refine_iterations
 
     def swapped(x: tuple[float, float, float]) -> tuple[float, float, float]:
@@ -421,7 +393,7 @@ def search_second_polygon(
 
     def seeds() -> Iterator[tuple[float, float, float]]:
         # drawn as the loop asks, so a search that stops early picks no more
-        for pi_, li_, ri_ in _pick_seeds(obj):
+        for pi_, li_, ri_ in _pick_seeds(cells):
             base = (psis[pi_], ell_axis[li_], r_axis[ri_])
             yield base
             yield swapped(base)

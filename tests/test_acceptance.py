@@ -6,6 +6,7 @@ Each test prints one ``ACCEPTANCE <k> ...: PASS/FAIL`` line (visible with
 
 import json
 import math
+import random
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ from polydual.geometry import (
     distances_from,
     vertices,
 )
-from polydual.oracle import random_instance, search_second_polygon
+from polydual.oracle import AGREE_TOL, random_instance, search_second_polygon
 from polydual.pompeiu import (
     pompeiu_from_distances,
     solve_equilateral,
@@ -226,6 +227,45 @@ def test_criterion_7_oracle_independence():
         elapsed = time.perf_counter() - t0
         print(f"  [oracle: {elapsed:.1f}s for 500 instances, worst rel err {worst:.2e}]")
         assert elapsed < 600.0, f"oracle suite took {elapsed:.1f}s"
+
+
+#: The oracle's hard instance classes: center-distance/radius ratios l/r
+#: close to the circumcircle, close to the center, and far outside it.
+HARD_RATIOS = {
+    "l/r = 1 +- 10^-3.3..10^-1":
+        lambda rng: 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.3, -1.0),
+    "l/r = 10^-4..10^-1": lambda rng: 10.0 ** rng.uniform(-4.0, -1.0),
+    "l/r = 3..30": lambda rng: rng.uniform(3.0, 30.0),
+}
+
+
+def test_criterion_7_oracle_hard_classes():
+    with report("7 oracle agreement on hard classes, 1800 instances, 400 on the circle"):
+        t0 = time.perf_counter()
+        rng = random.Random(21)
+        for label, draw_ratio in HARD_RATIOS.items():
+            for n_range in ((3, 8), (13, 64)):
+                for _ in range(300):
+                    n = rng.randint(*n_range)
+                    radius = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+                    dist = draw_ratio(rng) * radius
+                    poly = RegularPolygonSpec(n, Point2(0.0, 0.0), radius, rng.uniform(0.0, TWO_PI))
+                    az = rng.uniform(0.0, TWO_PI)
+                    point = Point2(dist * math.cos(az), dist * math.sin(az))
+                    res = search_second_polygon(poly, point)
+                    where = (label, n_range, poly, point)
+                    assert res.found, where
+                    err = max(
+                        abs(res.polygon.circumradius - dist),
+                        abs(point.distance_to(res.polygon.center) - radius),
+                    )
+                    assert err <= AGREE_TOL * max(radius, dist), where
+        # on the circumcircle the companion is the polygon itself: nothing to find
+        for n_range in ((3, 8), (13, 64)):
+            for seed in range(200):
+                poly, point = random_instance(60_000 + seed, n_range, degenerate_mode=True)
+                assert not search_second_polygon(poly, point).found, (n_range, seed)
+        print(f"  [oracle: {time.perf_counter() - t0:.1f}s for 2200 hard instances]")
 
 
 def test_criterion_8_pompeiu_boundary():

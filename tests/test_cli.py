@@ -337,6 +337,35 @@ class TestVerifyCommand:
         assert result["max_param_error"] <= 1e-5
 
 
+def _square_request(**changes):
+    polygon = {"n": 4, "center": {"x": 0.0, "y": 0.0}, "r": 1.0}
+    polygon.update(changes.pop("polygon", {}))
+    return {"polygon": polygon, "point": {"x": 0.3, "y": 0.1}, **changes}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("verify", lambda v: {"instances": v}),
+        ("verify", lambda v: {"seed": v}),
+        ("verify", lambda v: {"n_min": v}),
+        ("verify", lambda v: {"n_max": v}),
+        ("verify", lambda v: {"grid": v}),
+        ("verify", lambda v: {"refine": v}),
+        ("reconstruct", lambda v: _square_request(polygon={"n": v})),
+        ("reconstruct", lambda v: _square_request(anchor_index=v)),
+        ("render", lambda v: _square_request(scene="dual", anchor_index=v)),
+    ],
+    ids=["instances", "seed", "n_min", "n_max", "grid", "refine", "polygon.n",
+         "anchor_index", "render-anchor_index"],
+)
+def test_infinite_integer_is_a_schema_error(command, payload, value):
+    # int() raises OverflowError on an infinite float; it must not escape run()
+    with pytest.raises(SchemaError, match="must be an integer"):
+        run(JobRequest(command, payload(value)))
+
+
 ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
 
 
@@ -511,13 +540,23 @@ def _run_fresh(lines):
     )
 
 
-def test_only_verify_imports_numpy():
-    """A non-verify command runs without numpy, and submodules stay modules."""
+def test_no_command_imports_numpy():
+    """Every command, ``verify`` included, runs without numpy, and submodules stay modules."""
+    argvs = [
+        ["dual", "--distances", "3,5,7"],
+        ["averages", "--distances", SQUARE_DISTANCES],
+        ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
+        ["pompeiu", "--distances", "3,5,7", "--construct"],
+        ["two-points", *README_PAIR],
+        ["render", "--scene", "pompeiu", "--distances", "3,5,7"],
+        ["verify", "--instances", "3"],
+    ]
     proc = _run_fresh([
         "import contextlib, io, sys, types",
         "import polydual.cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
-        "    assert polydual.cli.main(['dual', '--distances', '3,5,7']) == 0",
+        f"    for argv in {argvs!r}:",
+        "        assert polydual.cli.main(argv) == 0, argv",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
         "import polydual.two_points",
         "assert isinstance(polydual.two_points, types.ModuleType), polydual.two_points",

@@ -1,6 +1,6 @@
 import math
+import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +15,6 @@ from polydual.oracle import (
     _phase_tables,
     _pick_seeds,
     _residuals,
-    _sorted_cosines,
     search_second_polygon,
     random_instance,
 )
@@ -153,7 +152,7 @@ class TestSearch:
         poly, point = random_instance(seed, (3, 12), degenerate_mode=True)
         res = search_second_polygon(poly, point, cfg)
         assert res.found is False
-        grid = (cfg.grid_resolution // 2 + 1) * COARSE_SIZE_STEPS**2
+        grid = ((cfg.grid_resolution // 2 + 1) * (COARSE_SIZE_STEPS - 1) + 1) * COARSE_SIZE_STEPS
         assert res.samples_evaluated - grid <= 2_000
 
     @pytest.mark.parametrize("k", [-560, 660])
@@ -183,102 +182,94 @@ class TestConfig:
 
 
 class TestKernels:
-    """The fast kernels give the same floats as their plain full-sort forms."""
+    """The grid's presorted kernel and the seed pick give what their plain forms give."""
 
     @pytest.mark.parametrize("n", range(3, 65))
     @pytest.mark.parametrize("r_lo", [0.0, 0.7])
     def test_grid_scores_match_a_per_cell_sort(self, n, r_lo):
-        rng = np.random.default_rng(600 + n)
-        target = np.sort(rng.uniform(0.1, 3.0, n))
-        psis = np.linspace(0.0, TWO_PI / n, 16, endpoint=False)
-        ells = np.linspace(0.0, 2.0, 12)  # the first row is ell = 0
-        radii = np.linspace(r_lo, 3.5, 12)
-        offsets = TWO_PI * np.arange(n) / n
-        ll = ells[None, :, None, None]
-        rr = radii[None, None, :, None]
-        cosang = np.cos(psis[:, None] + offsets)[:, None, None, :]
-        d2 = ll * ll + rr * rr + 2.0 * ll * rr * cosang
-        np.maximum(d2, 0.0, out=d2)
-        diff = np.sort(np.sqrt(d2), axis=-1) - target
-        want = np.zeros(diff.shape[:-1])
-        for k in range(n):  # the vertices added left to right
-            want += diff[..., k] * diff[..., k]
-        assert np.array_equal(_grid_scores(_sorted_cosines(psis, offsets), ells, radii, target), want)
+        rng = random.Random(600 + n)
+        target = sorted(rng.uniform(0.1, 3.0) for _ in range(n))
+        psis, cosines, _ = _phase_tables(n, 16)
+        ells = _linspace(0.0, 2.0, 12)  # the first row is ell = 0
+        radii = _linspace(r_lo, 3.5, 12)
+        want = {}
+        for p, psi in enumerate(psis):
+            unsorted = [math.cos(psi + TWO_PI * k / n) for k in range(n)]
+            for j, ell in enumerate(ells):
+                for i, r in enumerate(radii):
+                    d = []
+                    for c in unsorted:
+                        d2 = c * (2.0 * ell * r) + (ell * ell + r * r)
+                        d.append(math.sqrt(max(d2, 0.0)))
+                    f = 0.0
+                    for u, t in zip(sorted(d), target):  # the vertices added left to right
+                        f += (u - t) * (u - t)
+                    want[p, j, i] = f
+        got = {cell: f for f, cell in _grid_scores(cosines, ells, radii, target)}
+        # the row ell = 0 is one cell per radius, and it scores the same at every phase
+        assert sorted(got) == sorted(cell for cell in want if cell[1] > 0 or cell[0] == 0)
+        assert all(want[p, 0, i] == want[0, 0, i] for p, j, i in want if j == 0)
+        assert all(got[cell] == want[cell] for cell in got)
 
     def test_grid_scores_are_mirror_symmetric(self):
         # reflecting a candidate in the line through the point and its center
         # maps phase psi to 2*pi/n - psi and keeps every distance
-        rng = np.random.default_rng(603)
+        rng = random.Random(603)
         for n in range(3, 65):
-            target = np.sort(rng.uniform(0.1, 3.0, n))
-            psis = rng.uniform(0.0, TWO_PI / n, 8)
-            ells = np.r_[0.0, rng.uniform(0.0, 2.0, 6)]  # _grid_scores needs ells[0] == 0
-            radii = rng.uniform(0.0, 3.5, 6)
-            offsets = TWO_PI * np.arange(n) / n
-            got = _grid_scores(_sorted_cosines(psis, offsets), ells, radii, target)
-            mirrored = _grid_scores(_sorted_cosines(TWO_PI / n - psis, offsets), ells, radii, target)
-            assert np.allclose(mirrored, got, rtol=1e-12, atol=0.0), n
+            target = sorted(rng.uniform(0.1, 3.0) for _ in range(n))
+            psis = [rng.uniform(0.0, TWO_PI / n) for _ in range(8)]
+            # _grid_scores needs ells[0] == 0
+            ells = [0.0] + [rng.uniform(0.0, 2.0) for _ in range(6)]
+            radii = [rng.uniform(0.0, 3.5) for _ in range(6)]
+            got = _grid_scores(_cosine_table(n, psis), ells, radii, target)
+            mirror = _cosine_table(n, [TWO_PI / n - v for v in psis])
+            mirrored = _grid_scores(mirror, ells, radii, target)
+            for (f, cell), (g, other) in zip(got, mirrored):
+                assert cell == other
+                assert g == pytest.approx(f, rel=1e-12, abs=0.0), (n, cell)
 
     def test_seed_pick_matches_a_full_sort(self):
-        rng = np.random.default_rng(604)
+        rng = random.Random(604)
         steps = COARSE_SIZE_STEPS
-        for trial in range(1_000):
-            shape = (int(rng.integers(5, 34)), steps, steps)
-            cells = np.indices(shape).reshape(3, -1).T
-            if trial % 3 == 2:
-                # interior cells 3 apart, so no two share a neighbour
-                cells_ok = np.all((cells % 3 == 1) & (cells < np.array(shape) - 1), axis=1)
-                pool = cells[cells_ok]
-            else:
-                pool = cells
-            centers = pool[rng.choice(len(pool), DESCENT_SEEDS + 2, replace=False)]
-            gap2 = ((cells[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-            if trial % 3 == 0:  # unstructured
-                obj = rng.uniform(size=shape)
-            elif trial % 3 == 1:  # smooth basins of random depth
-                obj = (gap2 + rng.uniform(0.0, 20.0, len(centers))).min(axis=1).reshape(shape)
-            else:  # all 26 neighbours of a basin come before the next basin
-                depth = np.where(gap2 <= 3, 3.5 * np.arange(len(centers)) + gap2, 1e3)
-                obj = depth.min(axis=1).reshape(shape)
-            obj = obj + rng.uniform(0.0, 1e-3, shape)
-            assert list(_pick_seeds(obj)) == _full_sort_pick(obj), trial
-
-    def test_seed_pick_yields_the_best_cell_before_any_partition(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("partitioned the grid")
-
-        monkeypatch.setattr(np, "argpartition", refuse)
-        rng = np.random.default_rng(605)
         for trial in range(300):
-            shape = (int(rng.integers(5, 34)), COARSE_SIZE_STEPS, COARSE_SIZE_STEPS)
-            if trial % 2:
-                obj = rng.integers(0, 3, shape).astype(float)  # many tied best cells
-            else:
-                obj = rng.uniform(size=shape)
-            seeds = _pick_seeds(obj)
-            assert next(seeds) == _full_sort_pick(obj)[0], trial
-            with pytest.raises(AssertionError, match="partitioned"):
-                next(seeds)  # only a second seed needs the partition
+            phases = rng.randint(2, 17)
+            layout = [(0, 0, i) for i in range(steps)]  # the row ell = 0 sits at phase 0
+            layout += [(p, j, i) for p in range(phases)
+                       for j in range(1, steps) for i in range(steps)]
+            if trial % 3 == 0:  # unstructured
+                cells = [(rng.random(), cell) for cell in layout]
+            elif trial % 3 == 1:  # many tied best cells
+                cells = [(float(rng.randint(0, 2)), cell) for cell in layout]
+            else:  # smooth basins of random depth
+                centers = rng.sample(layout, DESCENT_SEEDS + 2)
+                depths = [rng.uniform(0.0, 20.0) for _ in centers]
+                cells = [
+                    (min(_gap2(cell, c) + h for c, h in zip(centers, depths))
+                     + rng.uniform(0.0, 1e-3), cell)
+                    for cell in layout
+                ]
+            rng.shuffle(cells)
+            assert list(_pick_seeds(cells)) == _best_first_pick(cells), trial
 
     def test_residuals_match_sorted_hypot_differences(self):
-        rng = np.random.default_rng(601)
+        rng = random.Random(601)
         for _ in range(10_000):
-            n = int(rng.integers(3, 13))
+            n = rng.randint(3, 12)
             dirs = _dirs(n)
-            target = sorted(rng.uniform(0.0, 5.0, n).tolist())
-            psi = float(rng.uniform(0.0, TWO_PI / n))
-            ell, radius = (float(v) for v in rng.uniform(0.0, 3.0, 2))
+            target = sorted(rng.uniform(0.0, 5.0) for _ in range(n))
+            psi = rng.uniform(0.0, TWO_PI / n)
+            ell, radius = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
             want = [u - v for u, v in zip(sorted(_distances(dirs, psi, ell, radius)), target)]
             got, _ = _residuals(dirs, target, psi, ell, radius)
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_jacobian_matches_central_differences(self):
-        rng = np.random.default_rng(602)
+        rng = random.Random(602)
         candidates = []
         for _ in range(2_000):
-            n = int(rng.integers(3, 13))
-            ell, radius = (float(v) for v in rng.uniform(0.1, 3.0, 2))
-            candidates.append((n, float(rng.uniform(0.0, TWO_PI / n)), ell, radius))
+            n = rng.randint(3, 12)
+            ell, radius = rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)
+            candidates.append((n, rng.uniform(0.0, TWO_PI / n), ell, radius))
         # at psi = 0 the vertices k and n - k lie at the same distance
         candidates += [(n, 0.0, ell, radius) for n in range(3, 13)
                        for ell, radius in ((0.4, 1.3), (2.2, 0.7), (1.0, 1.5))]
@@ -301,18 +292,18 @@ class TestKernels:
 
 class TestPhaseTables:
     def test_cached_tables_are_read_only(self):
-        psis, cosang, dirs = _phase_tables(5, 64)
-        with pytest.raises(ValueError):
-            cosang[0, 0, 0, 0] = 2.0
-        with pytest.raises(ValueError):
-            cosang += 1.0
-        assert type(psis) is tuple and type(dirs) is tuple
+        psis, cosines, dirs = _phase_tables(5, 64)
+        for table in (psis, cosines, cosines[0], dirs, dirs[0]):
+            assert type(table) is tuple
+        with pytest.raises(TypeError):
+            cosines[0][0] = 2.0  # type: ignore[index]
+        assert cosines == _cosine_table(5, psis)
 
     def test_cache_is_bounded(self):
         assert 0 < _phase_tables.cache_info().maxsize < 1_000
 
     @pytest.mark.parametrize(
-        "cfg", [OracleConfig(), OracleConfig(grid_resolution=8, refine_iterations=1)]
+        "cfg", [OracleConfig(), OracleConfig(grid_resolution=64, refine_iterations=1)]
     )
     def test_cold_cache_gives_the_warm_result(self, cfg):
         for n in range(3, 65):
@@ -325,22 +316,36 @@ class TestPhaseTables:
             assert _result_hex(warm) == _result_hex(cold), n
 
 
-#: How the ``PINNED_RESULTS`` instances are drawn: kind -> (n_range, degenerate_mode).
-PINNED_INSTANCES = {"pool": ((3, 8), False), "tail": ((13, 64), False), "circle": ((3, 12), True)}
+#: ``random_instance`` draws, every float as ``float.hex()``: (seed, n_range,
+#: degenerate_mode, n, circumradius, phase, point.x, point.y).  The radius is
+#: ``math.exp`` of a uniform draw and the point comes from ``math.cos`` and
+#: ``math.sin``, so a libm that rounds those differently shows here first.
+PINNED_INSTANCES = [
+    (0, (3, 12), False, 9, "0x1.a3dfb15993ee5p+1", "0x1.a07766c4120e8p+0",
+     "-0x1.0837531fee0adp+2", "-0x1.2bfae1ffd8223p-2"),
+    (1234, (3, 12), False, 10, "0x1.5ec6e307bb877p-3", "0x1.7b04061c0a409p+2",
+     "0x1.0b8095ef62ee1p-6", "-0x1.65563f2ded6c6p-5"),
+    (70000, (3, 8), False, 7, "0x1.4a1e38e80131ap+2", "0x1.094b48b099476p+2",
+     "-0x1.9f732f41733cfp+0", "-0x1.53c52c61acf3ep+2"),
+    (70095, (3, 8), False, 7, "0x1.be83c15729473p+0", "0x1.f7ccd135a78eap-3",
+     "0x1.9ddc97287c23dp+0", "0x1.4961bd700f385p-3"),
+    (5000, (13, 64), False, 27, "0x1.142e58d9259a9p-1", "0x1.64857c403ea54p-1",
+     "-0x1.0afbd9fd0db9dp-1", "0x1.7f89f4cd396afp-2"),
+    (7, (3, 12), True, 8, "0x1.f765a7461e786p+2", "0x1.3d893083de7cfp+1",
+     "0x1.e067f94059081p+2", "0x1.2cca129af6b7ap+1"),
+]
 
 
-def test_search_results_are_pinned():
-    for kind, seed, grid, found, samples, residual, polygon in PINNED_RESULTS:
-        n_range, degenerate = PINNED_INSTANCES[kind]
+def test_random_instances_are_pinned():
+    for seed, n_range, degenerate, *want in PINNED_INSTANCES:
         poly, point = random_instance(seed, n_range, degenerate_mode=degenerate)
-        cfg = OracleConfig() if grid == 64 else OracleConfig(grid_resolution=8, refine_iterations=1)
-        res = search_second_polygon(poly, point, cfg)
-        assert _result_hex(res) == (found, samples, residual, polygon), (kind, seed, grid)
-        assert res.polygon is None or res.polygon.n == poly.n
+        assert poly.center == (0.0, 0.0)
+        got = [poly.n, *(v.hex() for v in (poly.circumradius, poly.phase, point.x, point.y))]
+        assert got == want, seed
 
 
 def _result_hex(res):
-    """An ``OracleResult`` with every float as ``float.hex()``, in ``PINNED_RESULTS`` order."""
+    """An ``OracleResult`` with every float as ``float.hex()``."""
     polygon = res.polygon
     if polygon is not None:
         polygon = tuple(
@@ -368,16 +373,29 @@ def _assert_search_scales_exactly(poly, point, k):
     )
 
 
-def _full_sort_pick(obj):
-    """The seed pick over a full sort of the grid, for reference."""
+def _best_first_pick(cells):
+    """The seed pick by repeated scans for the best cell no picked cell neighbours."""
     picked = []
-    for idx in np.argsort(obj, axis=None, kind="stable").tolist():
-        cell = np.unravel_index(idx, obj.shape)
-        if all(max(abs(a - b) for a, b in zip(cell, other)) > 1 for other in picked):
-            picked.append(cell)
-            if len(picked) == DESCENT_SEEDS:
-                break
-    return [tuple(map(int, cell)) for cell in picked]
+    while len(picked) < DESCENT_SEEDS:
+        free = [c for c in cells
+                if all(max(abs(a - b) for a, b in zip(c[1], p)) > 1 for p in picked)]
+        if not free:
+            break
+        picked.append(min(free)[1])
+    return picked
+
+
+def _gap2(cell, other):
+    return sum((a - b) ** 2 for a, b in zip(cell, other))
+
+
+def _linspace(lo, hi, steps):
+    return [lo + (hi - lo) * k / (steps - 1) for k in range(steps)]
+
+
+def _cosine_table(n, psis):
+    """cos(psi + 2*pi*k/n) over the vertices k, sorted, for each phase."""
+    return tuple(tuple(sorted(math.cos(psi + TWO_PI * k / n) for k in range(n))) for psi in psis)
 
 
 def _dirs(n):
@@ -389,152 +407,3 @@ def _distances(dirs, psi, ell, radius):
     c, s = math.cos(psi), math.sin(psi)
     return [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk))
             for ck, sk in dirs]
-
-
-#: Search results recorded before the grid's phase tables were cached, so any
-#: float the set-up moves shows: the 20 pool instances, 10 with n 13-64 and 5 on
-#: the circumcircle, at grid 64 and at ``OracleConfig(8, 1)``.  Each row is
-#: (kind, seed, grid, found, samples_evaluated, residual, (center.x, center.y,
-#: circumradius, phase) or None), every float as ``float.hex()``.
-PINNED_RESULTS = [
-    ("pool", 70000, 64, True, 4760, "0x1.a56d000000000p-36",
-     ("0x1.1f10bfcb3d00ap+1", "-0x1.6c56beab5651cp-1", "0x1.c26f346696fadp+0", "0x1.7e08a33bbfd65p-3")),
-    ("pool", 70001, 64, True, 4761, "0x1.4bab000000000p-38",
-     ("0x1.0ce0bbc8e36e2p+0", "-0x1.2dd4f676d9823p-3", "0x1.73b63053e6080p-1", "0x1.b9f969a52ab65p-3")),
-    ("pool", 70002, 64, True, 4756, "0x1.c843000000000p-35",
-     ("0x1.f1545103311e0p+1", "0x1.8f9960e09bd7cp+0", "0x1.a5b2854bd8687p+0", "0x1.509b8b038183ap-2")),
-    ("pool", 70003, 64, True, 4756, "0x1.4509400000000p-33",
-     ("0x1.4ae51ed87e2f2p-2", "-0x1.8a5b3768f62ffp-6", "0x1.8ad21590790d6p-6", "0x1.b00183ee99d5dp-4")),
-    ("pool", 70004, 64, True, 4756, "0x1.d7e5200000000p-35",
-     ("0x1.b123e3ff1a2b4p-3", "-0x1.dca9960259fc5p-3", "0x1.0631979821fedp-2", "0x1.418b24da3008dp-1")),
-    ("pool", 70005, 64, True, 4764, "0x1.8a67800000000p-38",
-     ("0x1.f5f8266f3bb72p+0", "-0x1.0af32ad1fcb03p+0", "0x1.4472ce3ec81dbp+0", "0x1.d3ff76f03140ap-4")),
-    ("pool", 70006, 64, True, 4756, "0x1.9e90000000000p-41",
-     ("0x1.3d03407f87b8dp+0", "-0x1.42dc3ae875660p-2", "0x1.c58133ed5342cp-1", "0x1.353c6f6893d36p-2")),
-    ("pool", 70007, 64, True, 4761, "0x1.aafc000000000p-35",
-     ("0x1.16a1ca300d5eep+2", "-0x1.0c99afb09a3b5p+1", "0x1.b67cd9b31fcfep+1", "0x1.6917321974e48p-1")),
-    ("pool", 70008, 64, True, 4756, "0x1.3e42800000000p-34",
-     ("0x1.069d368208204p+2", "-0x1.6c9ce83c78b54p-3", "0x1.80b20bab8095ep-2", "0x1.40d532f44d209p-2")),
-    ("pool", 70009, 64, True, 4757, "0x1.9800000000000p-46",
-     ("-0x1.15aaa4dc9eef4p+0", "-0x1.8748460fdbe95p+1", "0x1.1498ef4e0d729p+3", "0x1.229887b2c14f9p-3")),
-    ("pool", 70010, 64, True, 4756, "0x1.26e3300000000p-32",
-     ("0x1.cf3d30317f6a0p+2", "-0x1.7d074deb164afp+1", "0x1.2c50767c8137ep+2", "0x1.d595653de74b2p-4")),
-    ("pool", 70011, 64, True, 4756, "0x1.c611180000000p-37",
-     ("0x1.43ee249f63e68p-6", "-0x1.0c8e4c330eec7p-3", "0x1.af01440c16fa9p-3", "0x1.0b34aca0af88ep+0")),
-    ("pool", 70012, 64, True, 4756, "0x1.9c35000000000p-32",
-     ("-0x1.e76697ade458cp+1", "0x1.6082670ad9db5p+2", "0x1.38704a75dd715p+3", "0x1.024229429755ep+0")),
-    ("pool", 70013, 64, True, 4756, "0x1.35ac000000000p-34",
-     ("0x1.84035df213c08p+1", "0x1.194d715c9d1e5p+3", "0x1.214c3013828cep+3", "0x1.332670e6f087bp-1")),
-    ("pool", 70014, 64, True, 4760, "0x1.d25b940000000p-34",
-     ("0x1.553e94c136c91p-2", "0x1.ed4946e669492p-3", "0x1.ef329e45e784ap-3", "0x1.4fd43b48a23cap-3")),
-    ("pool", 70015, 64, True, 4757, "0x1.06ea000000000p-41",
-     ("0x1.bf998a2574a48p-5", "0x1.ac4deb3c79eb1p-3", "0x1.0b910f3d8c667p-2", "0x1.cdfad4319b305p-5")),
-    ("pool", 70016, 64, True, 4761, "0x1.3e66000000000p-33",
-     ("-0x1.54a1b3e8929aap+1", "0x1.b0f8fc9b88e23p+3", "0x1.05716c07139b4p+4", "0x1.130fface174a5p-2")),
-    ("pool", 70017, 64, True, 4756, "0x1.8b90000000000p-42",
-     ("0x1.c92df8acb76c1p-3", "0x1.f2781364d14f5p-4", "0x1.7cfe63325917ep-3", "0x1.4551a8fce2d25p-2")),
-    ("pool", 70018, 64, True, 4760, "0x1.4800000000000p-41",
-     ("0x1.4b5b2ad8fe6d2p+1", "0x1.9518ceb66fd16p+0", "0x1.fc1fe3e2f84b0p+0", "0x1.206c595fe6d48p-1")),
-    ("pool", 70019, 64, True, 4756, "0x1.35d8000000000p-36",
-     ("0x1.b56f3faa51be6p-2", "0x1.5a857041cfd4fp+0", "0x1.6130ea1ec0a29p+0", "0x1.9d61246fa7097p-2")),
-    ("tail", 5000, 64, True, 4760, "0x1.f000000000000p-43",
-     ("0x1.0f83536706730p+0", "0x1.1cc7886f64de2p+0", "0x1.3d4d6bafb3b2dp+0", "0x1.eb630d1c2b8d6p-5")),
-    ("tail", 5001, 64, True, 4756, "0x1.c900000000000p-42",
-     ("0x1.c90c293fbf0adp+1", "-0x1.5d493af576be5p-1", "0x1.5fc1ede3bcf68p-1", "0x1.346cfc933f9ddp-7")),
-    ("tail", 5002, 64, True, 4760, "0x1.16bdcc0000000p-30",
-     ("0x1.525de79e393efp+1", "0x1.46c18b28e36f7p+1", "0x1.553cbc1a6a24cp+1", "0x1.21dd2290baae3p-7")),
-    ("tail", 5003, 64, True, 4761, "0x1.f1f0000000000p-43",
-     ("-0x1.e935d5366b25cp-5", "0x1.0bace30b8ee2ep-3", "0x1.18f835fcda244p-2", "0x1.9de684d01cf13p-4")),
-    ("tail", 5004, 64, True, 4761, "0x1.7a80000000000p-43",
-     ("0x1.4775abd6d19b3p+0", "0x1.5a4e34afc15b5p-3", "0x1.ae5af258eecf7p-2", "0x1.18431938a91c1p-5")),
-    ("tail", 5005, 64, True, 4760, "0x1.47b2300000000p-33",
-     ("0x1.e7ace123ad3cap+0", "-0x1.f0474f80963bdp-2", "0x1.c96435e65c849p-1", "0x1.922f66c2bbf91p-8")),
-    ("tail", 5006, 64, True, 4760, "0x1.ad0e000000000p-39",
-     ("-0x1.6e4f07755ecd0p-2", "0x1.b56ab975871f1p-3", "0x1.298baa7aa55bap+0", "0x1.3dd1ed212e704p-4")),
-    ("tail", 5007, 64, True, 4756, "0x1.3200000000000p-48",
-     ("0x1.10ac207f31c7ap-3", "0x1.861633ac7ca2bp-7", "0x1.1db811dc0774ap-5", "0x1.c0a22b75c2d15p-6")),
-    ("tail", 5008, 64, True, 4760, "0x1.00e8000000000p-40",
-     ("0x1.96b068b52a080p-1", "0x1.22feb12bf148cp-8", "0x1.18fe9ece45b76p-1", "0x1.403dfdd8128ebp-5")),
-    ("tail", 5009, 64, True, 4761, "0x1.c500000000000p-41",
-     ("-0x1.e195b730cab30p-1", "0x1.57f9d7812231bp+1", "0x1.0918624133007p+2", "0x1.15a7aa6c43ca9p-6")),
-    ("circle", 0, 64, False, 4963, "inf",
-     None),
-    ("circle", 1, 64, False, 4967, "inf",
-     None),
-    ("circle", 2, 64, False, 4965, "inf",
-     None),
-    ("circle", 3, 64, False, 4969, "inf",
-     None),
-    ("circle", 4, 64, False, 4963, "inf",
-     None),
-    ("pool", 70000, 8, True, 729, "0x1.1398000000000p-34",
-     ("0x1.1f10bfcb36a0ep+1", "-0x1.6c56beab5651cp-1", "0x1.c26f34669b651p+0", "0x1.7e08a33712ae2p-3")),
-    ("pool", 70001, 8, True, 728, "0x1.ce2a800000000p-36",
-     ("0x1.0ce0bbc8de1fcp+0", "-0x1.2dd4f676d9823p-3", "0x1.73b63053eb4b6p-1", "0x1.b9f969a7bd0b7p-3")),
-    ("pool", 70002, 8, True, 724, "0x1.c843000000000p-35",
-     ("0x1.f1545103311e0p+1", "0x1.8f9960e09bd7cp+0", "0x1.a5b2854bd8687p+0", "0x1.509b8b038183ap-2")),
-    ("pool", 70003, 8, True, 725, "0x1.0ae0000000000p-43",
-     ("0x1.4ae51ed87e004p-2", "-0x1.8a5b3768f62ffp-6", "0x1.8ad21590af388p-6", "0x1.b001859475f52p-4")),
-    ("pool", 70004, 8, True, 724, "0x1.98bf400000000p-37",
-     ("0x1.b123e40000de1p-3", "-0x1.dca9960259fc5p-3", "0x1.06319797c91a3p-2", "0x1.418b24dbafd77p-1")),
-    ("pool", 70005, 8, True, 732, "0x1.2b45400000000p-35",
-     ("0x1.f5f8266ee6447p+0", "-0x1.0af32ad1fcb03p+0", "0x1.4472ce3f1d912p+0", "0x1.d3ff76f02eceap-4")),
-    ("pool", 70006, 8, True, 724, "0x1.7918000000000p-40",
-     ("0x1.3d03407f87a60p+0", "-0x1.42dc3ae875660p-2", "0x1.c58133ed534fep-1", "0x1.353c6f68a623ap-2")),
-    ("pool", 70007, 8, True, 728, "0x1.2513c00000000p-31",
-     ("0x1.16a1ca3053f2ep+2", "-0x1.0c99afb09a3b5p+1", "0x1.b67cd9b254e80p+1", "0x1.6917321ad69f9p-1")),
-    ("pool", 70008, 8, True, 724, "0x1.e9c8000000000p-33",
-     ("0x1.069d36820823fp+2", "-0x1.6c9ce83c78b54p-3", "0x1.80b20bab7c96cp-2", "0x1.40d5330220c88p-2")),
-    ("pool", 70009, 8, True, 730, "0x1.f424000000000p-38",
-     ("-0x1.15aaa4dca3ed4p+0", "-0x1.8748460fdbe95p+1", "0x1.1498ef4e0e177p+3", "0x1.229887b2c034bp-3")),
-    ("pool", 70010, 8, True, 724, "0x1.94b9c00000000p-32",
-     ("0x1.cf3d30316dd1ap+2", "-0x1.7d074deb164afp+1", "0x1.2c50767c93b13p+2", "0x1.d595653d106b5p-4")),
-    ("pool", 70011, 8, True, 724, "0x1.c611180000000p-37",
-     ("0x1.43ee249f63e68p-6", "-0x1.0c8e4c330eec7p-3", "0x1.af01440c16fa9p-3", "0x1.0b34aca0af88ep+0")),
-    ("pool", 70012, 8, True, 724, "0x1.d19d800000000p-32",
-     ("-0x1.e76697ae18ec8p+1", "0x1.6082670ad9db5p+2", "0x1.38704a75e3908p+3", "0x1.02422943b7255p+0")),
-    ("pool", 70013, 8, True, 724, "0x1.11da000000000p-35",
-     ("0x1.84035df21aa0ap+1", "0x1.194d715c9d1e5p+3", "0x1.214c30138178dp+3", "0x1.332670e708a6ap-1")),
-    ("pool", 70014, 8, True, 730, "0x1.4400000000000p-49",
-     ("0x1.553e94bfbb0a0p-2", "0x1.ed4946e669492p-3", "0x1.ef329e48ea23cp-3", "0x1.4fd43b474a18fp-3")),
-    ("pool", 70015, 8, True, 725, "0x1.e602000000000p-41",
-     ("0x1.bf998a2564f08p-5", "0x1.ac4deb3c79eb1p-3", "0x1.0b910f3d8e51ap-2", "0x1.aeb24678a048dp-1")),
-    ("pool", 70016, 8, True, 729, "0x1.3e66000000000p-33",
-     ("-0x1.54a1b3e8929aap+1", "0x1.b0f8fc9b88e23p+3", "0x1.05716c07139b4p+4", "0x1.130fface174a5p-2")),
-    ("pool", 70017, 8, True, 724, "0x1.133e000000000p-38",
-     ("0x1.c92df8acba9e7p-3", "0x1.f2781364d14f5p-4", "0x1.7cfe633253021p-3", "0x1.4551a8fd378cfp-2")),
-    ("pool", 70018, 8, True, 729, "0x1.5328000000000p-39",
-     ("0x1.4b5b2ad8ff286p+1", "0x1.9518ceb66fd16p+0", "0x1.fc1fe3e2f6ee2p+0", "0x1.206c595fea89dp-1")),
-    ("pool", 70019, 8, True, 724, "0x1.509c140000000p-30",
-     ("0x1.b56f3f8a81768p-2", "0x1.5a857041cfd4fp+0", "0x1.6130ea233282fp+0", "0x1.9d612489220eep-2")),
-    ("tail", 5000, 8, True, 729, "0x1.17a8000000000p-39",
-     ("0x1.0f83536706402p+0", "0x1.1cc7886f64de2p+0", "0x1.3d4d6bafb3c59p+0", "0x1.eb630d1ca6c33p-5")),
-    ("tail", 5001, 8, True, 724, "0x1.99a4000000000p-36",
-     ("0x1.c90c293fbfc4dp+1", "-0x1.5d493af576be5p-1", "0x1.5fc1ede3b46dbp-1", "0x1.346cfc823b4d3p-7")),
-    ("tail", 5002, 8, True, 728, "0x1.2af1580000000p-30",
-     ("0x1.525de79e4def9p+1", "0x1.46c18b28e36f7p+1", "0x1.553cbc1a58fb8p+1", "0x1.21dd228b73b04p-7")),
-    ("tail", 5003, 8, True, 728, "0x1.0dd8000000000p-41",
-     ("-0x1.e935d5366e470p-5", "0x1.0bace30b8ee2ep-3", "0x1.18f835fcda73fp-2", "0x1.9de684d001c4ap-4")),
-    ("tail", 5004, 8, True, 728, "0x1.5074000000000p-39",
-     ("0x1.4775abd6d1c4dp+0", "0x1.5a4e34afc15b5p-3", "0x1.ae5af258ed9e6p-2", "0x1.18431937f59d0p-5")),
-    ("tail", 5005, 8, True, 728, "0x1.0efd060000000p-31",
-     ("0x1.e7ace12472a30p+0", "-0x1.f0474f80963bdp-2", "0x1.c96435e5036edp-1", "0x1.baca14612416cp-4")),
-    ("tail", 5006, 8, True, 728, "0x1.a85b000000000p-38",
-     ("-0x1.6e4f077564dbep-2", "0x1.b56ab975871f1p-3", "0x1.298baa7aa6b96p+0", "0x1.3dd1ed21563cap-4")),
-    ("tail", 5007, 8, True, 724, "0x1.4ae0000000000p-44",
-     ("0x1.10ac207f31ccdp-3", "0x1.861633ac7ca2bp-7", "0x1.1db811dc07338p-5", "0x1.c0a22b753c35bp-6")),
-    ("tail", 5008, 8, True, 729, "0x1.45f0000000000p-39",
-     ("0x1.96b068b52881ep-1", "0x1.22feb12bf148cp-8", "0x1.18fe9ece464f7p-1", "0x1.403dfdd75db54p-5")),
-    ("tail", 5009, 8, True, 729, "0x1.5490000000000p-39",
-     ("-0x1.e195b730cb19cp-1", "0x1.57f9d7812231bp+1", "0x1.091862413307bp+2", "0x1.15a7aa6c0d9afp-6")),
-    ("circle", 0, 8, False, 951, "inf",
-     None),
-    ("circle", 1, 8, False, 951, "inf",
-     None),
-    ("circle", 2, 8, False, 941, "inf",
-     None),
-    ("circle", 3, 8, False, 953, "inf",
-     None),
-    ("circle", 4, 8, False, 941, "inf",
-     None),
-]

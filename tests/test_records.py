@@ -109,7 +109,7 @@ def test_phase_is_normalized():
 
 def test_repr_names_the_fields():
     assert repr(Point2(1.0, 2.0)) == "Point2(x=1.0, y=2.0)"
-    assert repr(OracleConfig()) == "OracleConfig(grid_resolution=64, refine_iterations=3)"
+    assert repr(OracleConfig()) == "OracleConfig(grid_resolution=8, refine_iterations=3)"
 
 
 def test_tuple_semantics():
