@@ -27,7 +27,7 @@ import sys
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from .errors import DomainError, SchemaError
-from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
+from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from, verify_permutation
 
 if TYPE_CHECKING:
     from .cyclic import ConsistencyReport
@@ -85,19 +85,20 @@ def _emit(obj: Any, out: list[str]) -> None:
 # payload parsing
 
 
-def _parse_int(value: Any, name: str) -> int:
-    """``int(value)``; a value it refuses, an infinite float among them, is a schema error."""
+def _parse_number(value: Any, name: str, kind: type = float) -> Any:
+    """``kind(value)``; a value it refuses (inf as an int, 10**400 as a float) is a schema error."""
     try:
-        return int(value)
+        return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"'{name}' must be an integer, got {value!r}") from exc
+        what = "an integer" if kind is int else "a number"
+        raise SchemaError(f"'{name}' must be {what}, got {value!r}") from exc
 
 
-def _parse_angle(value: Any) -> float:
+def _parse_angle(value: Any, name: str) -> float:
     if isinstance(value, bool):
         raise SchemaError("angle must be a number or a 'deg'-suffixed string")
     if isinstance(value, (int, float)):
-        return float(value)
+        return _parse_number(value, name)
     if isinstance(value, str):
         s = value.strip()
         if s.endswith("deg"):
@@ -110,7 +111,7 @@ def _parse_distances(payload: dict[str, Any]) -> DistanceSpec:
     raw = payload.get("distances")
     if not isinstance(raw, (list, tuple)) or len(raw) < 3:
         raise SchemaError("'distances' must be an array of at least 3 numbers")
-    return DistanceSpec(tuple(float(v) for v in raw))
+    return DistanceSpec(tuple(_parse_number(v, f"distances[{i}]") for i, v in enumerate(raw)))
 
 
 def _parse_triangle(payload: dict[str, Any]) -> tuple[float, ...]:
@@ -123,7 +124,7 @@ def _parse_triangle(payload: dict[str, Any]) -> tuple[float, ...]:
 def _parse_point(obj: Any, name: str) -> Point2:
     if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
         raise SchemaError(f"'{name}' must be an object with 'x' and 'y'")
-    return Point2(float(obj["x"]), float(obj["y"]))
+    return Point2(_parse_number(obj["x"], f"{name}.x"), _parse_number(obj["y"], f"{name}.y"))
 
 
 def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
@@ -133,10 +134,10 @@ def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
         if key not in obj:
             raise SchemaError(f"'{name}' is missing '{key}'")
     return RegularPolygonSpec(
-        _parse_int(obj["n"], f"{name}.n"),
+        _parse_number(obj["n"], f"{name}.n", int),
         _parse_point(obj["center"], f"{name}.center"),
-        float(obj["r"]),
-        _parse_angle(obj.get("phase", 0.0)),
+        _parse_number(obj["r"], f"{name}.r"),
+        _parse_angle(obj.get("phase", 0.0), f"{name}.phase"),
     )
 
 
@@ -239,26 +240,25 @@ def _dual_pair(payload: dict[str, Any]) -> DualPolygonPair:
     return construct_dual(
         _parse_polygon(payload.get("polygon"), "polygon"),
         _parse_point(payload.get("point"), "point"),
-        _parse_angle(payload.get("direction", 0.0)),
-        anchor_index=_parse_int(payload.get("anchor_index", 0), "anchor_index"),
+        _parse_angle(payload.get("direction", 0.0), "direction"),
+        anchor_index=_parse_number(payload.get("anchor_index", 0), "anchor_index", int),
     )
 
 
 def _cmd_reconstruct(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    from .reconstruct import verify_permutation
-
     pair = _dual_pair(payload)
     point = pair.point
     d_in = distances_from(point, pair.primary_polygon)
     d_b = distances_from(point, pair.b_polygon)
     match = verify_permutation(d_in, d_b, max(tol, 1e-10))
+    mirror = verify_permutation(d_in, distances_from(point, pair.c_polygon))
     return {
         "b_polygon": _polygon_json(pair.b_polygon),
         "c_polygon": _polygon_json(pair.c_polygon),
         "center_direction": pair.center_direction,
         "distances": list(d_in.values),
         "companion_distances": list(d_b.values),
-        "match_residual": pair.match_residual,
+        "match_residual": max(match.residual, mirror.residual),
         "permutation": {
             "ok": match.ok,
             "indices": list(match.permutation),
@@ -322,7 +322,7 @@ def _cmd_verify(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from . import oracle
 
     def integer(key: str, default: int) -> int:
-        return _parse_int(payload.get(key, default), key)
+        return _parse_number(payload.get(key, default), key, int)
 
     fields = {"grid": "grid_resolution", "refine": "refine_iterations"}
     cfg = oracle.OracleConfig(**{fields[k]: integer(k, 0) for k in fields if k in payload})
@@ -368,6 +368,7 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
         tol = request.payload.get("tol", 1e-9)
         if not 0.0 <= tol < math.inf:
             raise SchemaError("'tol' must be a finite number >= 0")
+        tol = _parse_number(tol, "tol")  # an int too large for a float passes the check
         return _SUBCOMMANDS[request.command][0](request.payload, tol), 0
     except DomainError as exc:
         context = {

@@ -1,4 +1,5 @@
-"""Planar primitives: points, regular polygons, vertex distances.
+"""Planar primitives: points, regular polygons, vertex distances and the
+one comparison of two distance lists as multisets.
 
 All types are immutable tuple records and every function is pure, so
 everything here can be shared freely across threads.  Vertices come from
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,6 +86,38 @@ class DistanceSpec(namedtuple("DistanceSpec", "values")):
     @property
     def n(self) -> int:
         return len(self.values)
+
+
+class PermutationMatch(NamedTuple):
+    ok: bool
+    permutation: tuple[int, ...]
+    residual: float
+
+
+def verify_permutation(
+    d: DistanceSpec, x: DistanceSpec, tol: float = 1e-9
+) -> PermutationMatch:
+    """Best index pairing of the two lists: pi with x[pi[i]] matching d[i].
+
+    This is the package's one sorted-multiset comparison.  Matching in
+    sorted order minimizes the largest pairwise gap, so the reported
+    residual is the best achievable over all permutations; the
+    permutation itself is returned even on failure.  The lists match when
+    the residual is within tol times their largest value: computed
+    distances carry errors of order eps times that value, so the lists'
+    own scale is the floor.  Mismatched lengths are a caller bug, not
+    inequality.
+    """
+    if d.n != x.n:
+        raise ValueError(f"distance lists differ in length: {d.n} != {x.n}")
+    dv, xv = d.values, x.values
+    order_d = sorted(range(d.n), key=dv.__getitem__)
+    order_x = sorted(range(x.n), key=xv.__getitem__)
+    residual = max(abs(dv[i] - xv[j]) for i, j in zip(order_d, order_x))
+    perm = [0] * d.n
+    for i, j in zip(order_d, order_x):
+        perm[i] = j
+    return PermutationMatch(residual <= tol * max(max(dv), max(xv)), tuple(perm), residual)
 
 
 def vertex_coords(p: RegularPolygonSpec) -> list[tuple[float, float]]:

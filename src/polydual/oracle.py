@@ -5,7 +5,8 @@ purely by the gap between sorted distance lists, scanned on a coarse grid
 and polished by a Levenberg-Marquardt descent on the sorted-distance
 residuals, with the input's own parameter pair excluded from the answers.
 Nothing here consumes the solver or the reconstruction code; only the
-geometric primitives are used, and the descent's Jacobian is the
+geometric primitives are used, ``geometry.verify_permutation`` among
+them for the answer's final residual, and the descent's Jacobian is the
 calculus of ``hypot``, not the paper's algebra.
 
 A rotation of a candidate polygon about the query point leaves its
@@ -52,7 +53,7 @@ import random
 from collections import namedtuple
 from typing import Any, Iterator, NamedTuple, Optional
 
-from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
+from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from, verify_permutation
 
 #: Half-width of the excluded band of center-distance/radius ratios
 #: around 1 in random instances (total width 1e-3).
@@ -357,7 +358,8 @@ def search_second_polygon(
     two (see the module docstring), mapped back for the answer.
     """
     n = p.n
-    distances = sorted(distances_from(point, p).values)
+    d_in = distances_from(point, p)
+    distances = sorted(d_in.values)
     if distances[-1] <= 0.0:
         return OracleResult(False, None, math.inf, 0)
     exp = math.frexp(distances[-1])[1]
@@ -430,8 +432,7 @@ def search_second_polygon(
     candidate = RegularPolygonSpec(
         n, Point2(point.x + math.ldexp(ell, exp), point.y), math.ldexp(radius, exp), psi
     )
-    found_d = sorted(distances_from(point, candidate).values)
-    residual = max(abs(u - v) for u, v in zip(found_d, distances))
+    residual = verify_permutation(d_in, distances_from(point, candidate)).residual
     return OracleResult(residual <= FIND_TOL * distances[-1], candidate, residual, samples)
 
 

@@ -20,21 +20,11 @@ from typing import NamedTuple
 
 from .dual import Degeneracy, classify
 from .errors import DegenerateError
-from .geometry import (
-    TWO_PI,
-    DistanceSpec,
-    Point2,
-    RegularPolygonSpec,
-    azimuth,
-    distances_from,
-    normalize_angle,
-)
+from .geometry import TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_coords
 
-
-class PermutationMatch(NamedTuple):
-    ok: bool
-    permutation: tuple[int, ...]
-    residual: float
+# the benchmark's closed-form workload (perfbench/closed_form.py) calls the
+# comparison by this module's name
+from .geometry import verify_permutation  # noqa: F401
 
 
 class DualPolygonPair(NamedTuple):
@@ -43,7 +33,6 @@ class DualPolygonPair(NamedTuple):
     b_polygon: RegularPolygonSpec
     c_polygon: RegularPolygonSpec
     center_direction: float
-    match_residual: float
 
 
 def construct_dual(
@@ -63,12 +52,14 @@ def construct_dual(
     center between ``point`` and that vertex, the companion phases are
     azimuth(companion center -> point) +/- alpha, taken from angles alone.
     The b/c polygons are the two mirror solutions, counterclockwise offset
-    first; alpha = 0 or pi gives one companion twice.  ``match_residual``
-    is the larger sorted-distance gap of the two to the original.
+    first; alpha = 0 or pi gives one companion twice.  Nothing here
+    compares distances: ``geometry.verify_permutation`` checks the result.
     """
     if not 0 <= anchor_index < p.n:
         raise ValueError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
-    d = distances_from(point, p)
+    # builds the vertices only to reject a polygon whose vertex coordinates
+    # overflow, as a ValueError, before any degeneracy is judged
+    vertex_coords(p)
     radius_in = p.circumradius
     dist_in = point.distance_to(p.center)
     degeneracy = classify(radius_in, dist_in)
@@ -86,44 +77,11 @@ def construct_dual(
     base = azimuth(center, point)
     b_polygon = RegularPolygonSpec(p.n, center, dist_in, base + alpha)
     c_polygon = RegularPolygonSpec(p.n, center, dist_in, base - alpha)
-    # the residual verify_permutation reports: the gap of the sorted lists
-    ds = sorted(d.values)
-    residual = max(
-        max([abs(x - y) for x, y in zip(ds, sorted(distances_from(point, q).values))])
-        for q in (b_polygon, c_polygon)
-    )
     return DualPolygonPair(
         primary_polygon=p,
         point=point,
         b_polygon=b_polygon,
         c_polygon=c_polygon,
         center_direction=normalize_angle(center_direction),
-        match_residual=residual,
     )
 
-
-def verify_permutation(
-    d: DistanceSpec, x: DistanceSpec, tol: float = 1e-9
-) -> PermutationMatch:
-    """Best index pairing of the two lists: pi with x[pi[i]] matching d[i].
-
-    This is the package's one sorted-multiset comparison; ``construct_dual``
-    needs only its residual and takes it from the sorted values.  Matching in
-    sorted order minimizes the largest pairwise gap, so the reported
-    residual is the best achievable over all permutations; the
-    permutation itself is returned even on failure.  The lists match when
-    the residual is within tol times their largest value: computed
-    distances carry errors of order eps times that value, so the lists'
-    own scale is the floor.  Mismatched lengths are a caller bug, not
-    inequality.
-    """
-    if d.n != x.n:
-        raise ValueError(f"distance lists differ in length: {d.n} != {x.n}")
-    dv, xv = d.values, x.values
-    order_d = sorted(range(d.n), key=dv.__getitem__)
-    order_x = sorted(range(x.n), key=xv.__getitem__)
-    residual = max(abs(dv[i] - xv[j]) for i, j in zip(order_d, order_x))
-    perm = [0] * d.n
-    for i, j in zip(order_d, order_x):
-        perm[i] = j
-    return PermutationMatch(residual <= tol * max(max(dv), max(xv)), tuple(perm), residual)

@@ -17,8 +17,8 @@ import sys
 from typing import NamedTuple, Optional
 
 from .errors import CongruentError, SharedVertexError
-from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_to, vertex_coords
-from .reconstruct import PermutationMatch, verify_permutation
+from .geometry import TWO_PI, PermutationMatch, Point2, RegularPolygonSpec, distances_to
+from .geometry import verify_permutation, vertex_coords
 
 
 class TwoPointsSolution(NamedTuple):

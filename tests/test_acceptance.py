@@ -25,6 +25,7 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
+    verify_permutation,
     vertices,
 )
 from polydual.oracle import AGREE_TOL, random_instance, search_second_polygon
@@ -33,7 +34,7 @@ from polydual.pompeiu import (
     solve_equilateral,
     weitzenbock_margin,
 )
-from polydual.reconstruct import construct_dual, verify_permutation
+from polydual.reconstruct import construct_dual
 from polydual.two_points import two_points
 
 SQRT2 = math.sqrt(2.0)

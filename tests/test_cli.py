@@ -366,6 +366,28 @@ def test_infinite_integer_is_a_schema_error(command, payload, value):
         run(JobRequest(command, payload(value)))
 
 
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("dual", lambda v: {"distances": [3.0, v, 7.0]}),
+        ("reconstruct", lambda v: _square_request(point={"x": v, "y": 0.1})),
+        ("reconstruct", lambda v: _square_request(point={"x": 0.3, "y": v})),
+        ("reconstruct", lambda v: _square_request(polygon={"center": {"x": v, "y": 0.0}})),
+        ("reconstruct", lambda v: _square_request(polygon={"center": {"x": 0.0, "y": v}})),
+        ("reconstruct", lambda v: _square_request(polygon={"r": v})),
+        ("reconstruct", lambda v: _square_request(polygon={"phase": v})),
+        ("reconstruct", lambda v: _square_request(direction=v)),
+        ("dual", lambda v: {"distances": [3.0, 5.0, 7.0], "tol": v}),
+    ],
+    ids=["distances", "point.x", "point.y", "center.x", "center.y", "r", "phase", "direction",
+         "tol"],
+)
+def test_integer_too_large_for_a_float_is_a_schema_error(command, payload):
+    # float() raises OverflowError on such an int; it must not escape run()
+    with pytest.raises(SchemaError, match="must be a number"):
+        run(JobRequest(command, payload(10**400)))
+
+
 ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
 
 
@@ -542,6 +564,7 @@ def _run_fresh(lines):
 
 def test_no_command_imports_numpy():
     """Every command, ``verify`` included, runs without numpy, and submodules stay modules."""
+    # verify last: its report is the one read back
     argvs = [
         ["dual", "--distances", "3,5,7"],
         ["averages", "--distances", SQUARE_DISTANCES],
@@ -549,15 +572,18 @@ def test_no_command_imports_numpy():
         ["pompeiu", "--distances", "3,5,7", "--construct"],
         ["two-points", *README_PAIR],
         ["render", "--scene", "pompeiu", "--distances", "3,5,7"],
-        ["verify", "--instances", "3"],
+        ["verify", "--instances", "50"],
     ]
     proc = _run_fresh([
-        "import contextlib, io, sys, types",
+        "import contextlib, io, json, sys, types",
+        "sys.modules['numpy'] = None  # an attempt to import numpy now raises ImportError",
         "import polydual.cli",
-        "with contextlib.redirect_stdout(io.StringIO()):",
-        f"    for argv in {argvs!r}:",
+        f"for argv in {argvs!r}:",
+        "    out = io.StringIO()",
+        "    with contextlib.redirect_stdout(out):",
         "        assert polydual.cli.main(argv) == 0, argv",
-        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+        "r = json.loads(out.getvalue())",
+        "assert r['instances'] == r['found'] == r['agreed'] == 50, r",
         "import polydual.two_points",
         "assert isinstance(polydual.two_points, types.ModuleType), polydual.two_points",
     ])
@@ -594,11 +620,10 @@ PENTAGON_DISTANCES = ",".join(
         (["averages", "--distances", SQUARE_DISTANCES], {"cyclic"}),
         (["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"], {"dual", "reconstruct"}),
         (["pompeiu", "--distances", "3,5,7", "--construct"], {"dual", "pompeiu"}),
-        (["two-points", *README_PAIR], {"dual", "reconstruct", "two_points"}),
+        (["two-points", *README_PAIR], {"two_points"}),
         (["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
          {"dual", "reconstruct", "svg"}),
-        (["render", "--scene", "two-points", *README_PAIR],
-         {"dual", "reconstruct", "svg", "two_points"}),
+        (["render", "--scene", "two-points", *README_PAIR], {"svg", "two_points"}),
         (["render", "--scene", "pompeiu", "--distances", "3,5,7"], {"dual", "pompeiu", "svg"}),
         (["verify", "--instances", "1"], {"oracle"}),
     ],

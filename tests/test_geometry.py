@@ -11,10 +11,10 @@ from polydual.geometry import (
     RegularPolygonSpec,
     distances_from,
     normalize_angle,
+    verify_permutation,
     vertex_coords,
     vertices,
 )
-from polydual.reconstruct import verify_permutation
 from polydual.svg import Scene, render_svg
 from polydual.two_points import two_points
 

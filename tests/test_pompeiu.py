@@ -11,6 +11,7 @@ from polydual.geometry import (
     RegularPolygonSpec,
     azimuth,
     distances_from,
+    verify_permutation,
     vertices,
 )
 from polydual.pompeiu import (
@@ -21,7 +22,7 @@ from polydual.pompeiu import (
     weitzenbock_margin,
 )
 from polydual.oracle import random_instance
-from polydual.reconstruct import construct_dual, verify_permutation
+from polydual.reconstruct import construct_dual
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi

@@ -11,10 +11,11 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
+    verify_permutation,
     vertices,
 )
 from polydual.cyclic import averages_from_distances
-from polydual.reconstruct import construct_dual, verify_permutation
+from polydual.reconstruct import construct_dual
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -37,7 +38,9 @@ class TestConstructDual:
         assert any(abs(a - math.pi / 4) < 1e-9 for a in angles)
         d = distances_from(Point2(1.0, 0.0), b)
         assert verify_permutation(d, DistanceSpec((1.0, 1.0, SQRT5, SQRT5)), 1e-9).ok
-        assert pair.match_residual <= 1e-12
+        d_in = distances_from(Point2(1.0, 0.0), unit_square())
+        for q in (b, pair.c_polygon):
+            assert verify_permutation(d_in, distances_from(Point2(1.0, 0.0), q)).residual <= 1e-12
 
     def test_square_companion_phases(self):
         # seen from the companion center (1 + sqrt2, 0), the point is at

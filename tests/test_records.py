@@ -8,10 +8,17 @@ import pytest
 from polydual.cli import JobRequest
 from polydual.cyclic import CyclicAverages, averages_from_distances, check_consistency
 from polydual.dual import RadiusDistancePair, solve
-from polydual.geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, normalize_angle
+from polydual.geometry import (
+    TWO_PI,
+    DistanceSpec,
+    Point2,
+    RegularPolygonSpec,
+    normalize_angle,
+    verify_permutation,
+)
 from polydual.oracle import OracleConfig, search_second_polygon
 from polydual.pompeiu import construct_both_triangles, pompeiu_from_distances, solve_equilateral
-from polydual.reconstruct import construct_dual, verify_permutation
+from polydual.reconstruct import construct_dual
 from polydual.svg import scene_from_dual_pair
 from polydual.two_points import two_points
 

@@ -13,9 +13,9 @@ from polydual.geometry import (
     RegularPolygonSpec,
     distances_from,
     rotate_about,
+    verify_permutation,
     vertices,
 )
-from polydual.reconstruct import verify_permutation
 from polydual.two_points import two_points
 
 SQRT2 = math.sqrt(2.0)
