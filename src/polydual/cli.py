@@ -10,12 +10,13 @@ output.  Exit codes: 0 on success, 1 on a domain error (with a
 machine-readable error object), 2 on usage or schema violations.
 ``dual`` judges consistency by the fit residual of ``dual.solve``;
 ``averages`` keeps the paper's even-power means and their closure
-identities.  Errors are mapped in one place: ``run`` rejects a negative
-or non-finite ``tol`` (default 1e-9), turns domain errors into an error
-object and ``ValueError``/``TypeError`` from a handler into
+identities.  Errors are mapped in one place: ``run`` rejects a ``tol``
+(default 1e-9) that is not a finite number >= 0, turns domain errors
+into an error object and a ``ValueError`` from a handler into
 ``SchemaError``; ``main`` maps schema errors, and a failure to write
-``--out``, to exit 2.  Each handler imports the modules it runs, so a
-process loads only its own command's.
+``--out``, to exit 2.  Argv text goes into the payload as split strings,
+parsed by the same code as JSON values.  Each handler imports the
+modules it runs, so a process loads only its own command's.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def _emit(obj: Any, out: list[str]) -> None:
 
 
 def _parse_number(value: Any, name: str, kind: type = float) -> Any:
-    """``kind(value)``; a value it refuses (inf as an int, 10**400 as a float) is a schema error."""
+    """``kind(value)`` of a JSON value or argv text; a value it refuses is a schema error."""
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -217,17 +218,9 @@ def _cmd_averages(payload: dict[str, Any], tol: float) -> dict[str, Any]:
 
 
 def _cmd_dual(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    d = _parse_distances(payload)
-    if d.n == 3:
-        # the sharper n=3 diagnosis: distances must form a triangle, and a
-        # triangle is realizable, so the fit does not judge it again
-        from .pompeiu import pompeiu_from_distances
+    from .dual import solve
 
-        sol = pompeiu_from_distances(*d.values, tol=tol).solution
-    else:
-        from .dual import solve
-
-        sol = solve(d, tol)
+    sol = solve(_parse_distances(payload), tol)
     out = _solution_json(sol)
     residual = sol.residual
     out["consistency"] = {"passed": residual <= max(tol, 1e-12), "residual": residual}
@@ -360,15 +353,14 @@ def _cmd_render(payload: dict[str, Any], tol: float) -> dict[str, Any]:
 
 def run(request: JobRequest) -> tuple[dict[str, Any], int]:
     """Dispatch a request; returns the JSON-ready result and an exit status."""
-    if request.command not in _SUBCOMMANDS:
+    if not isinstance(request.command, str) or request.command not in _SUBCOMMANDS:
         raise SchemaError(f"unknown command {request.command!r}")
     if not isinstance(request.payload, dict):
         raise SchemaError("payload must be an object")
+    tol = _parse_number(request.payload.get("tol", 1e-9), "tol")
+    if not 0.0 <= tol < math.inf:
+        raise SchemaError("'tol' must be a finite number >= 0")
     try:
-        tol = request.payload.get("tol", 1e-9)
-        if not 0.0 <= tol < math.inf:
-            raise SchemaError("'tol' must be a finite number >= 0")
-        tol = _parse_number(tol, "tol")  # an int too large for a float passes the check
         return _SUBCOMMANDS[request.command][0](request.payload, tol), 0
     except DomainError as exc:
         context = {
@@ -376,7 +368,7 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
             for k, v in exc.context.items()
         }
         return {"code": exc.code, "message": exc.message, "context": context}, 1
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
 
@@ -384,18 +376,14 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
 # argument parsing
 
 
-def _csv_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",")]
-
-
 def _polygon_payload(text: str, name: str) -> dict[str, Any]:
     parts = [part.strip() for part in text.split(",")]
     if len(parts) not in (4, 5):
         raise SchemaError(f"'{name}' must be 'n,cx,cy,r[,phase]'")
     return {
-        "n": int(parts[0]),
-        "center": {"x": float(parts[1]), "y": float(parts[2])},
-        "r": float(parts[3]),
+        "n": parts[0],
+        "center": {"x": parts[1], "y": parts[2]},
+        "r": parts[3],
         "phase": parts[4] if len(parts) == 5 else 0.0,
     }
 
@@ -404,7 +392,7 @@ def _point_payload(text: str) -> dict[str, Any]:
     parts = text.split(",")
     if len(parts) != 2:
         raise SchemaError("'--point' must be 'x,y'")
-    return {"x": float(parts[0]), "y": float(parts[1])}
+    return {"x": parts[0], "y": parts[1]}
 
 
 def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
@@ -513,9 +501,9 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
 
 
 def _payload_value(key: str, value: Any) -> Any:
-    """An option's payload value: list-valued options parsed, the rest as given."""
+    """An option's payload value: list-valued options split, the rest as given."""
     if key == "distances":
-        return _csv_floats(value)
+        return value.split(",")
     if key == "point":
         return _point_payload(value)
     if key in ("polygon", "polygon_a", "polygon_b"):
@@ -539,7 +527,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         result, code = run(_request_from_args(args))
-    except (SchemaError, TypeError, ValueError) as exc:
+    except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
     text = result["svg"] if args.command == "render" and code == 0 else dumps(result) + "\n"

@@ -7,8 +7,8 @@ of the squared distances fix {r, l}; its two assignments describe two
 non-congruent regular polygons realizing the same distances, a larger one
 whose circumcircle contains the point and a smaller one whose
 circumcircle does not.  ``solve`` is the one place the pair is fitted and
-``classify`` the one degeneracy rule: r = l puts the point on the
-circumcircle, l = 0 at the center.
+realizability judged, for every n, and ``classify`` the one degeneracy
+rule: r = l puts the point on the circumcircle, l = 0 at the center.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .errors import RealizabilityError
+from .errors import RealizabilityError, TriangleInequalityError
 from .geometry import TWO_PI, DistanceSpec
 
 
@@ -78,12 +78,24 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     polygon's vertices get farther from the point in that order (up to
     mirror), so any permutation of the input gives the same answer.  With
     A = r + l = sqrt(s2 + 2P) and B = |r - l| = sqrt(s2 - 2P), the small
-    root is 2P/(A + B), which needs no subtraction.  (s2 + 2P)(s2 - 2P)
-    within -tol*s2^2 of zero is clamped to the double root r = l on the
-    circumcircle; below that no regular polygon realizes the distances.  Only scaled values are squared, and results
-    scale back by products: they read inf or 0 only outside the float range.
+    root is 2P/(A + B), which needs no subtraction.  For n >= 4,
+    (s2 + 2P)(s2 - 2P) within -tol*s2^2 of zero is clamped to the double
+    root r = l on the circumcircle; below that no regular polygon realizes
+    the distances.  For n = 3 Pompeiu's theorem decides instead: three
+    distances are realizable exactly when they form a triangle, whose
+    (16/3)*area^2 is the discriminant.  A largest distance a that exceeds
+    the sum of the others by at most tol*a is clamped the same way, and
+    beyond that is a ``TriangleInequalityError``.  Only scaled values are
+    squared, and results scale back by products: they read inf or 0 only
+    outside the float range.
     """
     values = sorted(d.values, reverse=True)
+    if d.n == 3:
+        gap = values[0] - (values[1] + values[2])
+        if gap > tol * values[0]:
+            raise TriangleInequalityError(
+                "largest distance exceeds the sum of the others", sides=d.values, gap=gap
+            )
     m = values[0] or 1.0  # all-zero distances: nothing to scale
     squares = [(v / m) * (v / m) for v in values]
     cos_t, sin_t = _slot_tables(d.n)
@@ -99,7 +111,7 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     im = 2.0 * im / d.n
     two_p = math.hypot(re, im)
     disc = (s2 + two_p) * (s2 - two_p)
-    if disc < -tol * (s2 * s2):
+    if d.n > 3 and disc < -tol * (s2 * s2):
         raise RealizabilityError(
             "no regular polygon realizes these distances (the fitted squares dip below 0)",
             discriminant=disc * m * m * m * m,

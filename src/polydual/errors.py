@@ -32,8 +32,8 @@ class DegenerateError(DomainError):
     code = "DEGENERATE"
 
 
-class TriangleInequalityError(DomainError):
-    """Three lengths violate the triangle inequality beyond tolerance."""
+class TriangleInequalityError(RealizabilityError):
+    """Three distances break the triangle inequality: the n = 3 realizability test."""
 
     code = "TRIANGLE_INEQUALITY"
 

@@ -15,6 +15,9 @@ from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
+#: The most vertices a polygon may have: building a million takes seconds.
+MAX_VERTICES = 10**6
+
 
 def normalize_angle(angle: float) -> float:
     """Reduce an angle to [0, 2*pi)."""
@@ -60,8 +63,8 @@ class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n center circumradius
     def __new__(
         cls, n: int, center: Point2, circumradius: float, phase: float = 0.0
     ) -> "RegularPolygonSpec":
-        if n < 3:
-            raise ValueError(f"need at least 3 vertices, got n={n}")
+        if not 3 <= n <= MAX_VERTICES:
+            raise ValueError(f"need at least 3 vertices and at most {MAX_VERTICES}, got n={n}")
         if not math.isfinite(circumradius) or circumradius < 0.0:
             raise ValueError(f"circumradius must be finite and >= 0, got {circumradius}")
         if not math.isfinite(phase):

@@ -53,7 +53,9 @@ import random
 from collections import namedtuple
 from typing import Any, Iterator, NamedTuple, Optional
 
-from .geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from, verify_permutation
+from .geometry import (
+    MAX_VERTICES, TWO_PI, Point2, RegularPolygonSpec, distances_from, verify_permutation,
+)
 
 #: Half-width of the excluded band of center-distance/radius ratios
 #: around 1 in random instances (total width 1e-3).
@@ -128,7 +130,7 @@ def random_instance(
     ``math.exp`` of a uniform draw, so it rests on the platform's libm.
     """
     lo, hi = n_range
-    if not 3 <= lo <= hi:
+    if not 3 <= lo <= hi <= MAX_VERTICES:
         raise ValueError(f"invalid vertex-count range {n_range}")
     rng = random.Random(seed)
     n = rng.randint(lo, hi)
@@ -452,7 +454,7 @@ def agreement(
     """
     if instances < 0:
         raise ValueError(f"instances must be >= 0, got {instances}")
-    if not 3 <= n_range[0] <= n_range[1]:  # checked even when no instance is drawn
+    if not 3 <= n_range[0] <= n_range[1] <= MAX_VERTICES:  # checked even when no instance is drawn
         raise ValueError(f"invalid vertex-count range {n_range}")
     results = []
     agreed = 0

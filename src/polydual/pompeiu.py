@@ -3,12 +3,12 @@
 The three distances from any point to the vertices of an equilateral
 triangle themselves satisfy the triangle inequality (Pompeiu's theorem),
 degenerating exactly when the point lies on the circumcircle (Van
-Schooten).  Both equilateral triangles realizing the distances come
-from ``dual.solve`` as for any n, fitted once by ``pompeiu_from_distances``
-and carried on the ``PompeiuTriangle`` it returns.  The area of the
-distance triangle is reported beside the fit, and (16/3)*area^2 equals
-the fit's discriminant.  60-degree rotations construct both triangles
-explicitly.
+Schooten).  ``dual.solve`` applies that test, and both equilateral
+triangles realizing the distances come from its fit as for any n, made
+once by ``pompeiu_from_distances`` and carried on the ``PompeiuTriangle``
+it returns.  The area of the distance triangle is reported beside the
+fit, and (16/3)*area^2 equals the fit's discriminant.  60-degree
+rotations construct both triangles explicitly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from typing import NamedTuple
 
 from .dual import Degeneracy, DualSolution, solve
-from .errors import DegenerateError, TriangleInequalityError
+from .errors import DegenerateError
 from .geometry import DistanceSpec, Point2, RegularPolygonSpec, azimuth, rotate_about
 
 SQRT3 = math.sqrt(3.0)
@@ -69,24 +69,14 @@ def pompeiu_from_distances(
 ) -> PompeiuTriangle:
     """Build the distance triangle, with Kahan's ordering-stable Heron area.
 
-    A violation of the triangle inequality beyond tol, relative to the
-    largest value, means no point/equilateral-triangle pair can produce
-    the triple.  The triangle inequality is the n=3 realizability test, so
-    the phase fit that follows is not asked to judge it again; the fit
-    rides on the returned triangle as ``solution``.  The triple is
-    degenerate exactly when the fit puts the point on the circumcircle
-    (``dual.classify``), which forces the area to exactly zero.
+    ``dual.solve`` judges the triple by the triangle inequality at ``tol``,
+    raising its domain error beyond it, and its fit rides on the returned
+    triangle as ``solution``.  The triple is degenerate exactly when the
+    fit puts the point on the circumcircle (``dual.classify``), which
+    forces the area to exactly zero.
     """
-    spec = DistanceSpec((d1, d2, d3))
+    solution = solve(DistanceSpec((d1, d2, d3)), tol)
     a, b, c = sorted((d1, d2, d3), reverse=True)
-    slack = (b + c) - a
-    if slack < -tol * a:
-        raise TriangleInequalityError(
-            "largest distance exceeds the sum of the others",
-            sides=(d1, d2, d3),
-            gap=-slack,
-        )
-    solution = solve(spec, math.inf)
     degenerate = solution.degeneracy is Degeneracy.ON_CIRCUMCIRCLE
     if degenerate:
         area = 0.0

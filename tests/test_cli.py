@@ -615,7 +615,7 @@ PENTAGON_DISTANCES = ",".join(
 @pytest.mark.parametrize(
     "argv, modules",
     [
-        (["dual", "--distances", "3,5,7"], {"dual", "pompeiu"}),
+        (["dual", "--distances", "3,5,7"], {"dual"}),
         (["dual", "--distances", PENTAGON_DISTANCES], {"dual"}),
         (["averages", "--distances", SQUARE_DISTANCES], {"cyclic"}),
         (["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"], {"dual", "reconstruct"}),

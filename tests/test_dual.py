@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import random_configuration
 from polydual.cli import JobRequest, run
 from polydual.dual import Degeneracy, solve
-from polydual.errors import RealizabilityError
+from polydual.errors import RealizabilityError, TriangleInequalityError
 from polydual.geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
 
 SQRT2 = math.sqrt(2.0)
@@ -92,6 +92,21 @@ class TestRealizability:
     def test_impossible_distances(self):
         with pytest.raises(RealizabilityError):
             solve(DistanceSpec((1.0, 1.0, 5.0)))
+
+    def test_triple_is_judged_by_the_triangle_inequality(self):
+        with pytest.raises(TriangleInequalityError) as info:
+            solve(DistanceSpec((1.0, 5.0, 1.0)))
+        assert isinstance(info.value, RealizabilityError)
+        assert info.value.code == "TRIANGLE_INEQUALITY"
+        assert info.value.context == {"sides": (1.0, 5.0, 1.0), "gap": 3.0}
+
+    def test_triple_within_tol_of_a_triangle_answers_on_the_circumcircle(self):
+        # the discriminant test alone would call this unrealizable at tol 1e-9
+        sol = solve(DistanceSpec((1.0, 1.0, 2.000000001)))
+        assert sol == solve(DistanceSpec((1.0, 1.0, 2.000000001)), math.inf)
+        assert sol.degeneracy is Degeneracy.ON_CIRCUMCIRCLE
+        assert sol.discriminant == 0.0
+        assert sol.larger == sol.smaller
 
     def test_barely_negative_discriminant_clamps(self):
         # mean_fourth tuned so the discriminant is ~ -1e-12 * mean_square^2

@@ -77,4 +77,9 @@ def test_corpus_coverage():
 def test_every_domain_error_code_is_reachable():
     # a code no CLI input can produce is a dead field
     errors = {json.loads(e["stdout"])["code"] for e in CORPUS if e["exit"] == 1}
-    assert {c.code for c in DomainError.__subclasses__()} == errors
+    codes, pending = set(), DomainError.__subclasses__()
+    while pending:  # every descendant, not only the direct subclasses
+        cls = pending.pop()
+        codes.add(cls.code)
+        pending += cls.__subclasses__()
+    assert codes == errors
