@@ -14,9 +14,10 @@ CLI output is intended.
 
 Coverage: every command, the three render scenes and the four standard
 figures, ``--mirror``, ``pompeiu --construct``, the three degeneracy
-classes, an oracle run at ``--grid 8 --refine 1``, usage and schema errors
-(exit 2), and every domain error code (exit 1); ``tests/test_golden.py``
-checks that every code defined in ``polydual.errors`` appears.
+classes, oracle runs at ``--grid 8 --refine 1`` and at the defaults,
+usage and schema errors (exit 2), and every domain error code (exit 1);
+``tests/test_golden.py`` checks that every code defined in
+``polydual.errors`` appears.
 """
 
 from __future__ import annotations
@@ -170,6 +171,9 @@ APPENDED: list[list[str]] = [
     ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--mirror"],
     ["render", "--scene", "dual", "--polygon", "5,0,0,1.3,0.2", "--point", "0.6,0.25",
      "--direction", "0.8", "--mirror"],
+    # the oracle at its defaults: the benchmark's 20-instance pool, and n 13-64
+    ["verify", "--instances", "20", "--seed", "70000"],
+    ["verify", "--instances", "5", "--n-min", "13", "--n-max", "64", "--seed", "5000"],
 ]
 
 
