@@ -11,10 +11,12 @@ from polydual.oracle import (
     DESCENT_SEEDS,
     RATIO_EXCLUSION_HALF_WIDTH,
     OracleConfig,
+    _finish_scores,
     _grid_scores,
     _phase_tables,
     _pick_seeds,
     _residuals,
+    _seed_cells,
     search_second_polygon,
     random_instance,
 )
@@ -185,7 +187,7 @@ class TestKernels:
     """The grid's presorted kernel and the seed pick give what their plain forms give."""
 
     @pytest.mark.parametrize("n", range(3, 65))
-    @pytest.mark.parametrize("r_lo", [0.0, 0.7])
+    @pytest.mark.parametrize("r_lo", [0.0, 0.7, 3.5])  # 3.5: every radius equal, so cells tie
     def test_grid_scores_match_a_per_cell_sort(self, n, r_lo):
         rng = random.Random(600 + n)
         target = sorted(rng.uniform(0.1, 3.0) for _ in range(n))
@@ -205,11 +207,24 @@ class TestKernels:
                     for u, t in zip(sorted(d), target):  # the vertices added left to right
                         f += (u - t) * (u - t)
                     want[p, j, i] = f
-        got = {cell: f for f, cell in _grid_scores(cosines, ells, radii, target)}
+        cells, unfinished = _grid_scores(cosines, ells, radii, target)
+        got = {cell: f for f, cell in _finish_scores(cosines, target, cells, unfinished)}
         # the row ell = 0 is one cell per radius, and it scores the same at every phase
         assert sorted(got) == sorted(cell for cell in want if cell[1] > 0 or cell[0] == 0)
         assert all(want[p, 0, i] == want[0, 0, i] for p, j, i in want if j == 0)
         assert all(got[cell] == want[cell] for cell in got)
+        # the pruned scan's best is the full scan's, lowest index first among ties
+        best = min((f, cell) for cell, f in got.items())
+        assert min(cells) == best
+        if r_lo == radii[-1]:
+            assert sum(f == best[0] for f in got.values()) >= len(radii)
+        # a cell is stopped only once its partial sum is above the best
+        assert unfinished
+        for index, added, _, _ in unfinished:
+            assert cells[index][0] > best[0] and 1 <= added <= n
+        # the lazy seeds are the seed pick on the full scan
+        full = [(want[cell], cell) for cell in got]
+        assert list(_seed_cells(cosines, target, cells, unfinished)) == list(_pick_seeds(full))
 
     def test_grid_scores_are_mirror_symmetric(self):
         # reflecting a candidate in the line through the point and its center
@@ -221,9 +236,10 @@ class TestKernels:
             # _grid_scores needs ells[0] == 0
             ells = [0.0] + [rng.uniform(0.0, 2.0) for _ in range(6)]
             radii = [rng.uniform(0.0, 3.5) for _ in range(6)]
-            got = _grid_scores(_cosine_table(n, psis), ells, radii, target)
+            table = _cosine_table(n, psis)
+            got = _finish_scores(table, target, *_grid_scores(table, ells, radii, target))
             mirror = _cosine_table(n, [TWO_PI / n - v for v in psis])
-            mirrored = _grid_scores(mirror, ells, radii, target)
+            mirrored = _finish_scores(mirror, target, *_grid_scores(mirror, ells, radii, target))
             for (f, cell), (g, other) in zip(got, mirrored):
                 assert cell == other
                 assert g == pytest.approx(f, rel=1e-12, abs=0.0), (n, cell)
