@@ -87,17 +87,23 @@ def _emit(obj: Any, out: list[str]) -> None:
 
 
 def _parse_number(value: Any, name: str, kind: type = float) -> Any:
-    """``kind(value)`` of a JSON value or argv text; a value it refuses is a schema error."""
+    """``kind(value)`` of a JSON value or argv text; a value it refuses is a schema error.
+
+    So is a boolean, and for ``int`` a float that is not integral, which
+    ``kind`` would take as 1, 0 or a truncation.
+    """
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise SchemaError(f"'{name}' must be {what}, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        what = "an integer" if kind is int else "a number"
         raise SchemaError(f"'{name}' must be {what}, got {value!r}") from exc
 
 
 def _parse_angle(value: Any, name: str) -> float:
-    if isinstance(value, bool):
-        raise SchemaError("angle must be a number or a 'deg'-suffixed string")
     if isinstance(value, (int, float)):
         return _parse_number(value, name)
     if isinstance(value, str):

@@ -343,25 +343,66 @@ def _square_request(**changes):
     return {"polygon": polygon, "point": {"x": 0.3, "y": 0.1}, **changes}
 
 
+#: Every integer payload key, as a payload builder around one value.
+INTEGER_KEYS = [
+    ("verify", lambda v: {"instances": v}),
+    ("verify", lambda v: {"seed": v}),
+    ("verify", lambda v: {"n_min": v}),
+    ("verify", lambda v: {"n_max": v}),
+    ("verify", lambda v: {"grid": v}),
+    ("verify", lambda v: {"refine": v}),
+    ("reconstruct", lambda v: _square_request(polygon={"n": v})),
+    ("reconstruct", lambda v: _square_request(anchor_index=v)),
+    ("render", lambda v: _square_request(scene="dual", anchor_index=v)),
+]
+INTEGER_IDS = ["instances", "seed", "n_min", "n_max", "grid", "refine", "polygon.n",
+               "anchor_index", "render-anchor_index"]
+
+#: Every float payload key, as a payload builder around one value.
+NUMBER_KEYS = [
+    ("dual", lambda v: {"distances": [3.0, v, 7.0]}),
+    ("reconstruct", lambda v: _square_request(point={"x": v, "y": 0.1})),
+    ("reconstruct", lambda v: _square_request(point={"x": 0.3, "y": v})),
+    ("reconstruct", lambda v: _square_request(polygon={"center": {"x": v, "y": 0.0}})),
+    ("reconstruct", lambda v: _square_request(polygon={"center": {"x": 0.0, "y": v}})),
+    ("reconstruct", lambda v: _square_request(polygon={"r": v})),
+    ("reconstruct", lambda v: _square_request(polygon={"phase": v})),
+    ("reconstruct", lambda v: _square_request(direction=v)),
+    ("dual", lambda v: {"distances": [3.0, 5.0, 7.0], "tol": v}),
+]
+NUMBER_IDS = ["distances", "point.x", "point.y", "center.x", "center.y", "r", "phase", "direction",
+              "tol"]
+
+
 @pytest.mark.parametrize("value", [math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "command, payload",
-    [
-        ("verify", lambda v: {"instances": v}),
-        ("verify", lambda v: {"seed": v}),
-        ("verify", lambda v: {"n_min": v}),
-        ("verify", lambda v: {"n_max": v}),
-        ("verify", lambda v: {"grid": v}),
-        ("verify", lambda v: {"refine": v}),
-        ("reconstruct", lambda v: _square_request(polygon={"n": v})),
-        ("reconstruct", lambda v: _square_request(anchor_index=v)),
-        ("render", lambda v: _square_request(scene="dual", anchor_index=v)),
-    ],
-    ids=["instances", "seed", "n_min", "n_max", "grid", "refine", "polygon.n",
-         "anchor_index", "render-anchor_index"],
-)
+@pytest.mark.parametrize("command, payload", INTEGER_KEYS, ids=INTEGER_IDS)
 def test_infinite_integer_is_a_schema_error(command, payload, value):
     # int() raises OverflowError on an infinite float; it must not escape run()
+    with pytest.raises(SchemaError, match="must be an integer"):
+        run(JobRequest(command, payload(value)))
+
+
+@pytest.mark.parametrize("command, payload", NUMBER_KEYS, ids=NUMBER_IDS)
+def test_integer_too_large_for_a_float_is_a_schema_error(command, payload):
+    # float() raises OverflowError on such an int; it must not escape run()
+    with pytest.raises(SchemaError, match="must be a number"):
+        run(JobRequest(command, payload(10**400)))
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize(
+    "command, payload", INTEGER_KEYS + NUMBER_KEYS, ids=INTEGER_IDS + NUMBER_IDS
+)
+def test_boolean_is_not_a_number(command, payload, value):
+    # int() and float() take True as 1 and False as 0
+    with pytest.raises(SchemaError, match="must be an? (integer|number), got (True|False)"):
+        run(JobRequest(command, payload(value)))
+
+
+@pytest.mark.parametrize("value", [4.9, -0.5, 1e-300])
+@pytest.mark.parametrize("command, payload", INTEGER_KEYS, ids=INTEGER_IDS)
+def test_fractional_integer_is_a_schema_error(command, payload, value):
+    # int() truncates a float toward zero
     with pytest.raises(SchemaError, match="must be an integer"):
         run(JobRequest(command, payload(value)))
 
@@ -369,23 +410,22 @@ def test_infinite_integer_is_a_schema_error(command, payload, value):
 @pytest.mark.parametrize(
     "command, payload",
     [
-        ("dual", lambda v: {"distances": [3.0, v, 7.0]}),
-        ("reconstruct", lambda v: _square_request(point={"x": v, "y": 0.1})),
-        ("reconstruct", lambda v: _square_request(point={"x": 0.3, "y": v})),
-        ("reconstruct", lambda v: _square_request(polygon={"center": {"x": v, "y": 0.0}})),
-        ("reconstruct", lambda v: _square_request(polygon={"center": {"x": 0.0, "y": v}})),
-        ("reconstruct", lambda v: _square_request(polygon={"r": v})),
-        ("reconstruct", lambda v: _square_request(polygon={"phase": v})),
-        ("reconstruct", lambda v: _square_request(direction=v)),
-        ("dual", lambda v: {"distances": [3.0, 5.0, 7.0], "tol": v}),
+        ("dual", {"distances": [True, True, True]}),
+        ("dual", {"distances": [3.0, 5.0, 7.0], "tol": True}),
+        ("reconstruct", _square_request(polygon={"n": 4.9})),
+        ("verify", {"instances": 1.9, "n_min": 3.7, "n_max": 4.2}),
     ],
-    ids=["distances", "point.x", "point.y", "center.x", "center.y", "r", "phase", "direction",
-         "tol"],
+    ids=["bool-distances", "bool-tol", "fractional-n", "fractional-verify"],
 )
-def test_integer_too_large_for_a_float_is_a_schema_error(command, payload):
-    # float() raises OverflowError on such an int; it must not escape run()
-    with pytest.raises(SchemaError, match="must be a number"):
-        run(JobRequest(command, payload(10**400)))
+def test_payloads_once_coerced_are_schema_errors(command, payload):
+    with pytest.raises(SchemaError):
+        run(JobRequest(command, payload))
+
+
+def test_integral_float_is_an_integer():
+    assert run(JobRequest("reconstruct", _square_request(polygon={"n": 4.0}))) == run(
+        JobRequest("reconstruct", _square_request(polygon={"n": 4}))
+    )
 
 
 ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
