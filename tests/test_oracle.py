@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -503,6 +504,27 @@ def test_searches_are_pinned(row):
     poly, point = random_instance(seed, n_range, degenerate_mode=degenerate)
     res = search_second_polygon(poly, point, OracleConfig() if cfg is None else OracleConfig(*cfg))
     assert list(_result_hex(res)) == want
+
+
+#: sha256 over the ``_result_hex`` rows, one ``repr((seed, *row))`` line each, of
+#: the three sets ``polydual verify`` runs in CI at the defaults: (first seed,
+#: instances, n_range, digest).  The rows are the floats the search gave before
+#: its evaluations took one pass, so a kernel change that moves one float fails.
+PINNED_DIGESTS = [
+    (70000, 500, (3, 8), "1288206b8ee6d54b20e32e6dc15764b52931f934c759a3d29f0776b32a3b8813"),
+    (5000, 300, (13, 64), "6bc9d361790dc524b6a51cdd63142d49dab992e091595780a6431c6941f2fdf3"),
+    (9000, 100, (65, 512), "ed1c29854860e84397ae9aeeb112c856f8f3ddc2617584bb2ed78f5ed99ae636"),
+]
+
+
+@pytest.mark.parametrize("seed, instances, n_range, digest", PINNED_DIGESTS,
+                         ids=[f"{row[0]}-n{row[2][0]}-{row[2][1]}" for row in PINNED_DIGESTS])
+def test_search_sets_are_pinned(seed, instances, n_range, digest):
+    h = hashlib.sha256()
+    for s in range(seed, seed + instances):
+        res = search_second_polygon(*random_instance(s, n_range))
+        h.update(repr((s, *_result_hex(res))).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def _result_hex(res):
