@@ -35,16 +35,20 @@ ell, r >= 0, and every rounded step after it (the product, the sum, the
 clamp at 0, the square root) is monotone too.  So the n cosines are
 sorted once per phase, and every cell's distances come out sorted: the
 same floats a per-cell sort gives.  The row ell = 0 (a candidate centered
-on the point) has every distance equal to its radius at any phase, so it
-is one cell per radius, placed at phase 0.  The grid is small (64 cells
-at the default), and a search rarely seeds more than one descent pair, so
-it needs only the grid's best cell.  The scan stops scoring a cell once
-its partial sum of squared gaps passes the best whole objective so far,
-which is exact since the sum never decreases (the early abandoning of
-exact nearest-neighbour search); about 38% of the vertex terms are added
-on the benchmark's pool.  The best cell is then a ``min``, and only a
-search that asks for a second seed finishes the stopped cells, with the
-same floats, and sorts the grid.
+on the point) has every distance equal to its radius, so it is one cell
+per radius, at phase 0.  A search rarely seeds more than one descent
+pair, so the scan stops scoring a cell once its partial sum of squared
+gaps passes the best whole objective so far, which is exact since the
+sum never decreases (the early abandoning of exact nearest-neighbour
+search); about 38% of the vertex terms are added on the benchmark's
+pool.  The scores are one float per cell, in lexicographic cell order,
+so their first minimum, and for a second seed a stable sort of the
+finished scores' indices, pick exactly what (score, cell) pairs would.
+
+The descent evaluates a candidate in one pass, its vertices sorted stably
+by distance so that ties keep index order, and builds the normal equations
+only where it steps from; every sum has the operations and rank order of a
+full Jacobian at each candidate, so the floats are the same.
 
 The phases, the sorted cosines and the vertex directions depend only on
 ``(n, grid_resolution)``, so they are built once per pair, kept in a
@@ -58,6 +62,7 @@ import functools
 import math
 import random
 from collections import namedtuple
+from operator import itemgetter
 from typing import Any, Iterator, NamedTuple, Optional
 
 from .geometry import (
@@ -77,6 +82,9 @@ CONGRUENT_EXCLUSION_REL = 2e-4
 #: Coarse samples per size dimension at every grid phase.
 COARSE_SIZE_STEPS = 4
 
+#: The finest ``OracleConfig.grid_resolution``; its phase tables precede any search.
+MAX_GRID_RESOLUTION = 1024
+
 #: Number of grid cells seeding the descent stage.
 DESCENT_SEEDS = 8
 
@@ -91,11 +99,11 @@ AGREE_TOL = 1e-5
 class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations")):
     """Search controls.
 
-    ``grid_resolution`` is the grid stage's phase spacing: phases
-    k * (2*pi/n) / grid_resolution.  Only k = 0 .. grid_resolution // 2
-    are scored, since the rest are mirror images of those; each is scored
-    against a coarse grid of ``COARSE_SIZE_STEPS`` center distances and
-    as many radii.
+    ``grid_resolution``, 8 to ``MAX_GRID_RESOLUTION``, is the grid stage's
+    phase spacing: phases k * (2*pi/n) / grid_resolution.  Only k = 0 ..
+    grid_resolution // 2 are scored, since the rest are mirror images of
+    those; each against ``COARSE_SIZE_STEPS`` center distances and as many
+    radii.
     ``refine_iterations``, at least 1, caps each seed's descent at
     ``20 * refine_iterations`` Levenberg-Marquardt iterations; the seed
     loop stops at the first non-congruent descent that reaches the
@@ -108,6 +116,8 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
     def __new__(cls, grid_resolution: int = 8, refine_iterations: int = 3) -> "OracleConfig":
         if grid_resolution < 8:
             raise ValueError("grid_resolution must be >= 8")
+        if grid_resolution > MAX_GRID_RESOLUTION:
+            raise ValueError(f"grid_resolution must be <= {MAX_GRID_RESOLUTION}")
         if refine_iterations < 1:
             raise ValueError("refine_iterations must be >= 1")
         return tuple.__new__(cls, (grid_resolution, refine_iterations))
@@ -156,38 +166,48 @@ def random_instance(
     return polygon, point
 
 
-def _residuals(
-    dirs: list[tuple[float, float]],
-    target: list[float],
-    psi: float,
-    ell: float,
+def _evaluate(
+    dirs: tuple[tuple[float, float], ...], target: list[float], psi: float, ell: float,
     radius: float,
-) -> tuple[list[float], list[tuple[float, float, float]]]:
-    """Sorted-distance residuals and their Jacobian rows over (psi, ell, radius).
+) -> tuple[float, list[tuple[float, float, float]]]:
+    """The sum of squared sorted-distance residuals, and the vertices in rank order.
 
-    Residual k is the k-th smallest candidate distance minus the k-th
-    smallest target distance.  A vertex at angle phi about the candidate
-    center lies D = hypot(ell + r*cos(phi), r*sin(phi)) from the point, so
-    dD/dpsi = -ell*r*sin(phi)/D, dD/dell = (ell + r*cos(phi))/D and
-    dD/dr = (r + ell*cos(phi))/D; the rows are built in rank order, each
-    with its distance.
+    Vertex k, at angle phi about the center, is (D, cos(phi), sin(phi)) with
+    D = hypot(ell + r*cos(phi), r*sin(phi)); ties keep their ``dirs`` order.
     """
-    c = math.cos(psi)
-    s = math.sin(psi)
-    phis = [(c * ck - s * sk, s * ck + c * sk) for ck, sk in dirs]
-    ds = [math.hypot(ell + radius * cos_phi, radius * sin_phi) for cos_phi, sin_phi in phis]
-    order = sorted(range(len(ds)), key=ds.__getitem__)
-    rows = []
-    for i in order:
-        cos_phi, sin_phi = phis[i]
-        d = ds[i]
+    c, s = math.cos(psi), math.sin(psi)
+    verts = []
+    for ck, sk in dirs:
+        cos_phi = c * ck - s * sk
+        sin_phi = s * ck + c * sk
+        verts.append((math.hypot(ell + radius * cos_phi, radius * sin_phi), cos_phi, sin_phi))
+    verts.sort(key=itemgetter(0))
+    f = 0.0
+    for (d, _, _), t in zip(verts, target):
+        f += (d - t) * (d - t)
+    return f, verts
+
+
+def _normal_equations(
+    verts: list[tuple[float, float, float]], target: list[float], ell: float, radius: float,
+    scale: float,
+) -> tuple[float, ...]:
+    """J^T J (a00, a01, a02, a11, a12, a22) and J^T e (g0, g1, g2), added in rank order.
+
+    Row k is (dD/dpsi / scale, dD/dell, dD/dr) at ``verts[k]``: dD/dpsi =
+    -ell*r*sin(phi)/D, dD/dell = (ell + r*cos(phi))/D, dD/dr = (r + ell*cos(phi))/D.
+    """
+    a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = 0.0
+    for (d, cos_phi, sin_phi), t in zip(verts, target):
+        ek = d - t
         inv = 1.0 / d if d > 0.0 else 0.0
-        rows.append((
-            -ell * radius * sin_phi * inv,
-            (ell + radius * cos_phi) * inv,
-            (radius + ell * cos_phi) * inv,
-        ))
-    return [ds[i] - t for i, t in zip(order, target)], rows
+        j0 = -ell * radius * sin_phi * inv / scale
+        j1 = (ell + radius * cos_phi) * inv
+        j2 = (radius + ell * cos_phi) * inv
+        a00, a01, a02 = a00 + j0 * j0, a01 + j0 * j1, a02 + j0 * j2
+        a11, a12, a22 = a11 + j1 * j1, a12 + j1 * j2, a22 + j2 * j2
+        g0, g1, g2 = g0 + j0 * ek, g1 + j1 * ek, g2 + j2 * ek
+    return a00, a01, a02, a11, a12, a22, g0, g1, g2
 
 
 def _sum_squares(e: list[float]) -> float:
@@ -216,101 +236,99 @@ def _phase_tables(
     return psis, cosines, dirs
 
 
-#: A grid cell: its objective, or for an unfinished cell a partial sum
-#: above the best, and its (phase, ell, radius) indices.
-Cell = tuple[float, tuple[int, int, int]]
-
-#: An unfinished cell: its index in the cells, the vertices added,
-#: 2*ell*r and ell^2 + r^2.
-Unfinished = tuple[int, int, float, float]
+#: An unfinished cell: its score index, its phase, the vertices added, 2*ell*r and ell^2 + r^2.
+Unfinished = tuple[int, int, int, float, float]
 
 
 def _grid_scores(
-    cosines: tuple[tuple[float, ...], ...],
-    ells: list[float],
-    radii: list[float],
+    cosines: tuple[tuple[float, ...], ...], ells: list[float], radii: list[float],
     target: list[float],
-) -> tuple[list[Cell], list[Unfinished]]:
-    """Every grid cell as (objective, (phase, ell, radius)), scored until it cannot be the best.
+) -> tuple[list[float], list[Unfinished]]:
+    """Every grid cell's objective, scored until it cannot be the best.
 
     Vertex k of a candidate sits at ell + r*exp(i*(psi + 2*pi*k/n)) seen
     from the point; ``cosines`` holds those cosines sorted once per phase
     (see the module docstring), so each cell's distances need no sort of
     their own.  ``ells[0]`` must be 0: that row is one cell per radius, at
-    phase 0.  Each objective adds the vertices' squared gaps left to right.
+    phase 0.  Each objective adds the vertices' squared gaps left to right;
+    the cells come in lexicographic (phase, ell, radius) order.
 
     The scan keeps the best whole objective so far, starting from the row
     ell = 0, and stops adding a cell's vertices once its partial sum is
     strictly greater than that best.  This is exact: every term is >= 0,
     and a rounded float sum of nonnegative terms never decreases, so such
     a cell can only end above the best.  A cell that ties the best is never
-    stopped, since the test is strict, so ``min`` of the cells is the
-    objective and cell a full scan gives, lowest index first among ties.
-    A stopped cell keeps its partial sum in the cells and is returned as
-    ``Unfinished`` too, for ``_finish_scores``.
+    stopped, since the test is strict, so the first index of the scores'
+    minimum is the objective and cell a full scan gives, lowest cell first
+    among ties.  A stopped cell keeps its partial sum in the scores and is
+    returned as ``Unfinished`` too, for ``_finish_scores``.
     """
     sqrt = math.sqrt
     # at ell = 0 every vertex lies r from the point, whatever the phase
-    cells = [(_sum_squares([r - t for t in target]), (0, 0, i)) for i, r in enumerate(radii)]
-    best = min(cells)[0]
+    scores = [_sum_squares([r - t for t in target]) for r in radii]
+    best = min(scores)
     unfinished = []
-    sizes = [
-        (j, i, 2.0 * ell * r, ell * ell + r * r)
-        for j, ell in enumerate(ells) if j
-        for i, r in enumerate(radii)
-    ]
+    sizes = [(2.0 * ell * r, ell * ell + r * r) for ell in ells[1:] for r in radii]
     for p, cos_sorted in enumerate(cosines):
         terms = tuple(zip(range(1, len(target) + 1), cos_sorted, target))
-        for j, i, two_lr, base in sizes:
+        for two_lr, base in sizes:
             f = 0.0
             for added, c, t in terms:
                 d2 = c * two_lr + base
                 e = (sqrt(d2) if d2 > 0.0 else 0.0) - t
                 f += e * e
                 if f > best:
-                    unfinished.append((len(cells), added, two_lr, base))
+                    unfinished.append((len(scores), p, added, two_lr, base))
                     break
             else:
                 if f < best:
                     best = f
-            cells.append((f, (p, j, i)))
-    return cells, unfinished
+            scores.append(f)
+    return scores, unfinished
 
 
 def _finish_scores(
-    cosines: tuple[tuple[float, ...], ...],
-    target: list[float],
-    cells: list[Cell],
+    cosines: tuple[tuple[float, ...], ...], target: list[float], scores: list[float],
     unfinished: list[Unfinished],
-) -> list[Cell]:
-    """The cells of ``_grid_scores`` with every unfinished cell scored to the end.
+) -> list[float]:
+    """The scores of ``_grid_scores`` with every unfinished cell scored to the end.
 
     Each resumes from its partial sum at the vertex where it stopped and
     adds the rest left to right, so its objective is the same float a
     full scan gives.
     """
     sqrt = math.sqrt
-    done = list(cells)
-    for index, added, two_lr, base in unfinished:
-        f, cell = cells[index]
-        for c, t in zip(cosines[cell[0]][added:], target[added:]):
+    done = list(scores)
+    for index, p, added, two_lr, base in unfinished:
+        f = scores[index]
+        for c, t in zip(cosines[p][added:], target[added:]):
             d2 = c * two_lr + base
             e = (sqrt(d2) if d2 > 0.0 else 0.0) - t
             f += e * e
-        done[index] = (f, cell)
+        done[index] = f
     return done
 
 
-def _pick_seeds(cells: list[Cell]) -> Iterator[tuple[int, int, int]]:
+def _cell(index: int, n_ells: int, n_radii: int) -> tuple[int, int, int]:
+    """The (phase, ell, radius) indices of score ``index`` on an ``n_ells`` by ``n_radii`` grid."""
+    if index < n_radii:  # the row ell = 0, at phase 0 only
+        return 0, 0, index
+    p, k = divmod(index - n_radii, (n_ells - 1) * n_radii)
+    j, i = divmod(k, n_radii)
+    return p, j + 1, i
+
+
+def _pick_seeds(scores: list[float], n_ells: int, n_radii: int) -> Iterator[tuple[int, int, int]]:
     """Greedy pick of the ``DESCENT_SEEDS`` best cells, no two of them grid neighbours.
 
-    Cells are read best first (ties in index order) and a cell within one
-    step of a picked one on every axis is passed over, so the seeds cover
-    distinct basins.  No axis wraps: the phase axis spans half a period,
-    and its end phases are their own mirror images.
+    Cells are read best first (ties in index order, which is cell order) and
+    a cell within one step of a picked one on every axis is passed over, so
+    the seeds cover distinct basins.  No axis wraps: the phase axis spans
+    half a period, and its end phases are their own mirror images.
     """
     picked: list[tuple[int, int, int]] = []
-    for _, cell in sorted(cells):
+    for index in sorted(range(len(scores)), key=scores.__getitem__):
+        cell = _cell(index, n_ells, n_radii)
         if all(max(abs(a - b) for a, b in zip(cell, other)) > 1 for other in picked):
             yield cell
             picked.append(cell)
@@ -319,30 +337,24 @@ def _pick_seeds(cells: list[Cell]) -> Iterator[tuple[int, int, int]]:
 
 
 def _seed_cells(
-    cosines: tuple[tuple[float, ...], ...],
-    target: list[float],
-    cells: list[Cell],
-    unfinished: list[Unfinished],
+    cosines: tuple[tuple[float, ...], ...], target: list[float], scores: list[float],
+    unfinished: list[Unfinished], n_ells: int, n_radii: int,
 ) -> Iterator[tuple[int, int, int]]:
     """The picks of ``_pick_seeds`` on the finished grid, drawn as they are asked for.
 
-    The first pick is the best cell, which ``min`` finds among the pruned
-    cells (see ``_grid_scores``); only a second request finishes the
-    unfinished cells and sorts the grid.
+    The first pick is the best cell, the first index of the minimum among
+    the pruned scores (see ``_grid_scores``); only a second request
+    finishes the unfinished cells and sorts the grid.
     """
-    yield min(cells)[1]
-    picks = _pick_seeds(_finish_scores(cosines, target, cells, unfinished))
+    yield _cell(scores.index(min(scores)), n_ells, n_radii)
+    picks = _pick_seeds(_finish_scores(cosines, target, scores, unfinished), n_ells, n_radii)
     next(picks)  # the best cell again
     yield from picks
 
 
 def _lm_descent(
-    dirs: list[tuple[float, float]],
-    target: list[float],
-    start: tuple[float, float, float],
-    bounds_ell: tuple[float, float],
-    bounds_r: tuple[float, float],
-    stop_objective: float,
+    dirs: tuple[tuple[float, float], ...], target: list[float], start: tuple[float, float, float],
+    bounds_ell: tuple[float, float], bounds_r: tuple[float, float], stop_objective: float,
     max_iterations: int,
 ) -> tuple[tuple[float, float, float], float, int]:
     """Levenberg-Marquardt over (psi, ell, radius); the phase wraps, sizes clip.
@@ -352,30 +364,22 @@ def _lm_descent(
     normal equations as the arc length ``scale * psi``, so all three
     Jacobian columns are dimensionless and one damping ``lam`` suits them
     all.  A step that lowers the objective is taken and ``lam`` falls
-    tenfold; otherwise ``lam`` grows tenfold.
+    tenfold; otherwise ``lam`` grows tenfold.  The normal equations are
+    built once per point a step starts from, however often ``lam`` changes.
     """
     x = start
-    e, jac = _residuals(dirs, target, *x)
-    f = _sum_squares(e)
+    f, verts = _evaluate(dirs, target, *x)
     evals = 1
     scale = target[-1]
     psi_period = TWO_PI / len(dirs)
     lam = 1e-3
+    sums = None
     for _ in range(max_iterations):
         if f <= stop_objective:
             break
-        a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = 0.0
-        for (j0, j1, j2), ek in zip(jac, e):
-            j0 /= scale
-            a00 += j0 * j0
-            a01 += j0 * j1
-            a02 += j0 * j2
-            a11 += j1 * j1
-            a12 += j1 * j2
-            a22 += j2 * j2
-            g0 += j0 * ek
-            g1 += j1 * ek
-            g2 += j2 * ek
+        if sums is None:
+            sums = _normal_equations(verts, target, x[1], x[2], scale)
+        a00, a01, a02, a11, a12, a22, g0, g1, g2 = sums
         a00 += lam
         a11 += lam
         a22 += lam
@@ -395,11 +399,10 @@ def _lm_descent(
             min(max(x[1] - (c01 * g0 + c11 * g1 + c12 * g2) / det, bounds_ell[0]), bounds_ell[1]),
             min(max(x[2] - (c02 * g0 + c12 * g1 + c22 * g2) / det, bounds_r[0]), bounds_r[1]),
         )
-        et, jt = _residuals(dirs, target, *trial)
-        ft = _sum_squares(et)
+        ft, vt = _evaluate(dirs, target, *trial)
         evals += 1
         if ft < f:
-            x, f, e, jac = trial, ft, et, jt
+            x, f, verts, sums = trial, ft, vt, None
             lam *= 0.1
         else:
             lam *= 10.0
@@ -460,8 +463,8 @@ def search_second_polygon(
     ell_axis = _size_axis(0.0, ell_hi)
     r_axis = _size_axis(r_lo, r_hi)
 
-    cells, unfinished = _grid_scores(cosines, ell_axis, r_axis, target)
-    samples = len(cells)
+    scores, unfinished = _grid_scores(cosines, ell_axis, r_axis, target)
+    samples = len(scores)
 
     # a descent that stops here has its sizes to about 1e-13 of the largest
     # distance, so inputs a rigid motion apart give sizes 1e-12 apart
@@ -477,7 +480,9 @@ def search_second_polygon(
 
     def seeds() -> Iterator[tuple[float, float, float]]:
         # drawn as the loop asks, so a search that stops early picks no more
-        for pi_, li_, ri_ in _seed_cells(cosines, target, cells, unfinished):
+        for pi_, li_, ri_ in _seed_cells(
+            cosines, target, scores, unfinished, len(ell_axis), len(r_axis)
+        ):
             base = (psis[pi_], ell_axis[li_], r_axis[ri_])
             yield base
             yield swapped(base)

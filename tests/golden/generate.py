@@ -15,7 +15,8 @@ CLI output is intended.
 Coverage: every command, the three render scenes and the four standard
 figures, ``--mirror``, ``pompeiu --construct``, the three degeneracy
 classes, oracle runs at ``--grid 8 --refine 1`` and at the defaults,
-usage and schema errors (exit 2), and every domain error code (exit 1);
+usage and schema errors (exit 2), ``--grid`` above its maximum among them,
+and every domain error code (exit 1);
 ``tests/test_golden.py`` checks that every code defined in
 ``polydual.errors`` appears.
 """
@@ -174,6 +175,8 @@ APPENDED: list[list[str]] = [
     # the oracle at its defaults: the benchmark's 20-instance pool, and n 13-64
     ["verify", "--instances", "20", "--seed", "70000"],
     ["verify", "--instances", "5", "--n-min", "13", "--n-max", "64", "--seed", "5000"],
+    # schema error: --grid above its maximum, refused before any phase table is built
+    ["verify", "--grid", "1025"],
 ]
 
 

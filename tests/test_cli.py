@@ -13,6 +13,7 @@ import pytest
 from polydual.cli import _SUBCOMMANDS, JobRequest, _build_parser, dumps, main, run
 from polydual.errors import SchemaError
 from polydual.geometry import Point2, RegularPolygonSpec, distances_from
+from polydual.oracle import MAX_GRID_RESOLUTION, _phase_tables
 from polydual.svg import Scene, render_svg
 
 SQRT2 = math.sqrt(2.0)
@@ -491,6 +492,24 @@ def test_precondition_failures_are_schema_errors(argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("grid", [MAX_GRID_RESOLUTION, MAX_GRID_RESOLUTION + 1])
+def test_grid_is_bounded(grid, capsys):
+    # with no instance no search runs, so neither value builds a phase table
+    misses = _phase_tables.cache_info().misses
+    ok = grid <= MAX_GRID_RESOLUTION
+    assert main(["verify", "--instances", "0", "--grid", str(grid)]) == (0 if ok else 2)
+    captured = capsys.readouterr()
+    if ok:
+        assert json.loads(captured.out)["instances"] == 0
+        assert run(JobRequest("verify", {"instances": 0, "grid": grid}))[1] == 0
+    else:
+        assert captured.out == ""
+        assert captured.err == f"schema error: grid_resolution must be <= {MAX_GRID_RESOLUTION}\n"
+        with pytest.raises(SchemaError, match=f"must be <= {MAX_GRID_RESOLUTION}"):
+            run(JobRequest("verify", {"instances": 0, "grid": grid}))
+    assert _phase_tables.cache_info().misses == misses
+
+
 def test_option_count():
     # a new knob must be a deliberate change: update this count with it
     parser = _build_parser()
@@ -683,10 +702,11 @@ def test_each_command_loads_only_its_modules(argv, modules):
     assert set(proc.stdout.split()) == CLI_BASE | {f"polydual.{m}" for m in modules}
 
 
-def test_main_writes_output_file(tmp_path):
+def test_main_writes_output_file(tmp_path, capsys):
     out = tmp_path / "dual.json"
     code = main(["dual", "--distances", SQUARE_DISTANCES, "--out", str(out)])
     assert code == 0
+    assert capsys.readouterr().out == out.read_text()  # the file and stdout hold the same text
     data = json.loads(out.read_text())
     assert data["larger"]["circumradius"] == pytest.approx(SQRT2, rel=1e-12)
 

@@ -10,13 +10,16 @@ from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
     COARSE_SIZE_STEPS,
     DESCENT_SEEDS,
+    MAX_GRID_RESOLUTION,
     RATIO_EXCLUSION_HALF_WIDTH,
     OracleConfig,
+    _cell,
+    _evaluate,
     _finish_scores,
     _grid_scores,
+    _normal_equations,
     _phase_tables,
     _pick_seeds,
-    _residuals,
     _seed_cells,
     search_second_polygon,
     random_instance,
@@ -179,6 +182,10 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OracleConfig(grid_resolution=4)
+        # the phase tables grow with the resolution, so it has a ceiling too
+        assert OracleConfig(grid_resolution=MAX_GRID_RESOLUTION).grid_resolution == 1024
+        with pytest.raises(ValueError, match="<= 1024"):
+            OracleConfig(grid_resolution=MAX_GRID_RESOLUTION + 1)
         for refine in (-1, 0):  # a search runs at least one descent level
             with pytest.raises(ValueError):
                 OracleConfig(refine_iterations=refine)
@@ -208,24 +215,27 @@ class TestKernels:
                     for u, t in zip(sorted(d), target):  # the vertices added left to right
                         f += (u - t) * (u - t)
                     want[p, j, i] = f
-        cells, unfinished = _grid_scores(cosines, ells, radii, target)
-        got = {cell: f for f, cell in _finish_scores(cosines, target, cells, unfinished)}
-        # the row ell = 0 is one cell per radius, and it scores the same at every phase
-        assert sorted(got) == sorted(cell for cell in want if cell[1] > 0 or cell[0] == 0)
+        scores, unfinished = _grid_scores(cosines, ells, radii, target)
+        finished = _finish_scores(cosines, target, scores, unfinished)
+        layout = [_cell(index, len(ells), len(radii)) for index in range(len(scores))]
+        # the row ell = 0 is one cell per radius, and it scores the same at every phase;
+        # the cells come in lexicographic order
+        assert layout == sorted(cell for cell in want if cell[1] > 0 or cell[0] == 0)
         assert all(want[p, 0, i] == want[0, 0, i] for p, j, i in want if j == 0)
-        assert all(got[cell] == want[cell] for cell in got)
-        # the pruned scan's best is the full scan's, lowest index first among ties
-        best = min((f, cell) for cell, f in got.items())
-        assert min(cells) == best
+        assert [f.hex() for f in finished] == [want[cell].hex() for cell in layout]
+        # the pruned scan's first minimum is the full scan's best, lowest cell first among ties
+        full = list(zip(finished, layout))
+        best = min(full)
+        assert (min(scores), layout[scores.index(min(scores))]) == best
         if r_lo == radii[-1]:
-            assert sum(f == best[0] for f in got.values()) >= len(radii)
+            assert sum(f == best[0] for f in finished) >= len(radii)
         # a cell is stopped only once its partial sum is above the best
         assert unfinished
-        for index, added, _, _ in unfinished:
-            assert cells[index][0] > best[0] and 1 <= added <= n
+        for index, p, added, _, _ in unfinished:
+            assert scores[index] > best[0] and 1 <= added <= n and p == layout[index][0]
         # the lazy seeds are the seed pick on the full scan
-        full = [(want[cell], cell) for cell in got]
-        assert list(_seed_cells(cosines, target, cells, unfinished)) == list(_pick_seeds(full))
+        seeds = _seed_cells(cosines, target, scores, unfinished, len(ells), len(radii))
+        assert list(seeds) == _best_first_pick(full)
 
     def test_grid_scores_are_mirror_symmetric(self):
         # reflecting a candidate in the line through the point and its center
@@ -241,9 +251,9 @@ class TestKernels:
             got = _finish_scores(table, target, *_grid_scores(table, ells, radii, target))
             mirror = _cosine_table(n, [TWO_PI / n - v for v in psis])
             mirrored = _finish_scores(mirror, target, *_grid_scores(mirror, ells, radii, target))
-            for (f, cell), (g, other) in zip(got, mirrored):
-                assert cell == other
-                assert g == pytest.approx(f, rel=1e-12, abs=0.0), (n, cell)
+            assert len(got) == len(mirrored)
+            for index, (f, g) in enumerate(zip(got, mirrored)):
+                assert g == pytest.approx(f, rel=1e-12, abs=0.0), (n, index)
 
     def test_seed_pick_matches_a_full_sort(self):
         rng = random.Random(604)
@@ -265,8 +275,8 @@ class TestKernels:
                      + rng.uniform(0.0, 1e-3), cell)
                     for cell in layout
                 ]
-            rng.shuffle(cells)
-            assert list(_pick_seeds(cells)) == _best_first_pick(cells), trial
+            scores = [f for f, _ in cells]
+            assert list(_pick_seeds(scores, steps, steps)) == _best_first_pick(cells), trial
 
     def test_residuals_match_sorted_hypot_differences(self):
         rng = random.Random(601)
@@ -276,9 +286,13 @@ class TestKernels:
             target = sorted(rng.uniform(0.0, 5.0) for _ in range(n))
             psi = rng.uniform(0.0, TWO_PI / n)
             ell, radius = rng.uniform(0.0, 3.0), rng.uniform(0.0, 3.0)
-            want = [u - v for u, v in zip(sorted(_distances(dirs, psi, ell, radius)), target)]
-            got, _ = _residuals(dirs, target, psi, ell, radius)
-            assert [v.hex() for v in got] == [v.hex() for v in want]
+            ds = _distances(dirs, psi, ell, radius)
+            f, verts = _evaluate(dirs, target, psi, ell, radius)
+            assert [v[0] for v in verts] == sorted(ds)
+            want = 0.0
+            for u, t in zip(sorted(ds), target):  # the residuals' squares added left to right
+                want += (u - t) * (u - t)
+            assert f.hex() == want.hex()
 
     def test_jacobian_matches_central_differences(self):
         rng = random.Random(602)
@@ -295,16 +309,52 @@ class TestKernels:
             dirs = _dirs(n)
             base = _distances(dirs, psi, ell, radius)
             order = sorted(range(n), key=base.__getitem__)
-            _, jac = _residuals(dirs, sorted(base), psi, ell, radius)
+            target = [base[i] - rng.uniform(-0.5, 0.5) for i in order]
+            scale = rng.uniform(0.5, 1.0)
+            # row k follows the vertex that sits at rank k, its phase column divided by scale
+            rows = [[0.0] * 3 for _ in range(n)]
             for j in range(3):
                 lo, hi = [psi, ell, radius], [psi, ell, radius]
                 lo[j] -= h
                 hi[j] += h
                 plus, minus = _distances(dirs, *hi), _distances(dirs, *lo)
-                # row k follows the vertex that sits at rank k
-                for row, i in zip(jac, order):
-                    fd = (plus[i] - minus[i]) / (2.0 * h)
-                    assert abs(row[j] - fd) <= 1e-6 * max(abs(fd), 1.0), (n, psi, ell, radius, j)
+                for row, i in zip(rows, order):
+                    row[j] = (plus[i] - minus[i]) / (2.0 * h) / (scale if j == 0 else 1.0)
+            e = [base[i] - t for i, t in zip(order, target)]
+            want = [sum(row[a] * row[b] for row in rows) for a, b in _UPPER]
+            want += [sum(row[a] * ek for row, ek in zip(rows, e)) for a in range(3)]
+            got = _normal_equations(_evaluate(dirs, target, psi, ell, radius)[1],
+                                    target, ell, radius, scale)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= 1e-6 * max(abs(w), 1.0), (n, psi, ell, radius)
+
+    @pytest.mark.parametrize("n", range(3, 65))
+    def test_evaluation_is_the_row_by_row_accumulation(self, n):
+        # the reference builds every residual and Jacobian row of a candidate,
+        # then sums them row by row; the kernel must give the same floats
+        rng = random.Random(605 + n)
+        _, _, dirs = _phase_tables(n, 8)
+        # exact mirror directions: at psi = 0 the vertices k and n - k then tie
+        # exactly, and index order decides which of them takes the lower rank
+        mirror = dirs[:n // 2 + 1] + tuple((c, -s) for c, s in reversed(dirs[1:(n + 1) // 2]))
+        ties = 0
+        for dirs_used in (dirs, mirror):
+            for k in range(40):
+                psi = 0.0 if k % 4 == 0 else rng.uniform(0.0, TWO_PI / n)
+                ell, radius = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+                if k % 8 == 1:
+                    ell = 0.0  # centered on the point
+                elif k % 8 == 5:
+                    ell = radius = 0.0  # every distance 0, so every Jacobian row 0
+                target = sorted(rng.uniform(0.0, 2.0) for _ in range(n))
+                scale = target[-1]
+                f, verts = _evaluate(dirs_used, target, psi, ell, radius)
+                ties += psi == 0.0 and radius > 0.0 and len({v[0] for v in verts}) < n
+                want_f, want_sums = _row_by_row(dirs_used, target, psi, ell, radius, scale)
+                assert f.hex() == want_f.hex()
+                got = _normal_equations(verts, target, ell, radius, scale)
+                assert [v.hex() for v in got] == [v.hex() for v in want_sums], (psi, ell, radius)
+        assert len(set(mirror)) == n and ties
 
 
 class TestPhaseTables:
@@ -590,3 +640,43 @@ def _distances(dirs, psi, ell, radius):
     c, s = math.cos(psi), math.sin(psi)
     return [math.hypot(ell + radius * (c * ck - s * sk), radius * (s * ck + c * sk))
             for ck, sk in dirs]
+
+
+#: The upper triangle of J^T J in the order the normal equations list it.
+_UPPER = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+
+
+def _row_by_row(dirs, target, psi, ell, radius, scale):
+    """The objective and the nine normal-equation sums, each row built and stored first."""
+    c = math.cos(psi)
+    s = math.sin(psi)
+    phis = [(c * ck - s * sk, s * ck + c * sk) for ck, sk in dirs]
+    ds = [math.hypot(ell + radius * cos_phi, radius * sin_phi) for cos_phi, sin_phi in phis]
+    order = sorted(range(len(ds)), key=ds.__getitem__)
+    rows = []
+    for i in order:
+        cos_phi, sin_phi = phis[i]
+        d = ds[i]
+        inv = 1.0 / d if d > 0.0 else 0.0
+        rows.append((
+            -ell * radius * sin_phi * inv,
+            (ell + radius * cos_phi) * inv,
+            (radius + ell * cos_phi) * inv,
+        ))
+    e = [ds[i] - t for i, t in zip(order, target)]
+    f = 0.0
+    for ek in e:
+        f += ek * ek
+    a00 = a01 = a02 = a11 = a12 = a22 = g0 = g1 = g2 = 0.0
+    for (j0, j1, j2), ek in zip(rows, e):
+        j0 /= scale
+        a00 += j0 * j0
+        a01 += j0 * j1
+        a02 += j0 * j2
+        a11 += j1 * j1
+        a12 += j1 * j2
+        a22 += j2 * j2
+        g0 += j0 * ek
+        g1 += j1 * ek
+        g2 += j2 * ek
+    return f, (a00, a01, a02, a11, a12, a22, g0, g1, g2)
