@@ -1,4 +1,4 @@
-"""Shared helpers: seeded random configurations for the property suites."""
+"""Shared helpers: seeded random configurations for the property suites, and exact oracle results."""
 
 from __future__ import annotations
 
@@ -71,3 +71,13 @@ def shared_vertex_pair(
     phase_b = (psi + math.pi) - TWO_PI * j / n
     pb = RegularPolygonSpec(n, center_b, r_b, phase_b)
     return pa, pb, v
+
+
+def _result_hex(res):
+    """An ``OracleResult`` with every float as ``float.hex()``."""
+    polygon = res.polygon
+    if polygon is not None:
+        polygon = tuple(
+            v.hex() for v in (polygon.center.x, polygon.center.y, polygon.circumradius, polygon.phase)
+        )
+    return res.found, res.samples_evaluated, res.residual.hex(), polygon

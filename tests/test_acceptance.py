@@ -4,6 +4,7 @@ Each test prints one ``ACCEPTANCE <k> ...: PASS/FAIL`` line (visible with
 ``pytest -s``); the assertions themselves carry the tolerances.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -16,7 +17,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_configuration, shared_vertex_pair
+from conftest import _result_hex, random_configuration, shared_vertex_pair
 from polydual.cli import JobRequest, run
 from polydual.cyclic import averages_from_distances, averages_from_parameters
 from polydual.dual import Degeneracy, solve
@@ -240,10 +241,19 @@ HARD_RATIOS = {
 }
 
 
+#: sha256 over the ``_result_hex`` rows of the 1800 hard-class searches, one
+#: ``repr((k, *row))`` line each, in the order the test draws them.  The rows
+#: are the floats the search gave when it still seeded up to eight grid cells,
+#: so a change to the search that moves one float of a find fails.
+HARD_CLASSES_DIGEST = "a54eaf58f564e9f267770e2a73943139f19f30c68fd53d900177cba528eadd19"
+
+
 def test_criterion_7_oracle_hard_classes():
     with report("7 oracle agreement on hard classes, 1800 instances, 400 on the circle"):
         t0 = time.perf_counter()
         rng = random.Random(21)
+        digest = hashlib.sha256()
+        k = 0
         for label, draw_ratio in HARD_RATIOS.items():
             for n_range in ((3, 8), (13, 64)):
                 for _ in range(300):
@@ -254,6 +264,8 @@ def test_criterion_7_oracle_hard_classes():
                     az = rng.uniform(0.0, TWO_PI)
                     point = Point2(dist * math.cos(az), dist * math.sin(az))
                     res = search_second_polygon(poly, point)
+                    digest.update(repr((k, *_result_hex(res))).encode() + b"\n")
+                    k += 1
                     where = (label, n_range, poly, point)
                     assert res.found, where
                     err = max(
@@ -261,12 +273,16 @@ def test_criterion_7_oracle_hard_classes():
                         abs(point.distance_to(res.polygon.center) - radius),
                     )
                     assert err <= AGREE_TOL * max(radius, dist), where
+        assert digest.hexdigest() == HARD_CLASSES_DIGEST
         # on the circumcircle the companion is the polygon itself: nothing to find
+        t1 = time.perf_counter()
         for n_range in ((3, 8), (13, 64)):
             for seed in range(200):
                 poly, point = random_instance(60_000 + seed, n_range, degenerate_mode=True)
                 assert not search_second_polygon(poly, point).found, (n_range, seed)
-        print(f"  [oracle: {time.perf_counter() - t0:.1f}s for 2200 hard instances]")
+        t2 = time.perf_counter()
+        print(f"  [oracle: {t2 - t0:.1f}s for 2200 hard instances, "
+              f"{t2 - t1:.2f}s of them for 400 on the circle]")
 
 
 def test_criterion_8_pompeiu_boundary():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import _result_hex
 from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
     COARSE_SIZE_STEPS,
@@ -575,16 +576,6 @@ def test_search_sets_are_pinned(seed, instances, n_range, digest):
         res = search_second_polygon(*random_instance(s, n_range))
         h.update(repr((s, *_result_hex(res))).encode() + b"\n")
     assert h.hexdigest() == digest
-
-
-def _result_hex(res):
-    """An ``OracleResult`` with every float as ``float.hex()``."""
-    polygon = res.polygon
-    if polygon is not None:
-        polygon = tuple(
-            v.hex() for v in (polygon.center.x, polygon.center.y, polygon.circumradius, polygon.phase)
-        )
-    return res.found, res.samples_evaluated, res.residual.hex(), polygon
 
 
 def _assert_search_scales_exactly(poly, point, k):
