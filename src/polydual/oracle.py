@@ -19,7 +19,7 @@ the line through the point and its center keeps every distance too and
 maps phase psi to -psi, so the grid scans the rotation-and-mirror
 quotient: phases from 0 to half a period, pi/n.  The descent still moves
 over the whole period.  The sorted-distance objective is also exactly
-symmetric under swapping radius and center distance, which is why every
+symmetric under swapping radius and center distance, which is why the
 descent seed is paired with its swapped twin (this exploits a symmetry of
 the candidate parameterization, not of the expected answer).  Only these
 isometries about the point are used, none of the solver's algebra.
@@ -36,14 +36,13 @@ clamp at 0, the square root) is monotone too.  So the n cosines are
 sorted once per phase, and every cell's distances come out sorted: the
 same floats a per-cell sort gives.  The row ell = 0 (a candidate centered
 on the point) has every distance equal to its radius, so it is one cell
-per radius, at phase 0.  A search rarely seeds more than one descent
-pair, so the scan stops scoring a cell once its partial sum of squared
-gaps passes the best whole objective so far, which is exact since the
-sum never decreases (the early abandoning of exact nearest-neighbour
-search); about 38% of the vertex terms are added on the benchmark's
-pool.  The scores are one float per cell, in lexicographic cell order,
-so their first minimum, and for a second seed a stable sort of the
-finished scores' indices, pick exactly what (score, cell) pairs would.
+per radius, at phase 0.  Only the best cell seeds the descent, so the
+scan stops scoring a cell once its partial sum of squared gaps passes
+the best whole objective so far, which is exact since the sum never
+decreases (the early abandoning of exact nearest-neighbour search);
+about 38% of the vertex terms are added on the benchmark's pool.  The
+best is replaced only by a strictly smaller objective, so the pick is
+the first minimum in lexicographic cell order, as a full scan gives.
 
 The descent evaluates a candidate in one pass, its vertices sorted stably
 by distance so that ties keep index order, and builds the normal equations
@@ -63,7 +62,7 @@ import math
 import random
 from collections import namedtuple
 from operator import itemgetter
-from typing import Any, Iterator, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .geometry import (
     MAX_VERTICES, TWO_PI, Point2, RegularPolygonSpec, distances_from, verify_permutation,
@@ -85,9 +84,6 @@ COARSE_SIZE_STEPS = 4
 #: The finest ``OracleConfig.grid_resolution``; its phase tables precede any search.
 MAX_GRID_RESOLUTION = 1024
 
-#: Number of grid cells seeding the descent stage.
-DESCENT_SEEDS = 8
-
 #: A candidate is a find when its worst sorted-distance gap is below
 #: this fraction of the largest target distance.
 FIND_TOL = 1e-6
@@ -104,11 +100,9 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
     grid_resolution // 2 are scored, since the rest are mirror images of
     those; each against ``COARSE_SIZE_STEPS`` center distances and as many
     radii.
-    ``refine_iterations``, at least 1, caps each seed's descent at
-    ``20 * refine_iterations`` Levenberg-Marquardt iterations; the seed
-    loop stops at the first non-congruent descent that reaches the
-    stopping objective.  Whether the result is a find is judged against
-    the fixed ``FIND_TOL``.
+    ``refine_iterations``, at least 1, caps each descent at
+    ``20 * refine_iterations`` Levenberg-Marquardt iterations.  Whether
+    the result is a find is judged against the fixed ``FIND_TOL``.
     """
 
     __slots__ = ()
@@ -124,6 +118,12 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
 
 
 class OracleResult(NamedTuple):
+    """A search's answer; ``found=False, polygon=None, residual=inf`` when none is kept.
+
+    That is the result when every descent lands in the congruent exclusion
+    ball, as on the circumcircle, where no other polygon exists.
+    """
+
     found: bool
     polygon: Optional[RegularPolygonSpec]
     residual: float
@@ -236,120 +236,49 @@ def _phase_tables(
     return psis, cosines, dirs
 
 
-#: An unfinished cell: its score index, its phase, the vertices added, 2*ell*r and ell^2 + r^2.
-Unfinished = tuple[int, int, int, float, float]
-
-
-def _grid_scores(
+def _best_cell(
     cosines: tuple[tuple[float, ...], ...], ells: list[float], radii: list[float],
     target: list[float],
-) -> tuple[list[float], list[Unfinished]]:
-    """Every grid cell's objective, scored until it cannot be the best.
+) -> tuple[int, int, int]:
+    """The (phase, ell, radius) indices of the grid cell with the least objective.
 
     Vertex k of a candidate sits at ell + r*exp(i*(psi + 2*pi*k/n)) seen
     from the point; ``cosines`` holds those cosines sorted once per phase
     (see the module docstring), so each cell's distances need no sort of
     their own.  ``ells[0]`` must be 0: that row is one cell per radius, at
     phase 0.  Each objective adds the vertices' squared gaps left to right;
-    the cells come in lexicographic (phase, ell, radius) order.
+    the cells are scanned in lexicographic (phase, ell, radius) order.
 
     The scan keeps the best whole objective so far, starting from the row
     ell = 0, and stops adding a cell's vertices once its partial sum is
     strictly greater than that best.  This is exact: every term is >= 0,
     and a rounded float sum of nonnegative terms never decreases, so such
-    a cell can only end above the best.  A cell that ties the best is never
-    stopped, since the test is strict, so the first index of the scores'
-    minimum is the objective and cell a full scan gives, lowest cell first
-    among ties.  A stopped cell keeps its partial sum in the scores and is
-    returned as ``Unfinished`` too, for ``_finish_scores``.
+    a cell can only end above the best.  The best is replaced only by a
+    strictly smaller objective, so among tied cells the lowest one wins,
+    as the first minimum of a full scan's scores would.
     """
     sqrt = math.sqrt
     # at ell = 0 every vertex lies r from the point, whatever the phase
-    scores = [_sum_squares([r - t for t in target]) for r in radii]
-    best = min(scores)
-    unfinished = []
-    sizes = [(2.0 * ell * r, ell * ell + r * r) for ell in ells[1:] for r in radii]
+    row = [_sum_squares([r - t for t in target]) for r in radii]
+    best = min(row)
+    cell = (0, 0, row.index(best))
+    sizes = [(j, i, 2.0 * ell * r, ell * ell + r * r)
+             for j, ell in enumerate(ells[1:], 1) for i, r in enumerate(radii)]
     for p, cos_sorted in enumerate(cosines):
-        terms = tuple(zip(range(1, len(target) + 1), cos_sorted, target))
-        for two_lr, base in sizes:
+        terms = tuple(zip(cos_sorted, target))
+        for j, i, two_lr, base in sizes:
             f = 0.0
-            for added, c, t in terms:
+            for c, t in terms:
                 d2 = c * two_lr + base
                 e = (sqrt(d2) if d2 > 0.0 else 0.0) - t
                 f += e * e
                 if f > best:
-                    unfinished.append((len(scores), p, added, two_lr, base))
                     break
             else:
                 if f < best:
                     best = f
-            scores.append(f)
-    return scores, unfinished
-
-
-def _finish_scores(
-    cosines: tuple[tuple[float, ...], ...], target: list[float], scores: list[float],
-    unfinished: list[Unfinished],
-) -> list[float]:
-    """The scores of ``_grid_scores`` with every unfinished cell scored to the end.
-
-    Each resumes from its partial sum at the vertex where it stopped and
-    adds the rest left to right, so its objective is the same float a
-    full scan gives.
-    """
-    sqrt = math.sqrt
-    done = list(scores)
-    for index, p, added, two_lr, base in unfinished:
-        f = scores[index]
-        for c, t in zip(cosines[p][added:], target[added:]):
-            d2 = c * two_lr + base
-            e = (sqrt(d2) if d2 > 0.0 else 0.0) - t
-            f += e * e
-        done[index] = f
-    return done
-
-
-def _cell(index: int, n_ells: int, n_radii: int) -> tuple[int, int, int]:
-    """The (phase, ell, radius) indices of score ``index`` on an ``n_ells`` by ``n_radii`` grid."""
-    if index < n_radii:  # the row ell = 0, at phase 0 only
-        return 0, 0, index
-    p, k = divmod(index - n_radii, (n_ells - 1) * n_radii)
-    j, i = divmod(k, n_radii)
-    return p, j + 1, i
-
-
-def _pick_seeds(scores: list[float], n_ells: int, n_radii: int) -> Iterator[tuple[int, int, int]]:
-    """Greedy pick of the ``DESCENT_SEEDS`` best cells, no two of them grid neighbours.
-
-    Cells are read best first (ties in index order, which is cell order) and
-    a cell within one step of a picked one on every axis is passed over, so
-    the seeds cover distinct basins.  No axis wraps: the phase axis spans
-    half a period, and its end phases are their own mirror images.
-    """
-    picked: list[tuple[int, int, int]] = []
-    for index in sorted(range(len(scores)), key=scores.__getitem__):
-        cell = _cell(index, n_ells, n_radii)
-        if all(max(abs(a - b) for a, b in zip(cell, other)) > 1 for other in picked):
-            yield cell
-            picked.append(cell)
-            if len(picked) == DESCENT_SEEDS:
-                return
-
-
-def _seed_cells(
-    cosines: tuple[tuple[float, ...], ...], target: list[float], scores: list[float],
-    unfinished: list[Unfinished], n_ells: int, n_radii: int,
-) -> Iterator[tuple[int, int, int]]:
-    """The picks of ``_pick_seeds`` on the finished grid, drawn as they are asked for.
-
-    The first pick is the best cell, the first index of the minimum among
-    the pruned scores (see ``_grid_scores``); only a second request
-    finishes the unfinished cells and sorts the grid.
-    """
-    yield _cell(scores.index(min(scores)), n_ells, n_radii)
-    picks = _pick_seeds(_finish_scores(cosines, target, scores, unfinished), n_ells, n_radii)
-    next(picks)  # the best cell again
-    yield from picks
+                    cell = (p, j, i)
+    return cell
 
 
 def _lm_descent(
@@ -435,12 +364,16 @@ def search_second_polygon(
     mirror images of these candidates.  The size bounds come from plain
     geometry (the center is the vertex centroid, so its distance from the
     point is at most the mean target distance).  Descent stage: the best
-    separated cells, plus their radius/center-distance swapped twins, seed
-    Levenberg-Marquardt descents in turn; results inside the congruent
-    exclusion ball around the input parameters are discarded, and the
-    seed loop stops at the first non-congruent descent that reaches the
-    stopping objective.  Both stages run on sizes scaled by a power of
-    two (see the module docstring), mapped back for the answer.
+    cell, then its radius/center-distance swapped twin, seeds a
+    Levenberg-Marquardt descent; results inside the congruent exclusion
+    ball around the input parameters are discarded, and the twin is not
+    descended when the first descent already reaches the stopping
+    objective outside the ball.  If the best result is congruent, its
+    swapped twin is descended once more.  Both stages run on sizes scaled
+    by a power of two (see the module docstring), mapped back for the
+    answer.  When every descent lands in the congruent ball, the result is
+    ``found=False, polygon=None, residual=inf``: a miss, never a polygon
+    that is not there.
     """
     n = p.n
     d_in = distances_from(point, p)
@@ -463,8 +396,10 @@ def search_second_polygon(
     ell_axis = _size_axis(0.0, ell_hi)
     r_axis = _size_axis(r_lo, r_hi)
 
-    scores, unfinished = _grid_scores(cosines, ell_axis, r_axis, target)
-    samples = len(scores)
+    psi_i, ell_i, r_i = _best_cell(cosines, ell_axis, r_axis, target)
+    base = (psis[psi_i], ell_axis[ell_i], r_axis[r_i])
+    # the grid cells scored: the row ell = 0 once, the other rows at every phase
+    samples = (len(psis) * (len(ell_axis) - 1) + 1) * len(r_axis)
 
     # a descent that stops here has its sizes to about 1e-13 of the largest
     # distance, so inputs a rigid motion apart give sizes 1e-12 apart
@@ -478,15 +413,6 @@ def search_second_polygon(
     def descend(x: tuple[float, float, float]) -> tuple[tuple[float, float, float], float, int]:
         return _lm_descent(dirs, target, x, (0.0, ell_hi), (r_lo, r_hi), stop_objective, max_iterations)
 
-    def seeds() -> Iterator[tuple[float, float, float]]:
-        # drawn as the loop asks, so a search that stops early picks no more
-        for pi_, li_, ri_ in _seed_cells(
-            cosines, target, scores, unfinished, len(ell_axis), len(r_axis)
-        ):
-            base = (psis[pi_], ell_axis[li_], r_axis[ri_])
-            yield base
-            yield swapped(base)
-
     exclusion_radius = CONGRUENT_EXCLUSION_REL * max(r_in, l_in)
 
     def is_congruent(x: tuple[float, float, float]) -> bool:
@@ -494,7 +420,7 @@ def search_second_polygon(
 
     best_excluded: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
     best_kept: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
-    for seed_x in seeds():
+    for seed_x in (base, swapped(base)):
         x, f, ev = descend(seed_x)
         samples += ev
         if is_congruent(x):

@@ -279,7 +279,10 @@ def test_criterion_7_oracle_hard_classes():
         for n_range in ((3, 8), (13, 64)):
             for seed in range(200):
                 poly, point = random_instance(60_000 + seed, n_range, degenerate_mode=True)
-                assert not search_second_polygon(poly, point).found, (n_range, seed)
+                res = search_second_polygon(poly, point)
+                assert not res.found, (n_range, seed)
+                # every descent lands on the input itself, so no polygon is reported
+                assert res.polygon is None and res.residual == math.inf, (n_range, seed)
         t2 = time.perf_counter()
         print(f"  [oracle: {t2 - t0:.1f}s for 2200 hard instances, "
               f"{t2 - t1:.2f}s of them for 400 on the circle]")

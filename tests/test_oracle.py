@@ -7,21 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _result_hex
+from polydual import oracle
 from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
     COARSE_SIZE_STEPS,
-    DESCENT_SEEDS,
     MAX_GRID_RESOLUTION,
     RATIO_EXCLUSION_HALF_WIDTH,
     OracleConfig,
-    _cell,
+    _best_cell,
     _evaluate,
-    _finish_scores,
-    _grid_scores,
     _normal_equations,
     _phase_tables,
-    _pick_seeds,
-    _seed_cells,
     search_second_polygon,
     random_instance,
 )
@@ -75,6 +71,8 @@ class TestSearch:
         p = RegularPolygonSpec(4, Point2(0.0, 0.0), SQRT2, math.pi / 4)
         res = search_second_polygon(p, Point2(SQRT2, 0.0))
         assert not res.found
+        # every descent lands on the input itself, so no polygon is reported
+        assert res.polygon is None and res.residual == math.inf
 
     def test_three_five_seven_triangle(self):
         from polydual.pompeiu import construct_both_triangles
@@ -155,12 +153,35 @@ class TestSearch:
     @pytest.mark.parametrize("seed", range(5))
     def test_circumcircle_search_is_bounded(self, cfg, seed):
         # no non-congruent answer exists, so every descent ends congruent or
-        # at its iteration cap, and all seeds and the swap fallback run
+        # at its iteration cap, and the seed pair and the swap fallback run
         poly, point = random_instance(seed, (3, 12), degenerate_mode=True)
         res = search_second_polygon(poly, point, cfg)
         assert res.found is False
         grid = ((cfg.grid_resolution // 2 + 1) * (COARSE_SIZE_STEPS - 1) + 1) * COARSE_SIZE_STEPS
         assert res.samples_evaluated - grid <= 2_000
+
+    @pytest.mark.parametrize("seeds, n_range, degenerate", [
+        (range(70_000, 70_020), (3, 8), False),  # the benchmark pool
+        (range(60_000, 60_200), (3, 8), True),  # criterion 7's points on the circumcircle
+        (range(60_000, 60_200), (13, 64), True),
+    ], ids=["pool", "circle-n3-8", "circle-n13-64"])
+    def test_at_most_three_descents(self, monkeypatch, seeds, n_range, degenerate):
+        # the best grid cell and its swapped twin, then at most the swap fallback
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return descent(*args)
+
+        descent = oracle._lm_descent
+        monkeypatch.setattr(oracle, "_lm_descent", counted)
+        for seed in seeds:
+            poly, point = random_instance(seed, n_range, degenerate_mode=degenerate)
+            for cfg in (OracleConfig(), OracleConfig(16, 1)):
+                calls.clear()
+                res = search_second_polygon(poly, point, cfg)
+                assert res.found is not degenerate
+                assert 1 <= len(calls) <= 3, (seed, cfg, len(calls))
 
     @pytest.mark.parametrize("k", [-560, 660])
     def test_pool_search_is_scale_free(self, k):
@@ -193,7 +214,7 @@ class TestConfig:
 
 
 class TestKernels:
-    """The grid's presorted kernel and the seed pick give what their plain forms give."""
+    """The grid's presorted kernel and the descent's evaluation give what their plain forms give."""
 
     @pytest.mark.parametrize("n", range(3, 65))
     @pytest.mark.parametrize("r_lo", [0.0, 0.7, 3.5])  # 3.5: every radius equal, so cells tie
@@ -216,68 +237,31 @@ class TestKernels:
                     for u, t in zip(sorted(d), target):  # the vertices added left to right
                         f += (u - t) * (u - t)
                     want[p, j, i] = f
-        scores, unfinished = _grid_scores(cosines, ells, radii, target)
-        finished = _finish_scores(cosines, target, scores, unfinished)
-        layout = [_cell(index, len(ells), len(radii)) for index in range(len(scores))]
-        # the row ell = 0 is one cell per radius, and it scores the same at every phase;
-        # the cells come in lexicographic order
-        assert layout == sorted(cell for cell in want if cell[1] > 0 or cell[0] == 0)
+        layout = sorted(cell for cell in want if cell[1] > 0 or cell[0] == 0)
+        # the row ell = 0 is one cell per radius, and it scores the same at every phase
         assert all(want[p, 0, i] == want[0, 0, i] for p, j, i in want if j == 0)
-        assert [f.hex() for f in finished] == [want[cell].hex() for cell in layout]
-        # the pruned scan's first minimum is the full scan's best, lowest cell first among ties
-        full = list(zip(finished, layout))
-        best = min(full)
-        assert (min(scores), layout[scores.index(min(scores))]) == best
+        # the pruned scan's pick is the full scan's first minimum, lowest cell first among ties
+        best = min((want[cell], cell) for cell in layout)
+        assert _best_cell(cosines, ells, radii, target) == best[1]
         if r_lo == radii[-1]:
-            assert sum(f == best[0] for f in finished) >= len(radii)
-        # a cell is stopped only once its partial sum is above the best
-        assert unfinished
-        for index, p, added, _, _ in unfinished:
-            assert scores[index] > best[0] and 1 <= added <= n and p == layout[index][0]
-        # the lazy seeds are the seed pick on the full scan
-        seeds = _seed_cells(cosines, target, scores, unfinished, len(ells), len(radii))
-        assert list(seeds) == _best_first_pick(full)
+            assert sum(want[cell] == best[0] for cell in layout) >= len(radii)
+            # the point at the center of a polygon of that radius: the row ell = 0 ties at 0
+            assert _best_cell(cosines, ells, radii, [radii[0]] * n) == (0, 0, 0)
 
-    def test_grid_scores_are_mirror_symmetric(self):
+    def test_evaluation_is_mirror_symmetric(self):
         # reflecting a candidate in the line through the point and its center
-        # maps phase psi to 2*pi/n - psi and keeps every distance
+        # maps phase psi to 2*pi/n - psi and keeps every distance, so the grid
+        # need only scan half a period
         rng = random.Random(603)
         for n in range(3, 65):
+            dirs = _dirs(n)
             target = sorted(rng.uniform(0.1, 3.0) for _ in range(n))
-            psis = [rng.uniform(0.0, TWO_PI / n) for _ in range(8)]
-            # _grid_scores needs ells[0] == 0
-            ells = [0.0] + [rng.uniform(0.0, 2.0) for _ in range(6)]
-            radii = [rng.uniform(0.0, 3.5) for _ in range(6)]
-            table = _cosine_table(n, psis)
-            got = _finish_scores(table, target, *_grid_scores(table, ells, radii, target))
-            mirror = _cosine_table(n, [TWO_PI / n - v for v in psis])
-            mirrored = _finish_scores(mirror, target, *_grid_scores(mirror, ells, radii, target))
-            assert len(got) == len(mirrored)
-            for index, (f, g) in enumerate(zip(got, mirrored)):
-                assert g == pytest.approx(f, rel=1e-12, abs=0.0), (n, index)
-
-    def test_seed_pick_matches_a_full_sort(self):
-        rng = random.Random(604)
-        steps = COARSE_SIZE_STEPS
-        for trial in range(300):
-            phases = rng.randint(2, 17)
-            layout = [(0, 0, i) for i in range(steps)]  # the row ell = 0 sits at phase 0
-            layout += [(p, j, i) for p in range(phases)
-                       for j in range(1, steps) for i in range(steps)]
-            if trial % 3 == 0:  # unstructured
-                cells = [(rng.random(), cell) for cell in layout]
-            elif trial % 3 == 1:  # many tied best cells
-                cells = [(float(rng.randint(0, 2)), cell) for cell in layout]
-            else:  # smooth basins of random depth
-                centers = rng.sample(layout, DESCENT_SEEDS + 2)
-                depths = [rng.uniform(0.0, 20.0) for _ in centers]
-                cells = [
-                    (min(_gap2(cell, c) + h for c, h in zip(centers, depths))
-                     + rng.uniform(0.0, 1e-3), cell)
-                    for cell in layout
-                ]
-            scores = [f for f, _ in cells]
-            assert list(_pick_seeds(scores, steps, steps)) == _best_first_pick(cells), trial
+            for _ in range(8):
+                psi = rng.uniform(0.0, TWO_PI / n)
+                ell, radius = rng.uniform(0.0, 2.0), rng.uniform(0.0, 3.5)
+                f = _evaluate(dirs, target, psi, ell, radius)[0]
+                g = _evaluate(dirs, target, TWO_PI / n - psi, ell, radius)[0]
+                assert g == pytest.approx(f, rel=1e-12, abs=0.0), (n, psi, ell, radius)
 
     def test_residuals_match_sorted_hypot_differences(self):
         rng = random.Random(601)
@@ -415,9 +399,10 @@ def test_random_instances_are_pinned():
 #: Searches pinned as ``_result_hex``: (seed, n_range, degenerate_mode, config
 #: or None for the default, found, samples_evaluated, residual, polygon).  The
 #: 20 benchmark pool instances, n 13-64 and n 65-512 draws, six points on the
-#: circumcircle (every seed and the swap fallback run there) and four pool
-#: instances at a finer grid.  Any change to the grid, the seed pick or the
-#: descent that moves one float shows here.
+#: circumcircle (the seed pair and the swap fallback all land on the input
+#: there, so nothing is reported) and four pool instances at a finer grid.
+#: Any change to the grid, the seed pick or the descent that moves one float
+#: shows here.
 PINNED_SEARCHES = [
     (70000, (3, 8), False, None, True, 70, "0x1.0400000000000p-46",
      ("0x1.c482da2f48c04p+1", "-0x1.53c52c61acf3ep+2",
@@ -518,20 +503,12 @@ PINNED_SEARCHES = [
     (9002, (65, 512), False, None, True, 75, "0x1.4000000000000p-49",
      ("0x1.97ad89e1dc49cp+0", "-0x1.d85e12ec6600ap+1",
       "0x1.dac5ea88de918p+1", "0x1.c6f2d01bcd30ap-7")),
-    (0, (3, 12), True, None, False, 471, "0x1.9479a13551c72p+1",
-     ("-0x1.782e976ab0141p-3", "0x1.a3370ac6cedafp+1",
-      "0x1.0ca0e9fea6123p+2", "0x0.0p+0")),
-    (1, (3, 12), True, None, False, 399, "inf", None),
-    (2, (3, 12), True, None, False, 417, "0x1.9f03f1e798decp-4",
-     ("0x1.2fffc54db7bb9p-4", "0x1.10c11754eab91p-3",
-      "0x1.9f03f1cc424cap-3", "0x0.0p+0")),
-    (3, (3, 12), True, None, False, 437, "0x1.809baff7accb0p+0",
-     ("0x1.52c5f8b5e0574p+0", "-0x1.8b4a3857542aap-1",
-      "0x1.f5fd3e8c21646p+0", "0x0.0p+0")),
-    (4, (3, 12), True, None, False, 438, "0x1.51f6f1577221ep-2",
-     ("-0x1.9a43199e8e6e2p-2", "0x1.b6253e6691bbap-5",
-      "0x1.0a747951e709cp-1", "0x0.0p+0")),
-    (5, (3, 12), True, None, False, 365, "inf", None),
+    (0, (3, 12), True, None, False, 105, "inf", None),
+    (1, (3, 12), True, None, False, 105, "inf", None),
+    (2, (3, 12), True, None, False, 105, "inf", None),
+    (3, (3, 12), True, None, False, 105, "inf", None),
+    (4, (3, 12), True, None, False, 105, "inf", None),
+    (5, (3, 12), True, None, False, 105, "inf", None),
     (70000, (3, 8), False, (16, 1), True, 118, "0x1.0000000000000p-49",
      ("0x1.c482da2f48c48p+1", "-0x1.53c52c61acf3ep+2",
       "0x1.634a524e38c6ep+2", "0x1.6d253b9e7e9c0p-3")),
@@ -595,22 +572,6 @@ def _assert_search_scales_exactly(poly, point, k):
     assert moved_point.distance_to(res.polygon.center) == math.ldexp(
         point.distance_to(ref.polygon.center), k
     )
-
-
-def _best_first_pick(cells):
-    """The seed pick by repeated scans for the best cell no picked cell neighbours."""
-    picked = []
-    while len(picked) < DESCENT_SEEDS:
-        free = [c for c in cells
-                if all(max(abs(a - b) for a, b in zip(c[1], p)) > 1 for p in picked)]
-        if not free:
-            break
-        picked.append(min(free)[1])
-    return picked
-
-
-def _gap2(cell, other):
-    return sum((a - b) ** 2 for a, b in zip(cell, other))
 
 
 def _linspace(lo, hi, steps):
