@@ -242,9 +242,8 @@ HARD_RATIOS = {
 
 
 #: sha256 over the ``_result_hex`` rows of the 1800 hard-class searches, one
-#: ``repr((k, *row))`` line each, in the order the test draws them.  The rows
-#: are the floats the search gave when it still seeded up to eight grid cells,
-#: so a change to the search that moves one float of a find fails.
+#: ``repr((k, *row))`` line each, in the order the test draws them, so a
+#: change to the search that moves one float of a find fails.
 HARD_CLASSES_DIGEST = "a54eaf58f564e9f267770e2a73943139f19f30c68fd53d900177cba528eadd19"
 
 
