@@ -19,10 +19,11 @@ the line through the point and its center keeps every distance too and
 maps phase psi to -psi, so the grid scans the rotation-and-mirror
 quotient: phases from 0 to half a period, pi/n.  The descent still moves
 over the whole period.  The sorted-distance objective is also exactly
-symmetric under swapping radius and center distance, which is why the
-descent seed is paired with its swapped twin (this exploits a symmetry of
-the candidate parameterization, not of the expected answer).  Only these
-isometries about the point are used, none of the solver's algebra.
+symmetric under swapping radius and center distance, so a descent that
+lands on the input itself is followed by one from its landing's swapped
+twin, which scores the same (this exploits a symmetry of the candidate
+parameterization, not of the expected answer).  Only these isometries
+about the point are used, none of the solver's algebra.
 
 The search runs on the distances times the power of two that brings the
 largest into [0.5, 1), so the squares it takes stay in range at any input
@@ -120,8 +121,9 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
 class OracleResult(NamedTuple):
     """A search's answer; ``found=False, polygon=None, residual=inf`` when none is kept.
 
-    That is the result when every descent lands in the congruent exclusion
-    ball, as on the circumcircle, where no other polygon exists.
+    That is the result when the descent lands in the congruent exclusion
+    ball and so does the one from its swapped twin, as on the
+    circumcircle, where no other polygon exists.
     """
 
     found: bool
@@ -364,16 +366,16 @@ def search_second_polygon(
     mirror images of these candidates.  The size bounds come from plain
     geometry (the center is the vertex centroid, so its distance from the
     point is at most the mean target distance).  Descent stage: the best
-    cell, then its radius/center-distance swapped twin, seeds a
-    Levenberg-Marquardt descent; results inside the congruent exclusion
-    ball around the input parameters are discarded, and the twin is not
-    descended when the first descent already reaches the stopping
-    objective outside the ball.  If the best result is congruent, its
-    swapped twin is descended once more.  Both stages run on sizes scaled
-    by a power of two (see the module docstring), mapped back for the
-    answer.  When every descent lands in the congruent ball, the result is
+    cell seeds a Levenberg-Marquardt descent.  If it lands inside the
+    congruent exclusion ball around the input parameters, it found the
+    input itself, and a second descent starts from the landing's
+    radius/center-distance swapped twin, which scores the same; the input
+    is read only by that ball test.  Both stages run on sizes scaled by a
+    power of two (see the module docstring), mapped back for the answer.
+    When the second descent lands in the ball too, the result is
     ``found=False, polygon=None, residual=inf``: a miss, never a polygon
-    that is not there.
+    that is not there.  Otherwise the last landing is the answer, a find
+    when its distances match the input's within ``FIND_TOL``.
     """
     n = p.n
     d_in = distances_from(point, p)
@@ -418,30 +420,15 @@ def search_second_polygon(
     def is_congruent(x: tuple[float, float, float]) -> bool:
         return max(abs(x[2] - r_in), abs(x[1] - l_in)) <= exclusion_radius
 
-    best_excluded: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
-    best_kept: tuple[float, Optional[tuple[float, float, float]]] = (math.inf, None)
-    for seed_x in (base, swapped(base)):
-        x, f, ev = descend(seed_x)
-        samples += ev
-        if is_congruent(x):
-            if f < best_excluded[0]:
-                best_excluded = (f, x)
-        elif f < best_kept[0]:
-            best_kept = (f, x)
-            if f <= stop_objective:
-                break
-
-    if best_excluded[1] is not None and best_excluded[0] < best_kept[0]:
-        # swap the best congruent result; by the objective's exact symmetry
-        # the swapped point scores identically and sits in the other basin
-        x, f, ev = descend(swapped(best_excluded[1]))
-        samples += ev
-        if not is_congruent(x) and f < best_kept[0]:
-            best_kept = (f, x)
-
-    if best_kept[1] is None:
+    x, _, evals = descend(base)
+    samples += evals
+    if is_congruent(x):
+        # the descent found the input itself; its swapped twin scores the same
+        x, _, evals = descend(swapped(x))
+        samples += evals
+    if is_congruent(x):
         return OracleResult(False, None, math.inf, samples)
-    psi, ell, radius = best_kept[1]
+    psi, ell, radius = x
     candidate = RegularPolygonSpec(
         n, Point2(point.x + math.ldexp(ell, exp), point.y), math.ldexp(radius, exp), psi
     )
