@@ -104,14 +104,20 @@ def _parse_number(value: Any, name: str, kind: type = float) -> Any:
 
 
 def _parse_angle(value: Any, name: str) -> float:
-    if isinstance(value, (int, float)):
-        return _parse_number(value, name)
+    """Radians, or degrees as text ending in ``deg``; a non-finite angle is a schema error."""
     if isinstance(value, str):
         s = value.strip()
         if s.endswith("deg"):
-            return math.radians(float(s[:-3]))
-        return float(s)
-    raise SchemaError(f"cannot parse angle {value!r}")
+            angle = math.radians(_parse_number(s[:-3], name))
+        else:
+            angle = _parse_number(s, name)
+    elif isinstance(value, (int, float)):
+        angle = _parse_number(value, name)
+    else:
+        raise SchemaError(f"cannot parse angle {value!r}")
+    if not math.isfinite(angle):
+        raise SchemaError(f"'{name}' must be a finite angle, got {value!r}")
+    return angle
 
 
 def _parse_distances(payload: dict[str, Any]) -> DistanceSpec:

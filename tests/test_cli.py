@@ -400,6 +400,16 @@ def test_boolean_is_not_a_number(command, payload, value):
         run(JobRequest(command, payload(value)))
 
 
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, "inf", "-inf", "nan", "1e400deg", "abc"]
+)
+@pytest.mark.parametrize("key", ["phase", "direction"])
+def test_angle_that_is_not_a_finite_number_names_its_key(key, value):
+    command, payload = NUMBER_KEYS[NUMBER_IDS.index(key)]
+    with pytest.raises(SchemaError, match=rf"^'(polygon\.)?{key}' must be a (finite angle|number)"):
+        run(JobRequest(command, payload(value)))
+
+
 @pytest.mark.parametrize("value", [4.9, -0.5, 1e-300])
 @pytest.mark.parametrize("command, payload", INTEGER_KEYS, ids=INTEGER_IDS)
 def test_fractional_integer_is_a_schema_error(command, payload, value):
