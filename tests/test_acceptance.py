@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import random
+import statistics
 import subprocess
 import sys
 import time
@@ -29,7 +30,13 @@ from polydual.geometry import (
     verify_permutation,
     vertices,
 )
-from polydual.oracle import AGREE_TOL, random_instance, search_second_polygon
+from polydual.oracle import (
+    AGREE_TOL,
+    COARSE_SIZE_STEPS,
+    OracleConfig,
+    random_instance,
+    search_second_polygon,
+)
 from polydual.pompeiu import (
     pompeiu_from_distances,
     solve_equilateral,
@@ -209,10 +216,15 @@ def test_criterion_7_oracle_independence():
     with report("7 oracle agreement, 500 instances"):
         t0 = time.perf_counter()
         worst = 0.0
+        # the grid cells a default search scores; the rest are descent evaluations
+        phases = OracleConfig().grid_resolution // 2 + 1
+        grid = (phases * (COARSE_SIZE_STEPS - 1) + 1) * COARSE_SIZE_STEPS
+        evals = []
         for seed in range(500):
             poly, point = random_instance(70_000 + seed, (3, 8))
             res = search_second_polygon(poly, point)
             assert res.found, f"oracle missed instance seed={70_000 + seed}"
+            evals.append(res.samples_evaluated - grid)
             r_in = poly.circumradius
             l_in = point.distance_to(poly.center)
             scale = max(r_in, l_in)
@@ -227,7 +239,8 @@ def test_criterion_7_oracle_independence():
             expect_r = min(sol.smaller.circumradius, sol.larger.circumradius, key=lambda v: abs(v - l_in))
             assert abs(res.polygon.circumradius - expect_r) <= 1e-5 * scale
         elapsed = time.perf_counter() - t0
-        print(f"  [oracle: {elapsed:.1f}s for 500 instances, worst rel err {worst:.2e}]")
+        print(f"  [oracle: {elapsed:.1f}s for 500 instances, worst rel err {worst:.2e}, "
+              f"descent evaluations median {statistics.median(evals):g}, max {max(evals)}]")
         assert elapsed < 600.0, f"oracle suite took {elapsed:.1f}s"
 
 
