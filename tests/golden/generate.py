@@ -177,6 +177,10 @@ APPENDED: list[list[str]] = [
     ["verify", "--instances", "5", "--n-min", "13", "--n-max", "64", "--seed", "5000"],
     # schema error: --grid above its maximum, refused before any phase table is built
     ["verify", "--grid", "1025"],
+    # larger dual figures: a 17-gon with its mirror, a 64-gon about a -0.0 center
+    ["render", "--scene", "dual", "--polygon", "17,0.3,-1.2,2.5,0.7", "--point", "1.1,0.4",
+     "--direction", "1.3", "--anchor-index", "5", "--mirror"],
+    ["render", "--scene", "dual", "--polygon", "64,-0.0,0.5,3,0.1", "--point", "0.8,-0.6"],
 ]
 
 
