@@ -123,37 +123,58 @@ def verify_permutation(
     return PermutationMatch(residual <= tol * max(max(dv), max(xv)), tuple(perm), residual)
 
 
+def vertex_bound(p: RegularPolygonSpec) -> float:
+    """A bound on every vertex coordinate's magnitude: finite means every vertex is.
+
+    |c + r*cos| never rounds above |c| + r, so this one sum per polygon
+    stands in for the finiteness check of each ``Point2``.
+    """
+    return max(abs(p.center.x), abs(p.center.y)) + p.circumradius
+
+
 def vertex_coords(p: RegularPolygonSpec) -> list[tuple[float, float]]:
     """Vertex i at angle phase + 2*pi*i/n, counterclockwise, as (x, y) floats.
 
-    |c + r*cos| never rounds above |c| + r, so one bound per polygon stands
-    in for the finiteness check of each ``Point2``.
+    Finite by :func:`vertex_bound`, or checked vertex by vertex when that
+    bound overflows.
     """
     cx, cy, r, phase = p.center.x, p.center.y, p.circumradius, p.phase
     step = TWO_PI / p.n
     coords = [
-        (cx + r * math.cos(phase + step * i), cy + r * math.sin(phase + step * i))
+        (cx + r * math.cos(a), cy + r * math.sin(a))
         for i in range(p.n)
+        for a in (phase + step * i,)  # each angle is computed once
     ]
-    if not math.isfinite(max(abs(cx), abs(cy)) + r):
+    if not math.isfinite(vertex_bound(p)):
         for xy in coords:
             Point2(*xy)  # raises at the first vertex that overflowed
     return coords
 
 
 def vertices(p: RegularPolygonSpec) -> list[Point2]:
-    """The vertices of :func:`vertex_coords` as points."""
-    return [Point2(x, y) for x, y in vertex_coords(p)]
+    """The vertices of :func:`vertex_coords` as points.
+
+    ``vertex_coords`` has proved them finite, so ``Point2``'s check is not
+    run again.
+    """
+    return [tuple.__new__(Point2, xy) for xy in vertex_coords(p)]
 
 
 def distances_to(point: Point2, coords: list[tuple[float, float]]) -> DistanceSpec:
     """Euclidean distances from ``point`` to each of ``coords``, in order.
 
     Computed by coordinate subtraction rather than the law of cosines; the
-    direct form has no cancellation blow-up near the circumcircle.
+    direct form has no cancellation blow-up near the circumcircle.  A
+    ``hypot`` is a float and never negative, so only the length and
+    finiteness are checked here; any other list goes through
+    ``DistanceSpec``, which raises its ``ValueError``.  (``max(vals) < inf``
+    would not do: ``max`` can pass over a NaN.)
     """
     px, py = point.x, point.y
-    return DistanceSpec(tuple(math.hypot(px - x, py - y) for x, y in coords))
+    vals = tuple(math.hypot(px - x, py - y) for x, y in coords)
+    if len(vals) >= 3 and all(map(math.isfinite, vals)):
+        return tuple.__new__(DistanceSpec, (vals,))
+    return DistanceSpec(vals)
 
 
 def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:

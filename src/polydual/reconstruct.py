@@ -20,7 +20,8 @@ from typing import NamedTuple
 
 from .dual import Degeneracy, classify
 from .errors import DegenerateError
-from .geometry import TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_coords
+from .geometry import TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound
+from .geometry import vertex_coords
 
 # the benchmark's closed-form workload (perfbench/closed_form.py) calls the
 # comparison by this module's name
@@ -57,9 +58,11 @@ def construct_dual(
     """
     if not 0 <= anchor_index < p.n:
         raise ValueError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
-    # builds the vertices only to reject a polygon whose vertex coordinates
-    # overflow, as a ValueError, before any degeneracy is judged
-    vertex_coords(p)
+    # a polygon whose vertex coordinates overflow is a ValueError, raised
+    # before any degeneracy is judged; only a bound that overflows needs
+    # the vertices built to tell
+    if not math.isfinite(vertex_bound(p)):
+        vertex_coords(p)
     radius_in = p.circumradius
     dist_in = point.distance_to(p.center)
     degeneracy = classify(radius_in, dist_in)

@@ -4,7 +4,9 @@ Scenes carry plain geometry (polygons, construction circles, point
 markers, distance segments, labels); the emitter fits the viewBox with a
 10% margin and flips the y axis so figures match mathematical
 orientation.  Identical scenes produce byte-identical documents.  Each
-polygon's ``vertex_coords`` are built once and feed its outline and labels.
+polygon's ``vertex_coords`` are built once and feed its outline, its
+spokes and its labels; each vertex is formatted once for the outline and
+the spokes alike.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .geometry import Point2, RegularPolygonSpec, vertex_coords, vertices
+from .geometry import Point2, RegularPolygonSpec, vertex_coords
 
 if TYPE_CHECKING:
     from .pompeiu import TrianglePair
@@ -31,7 +33,9 @@ class Scene(NamedTuple):
     polygons: tuple[tuple[RegularPolygonSpec, str], ...] = ()  # (spec, label prefix)
     circles: tuple[tuple[Point2, float], ...] = ()
     markers: tuple[tuple[Point2, str], ...] = ()
-    segments: tuple[tuple[Point2, Point2], ...] = ()
+    segments: tuple[tuple[Point2, Point2], ...] = ()  # free distance segments (a, b)
+    # (q, k): a distance segment from q to each vertex of polygons[k], in vertex order
+    spokes: tuple[tuple[Point2, int], ...] = ()
 
 
 def scene_from_dual_pair(pair: DualPolygonPair, include_mirror: bool = False) -> Scene:
@@ -48,12 +52,11 @@ def scene_from_dual_pair(pair: DualPolygonPair, include_mirror: bool = False) ->
         (b.center, b.circumradius),
         (pair.point, anchor),
     )
-    segments = tuple((pair.point, v) for v in vertices(p))
     return Scene(
         polygons=tuple(polys),
         circles=circles,
         markers=((pair.point, "M"),),
-        segments=segments,
+        spokes=((pair.point, 0),),
     )
 
 
@@ -103,6 +106,13 @@ def _scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
     for a, b in scene.segments:
         xs += [a.x, b.x]
         ys += [a.y, b.y]
+    # a spoke adds only its point: each vertex coordinate rounds within its
+    # polygon's box [c - r, c + r] above (|cos| <= 1, so r*cos rounds into
+    # [-r, r], and rounded addition is monotone), and that box comes earlier
+    # in the lists, so min and max return the same floats, signed zeros too
+    for q, _ in scene.spokes:
+        xs.append(q.x)
+        ys.append(q.y)
     if not xs:
         return (-1.0, -1.0, 1.0, 1.0)
     return (min(xs), min(ys), max(xs), max(ys))
@@ -134,15 +144,18 @@ def render_svg(scene: Scene) -> str:
         '<polygon class="polygon" points="%%s" fill="none" stroke="%s" stroke-width="%.8g"/>'
         % (_STROKES["polygon"], 1.6 * stroke)
     )
+    segment_end = 'stroke="%s" stroke-width="%s"/>' % (_STROKES["distance-segment"], width)
     segment = (
-        '<line class="distance-segment" x1="%%.8g" y1="%%.8g" x2="%%.8g" y2="%%.8g" '
-        'stroke="%s" stroke-width="%s"/>' % (_STROKES["distance-segment"], width)
+        '<line class="distance-segment" x1="%%.8g" y1="%%.8g" x2="%%.8g" y2="%%.8g" %s'
+        % segment_end
     )
     marker = (
         '<circle class="point-marker" cx="%%.8g" cy="%%.8g" r="%.8g" fill="%s"/>'
         % (marker_r, _STROKES["point-marker"])
     )
-    label = '<text class="label" x="%%.8g" y="%%.8g" font-size="%.8g">%%s</text>' % (0.035 * span)
+    # a label's text is a prefix and a vertex number, or a marker's text and ""
+    label = '<text class="label" x="%%.8g" y="%%.8g" font-size="%.8g">%%s%%s</text>' % (
+        0.035 * span)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -151,16 +164,21 @@ def render_svg(scene: Scene) -> str:
         '<g transform="scale(1,-1)">',
     ]
     lines += [circle % (c.x, c.y, radius) for c, radius in scene.circles]
-    lines += [polygon % " ".join(["%.8g,%.8g" % xy for xy in xys]) for xys in coords]
+    # each vertex is formatted once, for its outline and its spokes alike
+    texts = [[("%.8g" % x, "%.8g" % y) for x, y in xys] for xys in coords]
+    lines += [polygon % " ".join(map(",".join, xy_texts)) for xy_texts in texts]
     lines += [segment % (a.x, a.y, b.x, b.y) for a, b in scene.segments]
+    for q, k in scene.spokes:
+        start = '<line class="distance-segment" x1="%.8g" y1="%.8g"' % (q.x, q.y)
+        lines += [f'{start} x2="{x}" y2="{y}" {segment_end}' for x, y in texts[k]]
     lines += [marker % (q.x, q.y) for q, _ in scene.markers]
     lines.append("</g>")
     # labels live outside the flipped group so the glyphs stay upright
     for (_, prefix), xys in zip(scene.polygons, coords):
         lines += [
-            label % (x + offset, -(y + offset), f"{prefix}{i}")
+            label % (x + offset, -(y + offset), prefix, i)
             for i, (x, y) in enumerate(xys, start=1)
         ]
-    lines += [label % (q.x + offset, -(q.y - offset), text) for q, text in scene.markers]
+    lines += [label % (q.x + offset, -(q.y - offset), text, "") for q, text in scene.markers]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
+    distances_to,
     normalize_angle,
     verify_permutation,
     vertex_coords,
@@ -150,6 +151,27 @@ class TestFloatKernel:
     def test_vertex_overflow_raises(self, call):
         with pytest.raises(ValueError, match="coordinates must be finite"):
             call(RegularPolygonSpec(4, Point2(1e308, 0.0), 1e308))
+
+
+class TestDistancesTo:
+    def test_overflowing_distance_raises(self):
+        with pytest.raises(ValueError, match="distances must be finite"):
+            distances_to(Point2(-1e308, 0.0), [(1e308, 0.0), (0.0, 0.0), (0.0, 1.0)])
+
+    def test_nan_coordinate_raises(self):
+        # max() of these distances is 1.0, so a max-below-inf test would pass the NaN
+        coords = [(1.0, 0.0), (math.nan, 0.0), (0.0, 1.0)]
+        with pytest.raises(ValueError, match="distances must be finite"):
+            distances_to(Point2(0.0, 0.0), coords)
+
+    def test_short_list_raises(self):
+        with pytest.raises(ValueError, match="at least 3 distances"):
+            distances_to(Point2(0.0, 0.0), [(1.0, 0.0), (0.0, 1.0)])
+
+    def test_is_a_distance_spec(self):
+        d = distances_to(Point2(0.0, 0.0), [(3.0, 4.0), (0.0, 1.0), (-2.0, 0.0)])
+        assert d == DistanceSpec((5.0, 1.0, 2.0))
+        assert type(d) is DistanceSpec
 
 
 class TestDistanceSpec:

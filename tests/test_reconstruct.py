@@ -112,6 +112,22 @@ class TestConstructDual:
         with pytest.raises(DegenerateError):
             construct_dual(unit_square(), Point2(0.0, 0.0), 0.0)
 
+    def test_bound_overflow_without_vertex_overflow_is_answered(self):
+        # |cx| + r overflows, but each vertex sits at 1e308 +/- 5.7e307
+        p = RegularPolygonSpec(4, Point2(1e308, 0.0), 8e307, math.pi / 4)
+        point = Point2(9e307, 0.0)
+        pair = construct_dual(p, point, math.pi)
+        assert pair.b_polygon.center.x == pytest.approx(1e307, rel=1e-15)
+        assert pair.b_polygon.circumradius == pytest.approx(1e307, rel=1e-15)
+        d = distances_from(point, p)
+        assert verify_permutation(d, distances_from(point, pair.b_polygon)).ok
+
+    def test_vertex_overflow_raises_before_degeneracy(self):
+        # the point at the center is DEGENERATE, but the overflow is judged first
+        p = RegularPolygonSpec(4, Point2(1e308, 0.0), 1e308)
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            construct_dual(p, Point2(1e308, 0.0))
+
     def test_full_circle_of_directions(self):
         rng = np.random.default_rng(777)
         for _ in range(100):
