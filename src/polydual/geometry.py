@@ -124,7 +124,7 @@ def verify_permutation(
 
 
 def vertex_bound(p: RegularPolygonSpec) -> float:
-    """A bound on every vertex coordinate's magnitude: finite means every vertex is.
+    """A bound on the magnitude of every vertex coordinate; when it is finite, so are they.
 
     |c + r*cos| never rounds above |c| + r, so this one sum per polygon
     stands in for the finiteness check of each ``Point2``.
