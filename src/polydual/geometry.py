@@ -152,29 +152,18 @@ def vertex_coords(p: RegularPolygonSpec) -> list[tuple[float, float]]:
 
 
 def vertices(p: RegularPolygonSpec) -> list[Point2]:
-    """The vertices of :func:`vertex_coords` as points.
-
-    ``vertex_coords`` has proved them finite, so ``Point2``'s check is not
-    run again.
-    """
-    return [tuple.__new__(Point2, xy) for xy in vertex_coords(p)]
+    """The vertices of :func:`vertex_coords` as points."""
+    return [Point2(x, y) for x, y in vertex_coords(p)]
 
 
 def distances_to(point: Point2, coords: list[tuple[float, float]]) -> DistanceSpec:
     """Euclidean distances from ``point`` to each of ``coords``, in order.
 
     Computed by coordinate subtraction rather than the law of cosines; the
-    direct form has no cancellation blow-up near the circumcircle.  A
-    ``hypot`` is a float and never negative, so only the length and
-    finiteness are checked here; any other list goes through
-    ``DistanceSpec``, which raises its ``ValueError``.  (``max(vals) < inf``
-    would not do: ``max`` can pass over a NaN.)
+    direct form has no cancellation blow-up near the circumcircle.
     """
     px, py = point.x, point.y
-    vals = tuple(math.hypot(px - x, py - y) for x, y in coords)
-    if len(vals) >= 3 and all(map(math.isfinite, vals)):
-        return tuple.__new__(DistanceSpec, (vals,))
-    return DistanceSpec(vals)
+    return DistanceSpec(tuple(math.hypot(px - x, py - y) for x, y in coords))
 
 
 def distances_from(point: Point2, p: RegularPolygonSpec) -> DistanceSpec:

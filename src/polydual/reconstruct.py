@@ -20,8 +20,9 @@ from typing import NamedTuple
 
 from .dual import Degeneracy, classify
 from .errors import DegenerateError
-from .geometry import TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound
-from .geometry import vertex_coords
+from .geometry import (
+    TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
+)
 
 # the benchmark's closed-form workload (perfbench/closed_form.py) calls the
 # comparison by this module's name
