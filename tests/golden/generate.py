@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the CLI golden corpus: argv lists with their exact stdout and exit code.
+"""Write the CLI golden corpus: argv lists with their exact exit code, stdout and stderr.
 
 Run from the repository root against the code whose output is to be
 frozen:
@@ -7,7 +7,8 @@ frozen:
     PYTHONPATH=src python tests/golden/generate.py
 
 Every argv goes through ``polydual.cli.main`` in this process; argparse
-usage errors are recorded through their ``SystemExit`` code.  The result
+usage errors are recorded through their ``SystemExit`` code, and without
+their stderr, which argparse writes.  Every other entry pins its stderr.  The result
 lands in ``cli_corpus.json`` next to this file and is replayed byte for
 byte by ``tests/test_golden.py``.  Regenerate only when a change to the
 CLI output is intended.
@@ -241,23 +242,18 @@ def seeded(seed: int = 20260) -> list[list[str]]:
     return out
 
 
-def replay(argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of ``main(argv)`` in this process."""
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+def replay(argv: list[str]) -> dict:
+    """Exit code, stdout and, when ``main(argv)`` returns, stderr, run in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-    return code, buf.getvalue()
+            return {"exit": main(list(argv)), "stdout": out.getvalue(), "stderr": err.getvalue()}
+        except SystemExit as exc:  # argparse's usage text is its own, so it is not pinned
+            return {"exit": exc.code, "stdout": out.getvalue()}
 
 
 def build() -> list[dict]:
-    corpus = []
-    for argv in FIXED + seeded() + APPENDED:
-        code, stdout = replay(argv)
-        corpus.append({"argv": argv, "exit": code, "stdout": stdout})
-    return corpus
+    return [{"argv": argv, **replay(argv)} for argv in FIXED + seeded() + APPENDED]
 
 
 if __name__ == "__main__":

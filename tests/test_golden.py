@@ -1,8 +1,9 @@
-"""Replay the CLI golden corpus: every argv must give the recorded stdout and exit code.
+"""Replay the CLI golden corpus: every argv must give the recorded exit code, stdout and stderr.
 
 The corpus (``golden/cli_corpus.json``) was written by ``golden/generate.py``
 and freezes the CLI's output byte for byte, so refactors of the code
 behind it are checked against the exact numbers, not approximations.
+Stderr is pinned for every entry but argparse's usage errors.
 """
 
 import builtins
@@ -26,9 +27,7 @@ CORPUS = json.loads(
     ids=[f"{i:03d}-{e['argv'][0] if e['argv'] else 'none'}" for i, e in enumerate(CORPUS)],
 )
 def test_replay_is_byte_identical(entry):
-    code, stdout = replay(entry["argv"])
-    assert code == entry["exit"]
-    assert stdout == entry["stdout"]
+    assert replay(entry["argv"]) == {k: v for k, v in entry.items() if k != "argv"}
 
 
 _builtin_sum = builtins.sum
@@ -51,7 +50,7 @@ def test_replay_does_not_depend_on_how_sum_adds_floats(monkeypatch):
     # the same argv prints the same bytes on every Python the package supports
     assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
-    moved = [i for i, e in enumerate(CORPUS) if replay(e["argv"]) != (e["exit"], e["stdout"])]
+    moved = [i for i, e in enumerate(CORPUS) if {"argv": e["argv"], **replay(e["argv"])} != e]
     assert moved == []
 
 
@@ -72,6 +71,16 @@ def test_corpus_coverage():
     flags = {a for e in CORPUS if e["exit"] == 0 for a in e["argv"]}
     assert {"--mirror", "--construct"} <= flags
     assert any("verify --instances 2 --grid 8 --refine 1" in " ".join(e["argv"]) for e in CORPUS)
+
+
+def test_stderr_is_pinned_for_every_entry_main_returns():
+    # only argparse's usage errors go unpinned, and they all exit 2 with empty stdout
+    unpinned = [e for e in CORPUS if "stderr" not in e]
+    assert {(e["exit"], e["stdout"]) for e in unpinned} == {(2, "")}
+    for e in CORPUS:
+        if "stderr" in e:
+            assert (e["stderr"] != "") == (e["exit"] == 2)
+            assert e["stderr"] == "" or e["stderr"].startswith("schema error: ")
 
 
 def test_every_domain_error_code_is_reachable():
