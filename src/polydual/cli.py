@@ -11,12 +11,13 @@ machine-readable error object), 2 on usage or schema violations.
 ``dual`` judges consistency by the fit residual of ``dual.solve``;
 ``averages`` keeps the paper's even-power means and their closure
 identities.  Errors are mapped in one place: ``run`` rejects a ``tol``
-(default 1e-9) that is not a finite number >= 0, turns domain errors
-into an error object and a ``ValueError`` from a handler into
-``SchemaError``; ``main`` maps schema errors, and a failure to write
-``--out``, to exit 2.  Argv text goes into the payload as split strings,
-parsed by the same code as JSON values.  Each handler imports the
-modules it runs, so a process loads only its own command's.
+(default 1e-9) that is not a finite number >= 0 and turns domain errors
+into an error object; ``main`` maps a ``SchemaError``, raised wherever a
+precondition is checked, and a failure to write ``--out``, to exit 2.
+Any other exception is a bug and escapes as itself.  Argv text goes
+into the payload as split strings, parsed by the same code as JSON
+values.  Each handler imports the modules it runs, so a process loads
+only its own command's.
 """
 
 from __future__ import annotations
@@ -380,8 +381,6 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
             for k, v in exc.context.items()
         }
         return {"code": exc.code, "message": exc.message, "context": context}, 1
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ import sys
 from collections import namedtuple
 from typing import NamedTuple
 
+from .errors import SchemaError
 from .geometry import DistanceSpec
 
 
@@ -29,12 +30,12 @@ class CyclicAverages(namedtuple("CyclicAverages", "n values")):
     def __new__(cls, n: int, values: tuple[float, ...]) -> "CyclicAverages":
         vals = tuple(float(v) for v in values)
         if n < 3:
-            raise ValueError(f"need n >= 3, got {n}")
+            raise SchemaError(f"need n >= 3, got {n}")
         if len(vals) != n - 1:
-            raise ValueError(f"expected {n - 1} entries, got {len(vals)}")
+            raise SchemaError(f"expected {n - 1} entries, got {len(vals)}")
         for v in vals:
             if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"entries must be finite and >= 0, got {v}")
+                raise SchemaError(f"entries must be finite and >= 0, got {v}")
         return tuple.__new__(cls, (n, vals))
 
 
@@ -104,9 +105,9 @@ def averages_from_parameters(
     m-1 is the m-th power mean of the recurrence on those two numbers.
     """
     if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+        raise SchemaError(f"need n >= 3, got {n}")
     if circumradius < 0.0 or center_distance < 0.0:
-        raise ValueError("circumradius and center_distance must be >= 0")
+        raise SchemaError("circumradius and center_distance must be >= 0")
     r2 = circumradius * circumradius
     l2 = center_distance * center_distance
     return CyclicAverages(n, tuple(_power_means(r2 + l2, 2.0 * r2 * l2, n - 1)))

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 Every domain failure carries a stable machine-readable ``code`` so the CLI
-can map it onto its error-object contract.
+can map it onto its error-object contract.  A broken precondition is a
+``SchemaError``, raised where it is checked; being a ``ValueError``, it is
+caught by library callers as one.  Any other exception is a bug.
 """
 
 from __future__ import annotations
@@ -50,5 +52,5 @@ class CongruentError(DomainError):
     code = "CONGRUENT"
 
 
-class SchemaError(Exception):
-    """Malformed CLI/JSON request (CLI exit code 2)."""
+class SchemaError(ValueError):
+    """An argument or request that breaks a documented precondition (CLI exit code 2)."""

@@ -13,6 +13,8 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
+from .errors import SchemaError
+
 TWO_PI = 2.0 * math.pi
 
 #: The most vertices a polygon may have: building a million takes seconds.
@@ -31,7 +33,7 @@ class Point2(namedtuple("Point2", "x y")):
 
     def __new__(cls, x: float, y: float) -> "Point2":
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"coordinates must be finite, got ({x}, {y})")
+            raise SchemaError(f"coordinates must be finite, got ({x}, {y})")
         return tuple.__new__(cls, (x, y))
 
     def distance_to(self, other: "Point2") -> float:
@@ -64,11 +66,11 @@ class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n center circumradius
         cls, n: int, center: Point2, circumradius: float, phase: float = 0.0
     ) -> "RegularPolygonSpec":
         if not 3 <= n <= MAX_VERTICES:
-            raise ValueError(f"need at least 3 vertices and at most {MAX_VERTICES}, got n={n}")
+            raise SchemaError(f"need at least 3 vertices and at most {MAX_VERTICES}, got n={n}")
         if not math.isfinite(circumradius) or circumradius < 0.0:
-            raise ValueError(f"circumradius must be finite and >= 0, got {circumradius}")
+            raise SchemaError(f"circumradius must be finite and >= 0, got {circumradius}")
         if not math.isfinite(phase):
-            raise ValueError("phase must be finite")
+            raise SchemaError("phase must be finite")
         return tuple.__new__(cls, (n, center, circumradius, normalize_angle(phase)))
 
 
@@ -80,10 +82,10 @@ class DistanceSpec(namedtuple("DistanceSpec", "values")):
     def __new__(cls, values: tuple[float, ...]) -> "DistanceSpec":
         vals = tuple(map(float, values))
         if len(vals) < 3:
-            raise ValueError(f"need at least 3 distances, got {len(vals)}")
+            raise SchemaError(f"need at least 3 distances, got {len(vals)}")
         for v in vals:
             if not math.isfinite(v) or v < 0.0:
-                raise ValueError(f"distances must be finite and >= 0, got {v}")
+                raise SchemaError(f"distances must be finite and >= 0, got {v}")
         return tuple.__new__(cls, (vals,))
 
     @property
@@ -149,11 +151,6 @@ def vertex_coords(p: RegularPolygonSpec) -> list[tuple[float, float]]:
         for xy in coords:
             Point2(*xy)  # raises at the first vertex that overflowed
     return coords
-
-
-def vertices(p: RegularPolygonSpec) -> list[Point2]:
-    """The vertices of :func:`vertex_coords` as points."""
-    return [Point2(x, y) for x, y in vertex_coords(p)]
 
 
 def distances_to(point: Point2, coords: list[tuple[float, float]]) -> DistanceSpec:

@@ -65,6 +65,7 @@ from collections import namedtuple
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
+from .errors import SchemaError
 from .geometry import (
     MAX_VERTICES, TWO_PI, Point2, RegularPolygonSpec, distances_from, verify_permutation,
 )
@@ -110,11 +111,11 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
 
     def __new__(cls, grid_resolution: int = 8, refine_iterations: int = 3) -> "OracleConfig":
         if grid_resolution < 8:
-            raise ValueError("grid_resolution must be >= 8")
+            raise SchemaError("grid_resolution must be >= 8")
         if grid_resolution > MAX_GRID_RESOLUTION:
-            raise ValueError(f"grid_resolution must be <= {MAX_GRID_RESOLUTION}")
+            raise SchemaError(f"grid_resolution must be <= {MAX_GRID_RESOLUTION}")
         if refine_iterations < 1:
-            raise ValueError("refine_iterations must be >= 1")
+            raise SchemaError("refine_iterations must be >= 1")
         return tuple.__new__(cls, (grid_resolution, refine_iterations))
 
 
@@ -150,7 +151,7 @@ def random_instance(
     """
     lo, hi = n_range
     if not 3 <= lo <= hi <= MAX_VERTICES:
-        raise ValueError(f"invalid vertex-count range {n_range}")
+        raise SchemaError(f"invalid vertex-count range {n_range}")
     rng = random.Random(seed)
     n = rng.randint(lo, hi)
     radius = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
@@ -451,9 +452,9 @@ def agreement(
     rows plus the found and agreed counts and the worst parameter error.
     """
     if instances < 0:
-        raise ValueError(f"instances must be >= 0, got {instances}")
+        raise SchemaError(f"instances must be >= 0, got {instances}")
     if not 3 <= n_range[0] <= n_range[1] <= MAX_VERTICES:  # checked even when no instance is drawn
-        raise ValueError(f"invalid vertex-count range {n_range}")
+        raise SchemaError(f"invalid vertex-count range {n_range}")
     results = []
     agreed = 0
     found = 0

@@ -131,8 +131,7 @@ def construct_both_triangles(
     vertex under the rotation about that apex taking the support edge's
     far end onto the point.
     """
-    t = pompeiu_from_distances(d1, d2, d3, tol)
-    if t.degenerate:
+    if solve(DistanceSpec((d1, d2, d3)), tol).degeneracy is Degeneracy.ON_CIRCUMCIRCLE:
         raise DegenerateError(
             "distance triangle is degenerate; the companion collapses",
             sides=(d1, d2, d3),

@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from .dual import Degeneracy, classify
-from .errors import DegenerateError
+from .errors import DegenerateError, SchemaError
 from .geometry import (
     TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
 )
@@ -58,8 +58,8 @@ def construct_dual(
     compares distances: ``geometry.verify_permutation`` checks the result.
     """
     if not 0 <= anchor_index < p.n:
-        raise ValueError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
-    # a polygon whose vertex coordinates overflow is a ValueError, raised
+        raise SchemaError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
+    # a polygon whose vertex coordinates overflow is a SchemaError, raised
     # before any degeneracy is judged; only a bound that overflows needs
     # the vertices built to tell
     if not math.isfinite(vertex_bound(p)):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from .errors import SchemaError
 from .geometry import Point2, RegularPolygonSpec, vertex_coords
 
 if TYPE_CHECKING:
@@ -119,7 +120,7 @@ def _scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
 
 
 def render_svg(scene: Scene) -> str:
-    """Emit the scene as an SVG 1.1 document (y axis up); ValueError past the float range."""
+    """Emit the scene as an SVG 1.1 document (y axis up); SchemaError past the float range."""
     coords = [vertex_coords(p) for p, _ in scene.polygons]
     x0, y0, x1, y1 = _scene_bounds(scene)
     span = max(x1 - x0, y1 - y0, 1e-9)
@@ -129,7 +130,7 @@ def render_svg(scene: Scene) -> str:
     # every number printed below is at most one of these in magnitude, and
     # rounding to 8 digits is monotone, so if these print finite, all do
     if not all(math.isfinite(float(f"{v:.8g}")) for v in (vx, vy, vx + vw, vy + vh, vw, vh)):
-        raise ValueError("the scene's extent is outside the float range")
+        raise SchemaError("the scene's extent is outside the float range")
     stroke = 0.005 * span
     marker_r = 0.012 * span
     offset = 1.2 * marker_r  # labels sit this far from their vertex or marker

@@ -16,7 +16,7 @@ import math
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import CongruentError, SharedVertexError
+from .errors import CongruentError, SchemaError, SharedVertexError
 from .geometry import TWO_PI, PermutationMatch, Point2, RegularPolygonSpec, distances_to
 from .geometry import verify_permutation, vertex_coords
 
@@ -45,7 +45,7 @@ def two_points(
     matching the two vertex lists.
     """
     if pa.n != pb.n:
-        raise ValueError(f"vertex counts differ: {pa.n} != {pb.n}")
+        raise SchemaError(f"vertex counts differ: {pa.n} != {pb.n}")
     r_a, r_b = pa.circumradius, pb.circumradius
     # computed vertices carry a few ulps of rounding, so a vertex shared in
     # exact arithmetic is found even at tol 0 (the slack of dual.classify)

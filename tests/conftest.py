@@ -7,7 +7,7 @@ import math
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from polydual.geometry import Point2, RegularPolygonSpec, vertices
+from polydual.geometry import Point2, RegularPolygonSpec, vertex_coords
 
 settings.register_profile(
     "geometry",
@@ -56,7 +56,7 @@ def shared_vertex_pair(
     phase_a = float(rng.uniform(0.0, TWO_PI))
     pa = RegularPolygonSpec(n, Point2(0.0, 0.0), r_a, phase_a)
     i = int(rng.integers(0, n))
-    v = vertices(pa)[i]
+    v = Point2(*vertex_coords(pa)[i])
     ratio = float(rng.uniform(0.2, 2.5))
     while abs(ratio - 1.0) < 1e-3:
         ratio = float(rng.uniform(0.2, 2.5))

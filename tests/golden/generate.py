@@ -32,7 +32,7 @@ import random
 from pathlib import Path
 
 from polydual.cli import main
-from polydual.geometry import Point2, RegularPolygonSpec, distances_from, vertices
+from polydual.geometry import Point2, RegularPolygonSpec, distances_from, vertex_coords
 
 OUT = Path(__file__).with_name("cli_corpus.json")
 
@@ -203,7 +203,7 @@ def _configuration(rng: random.Random, n: int) -> tuple[RegularPolygonSpec, Poin
 
 def _shared_vertex_pair(rng: random.Random, n: int) -> list[str]:
     pa, _ = _configuration(rng, n)
-    v = vertices(pa)[rng.randrange(n)]
+    v = Point2(*vertex_coords(pa)[rng.randrange(n)])
     r_b = pa.circumradius * rng.choice((0.4, 0.7, 1.6, 2.3))
     psi = rng.uniform(0.0, 2.0 * math.pi)
     j = rng.randrange(n)

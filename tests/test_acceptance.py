@@ -28,7 +28,6 @@ from polydual.geometry import (
     RegularPolygonSpec,
     distances_from,
     verify_permutation,
-    vertices,
 )
 from polydual.oracle import (
     AGREE_TOL,

@@ -17,8 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydual.cli import _SUBCOMMANDS, JobRequest, dumps, main, run
+from polydual.cyclic import averages_from_parameters
 from polydual.errors import SchemaError
-from polydual.geometry import MAX_VERTICES, Point2, RegularPolygonSpec, distances_from
+from polydual.geometry import (
+    MAX_VERTICES, DistanceSpec, Point2, RegularPolygonSpec, distances_from, verify_permutation,
+)
+from polydual.oracle import OracleConfig, agreement, random_instance
+from polydual.reconstruct import construct_dual
+from polydual.svg import Scene, render_svg
+from polydual.two_points import two_points
 
 HUGE = 10**400
 HUGE_TEXT = str(HUGE)
@@ -273,3 +280,57 @@ def test_a_command_that_is_not_a_name_is_a_schema_error(command):
     # a list raised TypeError from the dictionary lookup
     with pytest.raises(SchemaError, match="unknown command"):
         run(JobRequest(command, {"distances": [3.0, 5.0, 7.0]}))
+
+
+# --------------------------------------------------------------------------
+# a broken precondition is a SchemaError where it is checked; anything else is a bug
+
+
+def test_a_schema_error_is_a_value_error():
+    # library callers catch a broken precondition as the ValueError it always was
+    assert issubclass(SchemaError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: two_points(RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0),
+                            RegularPolygonSpec(5, Point2(2.0, 0.0), 1.0)),
+         "vertex counts differ: 4 != 5"),
+        (lambda: construct_dual(RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0), Point2(0.3, 0.0),
+                                anchor_index=4),
+         r"anchor_index must be in \[0, 4\), got 4"),
+        (lambda: render_svg(Scene(circles=((Point2(0.0, 0.0), 1e308),))),
+         "the scene's extent is outside the float range"),
+        (lambda: averages_from_parameters(2, 1.0, 0.5), "need n >= 3, got 2"),
+        (lambda: random_instance(0, (2, 5)), "invalid vertex-count range"),
+        (lambda: agreement(0, -1, (3, 8), OracleConfig()), "instances must be >= 0, got -1"),
+    ],
+    ids=["two-points-n", "anchor-index", "svg-extent", "averages-n", "instance-range",
+         "instances"],
+)
+def test_a_broken_precondition_raises_schema_error_where_it_is_checked(build, message):
+    with pytest.raises(SchemaError, match=message):
+        build()
+
+
+def test_a_stray_value_error_is_not_a_schema_error(monkeypatch, capsys):
+    # a ValueError no precondition check raised is a bug: it escapes as
+    # itself rather than reading as a malformed request with exit 2
+    def solve(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("polydual.dual.solve", solve)
+    for call in (lambda: run(JobRequest("dual", {"distances": [3, 5, 7]})),
+                 lambda: main(["dual", "--distances", "3,5,7"])):
+        with pytest.raises(ValueError, match="boom") as exc:
+            call()
+        assert type(exc.value) is ValueError
+    assert capsys.readouterr() == ("", "")
+
+
+def test_distance_lists_of_different_lengths_are_a_caller_bug():
+    # no input reaches this check, so it stays a plain ValueError
+    with pytest.raises(ValueError, match="differ in length") as exc:
+        verify_permutation(DistanceSpec((1.0, 2.0, 3.0)), DistanceSpec((1.0, 2.0, 3.0, 4.0)))
+    assert type(exc.value) is ValueError

@@ -14,7 +14,6 @@ from polydual.geometry import (
     normalize_angle,
     verify_permutation,
     vertex_coords,
-    vertices,
 )
 from polydual.svg import Scene, render_svg
 from polydual.two_points import two_points
@@ -28,24 +27,21 @@ def unit_square():
 
 class TestVertices:
     def test_unit_square(self):
-        vs = vertices(unit_square())
+        vs = vertex_coords(unit_square())
         expected = [(1, 1), (-1, 1), (-1, -1), (1, -1)]
-        for v, (ex, ey) in zip(vs, expected):
-            assert v.x == pytest.approx(ex, abs=1e-15)
-            assert v.y == pytest.approx(ey, abs=1e-15)
+        for (x, y), (ex, ey) in zip(vs, expected):
+            assert x == pytest.approx(ex, abs=1e-15)
+            assert y == pytest.approx(ey, abs=1e-15)
 
     def test_unit_triangle(self):
-        vs = vertices(RegularPolygonSpec(3, Point2(0.0, 0.0), 1.0, 0.0))
+        vs = vertex_coords(RegularPolygonSpec(3, Point2(0.0, 0.0), 1.0, 0.0))
         expected = [(1, 0), (-0.5, math.sqrt(3) / 2), (-0.5, -math.sqrt(3) / 2)]
-        for v, (ex, ey) in zip(vs, expected):
-            assert v.x == pytest.approx(ex, abs=1e-15)
-            assert v.y == pytest.approx(ey, abs=1e-15)
+        for (x, y), (ex, ey) in zip(vs, expected):
+            assert x == pytest.approx(ex, abs=1e-15)
+            assert y == pytest.approx(ey, abs=1e-15)
 
     def test_degenerate_radius(self):
-        vs = vertices(RegularPolygonSpec(5, Point2(2.0, 0.0), 0.0, 1.3))
-        assert len(vs) == 5
-        for v in vs:
-            assert (v.x, v.y) == (2.0, 0.0)
+        assert vertex_coords(RegularPolygonSpec(5, Point2(2.0, 0.0), 0.0, 1.3)) == [(2.0, 0.0)] * 5
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -66,8 +62,8 @@ class TestVertices:
         # center offsets scale with the radius: coordinate rounding stays
         # proportional to the side length
         center = Point2(ux * radius, uy * radius)
-        vs = vertices(RegularPolygonSpec(n, center, radius, phase))
-        sides = [vs[i].distance_to(vs[(i + 1) % n]) for i in range(n)]
+        vs = vertex_coords(RegularPolygonSpec(n, center, radius, phase))
+        sides = [math.dist(vs[i], vs[(i + 1) % n]) for i in range(n)]
         ref = sides[0]
         for s in sides:
             assert abs(s - ref) <= 1e-12 * ref
@@ -122,7 +118,6 @@ class TestFloatKernel:
         point = Point2(px * scale, py * scale)
         ref = point2_vertices(p)
         # repr tells -0.0 from 0.0, so these compare bit for bit
-        assert repr(vertices(p)) == repr(ref)
         assert repr(vertex_coords(p)) == repr([(v.x, v.y) for v in ref])
         want = tuple(point.distance_to(v) for v in ref)
         assert repr(distances_from(point, p).values) == repr(want)

@@ -12,7 +12,7 @@ from polydual.geometry import (
     azimuth,
     distances_from,
     verify_permutation,
-    vertices,
+    vertex_coords,
 )
 from polydual.pompeiu import (
     construct_both_triangles,
@@ -304,7 +304,8 @@ class TestConstructionB:
         poly = RegularPolygonSpec(3, Point2(0.0, 0.0), 2.0, 0.3)
         point = Point2(0.9, 0.4)
         c = poly.center
-        for k, a in enumerate(vertices(poly)):
+        for k, xy in enumerate(vertex_coords(poly)):
+            a = Point2(*xy)
             ux, uy = a.x - point.x, a.y - point.y
             t = ((2.0 * c.x - point.x - a.x) * ux + (2.0 * c.y - point.y - a.y) * uy) / (
                 ux * ux + uy * uy
@@ -312,7 +313,7 @@ class TestConstructionB:
             mirrored = Point2(c.x - t * ux, c.y - t * uy)
             pair = construct_dual(poly, point, azimuth(point, mirrored), anchor_index=k)
             assert min(
-                a.distance_to(vertices(q)[0]) for q in (pair.b_polygon, pair.c_polygon)
+                math.dist(a, vertex_coords(q)[0]) for q in (pair.b_polygon, pair.c_polygon)
             ) <= 1e-12
 
     def test_center_point_raises(self):

@@ -12,7 +12,7 @@ from polydual.geometry import (
     RegularPolygonSpec,
     distances_from,
     verify_permutation,
-    vertices,
+    vertex_coords,
 )
 from polydual.cyclic import averages_from_distances
 from polydual.reconstruct import construct_dual
@@ -62,7 +62,7 @@ class TestConstructDual:
             pair = construct_dual(square, point, direction)
             b, c = pair.b_polygon, pair.c_polygon
             assert abs(math.remainder(b.phase - c.phase, TWO_PI)) <= 1e-12
-            assert point.distance_to(vertices(b)[0]) == pytest.approx(
+            assert math.dist(point, vertex_coords(b)[0]) == pytest.approx(
                 anchor_distance, rel=1e-12
             )
 
@@ -194,8 +194,8 @@ class TestConstructDual:
             axis = math.atan2(
                 pair.b_polygon.center.y - point.y, pair.b_polygon.center.x - point.x
             )
-            vb = vertices(pair.b_polygon)
-            vc = vertices(pair.c_polygon)
+            vb = [Point2(*xy) for xy in vertex_coords(pair.b_polygon)]
+            vc = [Point2(*xy) for xy in vertex_coords(pair.c_polygon)]
             for v in vb:
                 rel = math.atan2(v.y - point.y, v.x - point.x)
                 radius = point.distance_to(v)
@@ -211,7 +211,7 @@ class TestConstructDual:
         for k in range(poly.n):
             pair = construct_dual(poly, point, 0.3, anchor_index=k)
             assert verify_permutation(d, distances_from(point, pair.b_polygon), 1e-8).ok
-            anchored = vertices(pair.b_polygon)[0]
+            anchored = Point2(*vertex_coords(pair.b_polygon)[0])
             assert point.distance_to(anchored) == pytest.approx(
                 d.values[k], rel=1e-9, abs=1e-12 * max(d.values)
             )

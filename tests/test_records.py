@@ -8,6 +8,7 @@ import pytest
 from polydual.cli import JobRequest
 from polydual.cyclic import CyclicAverages, averages_from_distances, check_consistency
 from polydual.dual import RadiusDistancePair, solve
+from polydual.errors import SchemaError
 from polydual.geometry import (
     TWO_PI,
     DistanceSpec,
@@ -99,7 +100,7 @@ def test_records_reject_assignment(record):
     ],
 )
 def test_validated_records_reject_bad_input(build, message):
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(SchemaError, match=message):
         build()
 
 

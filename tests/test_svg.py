@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from polydual.geometry import Point2, RegularPolygonSpec, vertex_coords, vertices
+from polydual.geometry import Point2, RegularPolygonSpec, vertex_coords
 from polydual.reconstruct import construct_dual
 from polydual.svg import Scene, render_svg, scene_from_dual_pair
 
@@ -26,7 +26,7 @@ polygons = st.builds(
 def as_segments(scene: Scene) -> Scene:
     """The scene with each spoke written out as one free segment per vertex."""
     segments = tuple(
-        (q, v) for q, k in scene.spokes for v in vertices(scene.polygons[k][0]))
+        (q, Point2(*xy)) for q, k in scene.spokes for xy in vertex_coords(scene.polygons[k][0]))
     return scene._replace(segments=scene.segments + segments, spokes=())
 
 

@@ -14,7 +14,7 @@ from polydual.geometry import (
     distances_from,
     rotate_about,
     verify_permutation,
-    vertices,
+    vertex_coords,
 )
 from polydual.two_points import two_points
 
@@ -180,16 +180,16 @@ class TestLastSharedVertex:
     def setup_method(self):
         n, step = 64, 2.0 * math.pi / 64
         self.pa = RegularPolygonSpec(n, Point2(0.0, 0.0), 1.0, 0.3)
-        v = vertices(self.pa)[n - 1]
+        v = Point2(*vertex_coords(self.pa)[n - 1])
         r_b, psi = 1.6, 2.0
         center_b = Point2(v.x + r_b * math.cos(psi), v.y + r_b * math.sin(psi))
         self.pb = RegularPolygonSpec(n, center_b, r_b, (psi + math.pi) - step * (n - 1))
 
     def test_shared_vertex_is_last_of_both(self):
-        va, vb = vertices(self.pa), vertices(self.pb)
+        va, vb = vertex_coords(self.pa), vertex_coords(self.pb)
         tol = 1e-9 * 1.6  # the default tol times the larger radius
         shared = [(i, j) for i, a in enumerate(va) for j, b in enumerate(vb)
-                  if a.distance_to(b) <= tol]
+                  if math.dist(a, b) <= tol]
         assert shared == [(63, 63)]
 
     def test_solves_and_matches(self):
@@ -258,7 +258,8 @@ class TestRandomPairs:
             pb = RegularPolygonSpec(pb.n, Point2(pb.center.x + gap * math.cos(turn),
                                                  pb.center.y + gap * math.sin(turn)),
                                     pb.circumradius, pb.phase)
-            scan = any(a.distance_to(b) <= vtol for a in vertices(pa) for b in vertices(pb))
+            va, vb = vertex_coords(pa), vertex_coords(pb)
+            scan = any(math.dist(a, b) <= vtol for a in va for b in vb)
             assert scan == bool(i % 2)
             try:
                 two_points(pa, pb, tol)
