@@ -3,8 +3,7 @@ one comparison of two distance lists as multisets.
 
 All types are immutable tuple records and every function is pure, so
 everything here can be shared freely across threads.  Vertices come from
-one float kernel, :func:`vertex_coords`; the hot paths read its floats
-directly.
+one float kernel, :func:`vertex_coords`, as (x, y) floats.
 """
 
 from __future__ import annotations

@@ -19,9 +19,7 @@ from hypothesis import strategies as st
 from polydual.cli import _SUBCOMMANDS, JobRequest, dumps, main, run
 from polydual.cyclic import averages_from_parameters
 from polydual.errors import SchemaError
-from polydual.geometry import (
-    MAX_VERTICES, DistanceSpec, Point2, RegularPolygonSpec, distances_from, verify_permutation,
-)
+from polydual.geometry import MAX_VERTICES, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import OracleConfig, agreement, random_instance
 from polydual.reconstruct import construct_dual
 from polydual.svg import Scene, render_svg
@@ -286,11 +284,6 @@ def test_a_command_that_is_not_a_name_is_a_schema_error(command):
 # a broken precondition is a SchemaError where it is checked; anything else is a bug
 
 
-def test_a_schema_error_is_a_value_error():
-    # library callers catch a broken precondition as the ValueError it always was
-    assert issubclass(SchemaError, ValueError)
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -327,10 +320,3 @@ def test_a_stray_value_error_is_not_a_schema_error(monkeypatch, capsys):
             call()
         assert type(exc.value) is ValueError
     assert capsys.readouterr() == ("", "")
-
-
-def test_distance_lists_of_different_lengths_are_a_caller_bug():
-    # no input reaches this check, so it stays a plain ValueError
-    with pytest.raises(ValueError, match="differ in length") as exc:
-        verify_permutation(DistanceSpec((1.0, 2.0, 3.0)), DistanceSpec((1.0, 2.0, 3.0, 4.0)))
-    assert type(exc.value) is ValueError
