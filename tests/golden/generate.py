@@ -8,9 +8,9 @@ frozen:
 
 Every argv goes through ``polydual.cli.main`` in this process; argparse
 usage errors are recorded through their ``SystemExit`` code, and without
-their stderr, which argparse writes.  Every other entry pins its stderr.  The result
-lands in ``cli_corpus.json`` next to this file and is replayed byte for
-byte by ``tests/test_golden.py``.  Regenerate only when a change to the
+their stderr, which argparse writes.  Every other entry pins its stderr.
+The result lands in ``cli_corpus.json`` next to this file and is
+replayed byte for byte by ``tests/test_golden.py``.  Regenerate only when a change to the
 CLI output is intended.
 
 Coverage: every command, the three render scenes and the four standard
