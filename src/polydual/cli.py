@@ -123,8 +123,8 @@ def _parse_angle(value: Any, name: str) -> float:
 
 def _parse_distances(payload: dict[str, Any]) -> DistanceSpec:
     raw = payload.get("distances")
-    if not isinstance(raw, (list, tuple)) or len(raw) < 3:
-        raise SchemaError("'distances' must be an array of at least 3 numbers")
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError("'distances' must be an array of numbers")
     return DistanceSpec(tuple(_parse_number(v, f"distances[{i}]") for i, v in enumerate(raw)))
 
 
@@ -276,8 +276,7 @@ def _cmd_reconstruct(payload: dict[str, Any], tol: float) -> dict[str, Any]:
 def _cmd_pompeiu(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     from . import pompeiu
 
-    d1, d2, d3 = _parse_triangle(payload)
-    tri = pompeiu.pompeiu_from_distances(d1, d2, d3, tol)
+    tri = pompeiu.pompeiu_from_distances(*_parse_triangle(payload), tol)
     dual = pompeiu.solve_equilateral(tri)
     out: dict[str, Any] = {
         "area": tri.area,
@@ -288,7 +287,7 @@ def _cmd_pompeiu(payload: dict[str, Any], tol: float) -> dict[str, Any]:
         "solution": _solution_json(dual.solution),
     }
     if payload.get("construct"):
-        tp = pompeiu.construct_both_triangles(d1, d2, d3, tol)
+        tp = pompeiu.construct_triangles(tri)
         out["construction"] = {
             "point": _point_json(tp.point),
             "larger": [_point_json(v) for v in tp.larger],

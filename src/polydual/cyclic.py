@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 from .errors import SchemaError
@@ -84,14 +86,17 @@ def averages_from_distances(d: DistanceSpec) -> CyclicAverages:
     """Even-power means straight from the definition.
 
     Per-term powers are built by repeated multiplication of the squared
-    distances and each mean is accumulated with compensated summation;
-    orders up to 2(n-1) on mixed magnitudes lose digits otherwise.
+    distances.  The means of orders 1 and 2 are summed with compensation,
+    since ``check_consistency`` derives every expected mean from those
+    two.  The higher orders are added left to right, since ``math.fsum``
+    slows as the terms span more binary exponents; the terms are
+    nonnegative, so such a sum is within (n-1)*eps relative.
     """
     squares = [v * v for v in d.values]
     current = list(squares)
     vals = []
-    for _ in range(1, d.n):
-        vals.append(_mean(current))
+    for m in range(1, d.n):
+        vals.append(_mean(current) if m <= 2 else reduce(add, current) / d.n)
         current = [c * q for c, q in zip(current, squares)]
     return CyclicAverages(d.n, tuple(vals))
 

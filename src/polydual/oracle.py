@@ -37,13 +37,11 @@ clamp at 0, the square root) is monotone too.  So the n cosines are
 sorted once per phase, and every cell's distances come out sorted: the
 same floats a per-cell sort gives.  The row ell = 0 (a candidate centered
 on the point) has every distance equal to its radius, so it is one cell
-per radius, at phase 0.  Only the best cell seeds the descent, so the
-scan stops scoring a cell once its partial sum of squared gaps passes
-the best whole objective so far, which is exact since the sum never
-decreases (the early abandoning of exact nearest-neighbour search);
-about 38% of the vertex terms are added on the benchmark's pool.  The
-best is replaced only by a strictly smaller objective, so the pick is
-the first minimum in lexicographic cell order, as a full scan gives.
+per radius, at phase 0.  The size axes hold only the bounds of the size
+box, so a default search scores 5 phases times 2 radii, plus the 2 cells
+centered on the point: 12 cells.  The best is replaced only by a
+strictly smaller objective, so the pick is the first minimum in
+lexicographic cell order.
 
 The descent evaluates a candidate in one pass, its vertices sorted stably
 by distance so that ties keep index order, and builds the normal equations
@@ -80,8 +78,8 @@ RATIO_EXCLUSION_HALF_WIDTH = 5e-4
 #: never excluded by accident.
 CONGRUENT_EXCLUSION_REL = 2e-4
 
-#: Coarse samples per size dimension at every grid phase.
-COARSE_SIZE_STEPS = 4
+#: Coarse samples per size dimension at every grid phase: the size box's bounds.
+COARSE_SIZE_STEPS = 2
 
 #: The finest ``OracleConfig.grid_resolution``; its phase tables precede any search.
 MAX_GRID_RESOLUTION = 1024
@@ -101,7 +99,7 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
     phase spacing: phases k * (2*pi/n) / grid_resolution.  Only k = 0 ..
     grid_resolution // 2 are scored, since the rest are mirror images of
     those; each against ``COARSE_SIZE_STEPS`` center distances and as many
-    radii.
+    radii, the bounds of the size box.
     ``refine_iterations``, at least 1, caps each descent at
     ``20 * refine_iterations`` Levenberg-Marquardt iterations.  Whether
     the result is a find is judged against the fixed ``FIND_TOL``.
@@ -250,15 +248,9 @@ def _best_cell(
     (see the module docstring), so each cell's distances need no sort of
     their own.  ``ells[0]`` must be 0: that row is one cell per radius, at
     phase 0.  Each objective adds the vertices' squared gaps left to right;
-    the cells are scanned in lexicographic (phase, ell, radius) order.
-
-    The scan keeps the best whole objective so far, starting from the row
-    ell = 0, and stops adding a cell's vertices once its partial sum is
-    strictly greater than that best.  This is exact: every term is >= 0,
-    and a rounded float sum of nonnegative terms never decreases, so such
-    a cell can only end above the best.  The best is replaced only by a
-    strictly smaller objective, so among tied cells the lowest one wins,
-    as the first minimum of a full scan's scores would.
+    the cells are scanned in lexicographic (phase, ell, radius) order, and
+    the best is replaced only by a strictly smaller objective, so among
+    tied cells the lowest one wins.
     """
     sqrt = math.sqrt
     # at ell = 0 every vertex lies r from the point, whatever the phase
@@ -275,12 +267,9 @@ def _best_cell(
                 d2 = c * two_lr + base
                 e = (sqrt(d2) if d2 > 0.0 else 0.0) - t
                 f += e * e
-                if f > best:
-                    break
-            else:
-                if f < best:
-                    best = f
-                    cell = (p, j, i)
+            if f < best:
+                best = f
+                cell = (p, j, i)
     return cell
 
 
@@ -362,9 +351,9 @@ def search_second_polygon(
     image in that horizontal, is an equally good answer.
 
     Grid stage: one pass scores the phases of the first half period, 0
-    to pi/n in steps of (2*pi/n) / ``grid_resolution``, against
-    a coarse grid of center distances and radii; the other half holds the
-    mirror images of these candidates.  The size bounds come from plain
+    to pi/n in steps of (2*pi/n) / ``grid_resolution``, against the
+    corners of the size box; the other half holds the mirror images of
+    these candidates.  The size bounds come from plain
     geometry (the center is the vertex centroid, so its distance from the
     point is at most the mean target distance).  Descent stage: the best
     cell seeds a Levenberg-Marquardt descent.  If it lands inside the

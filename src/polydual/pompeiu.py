@@ -121,6 +121,11 @@ def _rotation_image(p: Point2, pivot: Point2, src: Point2, dst: Point2) -> Point
 def construct_both_triangles(
     d1: float, d2: float, d3: float, tol: float = 1e-9
 ) -> TrianglePair:
+    """``construct_triangles`` of the triple's ``pompeiu_from_distances``."""
+    return construct_triangles(pompeiu_from_distances(d1, d2, d3, tol))
+
+
+def construct_triangles(t: PompeiuTriangle) -> TrianglePair:
     """Both equilateral triangles realizing the triple, by rotation.
 
     Canonical placement: the point at the origin and the edge of length
@@ -129,9 +134,10 @@ def construct_both_triangles(
     upper half plane.  Each auxiliary apex becomes the second vertex of
     one output triangle and the third vertex is the image of the shared
     vertex under the rotation about that apex taking the support edge's
-    far end onto the point.
+    far end onto the point.  A degenerate triple has no companion.
     """
-    if solve(DistanceSpec((d1, d2, d3)), tol).degeneracy is Degeneracy.ON_CIRCUMCIRCLE:
+    d1, d2, d3 = t.d1, t.d2, t.d3
+    if t.degenerate:
         raise DegenerateError(
             "distance triangle is degenerate; the companion collapses",
             sides=(d1, d2, d3),

@@ -256,7 +256,7 @@ HARD_RATIOS = {
 #: sha256 over the ``_result_hex`` rows of the 1800 hard-class searches, one
 #: ``repr((k, *row))`` line each, in the order the test draws them, so a
 #: change to the search that moves one float of a find fails.
-HARD_CLASSES_DIGEST = "e18d1b0a0b288507d6e31a4473f6a9f8ecd2d3b8884fc95c433d01008ccd4dda"
+HARD_CLASSES_DIGEST = "6b0c6e4e5b11a9847544fdc71b4bb99065c6daca5374cbe8414776ba81d1964b"
 
 
 def test_criterion_7_oracle_hard_classes():

@@ -74,6 +74,16 @@ class TestRun:
         assert result["side_larger"] == pytest.approx(8.0, rel=1e-12)
         assert result["side_smaller"] == pytest.approx(4.358898943540674, rel=1e-12)
 
+    def test_pompeiu_construct_fits_the_triple_once(self, monkeypatch):
+        from polydual import pompeiu
+
+        calls = []
+        fit = pompeiu.solve
+        monkeypatch.setattr(pompeiu, "solve", lambda *args: calls.append(args) or fit(*args))
+        result, code = run(JobRequest("pompeiu", {"distances": [3, 5, 7], "construct": True}))
+        assert code == 0 and "construction" in result
+        assert len(calls) == 1
+
     def test_triangle_inequality_surfaced(self):
         result, code = run(JobRequest("dual", {"distances": [1.0, 1.0, 5.0]}))
         assert code == 1

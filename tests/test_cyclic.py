@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -43,6 +44,20 @@ class TestFromDistances:
         avgs = averages_from_distances(DistanceSpec((1.0,) * 70))
         assert avgs.values == (1.0,) * 69
         assert check_consistency(avgs).passed
+
+    @pytest.mark.parametrize("ratio", [1e-4, 0.1, 0.9, 3.0])
+    def test_higher_orders_are_within_the_plain_sum_bound(self, ratio):
+        # orders 1 and 2 are compensated sums; the others add nonnegative terms
+        # left to right, within (n - 1)*eps of the correctly rounded sum
+        values = _regular_distances(200, ratio)
+        squares = [v * v for v in values]
+        powers = list(squares)
+        for m, mean in enumerate(averages_from_distances(DistanceSpec(values)).values, start=1):
+            want = math.fsum(powers) / 200
+            if m <= 2:
+                assert mean == want
+            assert abs(mean - want) <= 200 * sys.float_info.epsilon * want, m
+            powers = [p * q for p, q in zip(powers, squares)]
 
     def test_all_zero_distances(self):
         avgs = averages_from_distances(DistanceSpec((0.0,) * 6))
@@ -196,9 +211,8 @@ def _regular_distances(n, ratio):
 def _pairwise_means(values):
     """The n-1 even-power means, summed pairwise by numpy.
 
-    Within about log2(n) ulps of the compensated sums of
-    ``averages_from_distances``, far under the closure floor, and fast
-    enough for n = 3000, where the compensated sums take seconds.
+    Within about log2(n) ulps of compensated sums, far under the closure
+    floor, and fast enough for n = 3000, where ``math.fsum`` takes seconds.
     """
     squares = np.square(np.asarray(values))
     powers = squares.copy()
