@@ -353,10 +353,10 @@ def _cmd_render(payload: dict[str, Any], tol: float) -> dict[str, Any]:
         pa, pb = _polygon_pair(payload)
         scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, tol))
     elif scene_kind == "pompeiu":
-        from .pompeiu import construct_both_triangles
+        from . import pompeiu
 
-        scene = svg.scene_from_triangle_pair(
-            construct_both_triangles(*_parse_triangle(payload), tol=tol)
+        scene = svg.scene_from_triangles(
+            *pompeiu.triangles(pompeiu.pompeiu_from_distances(*_parse_triangle(payload), tol))
         )
     else:
         raise SchemaError("'scene' must be one of dual, two-points, pompeiu")

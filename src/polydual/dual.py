@@ -7,8 +7,9 @@ of the squared distances fix {r, l}; its two assignments describe two
 non-congruent regular polygons realizing the same distances, a larger one
 whose circumcircle contains the point and a smaller one whose
 circumcircle does not.  ``solve`` is the one place the pair is fitted and
-realizability judged, for every n, and ``classify`` the one degeneracy
-rule: r = l puts the point on the circumcircle, l = 0 at the center.
+realizability judged, for every n, ``polygons`` the one place both
+polygons are placed, and ``classify`` the one degeneracy rule: r = l
+puts the point on the circumcircle, l = 0 at the center.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import RealizabilityError, TriangleInequalityError
-from .geometry import TWO_PI, DistanceSpec
+from .geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec
 
 
 class Degeneracy(enum.Enum):
@@ -44,6 +45,8 @@ class DualSolution(NamedTuple):
     degeneracy: Degeneracy
     #: Largest misfit of the squared distances, relative to max(d)^2.
     residual: float
+    #: psi in d_k^2 = r^2 + l^2 + 2*r*l*cos(psi + 2*pi*k/n), the largest distance at k = 0.
+    phase: float
 
 
 def classify(r: float, l: float) -> Degeneracy:
@@ -128,4 +131,17 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
         b, r, l = 0.0, 0.5 * a, 0.5 * a
     r, l, ab = r * m, l * m, a * b * m * m
     pair = RadiusDistancePair(r, l)
-    return DualSolution(s2 * m * m, ab * ab, pair, RadiusDistancePair(l, r), degeneracy, residual)
+    return DualSolution(s2 * m * m, ab * ab, pair, RadiusDistancePair(l, r), degeneracy,
+                        residual, math.atan2(-im, re))
+
+
+def polygons(sol: DualSolution, n: int) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
+    """The fitted pair with the point at the origin: (l, 0) and radius r, (r, 0) and radius l.
+
+    Both put vertex k at angle psi + 2*pi*k/n, so it lies at the fitted
+    d_k from the origin, which swapping r and l leaves unchanged: vertex 0
+    is the farthest in both.  r = l makes them congruent; l = 0 collapses the smaller.
+    """
+    r, l = sol.larger
+    return (RegularPolygonSpec(n, Point2(l, 0.0), r, sol.phase),
+            RegularPolygonSpec(n, Point2(r, 0.0), l, sol.phase))

@@ -44,13 +44,6 @@ def azimuth(origin: Point2, target: Point2) -> float:
     return math.atan2(target.y - origin.y, target.x - origin.x)
 
 
-def rotate_about(p: Point2, center: Point2, angle: float) -> Point2:
-    """Rotate ``p`` about ``center`` by ``angle`` radians, counterclockwise."""
-    c, s = math.cos(angle), math.sin(angle)
-    dx, dy = p.x - center.x, p.y - center.y
-    return Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy)
-
-
 class RegularPolygonSpec(namedtuple("RegularPolygonSpec", "n center circumradius phase")):
     """A regular n-gon given by center, circumradius and first-vertex angle.
 

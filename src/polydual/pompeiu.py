@@ -1,4 +1,4 @@
-"""Equilateral-triangle specialization: closed forms and rotation constructions.
+"""Equilateral-triangle specialization: closed forms and the two triangles.
 
 The three distances from any point to the vertices of an equilateral
 triangle themselves satisfy the triangle inequality (Pompeiu's theorem),
@@ -7,8 +7,9 @@ Schooten).  ``dual.solve`` applies that test, and both equilateral
 triangles realizing the distances come from its fit as for any n, made
 once by ``pompeiu_from_distances`` and carried on the ``PompeiuTriangle``
 it returns.  The area of the distance triangle is reported beside the
-fit, and (16/3)*area^2 equals the fit's discriminant.  60-degree
-rotations construct both triangles explicitly.
+fit, and (16/3)*area^2 equals the fit's discriminant.  The triangles
+themselves are ``dual.polygons`` of the fit at n = 3: the point at the
+origin, both centers on the positive x axis.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dual import Degeneracy, DualSolution, solve
+from .dual import Degeneracy, DualSolution, polygons, solve
 from .errors import DegenerateError
-from .geometry import DistanceSpec, Point2, RegularPolygonSpec, azimuth, rotate_about
+from .geometry import DistanceSpec, Point2, RegularPolygonSpec, vertex_coords
 
 SQRT3 = math.sqrt(3.0)
 
@@ -45,23 +46,13 @@ class EquilateralDual(NamedTuple):
 class TrianglePair(NamedTuple):
     """Both equilateral triangles realizing one distance triple.
 
-    The first vertex of ``larger`` and of ``smaller`` is the shared one.
+    The point is the origin.  Vertex k of ``larger`` and of ``smaller``
+    are at the same distance from it, and vertex 0 is the farthest.
     """
 
     point: Point2
     larger: tuple[Point2, Point2, Point2]
     smaller: tuple[Point2, Point2, Point2]
-
-
-def triangle_spec(tri: tuple[Point2, Point2, Point2]) -> RegularPolygonSpec:
-    """The equilateral triangle through three vertices, ``tri[0]`` first."""
-    cx = cy = 0.0
-    for v in tri:  # left to right: the builtin sum compensates from Python 3.12
-        cx += v.x
-        cy += v.y
-    center = Point2(cx / 3.0, cy / 3.0)
-    radius = center.distance_to(tri[0])
-    return RegularPolygonSpec(3, center, radius, azimuth(center, tri[0]) if radius > 0 else 0.0)
 
 
 def pompeiu_from_distances(
@@ -73,7 +64,9 @@ def pompeiu_from_distances(
     raising its domain error beyond it, and its fit rides on the returned
     triangle as ``solution``.  The triple is degenerate exactly when the
     fit puts the point on the circumcircle (``dual.classify``), which
-    forces the area to exactly zero.
+    forces the area to exactly zero.  The area is taken on the sides
+    scaled by a power of two, so it reads inf or 0 only outside the float
+    range.
     """
     solution = solve(DistanceSpec((d1, d2, d3)), tol)
     a, b, c = sorted((d1, d2, d3), reverse=True)
@@ -81,9 +74,15 @@ def pompeiu_from_distances(
     if degenerate:
         area = 0.0
     else:
+        e = math.frexp(a)[1]  # scaling by 2^-e is exact and keeps the product in range
+        a, b, c = math.ldexp(a, -e), math.ldexp(b, -e), math.ldexp(c, -e)
         area = 0.25 * math.sqrt(
             max((a + (b + c)) * (c - (a - b)) * (c + (a - b)) * (a + (b - c)), 0.0)
         )
+        try:
+            area = math.ldexp(area, 2 * e)
+        except OverflowError:
+            area = math.inf
     return PompeiuTriangle(d1, d2, d3, area, degenerate, solution)
 
 
@@ -112,10 +111,12 @@ def weitzenbock_margin(t: PompeiuTriangle) -> float:
     return (t.d1 * t.d1 + t.d2 * t.d2 + t.d3 * t.d3) - 4.0 * SQRT3 * t.area
 
 
-def _rotation_image(p: Point2, pivot: Point2, src: Point2, dst: Point2) -> Point2:
-    """Image of ``p`` under the rotation about ``pivot`` taking src to dst."""
-    ang = azimuth(pivot, dst) - azimuth(pivot, src)
-    return rotate_about(p, pivot, ang)
+def triangles(t: PompeiuTriangle) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
+    """``dual.polygons`` of the fit, larger first; a degenerate triple has no companion."""
+    if t.degenerate:
+        raise DegenerateError("distance triangle is degenerate; the companion collapses",
+                              sides=(t.d1, t.d2, t.d3))
+    return polygons(t.solution, 3)
 
 
 def construct_both_triangles(
@@ -126,30 +127,6 @@ def construct_both_triangles(
 
 
 def construct_triangles(t: PompeiuTriangle) -> TrianglePair:
-    """Both equilateral triangles realizing the triple, by rotation.
-
-    Canonical placement: the point at the origin and the edge of length
-    d2 supporting the auxiliary equilateral triangles along the positive
-    x axis; the shared vertex (distance d1 from the point) goes in the
-    upper half plane.  Each auxiliary apex becomes the second vertex of
-    one output triangle and the third vertex is the image of the shared
-    vertex under the rotation about that apex taking the support edge's
-    far end onto the point.  A degenerate triple has no companion.
-    """
-    d1, d2, d3 = t.d1, t.d2, t.d3
-    if t.degenerate:
-        raise DegenerateError(
-            "distance triangle is degenerate; the companion collapses",
-            sides=(d1, d2, d3),
-        )
-    m = Point2(0.0, 0.0)
-    support = Point2(d2, 0.0)
-    # shared vertex: upper intersection of circles (m, d1) and (support, d3)
-    x = (d1 * d1 - d3 * d3 + d2 * d2) / (2.0 * d2)
-    shared = Point2(x, math.sqrt(max(d1 * d1 - x * x, 0.0)))
-    apex_ccw = rotate_about(support, m, math.pi / 3.0)
-    apex_cw = rotate_about(support, m, -math.pi / 3.0)
-    tri_ccw = (shared, apex_ccw, _rotation_image(shared, apex_ccw, support, m))
-    tri_cw = (shared, apex_cw, _rotation_image(shared, apex_cw, support, m))
-    # shared is above the support edge, so the clockwise apex is always the farther one
-    return TrianglePair(m, tri_cw, tri_ccw)
+    """The vertices of both ``triangles``, with the point at the origin."""
+    larger, smaller = (tuple(Point2(*xy) for xy in vertex_coords(p)) for p in triangles(t))
+    return TrianglePair(Point2(0.0, 0.0), larger, smaller)

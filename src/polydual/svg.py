@@ -1,9 +1,10 @@
 """Deterministic SVG emission for solved configurations.
 
 Scenes carry plain geometry (polygons, construction circles, point
-markers, distance segments, labels); the emitter fits the viewBox with a
-10% margin and flips the y axis so figures match mathematical
-orientation.  Identical scenes produce byte-identical documents.  Each
+markers, labels, and distance segments as spokes from a point to every
+vertex of one polygon); the emitter fits the viewBox with a 10% margin
+and flips the y axis so figures match mathematical orientation.
+Identical scenes produce byte-identical documents.  Each
 polygon's ``vertex_coords`` are built once and feed its outline, its
 spokes and its labels; each vertex is formatted once for the outline and
 the spokes alike.
@@ -18,7 +19,6 @@ from .errors import SchemaError
 from .geometry import Point2, RegularPolygonSpec, vertex_coords
 
 if TYPE_CHECKING:
-    from .pompeiu import TrianglePair
     from .reconstruct import DualPolygonPair
     from .two_points import TwoPointsSolution
 
@@ -34,7 +34,6 @@ class Scene(NamedTuple):
     polygons: tuple[tuple[RegularPolygonSpec, str], ...] = ()  # (spec, label prefix)
     circles: tuple[tuple[Point2, float], ...] = ()
     markers: tuple[tuple[Point2, str], ...] = ()
-    segments: tuple[tuple[Point2, Point2], ...] = ()  # free distance segments (a, b)
     # (q, k): a distance segment from q to each vertex of polygons[k], in vertex order
     spokes: tuple[tuple[Point2, int], ...] = ()
 
@@ -79,16 +78,13 @@ def scene_from_two_points(
     )
 
 
-def scene_from_triangle_pair(tp: TrianglePair) -> Scene:
-    """Both equilateral triangles with all six distance segments."""
-    from .pompeiu import triangle_spec
-
-    polys = ((triangle_spec(tp.larger), "A"), (triangle_spec(tp.smaller), "B"))
-    segments = tuple((tp.point, v) for tri in (tp.larger, tp.smaller) for v in tri)
+def scene_from_triangles(larger: RegularPolygonSpec, smaller: RegularPolygonSpec) -> Scene:
+    """Both triangles about the point at the origin, with a spoke to each vertex."""
+    origin = Point2(0.0, 0.0)
     return Scene(
-        polygons=polys,
-        markers=((tp.point, "M"),),
-        segments=segments,
+        polygons=((larger, "A"), (smaller, "B")),
+        markers=((origin, "M"),),
+        spokes=((origin, 0), (origin, 1)),
     )
 
 
@@ -104,9 +100,6 @@ def _scene_bounds(scene: Scene) -> tuple[float, float, float, float]:
     for q, _ in scene.markers:
         xs.append(q.x)
         ys.append(q.y)
-    for a, b in scene.segments:
-        xs += [a.x, b.x]
-        ys += [a.y, b.y]
     # a spoke adds only its point: each vertex coordinate rounds within its
     # polygon's box [c - r, c + r] above (|cos| <= 1, so r*cos rounds into
     # [-r, r], and rounded addition is monotone), and that box comes earlier
@@ -146,10 +139,6 @@ def render_svg(scene: Scene) -> str:
         % (_STROKES["polygon"], 1.6 * stroke)
     )
     segment_end = 'stroke="%s" stroke-width="%s"/>' % (_STROKES["distance-segment"], width)
-    segment = (
-        '<line class="distance-segment" x1="%%.8g" y1="%%.8g" x2="%%.8g" y2="%%.8g" %s'
-        % segment_end
-    )
     marker = (
         '<circle class="point-marker" cx="%%.8g" cy="%%.8g" r="%.8g" fill="%s"/>'
         % (marker_r, _STROKES["point-marker"])
@@ -168,7 +157,6 @@ def render_svg(scene: Scene) -> str:
     # each vertex is formatted once, for its outline and its spokes alike
     texts = [[("%.8g" % x, "%.8g" % y) for x, y in xys] for xys in coords]
     lines += [polygon % " ".join(map(",".join, xy_texts)) for xy_texts in texts]
-    lines += [segment % (a.x, a.y, b.x, b.y) for a, b in scene.segments]
     for q, k in scene.spokes:
         start = '<line class="distance-segment" x1="%.8g" y1="%.8g"' % (q.x, q.y)
         lines += [f'{start} x2="{x}" y2="{y}" {segment_end}' for x, y in texts[k]]

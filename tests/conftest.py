@@ -73,6 +73,13 @@ def shared_vertex_pair(
     return pa, pb, v
 
 
+def rotate_about(p: Point2, center: Point2, angle: float) -> Point2:
+    """``p`` turned about ``center`` by ``angle`` radians, counterclockwise."""
+    c, s = math.cos(angle), math.sin(angle)
+    dx, dy = p.x - center.x, p.y - center.y
+    return Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy)
+
+
 def _result_hex(res):
     """An ``OracleResult`` with every float as ``float.hex()``."""
     polygon = res.polygon

@@ -14,10 +14,11 @@ replayed byte for byte by ``tests/test_golden.py``.  Regenerate only when a chan
 CLI output is intended.
 
 Coverage: every command, the three render scenes and the four standard
-figures, ``--mirror``, ``pompeiu --construct``, the three degeneracy
-classes, oracle runs at ``--grid 8 --refine 1`` and at the defaults,
-usage and schema errors (exit 2), ``--grid`` above its maximum among them,
-and every domain error code (exit 1);
+figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
+1e-200 and times 1e200), the three degeneracy classes, oracle runs at
+``--grid 8 --refine 1`` and at the defaults, usage and schema errors
+(exit 2), ``--grid`` above its maximum among them, and every domain
+error code (exit 1);
 ``tests/test_golden.py`` checks that every code defined in
 ``polydual.errors`` appears.
 """
@@ -182,6 +183,9 @@ APPENDED: list[list[str]] = [
     ["render", "--scene", "dual", "--polygon", "17,0.3,-1.2,2.5,0.7", "--point", "1.1,0.4",
      "--direction", "1.3", "--anchor-index", "5", "--mirror"],
     ["render", "--scene", "dual", "--polygon", "64,-0.0,0.5,3,0.1", "--point", "0.8,-0.6"],
+    # both triangles at extreme scales: the construction squared the raw distances
+    ["pompeiu", "--distances", "3e-200,5e-200,7e-200", "--construct"],
+    ["pompeiu", "--distances", "3e200,5e200,7e200", "--construct"],
 ]
 
 

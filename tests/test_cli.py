@@ -615,7 +615,7 @@ def test_render_svg_near_the_float_limit_prints_finite_numbers():
             polygons=((RegularPolygonSpec(5, Point2(0.0, 0.0), r, 0.3), "A"),),
             circles=((Point2(0.0, 0.0), r),),
             markers=((far, "M"),),
-            segments=((Point2(0.0, 0.0), far),),
+            spokes=((far, 0),),
         )
 
     numbers = _svg_numbers(render_svg(scene(7.4e307)))

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import random_configuration
 from polydual.cli import JobRequest, run
-from polydual.dual import Degeneracy, solve
+from polydual.dual import Degeneracy, polygons, solve
 from polydual.errors import RealizabilityError, TriangleInequalityError
 from polydual.geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
+from polydual.oracle import random_instance
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -230,6 +231,35 @@ class TestExtremeScales:
         assert sol.degeneracy is Degeneracy.NONE
         assert abs(sol.larger.center_distance - l) / l <= C_FIT * EPS * (r / l)
         assert sol.larger.circumradius == pytest.approx(r, rel=4 * EPS)
+
+
+class TestPolygons:
+    """The canonical pair: the point at the origin, both centers on the +x axis."""
+
+    def test_square_example(self):
+        larger, smaller = polygons(solve(DistanceSpec((1.0, SQRT5, SQRT5, 1.0))), 4)
+        assert larger.center == (pytest.approx(1.0, rel=4 * EPS), 0.0)
+        assert larger.circumradius == pytest.approx(SQRT2, rel=4 * EPS)
+        assert smaller.center == (pytest.approx(SQRT2, rel=4 * EPS), 0.0)
+        assert smaller.circumradius == pytest.approx(1.0, rel=4 * EPS)
+        # the two farthest vertices, at slots 0 and -1, straddle the +x axis
+        assert larger.phase == smaller.phase == pytest.approx(math.pi / 4, rel=4 * EPS)
+
+    def test_both_realize_the_distances_vertex_by_vertex(self):
+        origin = Point2(0.0, 0.0)
+        for seed in range(2000):
+            poly, point = random_instance(51_000 + seed, (3, 64))
+            d = distances_from(point, poly)
+            sol = solve(d)
+            r, l = sol.larger
+            kappa = (r * r + l * l) / (abs(r - l) * max(r, l))
+            scale = max(d.values)
+            larger, smaller = (distances_from(origin, p).values for p in polygons(sol, d.n))
+            for got in (larger, smaller):
+                residual = max(abs(a - b) for a, b in zip(sorted(got), sorted(d.values)))
+                assert residual <= 16 * EPS * kappa * scale
+            assert larger.index(max(larger)) == 0
+            assert max(abs(a - b) for a, b in zip(larger, smaller)) <= 8 * EPS * scale
 
 
 def _decimal_pi():

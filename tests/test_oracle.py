@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import _result_hex
 from polydual import oracle
-from polydual.geometry import TWO_PI, Point2, RegularPolygonSpec, distances_from
+from polydual.dual import polygons, solve
+from polydual.geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import (
     AGREE_TOL,
     COARSE_SIZE_STEPS,
@@ -76,20 +77,9 @@ class TestSearch:
         assert res.polygon is None and res.residual == math.inf
 
     def test_three_five_seven_triangle(self):
-        from polydual.pompeiu import construct_both_triangles
-
-        tp = construct_both_triangles(3.0, 5.0, 7.0)
-        tri = tp.larger
-        cx = sum(v.x for v in tri) / 3.0
-        cy = sum(v.y for v in tri) / 3.0
-        center = Point2(cx, cy)
-        p = RegularPolygonSpec(
-            3,
-            center,
-            center.distance_to(tri[0]),
-            math.atan2(tri[0].y - cy, tri[0].x - cx),
-        )
-        res = search_second_polygon(p, tp.point)
+        # the distance triple's larger triangle, of side 8, about the origin
+        p = polygons(solve(DistanceSpec((3.0, 5.0, 7.0))), 3)[0]
+        res = search_second_polygon(p, Point2(0.0, 0.0))
         assert res.found
         side = res.polygon.circumradius * math.sqrt(3.0)
         assert side == pytest.approx(math.sqrt(19.0), rel=1e-5)

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from polydual.dual import Degeneracy, solve
+from conftest import rotate_about
+from polydual.cli import main
+from polydual.dual import Degeneracy, polygons, solve
 from polydual.errors import DegenerateError, TriangleInequalityError
 from polydual.geometry import (
     DistanceSpec,
@@ -16,9 +22,10 @@ from polydual.geometry import (
 )
 from polydual.pompeiu import (
     construct_both_triangles,
+    construct_triangles,
     pompeiu_from_distances,
     solve_equilateral,
-    triangle_spec,
+    triangles,
     weitzenbock_margin,
 )
 from polydual.oracle import random_instance
@@ -26,6 +33,7 @@ from polydual.reconstruct import construct_dual
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
+EPS = sys.float_info.epsilon
 
 
 def random_equilateral_with_point(rng, *, ratio_range=(0.0, 3.0), ratio_gap=1e-3):
@@ -202,22 +210,31 @@ class TestConstructionA:
         assert tp.smaller[0].distance_to(tp.smaller[1]) == pytest.approx(
             math.sqrt(19.0), rel=1e-12
         )
-        assert tp.larger[0] == tp.smaller[0]  # shared vertex
         for tri in (tp.larger, tp.smaller):
-            got = sorted(tp.point.distance_to(v) for v in tri)
-            for a, b in zip(got, (3.0, 5.0, 7.0)):
+            got = [tp.point.distance_to(v) for v in tri]
+            # vertex 0 is the farthest, and the fit's slot order follows it
+            for a, b in zip(got, (7.0, 3.0, 5.0)):
                 assert abs(a - b) <= 1e-10 * 7.0
 
     def test_canonical_placement(self):
-        tp = construct_both_triangles(3.0, 5.0, 7.0)
+        t = pompeiu_from_distances(3.0, 5.0, 7.0)
+        tp = construct_triangles(t)
         assert (tp.point.x, tp.point.y) == (0.0, 0.0)
+        r, l = t.solution.larger
+        larger, smaller = triangles(t)
+        assert larger == polygons(t.solution, 3)[0]
+        assert (larger.center, larger.circumradius) == ((l, 0.0), r)
+        assert (smaller.center, smaller.circumradius) == ((r, 0.0), l)
+        assert larger.phase == smaller.phase
+        for spec, tri in zip((larger, smaller), (tp.larger, tp.smaller)):
+            assert tri == tuple(Point2(*xy) for xy in vertex_coords(spec))
 
     def test_equal_triple(self):
         tp = construct_both_triangles(2.0, 2.0, 2.0)
         assert tp.larger[0].distance_to(tp.larger[1]) == pytest.approx(
             2.0 * SQRT3, rel=1e-12
         )
-        # the companion collapses to the shared vertex
+        # the point is the center, so the companion collapses to a point
         assert tp.smaller[0].distance_to(tp.smaller[1]) <= 1e-12
         got = sorted(tp.point.distance_to(v) for v in tp.larger)
         for v in got:
@@ -246,17 +263,30 @@ class TestConstructionA:
             assert abs(side_larger - dual.side_larger) <= 1e-9 * scale
             assert abs(side_smaller - dual.side_smaller) <= 1e-9 * scale
 
+    def test_vertex_k_is_equally_far_in_both_triangles(self):
+        # the point's distance to vertex k is symmetric in r and l
+        rng = np.random.default_rng(40)
+        inputs = [{"ratio_gap": 1e-2}] * 300 + [
+            {"ratio_range": (1.0 - 1e-3, 1.0 + 1e-3), "ratio_gap": 1e-6}
+        ] * 100 + [{"ratio_range": (0.0, 1e-6)}] * 100
+        for kwargs in inputs:
+            poly, point = random_equilateral_with_point(rng, **kwargs)
+            d = distances_from(point, poly).values
+            tp = construct_both_triangles(*d)
+            for a, b in zip(tp.larger, tp.smaller):
+                assert abs(tp.point.distance_to(a) - tp.point.distance_to(b)) <= 8 * EPS * max(d)
+
 
 class TestConstructionB:
     """The companion of one equilateral triangle: ``construct_dual`` at n=3."""
 
     def test_three_five_seven(self):
-        tp = construct_both_triangles(3.0, 5.0, 7.0)
-        p = triangle_spec(tp.larger)
-        q = construct_dual(p, tp.point).b_polygon
+        p = triangles(pompeiu_from_distances(3.0, 5.0, 7.0))[0]
+        point = Point2(0.0, 0.0)
+        q = construct_dual(p, point).b_polygon
         assert q.circumradius * SQRT3 == pytest.approx(math.sqrt(19.0), rel=1e-12)
         assert verify_permutation(
-            distances_from(tp.point, p), distances_from(tp.point, q), 1e-10
+            distances_from(point, p), distances_from(point, q), 1e-10
         ).ok
 
     def test_preserves_multiset_both_directions(self):
@@ -347,3 +377,91 @@ class TestPompeiuForward:
             d = distances_from(point, poly)
             tri = pompeiu_from_distances(*d.values, tol=1e-9)
             assert tri.degenerate
+
+
+def rotation_triangles(d1, d2, d3):
+    """Pompeiu's construction of both triangles by 60-degree rotations.
+
+    The point is the origin and the edge of length d2 lies along the
+    positive x axis; the shared vertex, at distance d1 from the point and
+    d3 from the edge's far end, goes in the upper half plane.  Each
+    equilateral triangle on the edge has an apex that becomes the second
+    vertex of one output triangle, and the third vertex is the image of
+    the shared vertex under the rotation about that apex taking the
+    edge's far end onto the point.  The clockwise apex gives the larger
+    triangle.
+    """
+    m = Point2(0.0, 0.0)
+    support = Point2(d2, 0.0)
+    x = (d1 * d1 - d3 * d3 + d2 * d2) / (2.0 * d2)
+    shared = Point2(x, math.sqrt(max(d1 * d1 - x * x, 0.0)))
+    out = []
+    for turn in (-math.pi / 3.0, math.pi / 3.0):
+        apex = rotate_about(support, m, turn)
+        angle = azimuth(apex, m) - azimuth(apex, support)
+        out.append((shared, apex, rotate_about(shared, apex, angle)))
+    return out
+
+
+def _sides(tri):
+    return sorted(tri[i].distance_to(tri[(i + 1) % 3]) for i in range(3))
+
+
+class TestRotationWitness:
+    """The rotation construction, independent of the fit, agrees with its triangles."""
+
+    def test_agrees_on_seeded_triples(self):
+        rng = np.random.default_rng(41)
+        ratios = [None] * 5000
+        ratios += [1.0 + sign * 10.0**-j for j in range(1, 8) for sign in (-1, 1)] * 300
+        ratios += [10.0**-j for j in range(2, 11)] * 200
+        compared = 0
+        for ratio in ratios:
+            kwargs = {"ratio_gap": 1e-3} if ratio is None else {
+                "ratio_range": (ratio, ratio), "ratio_gap": 0.0}
+            poly, point = random_equilateral_with_point(rng, **kwargs)
+            d = distances_from(point, poly).values
+            t = pompeiu_from_distances(*d)
+            if t.degenerate:  # within about 1.7e-7 of the circle, both refuse
+                assert ratio is not None and abs(ratio - 1.0) < 2e-7
+                continue
+            r, l = t.solution.larger
+            kappa = (r * r + l * l) / (abs(r - l) * max(r, l))
+            bound = 16 * EPS * kappa * max(d)
+            tp = construct_triangles(t)
+            for new, old in zip((tp.larger, tp.smaller), rotation_triangles(*d)):
+                got = sorted(tp.point.distance_to(v) for v in new)
+                want = sorted(math.hypot(*v) for v in old)
+                for a, b in zip(got + _sides(new), want + _sides(old)):
+                    assert abs(a - b) <= bound
+            compared += 1
+        assert compared >= 10_000
+
+
+#: The seeded ``pompeiu --construct`` triples of the golden corpus.
+CORPUS_TRIPLES = [
+    "0.3988589811561481,0.48174348886225066,0.21940603998194705",
+    "9.508776110614534,6.0206917832894336,6.489663596827267",
+    "5.926586324979848,17.734710694844964,12.368753996464925",
+    "0.17690709333167345,0.1764472748928942,0.21727399562887567",
+]
+
+
+def _construct(values):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["pompeiu", "--distances", ",".join(map(repr, values)), "--construct"])
+    doc = json.loads(out.getvalue())["construction"]
+    return code, [(v["x"], v["y"]) for v in [doc["point"], *doc["larger"], *doc["smaller"]]]
+
+
+@pytest.mark.parametrize("triple", ["3,5,7", *CORPUS_TRIPLES])
+def test_construct_scales_exactly_by_powers_of_two(triple):
+    # the squared distances used to under- or overflow outside 2^-536..2^509
+    values = [float(v) for v in triple.split(",")]
+    code, base = _construct(values)
+    assert code == 0
+    for k in [*range(-1000, 1001, 10), -537, -536, 509, 510]:
+        code, got = _construct([math.ldexp(v, k) for v in values])
+        assert code == 0
+        assert got == [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in base]

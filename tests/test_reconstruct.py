@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from polydual.dual import Degeneracy, classify, solve
+from polydual.dual import Degeneracy, classify, polygons, solve
 from polydual.errors import DegenerateError
 from polydual.geometry import (
     DistanceSpec,
@@ -67,18 +67,9 @@ class TestConstructDual:
             )
 
     def test_equilateral_three_five_seven(self):
-        # place the distance triple around an equilateral triangle of side 8
-        from polydual.pompeiu import construct_both_triangles
-
-        tp = construct_both_triangles(3.0, 5.0, 7.0)
-        tri = tp.larger
-        cx = sum(v.x for v in tri) / 3.0
-        cy = sum(v.y for v in tri) / 3.0
-        center = Point2(cx, cy)
-        p = RegularPolygonSpec(
-            3, center, center.distance_to(tri[0]), math.atan2(tri[0].y - cy, tri[0].x - cx)
-        )
-        pair = construct_dual(p, tp.point, 1.234)
+        # the distance triple's larger triangle, of side 8, about the origin
+        p = polygons(solve(DistanceSpec((3.0, 5.0, 7.0))), 3)[0]
+        pair = construct_dual(p, Point2(0.0, 0.0), 1.234)
         assert pair.b_polygon.circumradius == pytest.approx(math.sqrt(19.0 / 3.0), rel=1e-12)
         side = pair.b_polygon.circumradius * math.sqrt(3.0)
         assert side == pytest.approx(math.sqrt(19.0), rel=1e-12)

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from conftest import shared_vertex_pair
+from conftest import rotate_about, shared_vertex_pair
 from polydual import two_points as two_points_module
 from polydual.dual import solve
 from polydual.errors import CongruentError, SharedVertexError
@@ -12,7 +12,6 @@ from polydual.geometry import (
     Point2,
     RegularPolygonSpec,
     distances_from,
-    rotate_about,
     verify_permutation,
     vertex_coords,
 )
