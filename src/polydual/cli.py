@@ -310,7 +310,7 @@ def _cmd_two_points(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     return {
         "m1": _point_json(sol.m1),
         "m2": None if sol.m2 is None else _point_json(sol.m2),
-        "collinear_degenerate": sol.collinear_degenerate,
+        "collinear_degenerate": sol.m2 is None,
         "matches": [
             {
                 "ok": m.ok,

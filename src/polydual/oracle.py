@@ -19,11 +19,11 @@ the line through the point and its center keeps every distance too and
 maps phase psi to -psi, so the grid scans the rotation-and-mirror
 quotient: phases from 0 to half a period, pi/n.  The descent still moves
 over the whole period.  The sorted-distance objective is also exactly
-symmetric under swapping radius and center distance, so a descent that
-lands on the input itself is followed by one from its landing's swapped
-twin, which scores the same (this exploits a symmetry of the candidate
-parameterization, not of the expected answer).  Only these isometries
-about the point are used, none of the solver's algebra.
+symmetric under swapping radius and center distance, so when the one
+descent lands on the input itself, its landing with the two sizes swapped
+scores the same and is the answer (this exploits a symmetry of the
+candidate parameterization, not of the expected answer).  Only these
+isometries about the point are used, none of the solver's algebra.
 
 The search runs on the distances times the power of two that brings the
 largest into [0.5, 1), so the squares it takes stay in range at any input
@@ -35,13 +35,11 @@ ell^2 + r^2 + 2*ell*r*cos(angle) is non-decreasing in the cosine because
 ell, r >= 0, and every rounded step after it (the product, the sum, the
 clamp at 0, the square root) is monotone too.  So the n cosines are
 sorted once per phase, and every cell's distances come out sorted: the
-same floats a per-cell sort gives.  The row ell = 0 (a candidate centered
-on the point) has every distance equal to its radius, so it is one cell
-per radius, at phase 0.  The size axes hold only the bounds of the size
-box, so a default search scores 5 phases times 2 radii, plus the 2 cells
-centered on the point: 12 cells.  The best is replaced only by a
-strictly smaller objective, so the pick is the first minimum in
-lexicographic cell order.
+same floats a per-cell sort gives.  Every cell sits at the size box's
+largest center distance, and the radius axis holds only the box's bounds,
+so a default search scores 5 phases times 2 radii: 10 cells.  The best is
+replaced only by a strictly smaller objective, so the pick is the first
+minimum in lexicographic cell order.
 
 The descent evaluates a candidate in one pass, its vertices sorted stably
 by distance so that ties keep index order, and builds the normal equations
@@ -98,9 +96,9 @@ class OracleConfig(namedtuple("OracleConfig", "grid_resolution refine_iterations
     ``grid_resolution``, 8 to ``MAX_GRID_RESOLUTION``, is the grid stage's
     phase spacing: phases k * (2*pi/n) / grid_resolution.  Only k = 0 ..
     grid_resolution // 2 are scored, since the rest are mirror images of
-    those; each against ``COARSE_SIZE_STEPS`` center distances and as many
-    radii, the bounds of the size box.
-    ``refine_iterations``, at least 1, caps each descent at
+    those; each against ``COARSE_SIZE_STEPS`` radii, the bounds of the size
+    box, at its largest center distance.
+    ``refine_iterations``, at least 1, caps the descent at
     ``20 * refine_iterations`` Levenberg-Marquardt iterations.  Whether
     the result is a find is judged against the fixed ``FIND_TOL``.
     """
@@ -121,8 +119,8 @@ class OracleResult(NamedTuple):
     """A search's answer; ``found=False, polygon=None, residual=inf`` when none is kept.
 
     That is the result when the descent lands in the congruent exclusion
-    ball and so does the one from its swapped twin, as on the
-    circumcircle, where no other polygon exists.
+    ball and its swapped twin lies in it too, as on the circumcircle,
+    where no other polygon exists.
     """
 
     found: bool
@@ -211,14 +209,6 @@ def _normal_equations(
     return a00, a01, a02, a11, a12, a22, g0, g1, g2
 
 
-def _sum_squares(e: list[float]) -> float:
-    """Sum of squares added left to right: the builtin ``sum`` compensates from Python 3.12."""
-    f = 0.0
-    for ek in e:
-        f += ek * ek
-    return f
-
-
 @functools.lru_cache(maxsize=64)
 def _phase_tables(
     n: int, grid_resolution: int
@@ -238,30 +228,25 @@ def _phase_tables(
 
 
 def _best_cell(
-    cosines: tuple[tuple[float, ...], ...], ells: list[float], radii: list[float],
-    target: list[float],
-) -> tuple[int, int, int]:
-    """The (phase, ell, radius) indices of the grid cell with the least objective.
+    cosines: tuple[tuple[float, ...], ...], ell: float, radii: list[float], target: list[float],
+) -> tuple[int, int]:
+    """The (phase, radius) indices of the least-objective grid cell at center distance ``ell``.
 
     Vertex k of a candidate sits at ell + r*exp(i*(psi + 2*pi*k/n)) seen
     from the point; ``cosines`` holds those cosines sorted once per phase
     (see the module docstring), so each cell's distances need no sort of
-    their own.  ``ells[0]`` must be 0: that row is one cell per radius, at
-    phase 0.  Each objective adds the vertices' squared gaps left to right;
-    the cells are scanned in lexicographic (phase, ell, radius) order, and
-    the best is replaced only by a strictly smaller objective, so among
+    their own.  Each objective adds the vertices' squared gaps left to
+    right; the cells are scanned in lexicographic (phase, radius) order,
+    and the best is replaced only by a strictly smaller objective, so among
     tied cells the lowest one wins.
     """
     sqrt = math.sqrt
-    # at ell = 0 every vertex lies r from the point, whatever the phase
-    row = [_sum_squares([r - t for t in target]) for r in radii]
-    best = min(row)
-    cell = (0, 0, row.index(best))
-    sizes = [(j, i, 2.0 * ell * r, ell * ell + r * r)
-             for j, ell in enumerate(ells[1:], 1) for i, r in enumerate(radii)]
+    sizes = [(i, 2.0 * ell * r, ell * ell + r * r) for i, r in enumerate(radii)]
+    best = math.inf
+    cell = (0, 0)
     for p, cos_sorted in enumerate(cosines):
         terms = tuple(zip(cos_sorted, target))
-        for j, i, two_lr, base in sizes:
+        for i, two_lr, base in sizes:
             f = 0.0
             for c, t in terms:
                 d2 = c * two_lr + base
@@ -269,7 +254,7 @@ def _best_cell(
                 f += e * e
             if f < best:
                 best = f
-                cell = (p, j, i)
+                cell = (p, i)
     return cell
 
 
@@ -352,20 +337,20 @@ def search_second_polygon(
 
     Grid stage: one pass scores the phases of the first half period, 0
     to pi/n in steps of (2*pi/n) / ``grid_resolution``, against the
-    corners of the size box; the other half holds the mirror images of
-    these candidates.  The size bounds come from plain
-    geometry (the center is the vertex centroid, so its distance from the
-    point is at most the mean target distance).  Descent stage: the best
-    cell seeds a Levenberg-Marquardt descent.  If it lands inside the
-    congruent exclusion ball around the input parameters, it found the
-    input itself, and a second descent starts from the landing's
-    radius/center-distance swapped twin, which scores the same; the input
-    is read only by that ball test.  Both stages run on sizes scaled by a
-    power of two (see the module docstring), mapped back for the answer.
-    When the second descent lands in the ball too, the result is
-    ``found=False, polygon=None, residual=inf``: a miss, never a polygon
-    that is not there.  Otherwise the last landing is the answer, a find
-    when its distances match the input's within ``FIND_TOL``.
+    bounds of the radius at the largest center distance; the other half
+    holds the mirror images of these candidates.  The size bounds come
+    from plain geometry (the center is the vertex centroid, so its
+    distance from the point is at most the mean target distance).
+    Descent stage: the best cell seeds one Levenberg-Marquardt descent.
+    If it lands inside the congruent exclusion ball around the input
+    parameters, it found the input itself, and the answer is the landing
+    with radius and center distance swapped, which scores the same; the
+    input is read only by that ball test.  Both stages run on sizes
+    scaled by a power of two (see the module docstring), mapped back for
+    the answer.  When the swapped landing lies in the ball too, the
+    result is ``found=False, polygon=None, residual=inf``: a miss, never
+    a polygon that is not there.  Otherwise the answer is a find when its
+    distances match the input's within ``FIND_TOL``.
     """
     n = p.n
     d_in = distances_from(point, p)
@@ -385,39 +370,29 @@ def search_second_polygon(
     r_hi = max(target[0] + ell_hi, r_lo)
 
     psis, cosines, dirs = _phase_tables(n, cfg.grid_resolution)
-    ell_axis = _size_axis(0.0, ell_hi)
     r_axis = _size_axis(r_lo, r_hi)
-
-    psi_i, ell_i, r_i = _best_cell(cosines, ell_axis, r_axis, target)
-    base = (psis[psi_i], ell_axis[ell_i], r_axis[r_i])
-    # the grid cells scored: the row ell = 0 once, the other rows at every phase
-    samples = (len(psis) * (len(ell_axis) - 1) + 1) * len(r_axis)
+    psi_i, r_i = _best_cell(cosines, ell_hi, r_axis, target)
+    samples = len(psis) * len(r_axis)
 
     # a descent that stops here has its sizes to about 1e-13 of the largest
     # distance, so inputs a rigid motion apart give sizes 1e-12 apart
     stop_objective = (1e-13 * scale) ** 2
-    max_iterations = 20 * cfg.refine_iterations
-
-    def swapped(x: tuple[float, float, float]) -> tuple[float, float, float]:
-        # same objective value by the radius/center-distance symmetry
-        return (x[0], min(max(x[2], 0.0), ell_hi), min(max(x[1], r_lo), r_hi))
-
-    def descend(x: tuple[float, float, float]) -> tuple[tuple[float, float, float], float, int]:
-        return _lm_descent(dirs, target, x, (0.0, ell_hi), (r_lo, r_hi), stop_objective, max_iterations)
+    x, _, evals = _lm_descent(
+        dirs, target, (psis[psi_i], ell_hi, r_axis[r_i]), (0.0, ell_hi), (r_lo, r_hi),
+        stop_objective, 20 * cfg.refine_iterations,
+    )
+    samples += evals
 
     exclusion_radius = CONGRUENT_EXCLUSION_REL * max(r_in, l_in)
 
     def is_congruent(x: tuple[float, float, float]) -> bool:
         return max(abs(x[2] - r_in), abs(x[1] - l_in)) <= exclusion_radius
 
-    x, _, evals = descend(base)
-    samples += evals
     if is_congruent(x):
         # the descent found the input itself; its swapped twin scores the same
-        x, _, evals = descend(swapped(x))
-        samples += evals
-    if is_congruent(x):
-        return OracleResult(False, None, math.inf, samples)
+        x = (x[0], x[2], x[1])
+        if is_congruent(x):
+            return OracleResult(False, None, math.inf, samples)
     psi, ell, radius = x
     candidate = RegularPolygonSpec(
         n, Point2(point.x + math.ldexp(ell, exp), point.y), math.ldexp(radius, exp), psi

@@ -25,7 +25,6 @@ class TwoPointsSolution(NamedTuple):
     m1: Point2
     m2: Optional[Point2]
     matches: tuple[PermutationMatch, ...]
-    collinear_degenerate: bool
 
 
 def two_points(
@@ -85,5 +84,4 @@ def two_points(
         verify_permutation(distances_to(q, coords_a), distances_to(q, coords_b), tol)
         for q in points
     )
-    m2 = points[1] if len(points) == 2 else None
-    return TwoPointsSolution(points[0], m2, matches, m2 is None)
+    return TwoPointsSolution(points[0], points[1] if len(points) == 2 else None, matches)

@@ -35,7 +35,7 @@ class TestCircleIntersection:
         pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
         pb = RegularPolygonSpec(4, Point2(3.0, 0.0), 2.0, math.pi)
         sol = two_points(pa, pb)
-        assert sol.collinear_degenerate and sol.m2 is None
+        assert sol.m2 is None
         assert sol.m1 == Point2(2.0, 0.0)
 
     def test_internal_tangency(self):
@@ -43,7 +43,7 @@ class TestCircleIntersection:
         pa = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
         pb = RegularPolygonSpec(4, Point2(-2.0, 0.0), 3.0, 0.0)
         sol = two_points(pa, pb)
-        assert sol.collinear_degenerate and sol.m2 is None
+        assert sol.m2 is None
         assert sol.m1 == Point2(-3.0, 0.0)
         assert sol.matches[0].ok
 
@@ -112,7 +112,6 @@ class TestSquaresWorkedExample:
 
     def test_two_points_exist(self):
         assert self.sol.m2 is not None
-        assert not self.sol.collinear_degenerate
         # frozen from the geometry: both circles pass through these points
         assert self.sol.m1.x == pytest.approx(0.6, rel=1e-12)
         assert self.sol.m1.y == pytest.approx(0.8, rel=1e-12)
@@ -163,7 +162,7 @@ class TestErrors:
         with pytest.raises(SharedVertexError) as err:
             two_points(pa, pb, 1e-13)
         assert err.value.context["tolerance"] == 1e-13 * 2.0
-        assert two_points(pa, pb, 1e-9).collinear_degenerate
+        assert two_points(pa, pb, 1e-9).m2 is None
 
     def test_mismatched_counts_rejected(self):
         pa = RegularPolygonSpec(4, Point2(0.0, 0.0), SQRT2, math.pi / 4)
@@ -193,7 +192,7 @@ class TestLastSharedVertex:
 
     def test_solves_and_matches(self):
         sol = two_points(self.pa, self.pb)
-        assert sol.m2 is not None and not sol.collinear_degenerate
+        assert sol.m2 is not None
         assert all(m.ok for m in sol.matches)
         for q in (sol.m1, sol.m2):
             assert q.distance_to(self.pb.center) == pytest.approx(1.0, rel=1e-12)
@@ -272,7 +271,6 @@ class TestRandomPairs:
         for _ in range(100):
             pa, pb, v = shared_vertex_pair(rng, collinear=True)
             sol = two_points(pa, pb)
-            assert sol.collinear_degenerate
             assert sol.m2 is None
             res = verify_permutation(
                 distances_from(sol.m1, pa), distances_from(sol.m1, pb)
@@ -313,7 +311,6 @@ class TestRandomPairs:
                 pb.n, rotate_about(pb.center, v, 1e-6), pb.circumradius, pb.phase + 1e-6
             )
             sol = two_points(pa, turned)
-            assert not sol.collinear_degenerate
             assert sol.m2 is not None and sol.m1 != sol.m2
             assert all(m.ok for m in sol.matches)
 
@@ -343,7 +340,7 @@ def test_power_of_two_scaling_is_exact(k):
         pa, pb, _v = shared_vertex_pair(rng, collinear=i % 5 == 0)
         want = two_points(pa, pb)
         got = two_points(*scaled_pair(pa, pb, k))
-        assert got.collinear_degenerate == want.collinear_degenerate
+        assert (got.m2 is None) == (want.m2 is None)
         assert (got.m1, got.m2) == (scaled_point(want.m1, k), scaled_point(want.m2, k))
         assert len(got.matches) == len(want.matches)
         for g, w in zip(got.matches, want.matches):
