@@ -106,16 +106,10 @@ def _parse_number(value: Any, name: str, kind: type = float) -> Any:
 
 def _parse_angle(value: Any, name: str) -> float:
     """Radians, or degrees as text ending in ``deg``; a non-finite angle is a schema error."""
-    if isinstance(value, str):
-        s = value.strip()
-        if s.endswith("deg"):
-            angle = math.radians(_parse_number(s[:-3], name))
-        else:
-            angle = _parse_number(s, name)
-    elif isinstance(value, (int, float)):
-        angle = _parse_number(value, name)
+    if isinstance(value, str) and value.strip().endswith("deg"):
+        angle = math.radians(_parse_number(value.strip()[:-3], name))
     else:
-        raise SchemaError(f"cannot parse angle {value!r}")
+        angle = _parse_number(value, name)
     if not math.isfinite(angle):
         raise SchemaError(f"'{name}' must be a finite angle, got {value!r}")
     return angle
@@ -458,7 +452,7 @@ _SUBCOMMANDS = {
             _opt("--n-min", type=int),
             _opt("--n-max", type=int),
             _opt("--grid", type=int),
-            _opt("--refine", type=int, help="caps each seed's descent at 20 * REFINE iterations"),
+            _opt("--refine", type=int, help="caps the descent at 20 * REFINE iterations"),
             _opt("--seed", type=int),
             # no --tol: the oracle judges its finds at its own fixed tolerance
             _opt("--out"),

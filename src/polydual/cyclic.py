@@ -92,12 +92,11 @@ def averages_from_distances(d: DistanceSpec) -> CyclicAverages:
     slows as the terms span more binary exponents; the terms are
     nonnegative, so such a sum is within (n-1)*eps relative.
     """
-    squares = [v * v for v in d.values]
-    current = list(squares)
-    vals = []
-    for m in range(1, d.n):
-        vals.append(_mean(current) if m <= 2 else reduce(add, current) / d.n)
+    squares = current = [v * v for v in d.values]
+    vals = [_mean(squares)]
+    for m in range(2, d.n):
         current = [c * q for c, q in zip(current, squares)]
+        vals.append(_mean(current) if m == 2 else reduce(add, current) / d.n)
     return CyclicAverages(d.n, tuple(vals))
 
 

@@ -8,8 +8,8 @@ non-congruent regular polygons realizing the same distances, a larger one
 whose circumcircle contains the point and a smaller one whose
 circumcircle does not.  ``solve`` is the one place the pair is fitted and
 realizability judged, for every n, ``polygons`` the one place both
-polygons are placed, and ``classify`` the one degeneracy rule: r = l
-puts the point on the circumcircle, l = 0 at the center.
+polygons are placed, and ``classify`` the degeneracy rule for fitted
+sizes: r = l puts the point on the circumcircle, l = 0 at the center.
 """
 
 from __future__ import annotations

@@ -110,11 +110,14 @@ def verify_permutation(
     dv, xv = d.values, x.values
     order_d = sorted(range(d.n), key=dv.__getitem__)
     order_x = sorted(range(x.n), key=xv.__getitem__)
-    residual = max(abs(dv[i] - xv[j]) for i, j in zip(order_d, order_x))
     perm = [0] * d.n
+    residual = 0.0
     for i, j in zip(order_d, order_x):
         perm[i] = j
-    return PermutationMatch(residual <= tol * max(max(dv), max(xv)), tuple(perm), residual)
+        if abs(dv[i] - xv[j]) > residual:
+            residual = abs(dv[i] - xv[j])
+    scale = max(dv[order_d[-1]], xv[order_x[-1]])
+    return PermutationMatch(residual <= tol * scale, tuple(perm), residual)
 
 
 def vertex_bound(p: RegularPolygonSpec) -> float:

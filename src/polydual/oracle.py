@@ -76,7 +76,8 @@ RATIO_EXCLUSION_HALF_WIDTH = 5e-4
 #: never excluded by accident.
 CONGRUENT_EXCLUSION_REL = 2e-4
 
-#: Coarse samples per size dimension at every grid phase: the size box's bounds.
+#: Radii scored at every grid phase: the size box's two bounds (the
+#: benchmark's tracer counts grid cells with it).
 COARSE_SIZE_STEPS = 2
 
 #: The finest ``OracleConfig.grid_resolution``; its phase tables precede any search.
@@ -228,7 +229,8 @@ def _phase_tables(
 
 
 def _best_cell(
-    cosines: tuple[tuple[float, ...], ...], ell: float, radii: list[float], target: list[float],
+    cosines: tuple[tuple[float, ...], ...], ell: float, radii: tuple[float, ...],
+    target: list[float],
 ) -> tuple[int, int]:
     """The (phase, radius) indices of the least-objective grid cell at center distance ``ell``.
 
@@ -315,12 +317,6 @@ def _lm_descent(
     return x, f, evals
 
 
-def _size_axis(lo: float, hi: float) -> list[float]:
-    """``COARSE_SIZE_STEPS`` evenly spaced floats from ``lo`` to ``hi``, both ends included."""
-    step = (hi - lo) / (COARSE_SIZE_STEPS - 1)
-    return [i * step + lo for i in range(COARSE_SIZE_STEPS - 1)] + [hi]
-
-
 def search_second_polygon(
     p: RegularPolygonSpec,
     point: Point2,
@@ -366,19 +362,18 @@ def search_second_polygon(
 
     ell_hi = mean_d * (1.0 + 1e-9)
     r_lo = max(0.0, scale - ell_hi)
-    # realizable inputs always give r_lo <= r_hi; keep the grid sane otherwise
-    r_hi = max(target[0] + ell_hi, r_lo)
+    # realizable inputs always give r_lo <= target[0] + ell_hi; keep the grid sane otherwise
+    r_bounds = (r_lo, max(target[0] + ell_hi, r_lo))
 
     psis, cosines, dirs = _phase_tables(n, cfg.grid_resolution)
-    r_axis = _size_axis(r_lo, r_hi)
-    psi_i, r_i = _best_cell(cosines, ell_hi, r_axis, target)
-    samples = len(psis) * len(r_axis)
+    psi_i, r_i = _best_cell(cosines, ell_hi, r_bounds, target)
+    samples = len(psis) * len(r_bounds)
 
     # a descent that stops here has its sizes to about 1e-13 of the largest
     # distance, so inputs a rigid motion apart give sizes 1e-12 apart
     stop_objective = (1e-13 * scale) ** 2
     x, _, evals = _lm_descent(
-        dirs, target, (psis[psi_i], ell_hi, r_axis[r_i]), (0.0, ell_hi), (r_lo, r_hi),
+        dirs, target, (psis[psi_i], ell_hi, r_bounds[r_i]), (0.0, ell_hi), r_bounds,
         stop_objective, 20 * cfg.refine_iterations,
     )
     samples += evals

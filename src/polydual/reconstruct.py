@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .dual import Degeneracy, classify
 from .errors import DegenerateError, SchemaError
 from .geometry import (
     TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
@@ -56,6 +55,10 @@ def construct_dual(
     The b/c polygons are the two mirror solutions, counterclockwise offset
     first; alpha = 0 or pi gives one companion twice.  Nothing here
     compares distances: ``geometry.verify_permutation`` checks the result.
+
+    The sizes r and l are given, not fitted, so only ``at_center``, min(r,
+    l) == 0, and ``on_circumcircle``, |r - l| <= 4 ulp(max(r, l)), are
+    refused: l = hypot of the coordinate differences rounds by up to 3 ulps.
     """
     if not 0 <= anchor_index < p.n:
         raise SchemaError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
@@ -66,11 +69,11 @@ def construct_dual(
         vertex_coords(p)
     radius_in = p.circumradius
     dist_in = point.distance_to(p.center)
-    degeneracy = classify(radius_in, dist_in)
-    if degeneracy is not Degeneracy.NONE:
+    on_circle = abs(radius_in - dist_in) <= 4.0 * math.ulp(max(radius_in, dist_in))
+    if on_circle or min(radius_in, dist_in) == 0.0:
         raise DegenerateError(
             "no non-congruent companion polygon exists for this configuration",
-            degeneracy=degeneracy.value,
+            degeneracy="on_circumcircle" if on_circle else "at_center",
         )
     center = Point2(
         point.x + radius_in * math.cos(center_direction),

@@ -697,11 +697,11 @@ PENTAGON_DISTANCES = ",".join(
         (["dual", "--distances", "3,5,7"], {"dual"}),
         (["dual", "--distances", PENTAGON_DISTANCES], {"dual"}),
         (["averages", "--distances", SQUARE_DISTANCES], {"cyclic"}),
-        (["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"], {"dual", "reconstruct"}),
+        (["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"], {"reconstruct"}),
         (["pompeiu", "--distances", "3,5,7", "--construct"], {"dual", "pompeiu"}),
         (["two-points", *README_PAIR], {"two_points"}),
         (["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
-         {"dual", "reconstruct", "svg"}),
+         {"reconstruct", "svg"}),
         (["render", "--scene", "two-points", *README_PAIR], {"svg", "two_points"}),
         (["render", "--scene", "pompeiu", "--distances", "3,5,7"], {"dual", "pompeiu", "svg"}),
         (["verify", "--instances", "1"], {"oracle"}),

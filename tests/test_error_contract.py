@@ -298,9 +298,13 @@ def test_a_command_that_is_not_a_name_is_a_schema_error(command):
         (lambda: averages_from_parameters(2, 1.0, 0.5), "need n >= 3, got 2"),
         (lambda: random_instance(0, (2, 5)), "invalid vertex-count range"),
         (lambda: agreement(0, -1, (3, 8), OracleConfig()), "instances must be >= 0, got -1"),
+        (lambda: run(JobRequest("reconstruct", {"polygon": {**SQUARE, "phase": [1]},
+                                                "point": {"x": 0.3, "y": 0.0}})),
+         r"'polygon.phase' must be a number, got \[1\]"),
+        (lambda: run(JobRequest("dual", [3.0, 5.0, 7.0])), "payload must be an object"),
     ],
     ids=["two-points-n", "anchor-index", "svg-extent", "averages-n", "instance-range",
-         "instances"],
+         "instances", "angle-type", "payload-type"],
 )
 def test_a_broken_precondition_raises_schema_error_where_it_is_checked(build, message):
     with pytest.raises(SchemaError, match=message):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_configuration
-from polydual.dual import Degeneracy, classify, polygons, solve
+from polydual.dual import polygons, solve
 from polydual.errors import DegenerateError
 from polydual.geometry import (
     DistanceSpec,
@@ -142,24 +142,42 @@ class TestConstructDual:
             )
 
     def test_point_near_center_or_circumcircle_never_raises(self):
-        # the anchor must be met to rounding however small l/r is, or
-        # however close to 1: no step may cancel as l/r -> 0 or 1
+        # r and l are the inputs' own, so only |r - l| <= 4 ulp(max(r, l)) or
+        # min(r, l) == 0 is refused; every other point's companion matches
+        # to rounding, however small l/r is, or however close to 1
+        pentagon = RegularPolygonSpec(5, Point2(0.0, 0.0), 1.0, 0.3)
+        near = 1.0 + 1e-8
+        configs = [(pentagon, Point2(near * math.cos(1.0), near * math.sin(1.0))),
+                   (pentagon, Point2(1e-14, 0.0))]
         rng = np.random.default_rng(12)
-        for i in range(2000):
-            n = int(rng.integers(3, 65))
-            if i % 2 == 0:
-                ratio = 10.0 ** rng.uniform(-14.0, -6.0)
-            else:
-                ratio = 1.0 + float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-6.0, -3.0)
-            poly, point = random_configuration(rng, n, ratio_range=(ratio, ratio), ratio_gap=0.0)
-            if classify(poly.circumradius, point.distance_to(poly.center)) is not Degeneracy.NONE:
-                continue
+        ratios = [1.0 + s * 10.0 ** -k for k in range(1, 16) for s in (-1.0, 1.0)]
+        ratios += [10.0 ** -k for k in range(1, 301)]
+        for ratio in ratios:
+            for _ in range(8):
+                radius = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
+                az = float(rng.uniform(0.0, TWO_PI))
+                n, phase = int(rng.integers(3, 41)), float(rng.uniform(0.0, TWO_PI))
+                # the center at the origin, so the point's coordinates carry l to rounding
+                poly = RegularPolygonSpec(n, Point2(0.0, 0.0), radius, phase)
+                configs.append(
+                    (poly, Point2(ratio * radius * math.cos(az), ratio * radius * math.sin(az)))
+                )
+        for poly, point in configs:
+            r, l = poly.circumradius, point.distance_to(poly.center)
+            assert abs(r - l) > 4.0 * math.ulp(max(r, l)) and l > 0.0  # outside the band
             direction = float(rng.uniform(0.0, TWO_PI))
-            pair = construct_dual(poly, point, direction, anchor_index=int(rng.integers(0, n)))
+            pair = construct_dual(poly, point, direction, anchor_index=int(rng.integers(0, poly.n)))
             d = distances_from(point, poly)
             for q in (pair.b_polygon, pair.c_polygon):
                 x = distances_from(point, q)
-                assert verify_permutation(d, x).residual <= 1e-12 * max(d.values)
+                assert verify_permutation(d, x).residual <= 1e-13 * max(d.values)
+        # the band's edge: 4 ulps off the circle is refused, 5 is answered
+        unit = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0)
+        for ulps in (-4, 4):
+            with pytest.raises(DegenerateError):
+                construct_dual(unit, Point2(1.0 + ulps * math.ulp(1.0), 0.0))
+        for ulps in (-5, 5):
+            construct_dual(unit, Point2(1.0 + ulps * math.ulp(1.0), 0.0))
 
     def test_power_sum_transfer(self):
         rng = np.random.default_rng(778)

@@ -87,6 +87,13 @@ def test_spokes_render_as_their_segments(p, mx, my, circle, marker):
     assert_spokes_render_as_segments(scene)
 
 
+def test_an_empty_scene_renders_the_default_box():
+    # (-1, -1) to (1, 1) with its 10% margin, and nothing drawn in it
+    lines = render_svg(Scene()).splitlines()
+    assert lines[1].endswith('viewBox="-1.2 -1.2 2.4 2.4">')
+    assert lines[2:] == ['<g transform="scale(1,-1)">', "</g>", "</svg>"]
+
+
 @pytest.mark.parametrize("n", [3, 17, 64])
 def test_mirror_scene_spokes_render_as_segments(n):
     p = RegularPolygonSpec(n, Point2(-0.0, 0.7), 2.5, 0.3)
