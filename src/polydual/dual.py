@@ -14,20 +14,13 @@ sizes: r = l puts the point on the circumcircle, l = 0 at the center.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import sys
 from typing import NamedTuple
 
-from .errors import RealizabilityError, TriangleInequalityError
+from .errors import Degeneracy, RealizabilityError, TriangleInequalityError
 from .geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec
-
-
-class Degeneracy(enum.Enum):
-    NONE = "none"
-    ON_CIRCUMCIRCLE = "on_circumcircle"
-    AT_CENTER = "at_center"
 
 
 class RadiusDistancePair(NamedTuple):

@@ -8,7 +8,16 @@ caught by library callers as one.  Any other exception is a bug.
 
 from __future__ import annotations
 
+import enum
 from typing import Any
+
+
+class Degeneracy(enum.Enum):
+    """Where a point sits relative to a circumcircle; a ``DegenerateError`` carries its value."""
+
+    NONE = "none"
+    ON_CIRCUMCIRCLE = "on_circumcircle"
+    AT_CENTER = "at_center"
 
 
 class DomainError(Exception):

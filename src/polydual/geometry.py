@@ -114,8 +114,7 @@ def verify_permutation(
     residual = 0.0
     for i, j in zip(order_d, order_x):
         perm[i] = j
-        if abs(dv[i] - xv[j]) > residual:
-            residual = abs(dv[i] - xv[j])
+        residual = max(residual, abs(dv[i] - xv[j]))
     scale = max(dv[order_d[-1]], xv[order_x[-1]])
     return PermutationMatch(residual <= tol * scale, tuple(perm), residual)
 

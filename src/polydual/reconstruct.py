@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DegenerateError, SchemaError
+from .errors import Degeneracy, DegenerateError, SchemaError
 from .geometry import (
     TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
 )
@@ -69,11 +69,13 @@ def construct_dual(
         vertex_coords(p)
     radius_in = p.circumradius
     dist_in = point.distance_to(p.center)
+    if not math.isfinite(dist_in):
+        raise SchemaError(f"the point's distance to the center must be finite, got {dist_in}")
     on_circle = abs(radius_in - dist_in) <= 4.0 * math.ulp(max(radius_in, dist_in))
     if on_circle or min(radius_in, dist_in) == 0.0:
         raise DegenerateError(
             "no non-congruent companion polygon exists for this configuration",
-            degeneracy="on_circumcircle" if on_circle else "at_center",
+            degeneracy=(Degeneracy.ON_CIRCUMCIRCLE if on_circle else Degeneracy.AT_CENTER).value,
         )
     center = Point2(
         point.x + radius_in * math.cos(center_direction),

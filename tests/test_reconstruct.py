@@ -119,6 +119,12 @@ class TestConstructDual:
         with pytest.raises(ValueError, match="coordinates must be finite"):
             construct_dual(p, Point2(1e308, 0.0))
 
+    def test_overflowing_center_distance_raises(self):
+        # |r - l| <= 4 ulp(l) holds for l = inf: it must not read on_circumcircle
+        p = RegularPolygonSpec(4, Point2(1e308, 0.0), 1.0)
+        with pytest.raises(ValueError, match="distance to the center must be finite, got inf"):
+            construct_dual(p, Point2(-1e308, 0.0))
+
     def test_full_circle_of_directions(self):
         rng = np.random.default_rng(777)
         for _ in range(100):
@@ -162,9 +168,23 @@ class TestConstructDual:
                 configs.append(
                     (poly, Point2(ratio * radius * math.cos(az), ratio * radius * math.sin(az)))
                 )
-        for poly, point in configs:
+        def in_band(poly, point):
             r, l = poly.circumradius, point.distance_to(poly.center)
-            assert abs(r - l) > 4.0 * math.ulp(max(r, l)) and l > 0.0  # outside the band
+            return abs(r - l) <= 4.0 * math.ulp(max(r, l)) or l == 0.0
+
+        assert not any(in_band(poly, point) for poly, point in configs)
+        # off the origin the coordinate subtraction rounds too: n up to 64 and
+        # the center anywhere in [-2, 2]^2, skipping only what falls in the band
+        for i in range(2000):
+            n = int(rng.integers(3, 65))
+            if i % 2 == 0:
+                ratio = 10.0 ** rng.uniform(-14.0, -6.0)
+            else:
+                ratio = 1.0 + float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-6.0, -3.0)
+            poly, point = random_configuration(rng, n, ratio_range=(ratio, ratio), ratio_gap=0.0)
+            if not in_band(poly, point):
+                configs.append((poly, point))
+        for poly, point in configs:
             direction = float(rng.uniform(0.0, TWO_PI))
             pair = construct_dual(poly, point, direction, anchor_index=int(rng.integers(0, poly.n)))
             d = distances_from(point, poly)
