@@ -241,7 +241,6 @@ def _dual_pair(payload: dict[str, Any]) -> DualPolygonPair:
         _parse_polygon(payload.get("polygon"), "polygon"),
         _parse_point(payload.get("point"), "point"),
         _parse_angle(payload.get("direction", 0.0), "direction"),
-        anchor_index=_parse_number(payload.get("anchor_index", 0), "anchor_index", int),
     )
 
 
@@ -426,7 +425,6 @@ _SUBCOMMANDS = {
             _opt("--polygon", required=True, help=_POLYGON_HELP),
             _opt("--point", required=True, help="x,y"),
             _opt("--direction"),
-            _opt("--anchor-index", type=int),
             *_TOL_OUT,
         ),
     ),
@@ -466,7 +464,6 @@ _SUBCOMMANDS = {
             _opt("--polygon"),
             _opt("--point"),
             _opt("--direction"),
-            _opt("--anchor-index", type=int),
             _opt("--distances"),
             _opt("--polygon-a"),
             _opt("--polygon-b"),

@@ -296,9 +296,10 @@ def _lm_descent(
         c01 = a02 * a12 - a01 * a22
         c02 = a01 * a12 - a02 * a11
         det = a00 * c00 + a01 * c01 + a02 * c02
-        if not det > 0.0:  # only if lam has underflowed on a singular system
-            lam *= 10.0
-            continue
+        # fails only once some 310 more trials were rejected than taken: lam
+        # has overflowed to inf, so det is nan here and on every later pass
+        if not det > 0.0:
+            break
         c11 = a00 * a22 - a02 * a02
         c12 = a01 * a02 - a00 * a12
         c22 = a00 * a11 - a01 * a01

@@ -1,16 +1,15 @@
 """Coordinates for the companion polygon sharing a distance multiset.
 
-Given a polygon with center C and circumradius r, a point M at distance
-l from C and one anchored vertex, the companion is pinned down up to
-mirror once its center is chosen: the center C' may sit anywhere on the
-circle about M of radius r, the companion's own radius is l, and the
-anchored vertex must land on the auxiliary circle about M through the
-anchor distance.  It lands there by the vertex-angle identity: the
-triangles C, M, anchor and C', M, companion vertex have two sides l and r
-in swapped roles, so when the angle at C' between M and the vertex equals
-the angle at C between M and the anchor, they are congruent and the third
-sides agree.  The two sides of C'M on which that angle can open give the
-two mirror-image companions, with no law of cosines to invert.
+Given a polygon with center C and circumradius r and a point M at
+distance l from C, the companion swaps the two lengths: its center C'
+may sit anywhere on the circle about M of radius r, and its own radius
+is l.  Its phase is the original's turned by the angle from ray MC to ray
+MC', so vertex k makes the same angle with C'M as vertex k of the
+original makes with CM.  The triangles C, M, vertex k and C', M,
+companion vertex k then have two sides l and r in swapped roles about
+equal angles, so their third sides, the distances from M, agree for
+every k at once.  The companion's mirror in the line MC' is the other
+solution.  ``dual.polygons`` places a fitted pair by the same rule.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import Degeneracy, DegenerateError, SchemaError
 from .geometry import (
-    TWO_PI, Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
+    Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
 )
 
 # the benchmark's closed-form workload (perfbench/closed_form.py) calls the
@@ -29,6 +28,9 @@ from .geometry import verify_permutation  # noqa: F401
 
 
 class DualPolygonPair(NamedTuple):
+    """Vertex k of ``b_polygon`` and vertex -k of its mirror ``c_polygon`` are
+    each as far from ``point`` as vertex k of ``primary_polygon``."""
+
     primary_polygon: RegularPolygonSpec
     point: Point2
     b_polygon: RegularPolygonSpec
@@ -37,31 +39,24 @@ class DualPolygonPair(NamedTuple):
 
 
 def construct_dual(
-    p: RegularPolygonSpec,
-    point: Point2,
-    center_direction: float = 0.0,
-    *,
-    anchor_index: int = 0,
+    p: RegularPolygonSpec, point: Point2, center_direction: float = 0.0
 ) -> DualPolygonPair:
     """Place the companion polygon for one choice of center direction.
 
     The companion center goes at the original circumradius from ``point``
     along ``center_direction`` (a genuinely free choice: every direction
-    yields a valid companion).  Vertex 0 of each returned polygon is the
-    anchored vertex, at the same distance from ``point`` as vertex
-    ``anchor_index`` of the original: with alpha the angle at the original
-    center between ``point`` and that vertex, the companion phases are
-    azimuth(companion center -> point) +/- alpha, taken from angles alone.
-    The b/c polygons are the two mirror solutions, counterclockwise offset
-    first; alpha = 0 or pi gives one companion twice.  Nothing here
-    compares distances: ``geometry.verify_permutation`` checks the result.
+    yields a valid companion), and its radius is the original center
+    distance.  The phase turns by the angle at ``point`` from the original
+    center to the companion center, read off the computed center: a large
+    ``center_direction`` added to the phase would round away the turn.
+    ``c_polygon`` is the mirror in the line through ``point`` and the
+    companion center.  Nothing here compares distances:
+    ``geometry.verify_permutation`` checks the result.
 
     The sizes r and l are given, not fitted, so only ``at_center``, min(r,
     l) == 0, and ``on_circumcircle``, |r - l| <= 4 ulp(max(r, l)), are
     refused: l = hypot of the coordinate differences rounds by up to 3 ulps.
     """
-    if not 0 <= anchor_index < p.n:
-        raise SchemaError(f"anchor_index must be in [0, {p.n}), got {anchor_index}")
     # a polygon whose vertex coordinates overflow is a SchemaError, raised
     # before any degeneracy is judged; only a bound that overflows needs
     # the vertices built to tell
@@ -81,11 +76,10 @@ def construct_dual(
         point.x + radius_in * math.cos(center_direction),
         point.y + radius_in * math.sin(center_direction),
     )
-    anchor_angle = p.phase + TWO_PI / p.n * anchor_index
-    alpha = abs(math.remainder(azimuth(point, p.center) - anchor_angle - math.pi, TWO_PI))
-    base = azimuth(center, point)
-    b_polygon = RegularPolygonSpec(p.n, center, dist_in, base + alpha)
-    c_polygon = RegularPolygonSpec(p.n, center, dist_in, base - alpha)
+    axis = azimuth(point, center)
+    phase = p.phase + (axis - azimuth(point, p.center))
+    b_polygon = RegularPolygonSpec(p.n, center, dist_in, phase)
+    c_polygon = RegularPolygonSpec(p.n, center, dist_in, 2.0 * axis - phase)
     return DualPolygonPair(
         primary_polygon=p,
         point=point,

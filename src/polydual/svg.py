@@ -39,18 +39,22 @@ class Scene(NamedTuple):
 
 
 def scene_from_dual_pair(pair: DualPolygonPair, include_mirror: bool = False) -> Scene:
-    """Original polygon, companion(s), both circumcircles, auxiliary circle."""
+    """Original polygon, companion(s), both circumcircles, auxiliary circle.
+
+    The auxiliary circle about the point passes through vertex 0 of A, B
+    and C, which are equally far from it.
+    """
     p = pair.primary_polygon
     polys: list[tuple[RegularPolygonSpec, str]] = [(p, "A"), (pair.b_polygon, "B")]
     if include_mirror:
         polys.append((pair.c_polygon, "C"))
     b = pair.b_polygon  # its vertex 0 sits at angle phase + step*0 == phase
-    anchor = math.hypot(pair.point.x - (b.center.x + b.circumradius * math.cos(b.phase)),
-                        pair.point.y - (b.center.y + b.circumradius * math.sin(b.phase)))
+    aux = math.hypot(pair.point.x - (b.center.x + b.circumradius * math.cos(b.phase)),
+                     pair.point.y - (b.center.y + b.circumradius * math.sin(b.phase)))
     circles = (
         (p.center, p.circumradius),
         (b.center, b.circumradius),
-        (pair.point, anchor),
+        (pair.point, aux),
     )
     return Scene(
         polygons=tuple(polys),

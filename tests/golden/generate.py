@@ -11,7 +11,8 @@ usage errors are recorded through their ``SystemExit`` code, and without
 their stderr, which argparse writes.  Every other entry pins its stderr.
 The result lands in ``cli_corpus.json`` next to this file and is
 replayed byte for byte by ``tests/test_golden.py``.  Regenerate only when a change to the
-CLI output is intended.
+CLI output is intended; the script prints the id of every entry that
+changed, was added or was removed against the file it replaces.
 
 Coverage: every command, the three render scenes and the four standard
 figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
@@ -63,7 +64,7 @@ FIXED: list[list[str]] = [
     ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--direction", "0"],
     ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--direction", "90deg"],
     ["reconstruct", "--polygon", "5,0.2,-0.3,2,0.4", "--point", "1.1,0.2",
-     "--direction", "0.9", "--anchor-index", "3"],
+     "--direction", "0.9"],
     ["reconstruct", "--polygon", "4,0,0,1,0", "--point", "0,0"],
     ["reconstruct", "--polygon", "4,0,0,1,0", "--point", "0,1"],
     # pompeiu
@@ -88,7 +89,7 @@ FIXED: list[list[str]] = [
     # render: three scenes, the mirror, and its error paths
     ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
     ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0",
-     "--direction", "30deg", "--anchor-index", "1", "--mirror"],
+     "--direction", "30deg", "--mirror"],
     ["render", "--scene", "two-points", *PAIR],
     ["render", "--scene", "two-points", *COLLINEAR_PAIR],
     ["render", "--scene", "pompeiu", "--distances", "3,5,7"],
@@ -181,7 +182,7 @@ APPENDED: list[list[str]] = [
     ["verify", "--grid", "1025"],
     # larger dual figures: a 17-gon with its mirror, a 64-gon about a -0.0 center
     ["render", "--scene", "dual", "--polygon", "17,0.3,-1.2,2.5,0.7", "--point", "1.1,0.4",
-     "--direction", "1.3", "--anchor-index", "5", "--mirror"],
+     "--direction", "1.3", "--mirror"],
     ["render", "--scene", "dual", "--polygon", "64,-0.0,0.5,3,0.1", "--point", "0.8,-0.6"],
     # both triangles at extreme scales: the construction squared the raw distances
     ["pompeiu", "--distances", "3e-200,5e-200,7e-200", "--construct"],
@@ -235,8 +236,8 @@ def seeded(seed: int = 20260) -> list[list[str]]:
         # the '=' form keeps a leading minus sign from reading as an option
         out.append(["reconstruct", f"--polygon={_literal(poly)}",
                     f"--point={point.x!r},{point.y!r}",
-                    f"--direction={rng.uniform(-4.0, 4.0)!r}",
-                    f"--anchor-index={rng.randrange(n)}"])
+                    f"--direction={rng.uniform(-4.0, 4.0)!r}"])
+        rng.randrange(n)  # a retired option's draw, kept so later inputs keep theirs
     for _ in range(4):
         poly, point = _configuration(rng, 3)
         out.append(["pompeiu", "--distances", _csv(distances_from(point, poly).values),
@@ -260,7 +261,22 @@ def build() -> list[dict]:
     return [{"argv": argv, **replay(argv)} for argv in FIXED + seeded() + APPENDED]
 
 
+def entry_id(i: int, entry: dict) -> str:
+    """The replay test's id for entry ``i``."""
+    return f"{i:03d}-{entry['argv'][0] if entry['argv'] else 'none'}"
+
+
+def moved(old: list[dict], new: list[dict]) -> list[str]:
+    """What differs between two corpora, entry by entry: changed, added or removed ids."""
+    out = [f"changed {entry_id(i, e)}" for i, (o, e) in enumerate(zip(old, new)) if o != e]
+    out += [f"added {entry_id(i, e)}" for i, e in enumerate(new[len(old):], len(old))]
+    out += [f"removed {entry_id(i, e)}" for i, e in enumerate(old[len(new):], len(new))]
+    return out
+
+
 if __name__ == "__main__":
     entries = build()
+    committed = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else []
     OUT.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{len(entries)} entries written to {OUT}")
+    print("\n".join(moved(committed, entries)) or "no entry moved")

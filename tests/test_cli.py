@@ -363,11 +363,8 @@ INTEGER_KEYS = [
     ("verify", lambda v: {"grid": v}),
     ("verify", lambda v: {"refine": v}),
     ("reconstruct", lambda v: _square_request(polygon={"n": v})),
-    ("reconstruct", lambda v: _square_request(anchor_index=v)),
-    ("render", lambda v: _square_request(scene="dual", anchor_index=v)),
 ]
-INTEGER_IDS = ["instances", "seed", "n_min", "n_max", "grid", "refine", "polygon.n",
-               "anchor_index", "render-anchor_index"]
+INTEGER_IDS = ["instances", "seed", "n_min", "n_max", "grid", "refine", "polygon.n"]
 
 #: Every float payload key, as a payload builder around one value.
 NUMBER_KEYS = [
@@ -482,7 +479,6 @@ def test_regular_polygons_past_64_vertices(n, capsys):
     "argv",
     [
         ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "5,2,0,1,180deg"],
-        ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--anchor-index", "9"],
         ["verify", "--instances", "1", "--grid", "4"],
         ["verify", "--instances", "1", "--n-min", "2"],
         ["verify", "--instances", "-2"],
@@ -496,7 +492,7 @@ def test_regular_polygons_past_64_vertices(n, capsys):
         ["verify", "--instances", "0", "--n-min", "9", "--n-max", "8"],
         None,
     ],
-    ids=["two-points-mixed-n", "anchor-index-9", "grid-4", "n-min-2", "instances-negative",
+    ids=["two-points-mixed-n", "grid-4", "n-min-2", "instances-negative",
          "averages-sum-overflow", "tol-negative", "tol-nan", "tol-inf", "render-width-overflow",
          "refine-0", "n-range-reversed", "n-range-reversed-no-instances", "run-instances-x"],
 )
@@ -538,7 +534,7 @@ def test_option_count():
         a for sp in sub.choices.values() for a in sp._actions
         if not isinstance(a, argparse._HelpAction)
     ]
-    assert len(options) == 38
+    assert len(options) == 36
 
 
 #: argv lists that argparse answers itself, with help or a usage error.

@@ -21,7 +21,6 @@ from polydual.cyclic import averages_from_parameters
 from polydual.errors import SchemaError
 from polydual.geometry import MAX_VERTICES, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import OracleConfig, agreement, random_instance
-from polydual.reconstruct import construct_dual
 from polydual.svg import Scene, render_svg
 from polydual.two_points import two_points
 
@@ -114,7 +113,7 @@ PAYLOADS = {
     "dual": keys({"distances": distances(3, 8)}),
     "pompeiu": keys({"distances": distances(3, 3)}, {"construct": st.booleans()}),
     "reconstruct": keys(
-        {"polygon": polygon, "point": point}, {"direction": angle, "anchor_index": count}
+        {"polygon": polygon, "point": point}, {"direction": angle}
     ),
     "two-points": st.one_of(
         keys({"polygon_a": polygon, "polygon_b": polygon}),
@@ -290,9 +289,6 @@ def test_a_command_that_is_not_a_name_is_a_schema_error(command):
         (lambda: two_points(RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0),
                             RegularPolygonSpec(5, Point2(2.0, 0.0), 1.0)),
          "vertex counts differ: 4 != 5"),
-        (lambda: construct_dual(RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0), Point2(0.3, 0.0),
-                                anchor_index=4),
-         r"anchor_index must be in \[0, 4\), got 4"),
         (lambda: render_svg(Scene(circles=((Point2(0.0, 0.0), 1e308),))),
          "the scene's extent is outside the float range"),
         (lambda: averages_from_parameters(2, 1.0, 0.5), "need n >= 3, got 2"),
@@ -303,7 +299,7 @@ def test_a_command_that_is_not_a_name_is_a_schema_error(command):
          r"'polygon.phase' must be a number, got \[1\]"),
         (lambda: run(JobRequest("dual", [3.0, 5.0, 7.0])), "payload must be an object"),
     ],
-    ids=["two-points-n", "anchor-index", "svg-extent", "averages-n", "instance-range",
+    ids=["two-points-n", "svg-extent", "averages-n", "instance-range",
          "instances", "angle-type", "payload-type"],
 )
 def test_a_broken_precondition_raises_schema_error_where_it_is_checked(build, message):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from golden.generate import replay
+from golden.generate import entry_id, replay
 from polydual.errors import DomainError
 
 CORPUS = json.loads(
@@ -24,7 +24,7 @@ CORPUS = json.loads(
 @pytest.mark.parametrize(
     "entry",
     CORPUS,
-    ids=[f"{i:03d}-{e['argv'][0] if e['argv'] else 'none'}" for i, e in enumerate(CORPUS)],
+    ids=[entry_id(i, e) for i, e in enumerate(CORPUS)],
 )
 def test_replay_is_byte_identical(entry):
     assert replay(entry["argv"]) == {k: v for k, v in entry.items() if k != "argv"}

@@ -412,6 +412,24 @@ class TestKernels:
         # each step starts from the start or a taken trial, never from a rejected one
         assert stepped_from == [(ell, radius) for _, ell, radius in accepted[:len(stepped_from)]]
 
+    @pytest.mark.parametrize("degenerate", [False, True], ids=["off-circle", "on-circle"])
+    def test_a_descent_that_cannot_stop_ends_once_lam_overflows(self, degenerate):
+        # with no objective low enough to stop at, trials are rejected until
+        # lam overflows to inf; the descent then ends where it stands instead
+        # of spinning to its cap
+        poly, point = random_instance(300_000, (3, 12), degenerate_mode=degenerate)
+        distances = sorted(distances_from(point, poly).values)
+        exp = math.frexp(distances[-1])[1]
+        target = [math.ldexp(v, -exp) for v in distances]
+        ell_hi = math.fsum(target) / poly.n * (1.0 + 1e-9)
+        r_bounds = (max(0.0, target[-1] - ell_hi), target[0] + ell_hi)
+        psis, cosines, dirs = _phase_tables(poly.n, 64)
+        psi_i, r_i = _best_cell(cosines, ell_hi, r_bounds, target)
+        args = (dirs, target, (psis[psi_i], ell_hi, r_bounds[r_i]), (0.0, ell_hi), r_bounds, -1.0)
+        x, f, evals = oracle._lm_descent(*args, 400)
+        assert all(math.isfinite(v) for v in x) and evals < 400
+        assert (x, f, evals) == oracle._lm_descent(*args, 3000)
+
 
 class TestPhaseTables:
     def test_cached_tables_are_read_only(self):

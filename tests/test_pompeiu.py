@@ -328,9 +328,9 @@ class TestConstructionB:
             ).ok
 
     def test_shared_vertex_kept(self):
-        # mirroring the center across the bisector of point and anchor puts
-        # the companion center at r from the point and at l from the anchor,
-        # so one of the two companions has the anchor itself as vertex 0
+        # mirroring the center across the bisector of the point and vertex k
+        # puts the companion center at r from the point and at l from that
+        # vertex, so it is vertex k of one companion or vertex -k of its mirror
         poly = RegularPolygonSpec(3, Point2(0.0, 0.0), 2.0, 0.3)
         point = Point2(0.9, 0.4)
         c = poly.center
@@ -341,9 +341,10 @@ class TestConstructionB:
                 ux * ux + uy * uy
             )
             mirrored = Point2(c.x - t * ux, c.y - t * uy)
-            pair = construct_dual(poly, point, azimuth(point, mirrored), anchor_index=k)
+            pair = construct_dual(poly, point, azimuth(point, mirrored))
             assert min(
-                math.dist(a, vertex_coords(q)[0]) for q in (pair.b_polygon, pair.c_polygon)
+                math.dist(a, vertex_coords(pair.b_polygon)[k]),
+                math.dist(a, vertex_coords(pair.c_polygon)[-k]),
             ) <= 1e-12
 
     def test_center_point_raises(self):

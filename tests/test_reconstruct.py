@@ -43,8 +43,9 @@ class TestConstructDual:
             assert verify_permutation(d_in, distances_from(Point2(1.0, 0.0), q)).residual <= 1e-12
 
     def test_square_companion_phases(self):
-        # seen from the companion center (1 + sqrt2, 0), the point is at
-        # azimuth pi and the anchored vertex pi/4 off it on either side
+        # the center seen from the point turns from azimuth pi to 0, so
+        # vertex 0 of the square, at pi/4, goes to pi/4 - pi, and its mirror
+        # in the x axis to pi - pi/4
         pair = construct_dual(unit_square(), Point2(1.0, 0.0), 0.0)
         assert pair.b_polygon.phase == pytest.approx(math.pi + math.pi / 4, abs=1e-12)
         assert pair.c_polygon.phase == pytest.approx(math.pi - math.pi / 4, abs=1e-12)
@@ -56,7 +57,8 @@ class TestConstructDual:
     )
     def test_anchor_at_a_pole_has_one_companion(self, point, anchor_distance):
         # vertex 0 of the unit square, on the line through the point and the
-        # center, at r + l or |r - l|: alpha is pi or 0, so the mirrors coincide
+        # center, at r + l or |r - l|: its image lies on the mirror axis, so
+        # the mirrors coincide
         square = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0, 0.0)
         for direction in (0.0, 1.0, 4.0):
             pair = construct_dual(square, point, direction)
@@ -84,12 +86,11 @@ class TestConstructDual:
 
         p = RegularPolygonSpec(5, Point2(0.2, -0.3), 2.0, 0.4)
         point = Point2(1.1, 0.2)
-        want = construct_dual(p, point, 0.9, anchor_index=3)
+        want = construct_dual(p, point, 0.9)
         got = construct_dual(
             RegularPolygonSpec(5, Point2(scaled(0.2), scaled(-0.3)), scaled(2.0), 0.4),
             Point2(scaled(1.1), scaled(0.2)),
             0.9,
-            anchor_index=3,
         )
         for g, w in ((got.b_polygon, want.b_polygon), (got.c_polygon, want.c_polygon)):
             assert (g.center.x, g.center.y) == (scaled(w.center.x), scaled(w.center.y))
@@ -186,7 +187,8 @@ class TestConstructDual:
                 configs.append((poly, point))
         for poly, point in configs:
             direction = float(rng.uniform(0.0, TWO_PI))
-            pair = construct_dual(poly, point, direction, anchor_index=int(rng.integers(0, poly.n)))
+            rng.integers(0, poly.n)  # a retired argument's draw, kept so later draws keep theirs
+            pair = construct_dual(poly, point, direction)
             d = distances_from(point, poly)
             for q in (pair.b_polygon, pair.c_polygon):
                 x = distances_from(point, q)
@@ -234,16 +236,41 @@ class TestConstructDual:
                 )
                 assert any(mirrored.distance_to(w) < 1e-7 * max(radius, 1.0) for w in vc)
 
-    def test_anchor_index_choice(self):
-        poly, point = random_configuration(np.random.default_rng(780))
-        d = distances_from(point, poly)
-        for k in range(poly.n):
-            pair = construct_dual(poly, point, 0.3, anchor_index=k)
-            assert verify_permutation(d, distances_from(point, pair.b_polygon), 1e-8).ok
-            anchored = Point2(*vertex_coords(pair.b_polygon)[0])
-            assert point.distance_to(anchored) == pytest.approx(
-                d.values[k], rel=1e-9, abs=1e-12 * max(d.values)
-            )
+    def test_every_vertex_keeps_its_distance(self):
+        # vertex k of b and vertex -k of its mirror c are as far from the point
+        # as vertex k of the input, index by index, for n up to 64, the point
+        # near the center or the circumcircle, and directions up to 1e300
+        rng = np.random.default_rng(780)
+        for i in range(3000):
+            n = int(rng.integers(3, 65))
+            if i % 3 == 0:
+                poly, point = random_configuration(rng, n)
+            else:
+                if i % 3 == 1:
+                    ratio = 10.0 ** rng.uniform(-14.0, -1.0)
+                else:
+                    ratio = 1.0 + float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-12.0, -1.0)
+                poly, point = random_configuration(rng, n, ratio_range=(ratio,) * 2, ratio_gap=0.0)
+            if i % 2 == 0:
+                direction = float(rng.uniform(-TWO_PI, TWO_PI))
+            else:
+                direction = float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(0.0, 300.0)
+            pair = construct_dual(poly, point, direction)
+            d = distances_from(point, poly).values
+            d_b = distances_from(point, pair.b_polygon).values
+            d_c = distances_from(point, pair.c_polygon).values
+            worst = max(max(abs(d_b[k] - d[k]), abs(d_c[-k] - d[k])) for k in range(n))
+            assert worst <= 1e-13 * max(d), (i, worst / max(d))
+
+    def test_fitted_pair_is_placed_by_the_same_rule(self):
+        # with the point at the origin and the direction 0, the companion of
+        # the fit's larger polygon is the fit's smaller one, bit for bit
+        rng = np.random.default_rng(782)
+        for _ in range(2000):
+            poly, point = random_configuration(rng, n_range=(3, 64))
+            larger, smaller = polygons(solve(distances_from(point, poly)), poly.n)
+            pair = construct_dual(larger, Point2(0.0, 0.0), 0.0)
+            assert repr(pair.b_polygon) == repr(smaller)
 
     def test_involution_through_solve(self):
         rng = np.random.default_rng(781)

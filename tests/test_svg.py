@@ -97,7 +97,7 @@ def test_an_empty_scene_renders_the_default_box():
 @pytest.mark.parametrize("n", [3, 17, 64])
 def test_mirror_scene_spokes_render_as_segments(n):
     p = RegularPolygonSpec(n, Point2(-0.0, 0.7), 2.5, 0.3)
-    pair = construct_dual(p, Point2(1.1, -0.0), 1.3, anchor_index=n // 2)
+    pair = construct_dual(p, Point2(1.1, -0.0), 1.3)
     scene = scene_from_dual_pair(pair, include_mirror=True)
     assert len(scene.polygons) == 3
     assert scene.spokes == ((pair.point, 0),)
