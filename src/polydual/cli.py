@@ -4,20 +4,23 @@ Every command builds a ``JobRequest(command, payload)``, dispatches
 through ``run`` and prints one JSON document (or an SVG for ``render``).
 Every option but ``--out`` is a payload key, its flag with underscores;
 an unset option stays out, and the code that reads the key supplies its
-default.  All numbers are rendered with 17 significant digits and
-dictionary order is fixed, so identical requests produce byte-identical
-output.  Exit codes: 0 on success, 1 on a domain error (with a
-machine-readable error object), 2 on usage or schema violations.
+default.  ``dumps`` is the one writer: every number has 17 significant
+digits and dictionary order is fixed, so identical requests produce
+byte-identical output.  Records print by their own fields (``_asdict``)
+unless a key is renamed or reordered.  Exit codes: 0 on success, 1 on a
+domain error (an error object whose ``context`` prints as raised, a
+tuple of sides as an array of numbers), 2 on usage or schema violations.
 ``dual`` judges consistency by the fit residual of ``dual.solve``;
 ``averages`` keeps the paper's even-power means and their closure
 identities.  Errors are mapped in one place: ``run`` rejects a ``tol``
 (default 1e-9) that is not a finite number >= 0 and turns domain errors
 into an error object; ``main`` maps a ``SchemaError``, raised wherever a
 precondition is checked, and a failure to write ``--out``, to exit 2.
-Any other exception is a bug and escapes as itself.  Argv text goes
-into the payload as split strings, parsed by the same code as JSON
-values.  Each handler imports the modules it runs, so a process loads
-only its own command's.
+Any other exception is a bug and escapes as itself.  ``_parse_number``
+is the one reader: argparse converts no value, and argv text goes into
+the payload as split strings, parsed by the same code as JSON values.
+Each handler imports the modules it runs, so a process loads only its
+own command's.
 """
 
 from __future__ import annotations
@@ -161,33 +164,16 @@ _POINT_CLASS = {
 }
 
 
-def _point_json(p: Point2) -> dict[str, float]:
-    return {"x": p.x, "y": p.y}
-
-
 def _polygon_json(p: RegularPolygonSpec) -> dict[str, Any]:
-    return {
-        "n": p.n,
-        "center": _point_json(p.center),
-        "r": p.circumradius,
-        "phase": p.phase,
-    }
+    """A polygon as its payload object, whose ``circumradius`` is keyed ``r``."""
+    return {"n": p.n, "center": p.center._asdict(), "r": p.circumradius, "phase": p.phase}
 
 
 def _consistency_json(report: ConsistencyReport) -> dict[str, Any]:
     return {
         "passed": report.passed,
         "moment_inequality_ok": report.moment_inequality_ok,
-        "checks": [
-            {
-                "order": c.order,
-                "expected": c.expected,
-                "actual": c.actual,
-                "residual": c.residual,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
+        "checks": [c._asdict() for c in report.checks],
     }
 
 
@@ -195,14 +181,8 @@ def _solution_json(sol: DualSolution) -> dict[str, Any]:
     return {
         "mean_square": sol.mean_square,
         "discriminant": sol.discriminant,
-        "larger": {
-            "circumradius": sol.larger.circumradius,
-            "center_distance": sol.larger.center_distance,
-        },
-        "smaller": {
-            "circumradius": sol.smaller.circumradius,
-            "center_distance": sol.smaller.center_distance,
-        },
+        "larger": sol.larger._asdict(),
+        "smaller": sol.smaller._asdict(),
         "degeneracy": sol.degeneracy.value,
         "point_class": _POINT_CLASS[sol.degeneracy.value],
     }
@@ -282,9 +262,9 @@ def _cmd_pompeiu(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     if payload.get("construct"):
         tp = pompeiu.construct_triangles(tri)
         out["construction"] = {
-            "point": _point_json(tp.point),
-            "larger": [_point_json(v) for v in tp.larger],
-            "smaller": [_point_json(v) for v in tp.smaller],
+            "point": tp.point._asdict(),
+            "larger": [v._asdict() for v in tp.larger],
+            "smaller": [v._asdict() for v in tp.smaller],
         }
     return out
 
@@ -301,17 +281,10 @@ def _cmd_two_points(payload: dict[str, Any], tol: float) -> dict[str, Any]:
 
     sol = two_points(*_polygon_pair(payload), tol)
     return {
-        "m1": _point_json(sol.m1),
-        "m2": None if sol.m2 is None else _point_json(sol.m2),
+        "m1": sol.m1._asdict(),
+        "m2": None if sol.m2 is None else sol.m2._asdict(),
         "collinear_degenerate": sol.m2 is None,
-        "matches": [
-            {
-                "ok": m.ok,
-                "permutation": list(m.permutation),
-                "residual": m.residual,
-            }
-            for m in sol.matches
-        ],
+        "matches": [{**m._asdict(), "permutation": list(m.permutation)} for m in sol.matches],
     }
 
 
@@ -368,11 +341,7 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
     try:
         return _SUBCOMMANDS[request.command][0](request.payload, tol), 0
     except DomainError as exc:
-        context = {
-            k: (v if isinstance(v, (int, float, str, bool, type(None))) else str(v))
-            for k, v in exc.context.items()
-        }
-        return {"code": exc.code, "message": exc.message, "context": context}, 1
+        return {"code": exc.code, "message": exc.message, "context": exc.context}, 1
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +371,9 @@ def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
     return flags, kwargs
 
 
-_TOL_OUT = (_opt("--tol", type=float), _opt("--out"))
+_TOL_OUT = (_opt("--tol"), _opt("--out"))
 _POLYGON_HELP = "n,cx,cy,r[,phase]"
+_POINT_HELP = "x,y; a negative x needs the '=' form, --point=-0.5,0"
 
 #: Each command's handler, help line and options (none with a default), in the
 #: order ``polydual --help`` lists them.
@@ -423,7 +393,7 @@ _SUBCOMMANDS = {
         "coordinates of the companion polygon",
         (
             _opt("--polygon", required=True, help=_POLYGON_HELP),
-            _opt("--point", required=True, help="x,y"),
+            _opt("--point", required=True, help=_POINT_HELP),
             _opt("--direction"),
             *_TOL_OUT,
         ),
@@ -444,14 +414,14 @@ _SUBCOMMANDS = {
     ),
     "verify": (
         _cmd_verify,
-        "closed-form-free search vs solver agreement",
+        "brute-force search vs each instance's swapped sizes",
         (
-            _opt("--instances", type=int),
-            _opt("--n-min", type=int),
-            _opt("--n-max", type=int),
-            _opt("--grid", type=int),
-            _opt("--refine", type=int, help="caps the descent at 20 * REFINE iterations"),
-            _opt("--seed", type=int),
+            _opt("--instances"),
+            _opt("--n-min"),
+            _opt("--n-max"),
+            _opt("--grid"),
+            _opt("--refine", help="caps the descent at 20 * REFINE iterations"),
+            _opt("--seed"),
             # no --tol: the oracle judges its finds at its own fixed tolerance
             _opt("--out"),
         ),
@@ -462,7 +432,7 @@ _SUBCOMMANDS = {
         (
             _opt("--scene", required=True, choices=("dual", "two-points", "pompeiu")),
             _opt("--polygon"),
-            _opt("--point"),
+            _opt("--point", help=_POINT_HELP),
             _opt("--direction"),
             _opt("--distances"),
             _opt("--polygon-a"),

@@ -18,8 +18,9 @@ Coverage: every command, the three render scenes and the four standard
 figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
 1e-200 and times 1e200), the three degeneracy classes, oracle runs at
 ``--grid 8 --refine 1`` and at the defaults, usage and schema errors
-(exit 2), ``--grid`` above its maximum among them, and every domain
-error code (exit 1);
+(exit 2), ``--grid`` above its maximum and a non-numeric ``--tol`` or
+``--instances`` among them, a point with a negative x in the ``=`` form,
+and every domain error code (exit 1), with a context of 17-digit sides;
 ``tests/test_golden.py`` checks that every code defined in
 ``polydual.errors`` appears.
 """
@@ -187,6 +188,12 @@ APPENDED: list[list[str]] = [
     # both triangles at extreme scales: the construction squared the raw distances
     ["pompeiu", "--distances", "3e-200,5e-200,7e-200", "--construct"],
     ["pompeiu", "--distances", "3e200,5e200,7e200", "--construct"],
+    # a domain error's context prints through dumps: sides as an array of 17-digit numbers
+    ["dual", "--distances", "0.1,0.2,5"],
+    # schema error: argparse converts no value, so a bad --tol is named by its key
+    ["dual", "--distances", "3,5,7", "--tol", "abc"],
+    # a point with a negative x: only the '=' form keeps it from reading as an option
+    ["reconstruct", "--polygon", "4,0,0,1", "--point=-0.5,0"],
 ]
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -734,6 +735,18 @@ def test_unwritable_out_is_a_schema_error(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("schema error:")
         assert "Traceback" not in captured.err
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every README line that starts with the command, its --out files landing in tmp_path
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text(encoding="utf-8").splitlines()
+             if line.startswith("polydual ")]
+    assert lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 SQUARE = {"n": 4, "center": {"x": 0.0, "y": 0.0}, "r": SQRT2, "phase": "45deg"}
