@@ -7,7 +7,8 @@ an unset option stays out, and the code that reads the key supplies its
 default.  ``dumps`` is the one writer: every number has 17 significant
 digits and dictionary order is fixed, so identical requests produce
 byte-identical output.  Records print by their own fields (``_asdict``)
-unless a key is renamed or reordered.  Exit codes: 0 on success, 1 on a
+unless a key is renamed or reordered, and strings are quoted by ``_quote``
+as ``json.dumps`` quotes them.  Exit codes: 0 on success, 1 on a
 domain error (an error object whose ``context`` prints as raised, a
 tuple of sides as an array of numbers), 2 on usage or schema violations.
 ``dual`` judges consistency by the fit residual of ``dual.solve``;
@@ -17,16 +18,18 @@ identities.  Errors are mapped in one place: ``run`` rejects a ``tol``
 into an error object; ``main`` maps a ``SchemaError``, raised wherever a
 precondition is checked, and a failure to write ``--out``, to exit 2.
 Any other exception is a bug and escapes as itself.  ``_parse_number``
-is the one reader: argparse converts no value, and argv text goes into
-the payload as split strings, parsed by the same code as JSON values.
-Each handler imports the modules it runs, so a process loads only its
-own command's.
+is the one number reader: no argv value is converted before it, and
+argv text goes into the payload as split strings, parsed by the same
+code as JSON values.  ``_read_argv`` reads a well-formed argv (a known
+command, then exact declared flags) from the option table itself, so
+such a process imports neither ``argparse`` nor ``json``; any other
+argv goes to the argparse parser, which stays the one author of help
+and usage errors.  Each handler imports the modules it runs, so a
+process loads only its own command's.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
@@ -35,6 +38,8 @@ from .errors import DomainError, SchemaError
 from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from, verify_permutation
 
 if TYPE_CHECKING:
+    import argparse
+
     from .cyclic import ConsistencyReport
     from .dual import DualSolution
     from .reconstruct import DualPolygonPair
@@ -65,13 +70,13 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(format(obj, ".17g") if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k)))
+            out.append(_quote(str(k)))
             out.append(":")
             _emit(v, out)
         out.append("}")
@@ -84,6 +89,30 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+#: ``json``'s escapes of the ASCII characters outside space to ``~``, and of
+#: the quote and the backslash.
+_ESCAPES = {
+    **{c: f"\\u{c:04x}" for c in (*range(0x20), 0x7F)},
+    ord('"'): '\\"', ord("\\"): "\\\\", ord("\b"): "\\b", ord("\t"): "\\t",
+    ord("\n"): "\\n", ord("\f"): "\\f", ord("\r"): "\\r",
+}
+
+
+def _quote(s: str) -> str:
+    """``json.dumps(s)``: a quoted ASCII string, non-ASCII as UTF-16 ``\\uXXXX`` escapes."""
+    text = s.translate(_ESCAPES)
+    if not text.isascii():
+        text = "".join(c if c.isascii() else _utf16_escape(ord(c)) for c in text)
+    return f'"{text}"'
+
+
+def _utf16_escape(code: int) -> str:
+    if code <= 0xFFFF:  # a lone surrogate included, as json writes it
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +484,8 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     own metavar, which names the argument ``command`` in the errors only
     it can raise: a missing or unknown command.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="polydual",
         description="Both regular n-gons realizing a list of point-to-vertex distances",
@@ -482,29 +513,75 @@ def _payload_value(key: str, value: Any) -> Any:
     return value
 
 
-def _request_from_args(args: argparse.Namespace) -> JobRequest:
+def _read_argv(argv: list[str]) -> Optional[dict[str, Any]]:
+    """``vars(_build_parser().parse_args(argv))`` of a well-formed argv, else None.
+
+    Well-formed is a known command, then declared flags spelled in full,
+    each at most once, as ``--flag=value`` or ``--flag value`` (a
+    ``store_true`` flag bare), with every required flag and every value
+    in its ``choices``.  It also declines a value after a space that
+    starts with ``-``, which argparse may read as a flag, and any value
+    that starts with ``--``, which argparse before 3.13 reads as an
+    argument separator.  A declined argv, ``-h`` included, goes to argparse.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    options = {
+        flags[0]: (flags[0][2:].replace("-", "_"), kwargs)
+        for flags, kwargs in _SUBCOMMANDS[argv[0]][2]
+    }
+    args: dict[str, Any] = {"command": argv[0]}
+    for dest, kwargs in options.values():
+        args[dest] = False if kwargs.get("action") == "store_true" else None
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if flag not in options or flag in seen:
+            return None
+        seen.add(flag)
+        dest, kwargs = options[flag]
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, "-")  # a missing value declines as a flag does
+            choices = kwargs.get("choices", (value,))
+            if value.startswith("--" if eq else "-") or value not in choices:
+                return None
+        args[dest] = value
+    if any(kwargs.get("required") and flag not in seen for flag, (_, kwargs) in options.items()):
+        return None
+    return args
+
+
+def _request_from_args(args: dict[str, Any]) -> JobRequest:
     """Every option set but ``out`` goes into the payload by name."""
     payload = {
         key: _payload_value(key, value)
-        for key, value in vars(args).items()
+        for key, value in args.items()
         if key not in ("command", "out") and value is not None
     }
-    return JobRequest(args.command, payload)
+    return JobRequest(args["command"], payload)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _read_argv(argv)
+    if args is None:  # help, a usage error, or an argv only argparse reads
+        args = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
     try:
         result, code = run(_request_from_args(args))
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
-    text = result["svg"] if args.command == "render" and code == 0 else dumps(result) + "\n"
-    if args.out is not None:  # an empty path fails to open, as any bad path does
+    text = result["svg"] if args["command"] == "render" and code == 0 else dumps(result) + "\n"
+    if args["out"] is not None:  # an empty path fails to open, as any bad path does
         try:
-            with open(args.out, "w", encoding="utf-8") as fh:
+            with open(args["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:  # written before stdout, so nothing is printed yet
             sys.stderr.write(f"schema error: {exc}\n")

@@ -86,13 +86,16 @@ def averages_from_distances(d: DistanceSpec) -> CyclicAverages:
     """Even-power means straight from the definition.
 
     Per-term powers are built by repeated multiplication of the squared
-    distances.  The means of orders 1 and 2 are summed with compensation,
-    since ``check_consistency`` derives every expected mean from those
-    two.  The higher orders are added left to right, since ``math.fsum``
-    slows as the terms span more binary exponents; the terms are
-    nonnegative, so such a sum is within (n-1)*eps relative.
+    distances, sorted ascending once, so every power stays in that order.
+    The means of orders 1 and 2 are summed with compensation, since
+    ``check_consistency`` derives every expected mean from those two.
+    The higher orders are added left to right, since ``math.fsum`` slows
+    as the terms span more binary exponents; the terms are nonnegative,
+    so such a sum is within (n-1)*eps relative, a bound that ascending
+    order tightens best (Higham 2002, section 4.2).  The means therefore
+    depend on the multiset of distances only, not on their order.
     """
-    squares = current = [v * v for v in d.values]
+    squares = current = sorted(v * v for v in d.values)
     vals = [_mean(squares)]
     for m in range(2, d.n):
         current = [c * q for c, q in zip(current, squares)]

@@ -19,7 +19,8 @@ figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
 1e-200 and times 1e200), the three degeneracy classes, oracle runs at
 ``--grid 8 --refine 1`` and at the defaults, usage and schema errors
 (exit 2), ``--grid`` above its maximum and a non-numeric ``--tol`` or
-``--instances`` among them, a point with a negative x in the ``=`` form,
+``--instances`` among them, a point with a negative x and a negative
+distance in the ``=`` form,
 and every domain error code (exit 1), with a context of 17-digit sides;
 ``tests/test_golden.py`` checks that every code defined in
 ``polydual.errors`` appears.
@@ -194,6 +195,8 @@ APPENDED: list[list[str]] = [
     ["dual", "--distances", "3,5,7", "--tol", "abc"],
     # a point with a negative x: only the '=' form keeps it from reading as an option
     ["reconstruct", "--polygon", "4,0,0,1", "--point=-0.5,0"],
+    # schema error: a negative distance, which only the '=' form passes to the payload
+    ["dual", "--distances=-1,2,3"],
 ]
 
 

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,8 +12,19 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from polydual.cli import _SUBCOMMANDS, JobRequest, _build_parser, dumps, main, run
+from polydual.cli import (
+    _SUBCOMMANDS,
+    JobRequest,
+    _build_parser,
+    _quote,
+    _read_argv,
+    dumps,
+    main,
+    run,
+)
 from polydual.errors import SchemaError
 from polydual.geometry import Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import MAX_GRID_RESOLUTION, _phase_tables
@@ -34,6 +47,13 @@ def run_cli(argv):
     return proc
 
 
+def _readme_argvs():
+    """The argv of every README line that starts with the command."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line)[1:] for line in readme.read_text(encoding="utf-8").splitlines()
+            if line.startswith("polydual ")]
+
+
 class TestDumps:
     def test_seventeen_significant_digits_round_trip(self):
         values = [math.pi, 1.0, 0.1, 1e-300, 12345.6789, SQRT2]
@@ -49,6 +69,13 @@ class TestDumps:
 
     def test_booleans_are_not_integers(self):
         assert dumps({"flag": True}) == '{"flag":true}'
+
+    @given(st.text(st.characters(exclude_categories=())))
+    @example("\x7f")  # DEL, which json escapes although it is ASCII
+    @example("\ud800 \udfff \U0001f600 \U0010ffff")  # lone surrogates, astral characters
+    @example('"\\/\b\t\n\f\r\x00\x1f\x80\xe9\uffff')
+    def test_quote_is_json_dumps(self, text):
+        assert _quote(text) == json.dumps(text)
 
     def test_records_are_not_arrays(self):
         with pytest.raises(TypeError, match="cannot serialize Point2"):
@@ -573,6 +600,85 @@ def test_one_subparser_parses_as_all_of_them(argv, capsys):
     assert want[2] == (0 if "--help" in argv else 2)
 
 
+def _argparse_args(argv):
+    """``vars(parse_args(argv))`` from the full parser, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+FLAGS = sorted({flags[0] for _, _, options in _SUBCOMMANDS.values() for flags, _ in options})
+#: Help, abbreviations, a positional and separators, none of which the reader takes.
+ODD_FLAGS = ["-h", "--help", "--dist", "--poly", "--polygon-", "--n", "--sc", "--", "-", "extra"]
+VALUES = ["--", "-0.5", "-1,2,3", "", " -1", "3,5,7", "4,0,0,1", "1,0", "1e-9", "5", "=x",
+          "--out", "-h", "dual", "two-points", "pompeiu", "star"]
+
+
+@st.composite
+def _argvs(draw):
+    """A command, then its required flags and up to four more of any command's, or odd ones.
+
+    Each flag is bare, joined to a value by '=' or followed by one.
+    """
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    options = _SUBCOMMANDS[command][2]
+    own = [flags[0] for flags, _ in options]
+    flags = [flags[0] for flags, kwargs in options if kwargs.get("required")]
+    flags += draw(st.lists(st.sampled_from(own) | st.sampled_from(FLAGS + ODD_FLAGS), max_size=4))
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(st.sampled_from(VALUES) | st.text(max_size=3))
+        form = draw(st.sampled_from(["bare", "joined", "spaced"]))
+        argv += {"bare": [flag], "joined": [f"{flag}={value}"], "spaced": [flag, value]}[form]
+    return argv
+
+
+def _with_known_argvs(test):
+    """``test`` with every golden-corpus and README argv as an explicit example."""
+    corpus = json.loads(
+        (Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8"))
+    for argv in [e["argv"] for e in corpus] + _readme_argvs():
+        test = example(argv)(test)
+    return test
+
+
+@_with_known_argvs
+@settings(max_examples=500)  # about one argv in sixteen is one the reader takes
+@given(_argvs())
+def test_argv_reader_agrees_with_argparse_where_it_reads(argv):
+    args = _read_argv(argv)
+    assert args is None or args == _argparse_args(argv)
+
+
+def test_argv_reader_reads_every_readme_example():
+    for argv in _readme_argvs():
+        assert _read_argv(argv) is not None, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "--distances=3,5,7", "--distances=3,5,7"],  # repeated
+        ["dual", "--dist", "3,5,7"],  # abbreviated
+        ["dual", "--distances", "3,5,7", "extra"],  # positional
+        ["dual", "--distances", "3,5,7", "-h"],
+        ["dual", "--tol", "1e-9"],  # a required option missing
+        ["render", "--scene=star"],  # outside choices
+        ["render", "--scene", "pompeiu", "--distances", "-1,2,3"],  # spaced, starting with -
+        ["verify", "--out=--"],  # Pythons before 3.13 read '--' as a separator
+        ["pompeiu", "--distances=3,5,7", "--construct=1"],
+        ["dual", "--distances"],
+        ["bogus"],
+        [],
+    ],
+    ids=" ".join,
+)
+def test_argv_reader_declines(argv):
+    assert _read_argv(argv) is None
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [([], "the following arguments are required: command"),
@@ -620,6 +726,16 @@ def test_render_svg_near_the_float_limit_prints_finite_numbers():
     assert all(math.isfinite(v) for v in numbers)
     with pytest.raises(ValueError):
         render_svg(scene(7.5e307))
+
+
+@given(st.integers(4, 40), st.floats(0.05, 3.0), st.randoms(use_true_random=False))
+def test_averages_prints_the_same_bytes_for_any_order(n, ratio, rng):
+    poly = RegularPolygonSpec(n, Point2(0.0, 0.0), 1.0, 0.3)
+    distances = list(distances_from(Point2(ratio * 0.8, ratio * 0.6), poly).values)
+    shuffled = rng.sample(distances, n)
+    assert dumps(run(JobRequest("averages", {"distances": shuffled}))) == dumps(
+        run(JobRequest("averages", {"distances": distances}))
+    )
 
 
 def test_zero_tol_is_valid(capsys):
@@ -738,14 +854,12 @@ def test_unwritable_out_is_a_schema_error(tmp_path, capsys):
 
 
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
-    # every README line that starts with the command, its --out files landing in tmp_path
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    lines = [line for line in readme.read_text(encoding="utf-8").splitlines()
-             if line.startswith("polydual ")]
-    assert lines
+    # every README example, its --out files landing in tmp_path
+    argvs = _readme_argvs()
+    assert argvs
     monkeypatch.chdir(tmp_path)
-    for line in lines:
-        assert main(shlex.split(line)[1:]) == 0, line
+    for argv in argvs:
+        assert main(argv) == 0, argv
     capsys.readouterr()
 
 
