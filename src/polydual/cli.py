@@ -20,12 +20,13 @@ precondition is checked, and a failure to write ``--out``, to exit 2.
 Any other exception is a bug and escapes as itself.  ``_parse_number``
 is the one number reader: no argv value is converted before it, and
 argv text goes into the payload as split strings, parsed by the same
-code as JSON values.  ``_read_argv`` reads a well-formed argv (a known
-command, then exact declared flags) from the option table itself, so
-such a process imports neither ``argparse`` nor ``json``; any other
-argv goes to the argparse parser, which stays the one author of help
-and usage errors.  Each handler imports the modules it runs, so a
-process loads only its own command's.
+code as JSON values.  ``_read_argv`` is the one argv reader: it reads
+every argv that gets an answer from the option table itself, a unique
+flag prefix for its flag and a repeated flag's last value, so a process
+that answers imports neither ``argparse`` nor ``json``.  argparse only
+writes the help and the usage errors, for the argv the reader declines.
+Each handler imports the modules it runs, so a process loads only its
+own command's.
 """
 
 from __future__ import annotations
@@ -402,7 +403,6 @@ def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
 
 _TOL_OUT = (_opt("--tol"), _opt("--out"))
 _POLYGON_HELP = "n,cx,cy,r[,phase]"
-_POINT_HELP = "x,y; a negative x needs the '=' form, --point=-0.5,0"
 
 #: Each command's handler, help line and options (none with a default), in the
 #: order ``polydual --help`` lists them.
@@ -422,7 +422,7 @@ _SUBCOMMANDS = {
         "coordinates of the companion polygon",
         (
             _opt("--polygon", required=True, help=_POLYGON_HELP),
-            _opt("--point", required=True, help=_POINT_HELP),
+            _opt("--point", required=True, help="x,y"),
             _opt("--direction"),
             *_TOL_OUT,
         ),
@@ -461,7 +461,7 @@ _SUBCOMMANDS = {
         (
             _opt("--scene", required=True, choices=("dual", "two-points", "pompeiu")),
             _opt("--polygon"),
-            _opt("--point", help=_POINT_HELP),
+            _opt("--point", help="x,y"),
             _opt("--direction"),
             _opt("--distances"),
             _opt("--polygon-a"),
@@ -472,33 +472,20 @@ _SUBCOMMANDS = {
     ),
 }
 
-#: The command argument's usage text, as argparse writes it for all the commands.
-_COMMAND_METAVAR = "{" + ",".join(_SUBCOMMANDS) + "}"
 
-
-def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser; for a known ``command``, with that command's subparser only.
-
-    A one-command parser shows the full command list as its metavar, so
-    its usage line is the full parser's.  The full parser keeps argparse's
-    own metavar, which names the argument ``command`` in the errors only
-    it can raise: a missing or unknown command.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser, which writes the help and every usage error."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="polydual",
         description="Both regular n-gons realizing a list of point-to-vertex distances",
     )
-    only = command if command in _SUBCOMMANDS else None
-    sub = parser.add_subparsers(
-        dest="command", required=True, metavar=None if only is None else _COMMAND_METAVAR
-    )
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in _SUBCOMMANDS.items():
-        if only in (None, name):
-            sp = sub.add_parser(name, help=help_text)
-            for flags, kwargs in options:
-                sp.add_argument(*flags, **kwargs)
+        sp = sub.add_parser(name, help=help_text)
+        for flags, kwargs in options:
+            sp.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -513,75 +500,65 @@ def _payload_value(key: str, value: Any) -> Any:
     return value
 
 
-def _read_argv(argv: list[str]) -> Optional[dict[str, Any]]:
-    """``vars(_build_parser().parse_args(argv))`` of a well-formed argv, else None.
+def _read_argv(argv: list[str]) -> Optional[tuple[str, dict[str, Any]]]:
+    """The command and the option values an argv sets, keyed by dest; None for argparse.
 
-    Well-formed is a known command, then declared flags spelled in full,
-    each at most once, as ``--flag=value`` or ``--flag value`` (a
-    ``store_true`` flag bare), with every required flag and every value
-    in its ``choices``.  It also declines a value after a space that
-    starts with ``-``, which argparse may read as a flag, and any value
-    that starts with ``--``, which argparse before 3.13 reads as an
-    argument separator.  A declined argv, ``-h`` included, goes to argparse.
+    After a known command, each token is a declared flag or a unique
+    prefix of one, as ``--flag=value`` (the value as written) or ``--flag
+    value`` (the next token, unless it starts with ``--`` or is ``-h``);
+    a ``store_true`` flag stands bare and reads True.  A repeated flag
+    replaces the earlier value.  Help, a positional, an ambiguous prefix,
+    a missing value or required flag, or a value outside ``choices`` is
+    declined: argparse writes the help or the usage error.
     """
     if not argv or argv[0] not in _SUBCOMMANDS:
         return None
-    options = {
-        flags[0]: (flags[0][2:].replace("-", "_"), kwargs)
-        for flags, kwargs in _SUBCOMMANDS[argv[0]][2]
-    }
-    args: dict[str, Any] = {"command": argv[0]}
-    for dest, kwargs in options.values():
-        args[dest] = False if kwargs.get("action") == "store_true" else None
-    seen = set()
+    options = {flags[0]: kwargs for flags, kwargs in _SUBCOMMANDS[argv[0]][2]}
+    values: dict[str, Any] = {}
     tokens = iter(argv[1:])
     for token in tokens:
-        flag, eq, value = token.partition("=")
-        if flag not in options or flag in seen:
+        prefix, eq, value = token.partition("=")
+        flags = [prefix] if prefix in options else [f for f in options if f.startswith(prefix)]
+        if len(flags) != 1:  # -h, --help and its prefixes match no declared flag
             return None
-        seen.add(flag)
-        dest, kwargs = options[flag]
+        kwargs = options[flags[0]]
         if kwargs.get("action") == "store_true":
             if eq:
                 return None
             value = True
         else:
             if not eq:
-                value = next(tokens, "-")  # a missing value declines as a flag does
-            choices = kwargs.get("choices", (value,))
-            if value.startswith("--" if eq else "-") or value not in choices:
+                value = next(tokens, "--")  # a missing value declines as a flag does
+                if value.startswith("--") or value == "-h":
+                    return None
+            if value not in kwargs.get("choices", (value,)):
                 return None
-        args[dest] = value
-    if any(kwargs.get("required") and flag not in seen for flag, (_, kwargs) in options.items()):
+        values[flags[0]] = value
+    if any(kwargs.get("required") and flag not in values for flag, kwargs in options.items()):
         return None
-    return args
-
-
-def _request_from_args(args: dict[str, Any]) -> JobRequest:
-    """Every option set but ``out`` goes into the payload by name."""
-    payload = {
-        key: _payload_value(key, value)
-        for key, value in args.items()
-        if key not in ("command", "out") and value is not None
-    }
-    return JobRequest(args["command"], payload)
+    return argv[0], {flag[2:].replace("-", "_"): value for flag, value in values.items()}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _read_argv(argv)
-    if args is None:  # help, a usage error, or an argv only argparse reads
-        args = vars(_build_parser(argv[0] if argv else None).parse_args(argv))
+    read = _read_argv(argv)
+    if read is None:  # help or a usage error, which argparse writes and exits on
+        parser = _build_parser()
+        parser.parse_args(argv)
+        parser.error("'--' is not an argument; a value that starts with '--' takes the '=' form")
+    command, values = read
+    out = values.pop("out", None)
     try:
-        result, code = run(_request_from_args(args))
+        payload = {key: _payload_value(key, value) for key, value in values.items()}
+        result, code = run(JobRequest(command, payload))
     except SchemaError as exc:
         sys.stderr.write(f"schema error: {exc}\n")
         return 2
-    text = result["svg"] if args["command"] == "render" and code == 0 else dumps(result) + "\n"
-    if args["out"] is not None:  # an empty path fails to open, as any bad path does
+    text = result["svg"] if command == "render" and code == 0 else dumps(result) + "\n"
+    if out is not None:  # an empty path fails to open, as any bad path does
         try:
-            with open(args["out"], "w", encoding="utf-8") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:  # written before stdout, so nothing is printed yet
             sys.stderr.write(f"schema error: {exc}\n")

@@ -20,10 +20,10 @@ figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
 ``--grid 8 --refine 1`` and at the defaults, usage and schema errors
 (exit 2), ``--grid`` above its maximum and a non-numeric ``--tol`` or
 ``--instances`` among them, a point with a negative x and a negative
-distance in the ``=`` form,
-and every domain error code (exit 1), with a context of 17-digit sides;
-``tests/test_golden.py`` checks that every code defined in
-``polydual.errors`` appears.
+distance in the ``=`` form and after a space, an abbreviated flag, an
+``=`` value ``--``, and every domain error code (exit 1), with a
+context of 17-digit sides; ``tests/test_golden.py`` checks that every
+code defined in ``polydual.errors`` appears.
 """
 
 from __future__ import annotations
@@ -193,10 +193,15 @@ APPENDED: list[list[str]] = [
     ["dual", "--distances", "0.1,0.2,5"],
     # schema error: argparse converts no value, so a bad --tol is named by its key
     ["dual", "--distances", "3,5,7", "--tol", "abc"],
-    # a point with a negative x: only the '=' form keeps it from reading as an option
+    # a point with a negative x, in the '=' form
     ["reconstruct", "--polygon", "4,0,0,1", "--point=-0.5,0"],
-    # schema error: a negative distance, which only the '=' form passes to the payload
+    # schema error: a negative distance, in the '=' form
     ["dual", "--distances=-1,2,3"],
+    # a spaced value that starts with one '-', and a unique prefix of a flag
+    ["reconstruct", "--polygon", "4,0,0,1", "--point", "-0.5,0"],
+    ["dual", "--dist", "3,5,7"],
+    # schema error: an '=' value is read as written, '--' included
+    ["dual", "--distances=--"],
 ]
 
 
@@ -243,7 +248,7 @@ def seeded(seed: int = 20260) -> list[list[str]]:
         out.append(["averages", "--distances", _csv(distances_from(point, poly).values)])
     for n in (3, 5, 8, 11):
         poly, point = _configuration(rng, n)
-        # the '=' form keeps a leading minus sign from reading as an option
+        # the '=' form, as the corpus pins these argv
         out.append(["reconstruct", f"--polygon={_literal(poly)}",
                     f"--point={point.x!r},{point.y!r}",
                     f"--direction={rng.uniform(-4.0, 4.0)!r}"])

@@ -574,6 +574,7 @@ PARSER_EXITS = [
     ["reconstruct", "--polygon", SQUARE_POLYGON],
     ["pompeiu", "--construct"],
     ["two-points", "--polygon-b", "4,2,1,1,180deg"],
+    ["two-points", "--poly", "4,0,0,1,0", "--polygon-b", "4,2,1,1,180deg"],  # ambiguous
     ["verify", "--grid"],  # verify has no required option: its value is missing instead
     ["render", "--mirror"],
     ["bogus"],
@@ -590,30 +591,58 @@ def _parser_exit(parse, argv, capsys):
 
 
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
-def test_one_subparser_parses_as_all_of_them(argv, capsys):
+def test_main_exits_as_the_parser_does(argv, capsys):
     want = _parser_exit(_build_parser().parse_args, argv, capsys)
-    one = _build_parser(argv[0] if argv else None)
-    (sub,) = [a for a in one._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(sub.choices) == ([argv[0]] if argv and argv[0] in _SUBCOMMANDS else list(_SUBCOMMANDS))
-    assert _parser_exit(one.parse_args, argv, capsys) == want
     assert _parser_exit(main, argv, capsys) == want
     assert want[2] == (0 if "--help" in argv else 2)
 
 
-def _argparse_args(argv):
-    """``vars(parse_args(argv))`` from the full parser, or None where it exits."""
+@pytest.mark.parametrize(
+    "argv",
+    [["dual", "--distances", "3,5,7", "--"], ["verify", "--out", "--a b"]],
+    ids=" ".join,
+)
+def test_a_stray_or_spaced_double_dash_is_a_usage_error(argv, capsys):
+    # a stray '--', or a spaced value that starts with '--', gets no answer
+    out, err, code = _parser_exit(main, argv, capsys)
+    assert (out, code) == ("", 2)
+    assert "polydual: error: " in err
+
+
+def _argparse_read(argv):
+    """The command and the values the full parser sets for ``argv``, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(_build_parser().parse_args(argv))
+            args = vars(_build_parser().parse_args(argv))
         except SystemExit:
             return None
+    command = args.pop("command")
+    return command, {key: value for key, value in args.items() if value not in (None, False)}
+
+
+def _main_exit(argv):
+    """``main(argv)``'s stdout and exit status, for an argv that argparse answers."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    return out.getvalue(), exc.value.code
+
+
+def _has_spaced_single_dash_value(argv):
+    """Whether some flag of ``argv`` is followed by a token that starts with one '-'."""
+    return any(
+        flag.startswith("--") and "=" not in flag and value[:1] == "-" and value[:2] != "--"
+        for flag, value in zip(argv[1:], argv[2:])
+    )
 
 
 FLAGS = sorted({flags[0] for _, _, options in _SUBCOMMANDS.values() for flags, _ in options})
-#: Help, abbreviations, a positional and separators, none of which the reader takes.
-ODD_FLAGS = ["-h", "--help", "--dist", "--poly", "--polygon-", "--n", "--sc", "--", "-", "extra"]
+#: Help, abbreviations (unique or not), a positional and separators.
+ODD_FLAGS = ["-h", "--help", "--he", "--dist", "--poly", "--polygon-", "--n", "--sc", "--", "-",
+             "extra"]
 VALUES = ["--", "-0.5", "-1,2,3", "", " -1", "3,5,7", "4,0,0,1", "1,0", "1e-9", "5", "=x",
-          "--out", "-h", "dual", "two-points", "pompeiu", "star"]
+          "--out", "--a b", "-h", "-x", "dual", "two-points", "pompeiu", "star"]
 
 
 @st.composite
@@ -645,11 +674,26 @@ def _with_known_argvs(test):
 
 
 @_with_known_argvs
-@settings(max_examples=500)  # about one argv in sixteen is one the reader takes
+@settings(max_examples=500)  # about one argv in seven is one the reader takes
 @given(_argvs())
 def test_argv_reader_agrees_with_argparse_where_it_reads(argv):
-    args = _read_argv(argv)
-    assert args is None or args == _argparse_args(argv)
+    """Where argparse also reads, the same values; where it alone refuses, a spaced "-" value."""
+    read, want = _read_argv(argv), _argparse_read(argv)
+    if read is None:  # argparse writes the help, or the usage error
+        out, code = _main_exit(argv)
+        if code == 0:
+            assert any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv), argv
+            assert out.startswith("usage: polydual")
+        else:
+            assert (code, out) == (2, "")
+    elif want is not None:
+        if sys.version_info < (3, 13):  # there argparse turns an '=' value '--…' into []
+            values = read[1]
+            want = (want[0], {k: values[k] if v == [] and values[k].startswith("--") else v
+                              for k, v in want[1].items()})
+        assert read == want
+    else:  # argparse reads the value as a flag
+        assert _has_spaced_single_dash_value(argv), argv
 
 
 def test_argv_reader_reads_every_readme_example():
@@ -658,18 +702,37 @@ def test_argv_reader_reads_every_readme_example():
 
 
 @pytest.mark.parametrize(
+    "argv, values",
+    [
+        (["dual", "--distances=3,5,7", "--distances=1,1,1"], {"distances": "1,1,1"}),  # the last
+        (["dual", "--dist", "3,5,7"], {"distances": "3,5,7"}),  # a unique prefix
+        (["render", "--scene", "pompeiu", "--distances", "-1,2,3"],
+         {"scene": "pompeiu", "distances": "-1,2,3"}),  # spaced, starting with one '-'
+        (["verify", "--out=--"], {"out": "--"}),  # an '=' value as written
+        (["render", "--sc=dual", "--polygon", "4,0,0,1", "--poi", "-0.5,0", "--mirror",
+          "--mirror"],
+         {"scene": "dual", "polygon": "4,0,0,1", "point": "-0.5,0", "mirror": True}),
+    ],
+    ids=["repeated", "prefix", "spaced-negative", "two-dash-value", "every-form"],
+)
+def test_argv_reader_reads(argv, values):
+    assert _read_argv(argv) == (argv[0], values)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
-        ["dual", "--distances=3,5,7", "--distances=3,5,7"],  # repeated
-        ["dual", "--dist", "3,5,7"],  # abbreviated
         ["dual", "--distances", "3,5,7", "extra"],  # positional
         ["dual", "--distances", "3,5,7", "-h"],
+        ["dual", "--distances", "3,5,7", "--he"],  # a prefix of --help
+        ["two-points", *README_PAIR, "--poly=4,0,0,1"],  # an ambiguous prefix
         ["dual", "--tol", "1e-9"],  # a required option missing
         ["render", "--scene=star"],  # outside choices
-        ["render", "--scene", "pompeiu", "--distances", "-1,2,3"],  # spaced, starting with -
-        ["verify", "--out=--"],  # Pythons before 3.13 read '--' as a separator
         ["pompeiu", "--distances=3,5,7", "--construct=1"],
         ["dual", "--distances"],
+        ["dual", "--distances", "--tol", "1e-9"],  # a spaced value starting with '--'
+        ["verify", "--out", "-h"],
+        ["dual", "--distances=3,5,7", "--"],  # a stray separator
         ["bogus"],
         [],
     ],
@@ -677,6 +740,30 @@ def test_argv_reader_reads_every_readme_example():
 )
 def test_argv_reader_declines(argv):
     assert _read_argv(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dual", "--distances=--"],
+        ["dual", "--dist=--"],
+        ["dual", "--distances=3,5,7", "--distances=--"],
+    ],
+    ids=" ".join,
+)
+def test_a_two_dash_value_is_a_schema_error(argv, tmp_path, monkeypatch, capsys):
+    # Pythons before 3.13 let argparse drop such a value, and the handler crashed on []
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "schema error: 'distances[0]' must be a number, got '--'\n"
+
+
+def test_out_may_be_named_two_dashes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--instances", "0", "--out=--"]) == 0
+    assert (tmp_path / "--").read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -818,17 +905,23 @@ PENTAGON_DISTANCES = ",".join(
         (["render", "--scene", "two-points", *README_PAIR], {"svg", "two_points"}),
         (["render", "--scene", "pompeiu", "--distances", "3,5,7"], {"dual", "pompeiu", "svg"}),
         (["verify", "--instances", "1"], {"oracle"}),
+        (["reconstruct", "--polygon", "4,0,0,1", "--point", "-0.5,0", "--direction", "-0.5"],
+         {"reconstruct"}),
+        (["dual", "--dist", "3,5,7"], {"dual"}),
     ],
     ids=["dual-3", "dual-5", "averages", "reconstruct", "pompeiu-construct", "two-points",
-         "render-dual", "render-two-points", "render-pompeiu", "verify"],
+         "render-dual", "render-two-points", "render-pompeiu", "verify",
+         "reconstruct-negative", "dual-prefix"],
 )
 def test_each_command_loads_only_its_modules(argv, modules):
-    """A fresh process loads the CLI's base modules plus its own command's."""
+    """A fresh process loads the CLI's base modules plus its own command's, and neither
+    argparse nor json."""
     proc = _run_fresh([
         "import contextlib, io, sys",
         "import polydual.cli",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    assert polydual.cli.main({argv!r}) == 0",
+        "assert not {'argparse', 'json'} & set(sys.modules), sorted(sys.modules)",
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'polydual')))",
     ])
     assert proc.returncode == 0, proc.stderr
