@@ -284,7 +284,7 @@ def _cmd_pompeiu(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     out: dict[str, Any] = {
         "area": tri.area,
         "degenerate": tri.degenerate,
-        "weitzenbock_margin": pompeiu.weitzenbock_margin(tri),
+        "weitzenbock_margin": tri.weitzenbock_margin,
         "side_larger": dual.side_larger,
         "side_smaller": dual.side_smaller,
         "solution": _solution_json(dual.solution),

@@ -103,23 +103,6 @@ def averages_from_distances(d: DistanceSpec) -> CyclicAverages:
     return CyclicAverages(d.n, tuple(vals))
 
 
-def averages_from_parameters(
-    n: int, circumradius: float, center_distance: float
-) -> CyclicAverages:
-    """Even-power means from the two size parameters alone.
-
-    The mean square is r^2 + l^2 and the spread is 2 r^2 l^2, so entry
-    m-1 is the m-th power mean of the recurrence on those two numbers.
-    """
-    if n < 3:
-        raise SchemaError(f"need n >= 3, got {n}")
-    if circumradius < 0.0 or center_distance < 0.0:
-        raise SchemaError("circumradius and center_distance must be >= 0")
-    r2 = circumradius * circumradius
-    l2 = center_distance * center_distance
-    return CyclicAverages(n, tuple(_power_means(r2 + l2, 2.0 * r2 * l2, n - 1)))
-
-
 def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyReport:
     """Verify the closure identities the higher means must satisfy.
 

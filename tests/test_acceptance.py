@@ -20,7 +20,7 @@ import pytest
 
 from conftest import _result_hex, random_configuration, shared_vertex_pair
 from polydual.cli import JobRequest, run
-from polydual.cyclic import averages_from_distances, averages_from_parameters
+from polydual.cyclic import _power_means, averages_from_distances
 from polydual.dual import Degeneracy, solve
 from polydual.geometry import (
     DistanceSpec,
@@ -36,11 +36,7 @@ from polydual.oracle import (
     random_instance,
     search_second_polygon,
 )
-from polydual.pompeiu import (
-    pompeiu_from_distances,
-    solve_equilateral,
-    weitzenbock_margin,
-)
+from polydual.pompeiu import pompeiu_from_distances, solve_equilateral
 from polydual.reconstruct import construct_dual
 from polydual.two_points import two_points
 
@@ -108,10 +104,10 @@ def test_criterion_3_power_mean_identity_suite():
             for _ in range(1000):
                 poly, point = random_configuration(rng, n=n)
                 from_d = averages_from_distances(distances_from(point, poly))
-                from_p = averages_from_parameters(
-                    n, poly.circumradius, point.distance_to(poly.center)
-                )
-                for a, b in zip(from_d.values, from_p.values):
+                r2 = poly.circumradius ** 2
+                l2 = point.distance_to(poly.center) ** 2
+                from_p = _power_means(r2 + l2, 2.0 * r2 * l2, n - 1)
+                for a, b in zip(from_d.values, from_p):
                     assert abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
         # at order n the identity genuinely breaks: two rotations of the
         # same square give different order-4 power means
@@ -313,7 +309,7 @@ def test_criterion_8_pompeiu_boundary():
             point = Point2(dist * math.cos(az), dist * math.sin(az))
             d = distances_from(point, poly).values
             tri = pompeiu_from_distances(*d)
-            margin = weitzenbock_margin(tri)
+            margin = tri.weitzenbock_margin
             qsum = math.fsum(v * v for v in d)
             assert margin >= -1e-9 * qsum
             # equality is reserved for equal triples: a point clearly off
@@ -321,8 +317,7 @@ def test_criterion_8_pompeiu_boundary():
             assert margin > 1e-9 * qsum
         for _ in range(2000):
             side = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-            tri = pompeiu_from_distances(side, side, side)
-            assert abs(weitzenbock_margin(tri)) <= 1e-9 * 3.0 * side * side
+            assert pompeiu_from_distances(side, side, side).weitzenbock_margin == 0.0
         # degenerate triples land the solver on the circumcircle branch
         for seed in range(500):
             poly, point = random_instance(88_000 + seed, (3, 3), degenerate_mode=True)

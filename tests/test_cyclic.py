@@ -10,14 +10,20 @@ from hypothesis import strategies as st
 from conftest import random_configuration
 from polydual.cyclic import (
     CyclicAverages,
+    _power_means,
     averages_from_distances,
-    averages_from_parameters,
     check_consistency,
 )
 from polydual.geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
+
+
+def from_parameters(n, circumradius, center_distance):
+    """The n-1 circle means from the two sizes: mean square r^2 + l^2, spread 2 r^2 l^2."""
+    r2, l2 = circumradius * circumradius, center_distance * center_distance
+    return _power_means(r2 + l2, 2.0 * r2 * l2, n - 1)
 
 
 class TestFromDistances:
@@ -69,26 +75,21 @@ class TestFromDistances:
 
 class TestFromParameters:
     def test_square_parameters(self):
-        avgs = averages_from_parameters(4, SQRT2, 1.0)
-        assert avgs.values[0] == pytest.approx(3.0, rel=1e-15)
-        assert avgs.values[1] == pytest.approx(13.0, rel=1e-15)
+        values = from_parameters(4, SQRT2, 1.0)
+        assert values[0] == pytest.approx(3.0, rel=1e-15)
+        assert values[1] == pytest.approx(13.0, rel=1e-15)
         # order-3 term: 27 + C(3,2)*C(2,1)*2*1*3 = 27 + 36
-        assert avgs.values[2] == pytest.approx(63.0, rel=1e-15)
+        assert values[2] == pytest.approx(63.0, rel=1e-15)
 
     def test_point_at_center(self):
         r = 2.2
-        avgs = averages_from_parameters(6, r, 0.0)
-        for m, v in enumerate(avgs.values, start=1):
+        for m, v in enumerate(from_parameters(6, r, 0.0), start=1):
             assert v == pytest.approx(r ** (2 * m), rel=1e-14)
 
     def test_three_five_seven_parameters(self):
-        avgs = averages_from_parameters(3, math.sqrt(64.0 / 3.0), math.sqrt(19.0 / 3.0))
-        assert avgs.values[0] == pytest.approx(83.0 / 3.0, rel=1e-13)
-        assert avgs.values[1] == pytest.approx(3107.0 / 3.0, rel=1e-13)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            averages_from_parameters(4, -1.0, 1.0)
+        values = from_parameters(3, math.sqrt(64.0 / 3.0), math.sqrt(19.0 / 3.0))
+        assert values[0] == pytest.approx(83.0 / 3.0, rel=1e-13)
+        assert values[1] == pytest.approx(3107.0 / 3.0, rel=1e-13)
 
 
 class TestPhaseIndependence:
@@ -100,10 +101,8 @@ class TestPhaseIndependence:
         for _ in range(400):
             poly, point = random_configuration(rng)
             from_d = averages_from_distances(distances_from(point, poly))
-            from_p = averages_from_parameters(
-                poly.n, poly.circumradius, point.distance_to(poly.center)
-            )
-            for a, b in zip(from_d.values, from_p.values):
+            from_p = from_parameters(poly.n, poly.circumradius, point.distance_to(poly.center))
+            for a, b in zip(from_d.values, from_p):
                 assert abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
 
     def test_order_n_depends_on_phase(self):
@@ -148,7 +147,7 @@ class TestRecurrenceAccuracy:
         order and the last are compared.
         """
         r = 1.0 / math.sqrt(1.0 + ratio * ratio)
-        avgs = averages_from_parameters(1000, r, ratio * r)
+        avgs = CyclicAverages(1000, from_parameters(1000, r, ratio * r))
         s2 = avgs.values[0]
         spread = avgs.values[1] - s2 * s2
         checks = check_consistency(avgs).checks

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydual.cli import _SUBCOMMANDS, JobRequest, dumps, main, run
-from polydual.cyclic import averages_from_parameters
+from polydual.cyclic import CyclicAverages
 from polydual.errors import SchemaError
 from polydual.geometry import MAX_VERTICES, Point2, RegularPolygonSpec, distances_from
 from polydual.oracle import OracleConfig, agreement, random_instance
@@ -291,7 +291,7 @@ def test_a_command_that_is_not_a_name_is_a_schema_error(command):
          "vertex counts differ: 4 != 5"),
         (lambda: render_svg(Scene(circles=((Point2(0.0, 0.0), 1e308),))),
          "the scene's extent is outside the float range"),
-        (lambda: averages_from_parameters(2, 1.0, 0.5), "need n >= 3, got 2"),
+        (lambda: CyclicAverages(2, (1.0,)), "need n >= 3, got 2"),
         (lambda: random_instance(0, (2, 5)), "invalid vertex-count range"),
         (lambda: agreement(0, -1, (3, 8), OracleConfig()), "instances must be >= 0, got -1"),
         (lambda: run(JobRequest("reconstruct", {"polygon": {**SQUARE, "phase": [1]},

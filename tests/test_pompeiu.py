@@ -3,6 +3,7 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from polydual.pompeiu import (
     pompeiu_from_distances,
     solve_equilateral,
     triangles,
-    weitzenbock_margin,
 )
 from polydual.oracle import random_instance
 from polydual.reconstruct import construct_dual
@@ -177,18 +177,28 @@ class TestClosedForms:
             )
 
 
+def _decimal_margin(d):
+    """sum(d^2) - 4*sqrt(3)*area for the float triple d, to 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        a, b, c = (Decimal(v) for v in d)
+        sixteen_area_sq = 2 * (a * a * b * b + b * b * c * c + c * c * a * a) - (
+            a**4 + b**4 + c**4
+        )
+        return a * a + b * b + c * c - Decimal(3).sqrt() * max(sixteen_area_sq, 0).sqrt()
+
+
 class TestWeitzenbock:
     def test_three_five_seven(self):
-        assert weitzenbock_margin(pompeiu_from_distances(3.0, 5.0, 7.0)) == pytest.approx(
+        assert pompeiu_from_distances(3.0, 5.0, 7.0).weitzenbock_margin == pytest.approx(
             38.0, rel=1e-13
         )
 
     def test_equal_triple_is_equality_case(self):
-        margin = weitzenbock_margin(pompeiu_from_distances(2.0, 2.0, 2.0))
-        assert abs(margin) <= 1e-12
+        assert pompeiu_from_distances(2.0, 2.0, 2.0).weitzenbock_margin == 0.0
 
     def test_degenerate_triple(self):
-        assert weitzenbock_margin(pompeiu_from_distances(1.0, 1.0, 2.0)) == pytest.approx(
+        assert pompeiu_from_distances(1.0, 1.0, 2.0).weitzenbock_margin == pytest.approx(
             6.0, rel=1e-13
         )
 
@@ -200,7 +210,36 @@ class TestWeitzenbock:
             tri = pompeiu_from_distances(*d.values)
             dual = solve_equilateral(tri)
             expected = 6.0 * dual.solution.larger.center_distance ** 2
-            assert abs(weitzenbock_margin(tri) - expected) <= 1e-9 * max(expected, 1e-12)
+            assert abs(tri.weitzenbock_margin - expected) <= 1e-9 * max(expected, 1e-12)
+
+    @pytest.mark.parametrize("sides, margin", [((0.0,) * 3, 0.0), ((1.0,) * 3, 0.0),
+                                               ((1.0, 2.0, 3.0), 14.0)],
+                             ids=["0,0,0", "1,1,1", "1,2,3"])
+    def test_exact_triples(self, sides, margin):
+        assert pompeiu_from_distances(*sides).weitzenbock_margin == margin
+
+    def test_within_four_eps_of_decimal_reference(self):
+        """The margin is within 4 eps relative of the exact margin of its
+        float triple, and never negative, from the center to l/r = 3.
+
+        2*sum((a^2 - b^2)^2) / (sum(d^2) + 4*sqrt(3)*area) adds only
+        nonnegative terms and takes each difference of squares as
+        (a - b)*(a + b), so no digit cancels however near the center the
+        point is.  Against an 80-digit reference the worst of these
+        classes measured 2.4 eps.
+        """
+        rng = np.random.default_rng(19)
+        classes = [{"ratio_range": (0.05, 3.0)}] + [
+            {"ratio_range": (q / 2.0, 2.0 * q)} for q in (1e-2, 1e-4, 1e-6, 1e-8, 1e-12)
+        ]
+        for kwargs in classes:
+            for _ in range(400):
+                poly, point = random_equilateral_with_point(rng, **kwargs)
+                d = distances_from(point, poly).values
+                got = pompeiu_from_distances(*d).weitzenbock_margin
+                want = _decimal_margin(d)
+                assert got >= 0.0
+                assert abs(Decimal(got) - want) <= 4 * Decimal(EPS) * want, (d, kwargs)
 
 
 class TestConstructionA:
@@ -462,7 +501,16 @@ def test_construct_scales_exactly_by_powers_of_two(triple):
     values = [float(v) for v in triple.split(",")]
     code, base = _construct(values)
     assert code == 0
+    tri = pompeiu_from_distances(*values)
     for k in [*range(-1000, 1001, 10), -537, -536, 509, 510]:
-        code, got = _construct([math.ldexp(v, k) for v in values])
+        scaled = [math.ldexp(v, k) for v in values]
+        code, got = _construct(scaled)
         assert code == 0
         assert got == [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in base]
+        # area and margin are of degree 2: exactly 2^(2k) wherever that is a normal double
+        scaled_tri = pompeiu_from_distances(*scaled)
+        for x, y in ((tri.area, scaled_tri.area),
+                     (tri.weitzenbock_margin, scaled_tri.weitzenbock_margin)):
+            e = math.frexp(x)[1] + 2 * k
+            if sys.float_info.min_exp <= e <= sys.float_info.max_exp:
+                assert y == math.ldexp(x, 2 * k), (k, x, y)
