@@ -11,22 +11,23 @@ unless a key is renamed or reordered, and strings are quoted by ``_quote``
 as ``json.dumps`` quotes them.  Exit codes: 0 on success, 1 on a
 domain error (an error object whose ``context`` prints as raised, a
 tuple of sides as an array of numbers), 2 on usage or schema violations.
-``dual`` judges consistency by the fit residual of ``dual.solve``;
-``averages`` keeps the paper's even-power means and their closure
-identities.  Errors are mapped in one place: ``run`` rejects a ``tol``
-(default 1e-9) that is not a finite number >= 0 and turns domain errors
-into an error object; ``main`` maps a ``SchemaError``, raised wherever a
-precondition is checked, and a failure to write ``--out``, to exit 2.
-Any other exception is a bug and escapes as itself.  ``_parse_number``
-is the one number reader: no argv value is converted before it, and
-argv text goes into the payload as split strings, parsed by the same
-code as JSON values.  ``_read_argv`` is the one argv reader: it reads
-every argv that gets an answer from the option table itself, a unique
-flag prefix for its flag and a repeated flag's last value, so a process
-that answers imports neither ``argparse`` nor ``json``.  argparse only
-writes the help and the usage errors, for the argv the reader declines.
-Each handler imports the modules it runs, so a process loads only its
-own command's.
+Each command is answered by ``command(payload, tol)`` in the module its
+``_SUBCOMMANDS`` entry names, and ``run`` imports that module alone, so a
+process compiles and loads only its own command's code.  No such module
+imports this one: under ``-m`` this runs as ``__main__``, and an import
+would compile and run it a second time.  Errors are mapped in one place:
+``run`` rejects a ``tol`` (default 1e-9) that is not a finite number >= 0
+and turns domain errors into an error object; ``main`` maps a
+``SchemaError``, raised wherever a precondition is checked, and a failure
+to write ``--out``, to exit 2.  Any other exception is a bug and escapes
+as itself.  No argv value is converted here: argv text goes into the
+payload as split strings, which the commands read with
+``errors.parse_number`` as they read JSON values.  ``_read_argv`` is the
+one argv reader: it reads every argv that gets an answer from the option
+table itself, a unique flag prefix for its flag and a repeated flag's
+last value, so a process that answers imports neither ``argparse`` nor
+``json``.  argparse only writes the help and the usage errors, for the
+argv the reader declines.
 """
 
 from __future__ import annotations
@@ -35,15 +36,10 @@ import math
 import sys
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
-from .errors import DomainError, SchemaError
-from .geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from, verify_permutation
+from .errors import DomainError, SchemaError, parse_number
 
 if TYPE_CHECKING:
     import argparse
-
-    from .cyclic import ConsistencyReport
-    from .dual import DualSolution
-    from .reconstruct import DualPolygonPair
 
 
 class JobRequest(NamedTuple):
@@ -117,246 +113,7 @@ def _utf16_escape(code: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# payload parsing
-
-
-def _parse_number(value: Any, name: str, kind: type = float) -> Any:
-    """``kind(value)`` of a JSON value or argv text; a value it refuses is a schema error.
-
-    So is a boolean, and for ``int`` a float that is not integral, which
-    ``kind`` would take as 1, 0 or a truncation.
-    """
-    what = "an integer" if kind is int else "a number"
-    if isinstance(value, bool) or (
-        kind is int and isinstance(value, float) and not value.is_integer()
-    ):
-        raise SchemaError(f"'{name}' must be {what}, got {value!r}")
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"'{name}' must be {what}, got {value!r}") from exc
-
-
-def _parse_angle(value: Any, name: str) -> float:
-    """Radians, or degrees as text ending in ``deg``; a non-finite angle is a schema error."""
-    if isinstance(value, str) and value.strip().endswith("deg"):
-        angle = math.radians(_parse_number(value.strip()[:-3], name))
-    else:
-        angle = _parse_number(value, name)
-    if not math.isfinite(angle):
-        raise SchemaError(f"'{name}' must be a finite angle, got {value!r}")
-    return angle
-
-
-def _parse_distances(payload: dict[str, Any]) -> DistanceSpec:
-    raw = payload.get("distances")
-    if not isinstance(raw, (list, tuple)):
-        raise SchemaError("'distances' must be an array of numbers")
-    return DistanceSpec(tuple(_parse_number(v, f"distances[{i}]") for i, v in enumerate(raw)))
-
-
-def _parse_triangle(payload: dict[str, Any]) -> tuple[float, ...]:
-    d = _parse_distances(payload)
-    if d.n != 3:
-        raise SchemaError("'pompeiu' needs exactly 3 distances")
-    return d.values
-
-
-def _parse_point(obj: Any, name: str) -> Point2:
-    if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
-        raise SchemaError(f"'{name}' must be an object with 'x' and 'y'")
-    return Point2(_parse_number(obj["x"], f"{name}.x"), _parse_number(obj["y"], f"{name}.y"))
-
-
-def _parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"'{name}' must be an object with n, center, r, phase")
-    for key in ("n", "center", "r"):
-        if key not in obj:
-            raise SchemaError(f"'{name}' is missing '{key}'")
-    return RegularPolygonSpec(
-        _parse_number(obj["n"], f"{name}.n", int),
-        _parse_point(obj["center"], f"{name}.center"),
-        _parse_number(obj["r"], f"{name}.r"),
-        _parse_angle(obj.get("phase", 0.0), f"{name}.phase"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# result shaping
-
-#: Where the point sits relative to the larger polygon's circumcircle, by
-#: ``Degeneracy`` value.
-_POINT_CLASS = {
-    "none": "inside_larger",
-    "on_circumcircle": "on_circle",
-    "at_center": "center_degenerate",
-}
-
-
-def _polygon_json(p: RegularPolygonSpec) -> dict[str, Any]:
-    """A polygon as its payload object, whose ``circumradius`` is keyed ``r``."""
-    return {"n": p.n, "center": p.center._asdict(), "r": p.circumradius, "phase": p.phase}
-
-
-def _consistency_json(report: ConsistencyReport) -> dict[str, Any]:
-    return {
-        "passed": report.passed,
-        "moment_inequality_ok": report.moment_inequality_ok,
-        "checks": [c._asdict() for c in report.checks],
-    }
-
-
-def _solution_json(sol: DualSolution) -> dict[str, Any]:
-    return {
-        "mean_square": sol.mean_square,
-        "discriminant": sol.discriminant,
-        "larger": sol.larger._asdict(),
-        "smaller": sol.smaller._asdict(),
-        "degeneracy": sol.degeneracy.value,
-        "point_class": _POINT_CLASS[sol.degeneracy.value],
-    }
-
-
-# ---------------------------------------------------------------------------
-# command handlers
-
-
-def _cmd_averages(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    from . import cyclic
-
-    avgs = cyclic.averages_from_distances(_parse_distances(payload))
-    report = cyclic.check_consistency(avgs, max(tol, 1e-12))
-    return {
-        "n": avgs.n,
-        "values": list(avgs.values),
-        "consistency": _consistency_json(report),
-    }
-
-
-def _cmd_dual(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    from .dual import solve
-
-    sol = solve(_parse_distances(payload), tol)
-    out = _solution_json(sol)
-    residual = sol.residual
-    out["consistency"] = {"passed": residual <= max(tol, 1e-12), "residual": residual}
-    return out
-
-
-def _dual_pair(payload: dict[str, Any]) -> DualPolygonPair:
-    from .reconstruct import construct_dual
-
-    return construct_dual(
-        _parse_polygon(payload.get("polygon"), "polygon"),
-        _parse_point(payload.get("point"), "point"),
-        _parse_angle(payload.get("direction", 0.0), "direction"),
-    )
-
-
-def _cmd_reconstruct(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    pair = _dual_pair(payload)
-    point = pair.point
-    d_in = distances_from(point, pair.primary_polygon)
-    d_b = distances_from(point, pair.b_polygon)
-    match = verify_permutation(d_in, d_b, max(tol, 1e-10))
-    mirror = verify_permutation(d_in, distances_from(point, pair.c_polygon))
-    return {
-        "b_polygon": _polygon_json(pair.b_polygon),
-        "c_polygon": _polygon_json(pair.c_polygon),
-        "center_direction": pair.center_direction,
-        "distances": list(d_in.values),
-        "companion_distances": list(d_b.values),
-        "match_residual": max(match.residual, mirror.residual),
-        "permutation": {
-            "ok": match.ok,
-            "indices": list(match.permutation),
-            "residual": match.residual,
-        },
-    }
-
-
-def _cmd_pompeiu(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    from . import pompeiu
-
-    tri = pompeiu.pompeiu_from_distances(*_parse_triangle(payload), tol)
-    dual = pompeiu.solve_equilateral(tri)
-    out: dict[str, Any] = {
-        "area": tri.area,
-        "degenerate": tri.degenerate,
-        "weitzenbock_margin": tri.weitzenbock_margin,
-        "side_larger": dual.side_larger,
-        "side_smaller": dual.side_smaller,
-        "solution": _solution_json(dual.solution),
-    }
-    if payload.get("construct"):
-        tp = pompeiu.construct_triangles(tri)
-        out["construction"] = {
-            "point": tp.point._asdict(),
-            "larger": [v._asdict() for v in tp.larger],
-            "smaller": [v._asdict() for v in tp.smaller],
-        }
-    return out
-
-
-def _polygon_pair(payload: dict[str, Any]) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
-    return (
-        _parse_polygon(payload.get("polygon_a"), "polygon_a"),
-        _parse_polygon(payload.get("polygon_b"), "polygon_b"),
-    )
-
-
-def _cmd_two_points(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    from .two_points import two_points
-
-    sol = two_points(*_polygon_pair(payload), tol)
-    return {
-        "m1": sol.m1._asdict(),
-        "m2": None if sol.m2 is None else sol.m2._asdict(),
-        "collinear_degenerate": sol.m2 is None,
-        "matches": [{**m._asdict(), "permutation": list(m.permutation)} for m in sol.matches],
-    }
-
-
-def _cmd_verify(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    """Ignores ``tol``: the oracle judges its finds at its own fixed tolerance."""
-    from . import oracle
-
-    def integer(key: str, default: int) -> int:
-        return _parse_number(payload.get(key, default), key, int)
-
-    fields = {"grid": "grid_resolution", "refine": "refine_iterations"}
-    cfg = oracle.OracleConfig(**{fields[k]: integer(k, 0) for k in fields if k in payload})
-    return oracle.agreement(
-        integer("seed", 0),
-        integer("instances", 20),
-        (integer("n_min", 3), integer("n_max", 8)),
-        cfg,
-    )
-
-
-def _cmd_render(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    from . import svg
-
-    scene_kind = payload.get("scene")
-    if scene_kind == "dual":
-        scene = svg.scene_from_dual_pair(
-            _dual_pair(payload), include_mirror=bool(payload.get("mirror"))
-        )
-    elif scene_kind == "two-points":
-        from .two_points import two_points
-
-        pa, pb = _polygon_pair(payload)
-        scene = svg.scene_from_two_points(pa, pb, two_points(pa, pb, tol))
-    elif scene_kind == "pompeiu":
-        from . import pompeiu
-
-        scene = svg.scene_from_triangles(
-            *pompeiu.triangles(pompeiu.pompeiu_from_distances(*_parse_triangle(payload), tol))
-        )
-    else:
-        raise SchemaError("'scene' must be one of dual, two-points, pompeiu")
-    return {"svg": svg.render_svg(scene)}
+# dispatch
 
 
 def run(request: JobRequest) -> tuple[dict[str, Any], int]:
@@ -365,11 +122,13 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
         raise SchemaError(f"unknown command {request.command!r}")
     if not isinstance(request.payload, dict):
         raise SchemaError("payload must be an object")
-    tol = _parse_number(request.payload.get("tol", 1e-9), "tol")
+    tol = parse_number(request.payload.get("tol", 1e-9), "tol")
     if not 0.0 <= tol < math.inf:
         raise SchemaError("'tol' must be a finite number >= 0")
+    # -X importtime reports an import made this way, not one by importlib.import_module
+    module = __import__(f"polydual.{_SUBCOMMANDS[request.command][0]}", fromlist=("command",))
     try:
-        return _SUBCOMMANDS[request.command][0](request.payload, tol), 0
+        return module.command(request.payload, tol), 0
     except DomainError as exc:
         return {"code": exc.code, "message": exc.message, "context": exc.context}, 1
 
@@ -404,21 +163,21 @@ def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
 _TOL_OUT = (_opt("--tol"), _opt("--out"))
 _POLYGON_HELP = "n,cx,cy,r[,phase]"
 
-#: Each command's handler, help line and options (none with a default), in the
-#: order ``polydual --help`` lists them.
+#: Each command's module, whose ``command(payload, tol)`` answers it, help line
+#: and options (none with a default), in the order ``polydual --help`` lists them.
 _SUBCOMMANDS = {
     "averages": (
-        _cmd_averages,
+        "cyclic",
         "even-power distance means and closure checks",
         (_opt("--distances", required=True), *_TOL_OUT),
     ),
     "dual": (
-        _cmd_dual,
+        "dual",
         "both size-parameter pairs from distances",
         (_opt("--distances", required=True), *_TOL_OUT),
     ),
     "reconstruct": (
-        _cmd_reconstruct,
+        "reconstruct",
         "coordinates of the companion polygon",
         (
             _opt("--polygon", required=True, help=_POLYGON_HELP),
@@ -428,12 +187,12 @@ _SUBCOMMANDS = {
         ),
     ),
     "pompeiu": (
-        _cmd_pompeiu,
+        "pompeiu",
         "equilateral-triangle closed forms",
         (_opt("--distances", required=True), _opt("--construct", action="store_true"), *_TOL_OUT),
     ),
     "two-points": (
-        _cmd_two_points,
+        "two_points",
         "equal-multiset points for a shared-vertex pair",
         (
             _opt("--polygon-a", required=True, help=_POLYGON_HELP),
@@ -442,7 +201,7 @@ _SUBCOMMANDS = {
         ),
     ),
     "verify": (
-        _cmd_verify,
+        "oracle",
         "brute-force search vs each instance's swapped sizes",
         (
             _opt("--instances"),
@@ -456,7 +215,7 @@ _SUBCOMMANDS = {
         ),
     ),
     "render": (
-        _cmd_render,
+        "svg",
         "emit an SVG figure",
         (
             _opt("--scene", required=True, choices=("dual", "two-points", "pompeiu")),

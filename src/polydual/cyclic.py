@@ -9,6 +9,7 @@ are known the rest are forced, which yields closure identities any
 realizable distance list must satisfy.  The circle means obey the
 three-term recurrence of the Legendre polynomials (Laplace's integral),
 so the n-1 means that the first two force cost O(n), for any n.
+``command`` answers the CLI's ``averages``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import sys
 from collections import namedtuple
 from functools import reduce
 from operator import add
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import SchemaError
-from .geometry import DistanceSpec
+from .geometry import DistanceSpec, parse_distances
 
 
 class CyclicAverages(namedtuple("CyclicAverages", "n values")):
@@ -131,3 +132,18 @@ def check_consistency(avgs: CyclicAverages, tol: float = 1e-8) -> ConsistencyRep
     return ConsistencyReport(
         tuple(checks), moment_ok, moment_ok and all(c.passed for c in checks)
     )
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``averages``: the means of the payload's distances and their closure checks."""
+    avgs = averages_from_distances(parse_distances(payload))
+    report = check_consistency(avgs, max(tol, 1e-12))
+    return {
+        "n": avgs.n,
+        "values": list(avgs.values),
+        "consistency": {
+            "passed": report.passed,
+            "moment_inequality_ok": report.moment_inequality_ok,
+            "checks": [c._asdict() for c in report.checks],
+        },
+    }

@@ -10,6 +10,8 @@ circumcircle does not.  ``solve`` is the one place the pair is fitted and
 realizability judged, for every n, ``polygons`` the one place both
 polygons are placed, and ``classify`` the degeneracy rule for fitted
 sizes: r = l puts the point on the circumcircle, l = 0 at the center.
+``command`` answers the CLI's ``dual``, and ``solution_json`` prints a fit
+for it and for ``pompeiu``.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import Degeneracy, RealizabilityError, TriangleInequalityError
-from .geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec
+from .geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, parse_distances
 
 
 class RadiusDistancePair(NamedTuple):
@@ -138,3 +140,33 @@ def polygons(sol: DualSolution, n: int) -> tuple[RegularPolygonSpec, RegularPoly
     r, l = sol.larger
     return (RegularPolygonSpec(n, Point2(l, 0.0), r, sol.phase),
             RegularPolygonSpec(n, Point2(r, 0.0), l, sol.phase))
+
+
+#: Where the point sits relative to the larger polygon's circumcircle, by
+#: ``Degeneracy`` value.
+_POINT_CLASS = {
+    "none": "inside_larger",
+    "on_circumcircle": "on_circle",
+    "at_center": "center_degenerate",
+}
+
+
+def solution_json(sol: DualSolution) -> dict[str, Any]:
+    """A fit as ``dual`` and ``pompeiu`` print it."""
+    return {
+        "mean_square": sol.mean_square,
+        "discriminant": sol.discriminant,
+        "larger": sol.larger._asdict(),
+        "smaller": sol.smaller._asdict(),
+        "degeneracy": sol.degeneracy.value,
+        "point_class": _POINT_CLASS[sol.degeneracy.value],
+    }
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``dual``: the fit of the payload's distances, judged by its residual."""
+    sol = solve(parse_distances(payload), tol)
+    out = solution_json(sol)
+    residual = sol.residual
+    out["consistency"] = {"passed": residual <= max(tol, 1e-12), "residual": residual}
+    return out

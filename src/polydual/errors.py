@@ -4,6 +4,7 @@ Every domain failure carries a stable machine-readable ``code`` so the CLI
 can map it onto its error-object contract.  A broken precondition is a
 ``SchemaError``, raised where it is checked; being a ``ValueError``, it is
 caught by library callers as one.  Any other exception is a bug.
+``parse_number`` is the one reader of a number in a command's payload.
 """
 
 from __future__ import annotations
@@ -63,3 +64,20 @@ class CongruentError(DomainError):
 
 class SchemaError(ValueError):
     """An argument or request that breaks a documented precondition (CLI exit code 2)."""
+
+
+def parse_number(value: Any, name: str, kind: type = float) -> Any:
+    """``kind(value)`` of a JSON value or argv text; a value it refuses is a schema error.
+
+    So is a boolean, and for ``int`` a float that is not integral, which
+    ``kind`` would take as 1, 0 or a truncation.
+    """
+    what = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise SchemaError(f"'{name}' must be {what}, got {value!r}")
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"'{name}' must be {what}, got {value!r}") from exc

@@ -3,16 +3,17 @@ one comparison of two distance lists as multisets.
 
 All types are immutable tuple records and every function is pure, so
 everything here can be shared freely across threads.  Vertices come from
-one float kernel, :func:`vertex_coords`, as (x, y) floats.
+one float kernel, :func:`vertex_coords`, as (x, y) floats.  The
+``parse_*`` readers build the records from a command's payload values.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from .errors import SchemaError
+from .errors import SchemaError, parse_number
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,6 +84,44 @@ class DistanceSpec(namedtuple("DistanceSpec", "values")):
     @property
     def n(self) -> int:
         return len(self.values)
+
+
+def parse_angle(value: Any, name: str) -> float:
+    """Radians, or degrees as text ending in ``deg``; a non-finite angle is a schema error."""
+    if isinstance(value, str) and value.strip().endswith("deg"):
+        angle = math.radians(parse_number(value.strip()[:-3], name))
+    else:
+        angle = parse_number(value, name)
+    if not math.isfinite(angle):
+        raise SchemaError(f"'{name}' must be a finite angle, got {value!r}")
+    return angle
+
+
+def parse_distances(payload: dict[str, Any]) -> DistanceSpec:
+    raw = payload.get("distances")
+    if not isinstance(raw, (list, tuple)):
+        raise SchemaError("'distances' must be an array of numbers")
+    return DistanceSpec(tuple(parse_number(v, f"distances[{i}]") for i, v in enumerate(raw)))
+
+
+def parse_point(obj: Any, name: str) -> Point2:
+    if not isinstance(obj, dict) or "x" not in obj or "y" not in obj:
+        raise SchemaError(f"'{name}' must be an object with 'x' and 'y'")
+    return Point2(parse_number(obj["x"], f"{name}.x"), parse_number(obj["y"], f"{name}.y"))
+
+
+def parse_polygon(obj: Any, name: str) -> RegularPolygonSpec:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"'{name}' must be an object with n, center, r, phase")
+    for key in ("n", "center", "r"):
+        if key not in obj:
+            raise SchemaError(f"'{name}' is missing '{key}'")
+    return RegularPolygonSpec(
+        parse_number(obj["n"], f"{name}.n", int),
+        parse_point(obj["center"], f"{name}.center"),
+        parse_number(obj["r"], f"{name}.r"),
+        parse_angle(obj.get("phase", 0.0), f"{name}.phase"),
+    )
 
 
 class PermutationMatch(NamedTuple):

@@ -49,7 +49,8 @@ full Jacobian at each candidate, so the floats are the same.
 The phases, the sorted cosines and the vertex directions depend only on
 ``(n, grid_resolution)``, so they are built once per pair, kept in a
 bounded cache and shared as tuples, which no search can write: a search
-is safe to call from several threads.
+is safe to call from several threads.  ``command`` answers the CLI's
+``verify``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ from collections import namedtuple
 from operator import itemgetter
 from typing import Any, NamedTuple, Optional
 
-from .errors import SchemaError
+from .errors import SchemaError, parse_number
 from .geometry import (
     MAX_VERTICES, TWO_PI, Point2, RegularPolygonSpec, distances_from, verify_permutation,
 )
@@ -448,3 +449,18 @@ def agreement(
         "max_param_error": worst,
         "results": results,
     }
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``verify``; ignores ``tol``, since the oracle judges its finds at its own fixed tolerance."""
+    def integer(key: str, default: int) -> int:
+        return parse_number(payload.get(key, default), key, int)
+
+    fields = {"grid": "grid_resolution", "refine": "refine_iterations"}
+    cfg = OracleConfig(**{fields[k]: integer(k, 0) for k in fields if k in payload})
+    return agreement(
+        integer("seed", 0),
+        integer("instances", 20),
+        (integer("n_min", 3), integer("n_max", 8)),
+        cfg,
+    )

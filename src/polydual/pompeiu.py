@@ -15,17 +15,18 @@ Off the circle it is within 4 eps relative of the exact margin of the
 float triple however near the center the point is (2.4 eps at worst
 against an 80-digit reference, for l/r from 1e-12 to 3).  The triangles
 themselves are ``dual.polygons`` of the fit at n = 3: the point at the
-origin, both centers on the positive x axis.
+origin, both centers on the positive x axis.  ``command`` answers the
+CLI's ``pompeiu``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
-from .dual import Degeneracy, DualSolution, polygons, solve
-from .errors import DegenerateError
-from .geometry import DistanceSpec, Point2, RegularPolygonSpec, vertex_coords
+from .dual import Degeneracy, DualSolution, polygons, solution_json, solve
+from .errors import DegenerateError, SchemaError
+from .geometry import DistanceSpec, Point2, RegularPolygonSpec, parse_distances, vertex_coords
 
 SQRT3 = math.sqrt(3.0)
 
@@ -137,3 +138,33 @@ def construct_triangles(t: PompeiuTriangle) -> TrianglePair:
     """The vertices of both ``triangles``, with the point at the origin."""
     larger, smaller = (tuple(Point2(*xy) for xy in vertex_coords(p)) for p in triangles(t))
     return TrianglePair(Point2(0.0, 0.0), larger, smaller)
+
+
+def parse_triangle(payload: dict[str, Any]) -> tuple[float, ...]:
+    """The payload's distances, which must be three."""
+    d = parse_distances(payload)
+    if d.n != 3:
+        raise SchemaError("'pompeiu' needs exactly 3 distances")
+    return d.values
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``pompeiu``: the triple's triangle and fit, and with ``construct`` its vertices."""
+    tri = pompeiu_from_distances(*parse_triangle(payload), tol)
+    dual = solve_equilateral(tri)
+    out: dict[str, Any] = {
+        "area": tri.area,
+        "degenerate": tri.degenerate,
+        "weitzenbock_margin": tri.weitzenbock_margin,
+        "side_larger": dual.side_larger,
+        "side_smaller": dual.side_smaller,
+        "solution": solution_json(dual.solution),
+    }
+    if payload.get("construct"):
+        tp = construct_triangles(tri)
+        out["construction"] = {
+            "point": tp.point._asdict(),
+            "larger": [v._asdict() for v in tp.larger],
+            "smaller": [v._asdict() for v in tp.smaller],
+        }
+    return out

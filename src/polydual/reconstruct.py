@@ -10,21 +10,19 @@ companion vertex k then have two sides l and r in swapped roles about
 equal angles, so their third sides, the distances from M, agree for
 every k at once.  The companion's mirror in the line MC' is the other
 solution.  ``dual.polygons`` places a fitted pair by the same rule.
+``command`` answers the CLI's ``reconstruct``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .errors import Degeneracy, DegenerateError, SchemaError
 from .geometry import (
-    Point2, RegularPolygonSpec, azimuth, normalize_angle, vertex_bound, vertex_coords,
+    Point2, RegularPolygonSpec, azimuth, distances_from, normalize_angle, parse_angle,
+    parse_point, parse_polygon, verify_permutation, vertex_bound, vertex_coords,
 )
-
-# the benchmark's closed-form workload (perfbench/closed_form.py) calls the
-# comparison by this module's name
-from .geometry import verify_permutation  # noqa: F401
 
 
 class DualPolygonPair(NamedTuple):
@@ -88,3 +86,39 @@ def construct_dual(
         center_direction=normalize_angle(center_direction),
     )
 
+
+def _polygon_json(p: RegularPolygonSpec) -> dict[str, Any]:
+    """A polygon as its payload object, whose ``circumradius`` is keyed ``r``."""
+    return {"n": p.n, "center": p.center._asdict(), "r": p.circumradius, "phase": p.phase}
+
+
+def dual_pair(payload: dict[str, Any]) -> DualPolygonPair:
+    """``construct_dual`` of the payload's polygon, point and direction."""
+    return construct_dual(
+        parse_polygon(payload.get("polygon"), "polygon"),
+        parse_point(payload.get("point"), "point"),
+        parse_angle(payload.get("direction", 0.0), "direction"),
+    )
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``reconstruct``: the companion and its mirror, checked by their distances."""
+    pair = dual_pair(payload)
+    point = pair.point
+    d_in = distances_from(point, pair.primary_polygon)
+    d_b = distances_from(point, pair.b_polygon)
+    match = verify_permutation(d_in, d_b, max(tol, 1e-10))
+    mirror = verify_permutation(d_in, distances_from(point, pair.c_polygon))
+    return {
+        "b_polygon": _polygon_json(pair.b_polygon),
+        "c_polygon": _polygon_json(pair.c_polygon),
+        "center_direction": pair.center_direction,
+        "distances": list(d_in.values),
+        "companion_distances": list(d_b.values),
+        "match_residual": max(match.residual, mirror.residual),
+        "permutation": {
+            "ok": match.ok,
+            "indices": list(match.permutation),
+            "residual": match.residual,
+        },
+    }

@@ -7,13 +7,15 @@ and flips the y axis so figures match mathematical orientation.
 Identical scenes produce byte-identical documents.  Each
 polygon's ``vertex_coords`` are built once and feed its outline, its
 spokes and its labels; each vertex is formatted once for the outline and
-the spokes alike.
+the spokes alike.  ``command`` answers the CLI's ``render``.  At module
+level this imports only errors and geometry; each scene of ``command``
+imports the modules that solve it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .errors import SchemaError
 from .geometry import Point2, RegularPolygonSpec, vertex_coords
@@ -175,3 +177,26 @@ def render_svg(scene: Scene) -> str:
     lines += [label % (q.x + offset, -(q.y - offset), text, "") for q, text in scene.markers]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``render``: the SVG of the payload's scene."""
+    scene_kind = payload.get("scene")
+    if scene_kind == "dual":
+        from .reconstruct import dual_pair
+
+        scene = scene_from_dual_pair(dual_pair(payload), include_mirror=bool(payload.get("mirror")))
+    elif scene_kind == "two-points":
+        from .two_points import polygon_pair, two_points
+
+        pa, pb = polygon_pair(payload)
+        scene = scene_from_two_points(pa, pb, two_points(pa, pb, tol))
+    elif scene_kind == "pompeiu":
+        from .pompeiu import parse_triangle, pompeiu_from_distances, triangles
+
+        scene = scene_from_triangles(
+            *triangles(pompeiu_from_distances(*parse_triangle(payload), tol))
+        )
+    else:
+        raise SchemaError("'scene' must be one of dual, two-points, pompeiu")
+    return {"svg": render_svg(scene)}

@@ -7,18 +7,18 @@ the centers, the half-turn about their midpoint and the reflection in
 their perpendicular bisector, carry the shared vertex V (at r_a from C_a
 and r_b from C_b) to exactly such points, so the two answers are the
 images of V.  They coincide exactly when V is collinear with both
-centers.
+centers.  ``command`` answers the CLI's ``two-points``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .errors import CongruentError, SchemaError, SharedVertexError
 from .geometry import TWO_PI, PermutationMatch, Point2, RegularPolygonSpec, distances_to
-from .geometry import verify_permutation, vertex_coords
+from .geometry import parse_polygon, verify_permutation, vertex_coords
 
 
 class TwoPointsSolution(NamedTuple):
@@ -85,3 +85,22 @@ def two_points(
         for q in points
     )
     return TwoPointsSolution(points[0], points[1] if len(points) == 2 else None, matches)
+
+
+def polygon_pair(payload: dict[str, Any]) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
+    """The payload's ``polygon_a`` and ``polygon_b``."""
+    return (
+        parse_polygon(payload.get("polygon_a"), "polygon_a"),
+        parse_polygon(payload.get("polygon_b"), "polygon_b"),
+    )
+
+
+def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
+    """``two-points``: both points of the payload's polygon pair, with their matches."""
+    sol = two_points(*polygon_pair(payload), tol)
+    return {
+        "m1": sol.m1._asdict(),
+        "m2": None if sol.m2 is None else sol.m2._asdict(),
+        "collinear_degenerate": sol.m2 is None,
+        "matches": [{**m._asdict(), "permutation": list(m.permutation)} for m in sol.matches],
+    }

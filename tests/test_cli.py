@@ -815,14 +815,39 @@ def test_render_svg_near_the_float_limit_prints_finite_numbers():
         render_svg(scene(7.5e307))
 
 
-@given(st.integers(4, 40), st.floats(0.05, 3.0), st.randoms(use_true_random=False))
-def test_averages_prints_the_same_bytes_for_any_order(n, ratio, rng):
-    poly = RegularPolygonSpec(n, Point2(0.0, 0.0), 1.0, 0.3)
-    distances = list(distances_from(Point2(ratio * 0.8, ratio * 0.6), poly).values)
+def _assert_order_free(n, ratio, radius, rng, requests):
+    """Each (command, payload) answers a shuffled distance list with the same bytes.
+
+    An error keeps its exit code, code and message; its context echoes the
+    sides in input order.
+    """
+    poly = RegularPolygonSpec(n, Point2(0.0, 0.0), radius, 0.3)
+    point = Point2(ratio * radius * 0.8, ratio * radius * 0.6)
+    distances = list(distances_from(point, poly).values)
     shuffled = rng.sample(distances, n)
-    assert dumps(run(JobRequest("averages", {"distances": shuffled}))) == dumps(
-        run(JobRequest("averages", {"distances": distances}))
-    )
+    for command, payload in requests:
+        (out, code), (out_s, code_s) = (
+            run(JobRequest(command, {**payload, "distances": d})) for d in (distances, shuffled)
+        )
+        assert code_s == code, command
+        if code:
+            out, out_s = ({k: v for k, v in o.items() if k != "context"} for o in (out, out_s))
+        assert dumps(out_s) == dumps(out), command
+
+
+@given(st.integers(4, 40), st.floats(0.05, 3.0), st.floats(1e-3, 1e3),
+       st.randoms(use_true_random=False))
+def test_distance_lists_print_the_same_bytes_for_any_order(n, ratio, radius, rng):
+    _assert_order_free(n, ratio, radius, rng, [("averages", {}), ("dual", {})])
+
+
+@given(st.floats(0.05, 3.0), st.floats(1e-3, 1e3), st.randoms(use_true_random=False))
+def test_triangles_print_the_same_bytes_for_any_order(ratio, radius, rng):
+    _assert_order_free(3, ratio, radius, rng, [
+        ("pompeiu", {}),
+        ("pompeiu", {"construct": True}),
+        ("render", {"scene": "pompeiu"}),
+    ])
 
 
 def test_zero_tol_is_valid(capsys):
@@ -830,15 +855,20 @@ def test_zero_tol_is_valid(capsys):
     assert json.loads(capsys.readouterr().out)["m2"] is not None
 
 
-def _run_fresh(lines):
-    """Run a script in a new interpreter that imports the package from src."""
+def _run_python(*args):
+    """Run a new interpreter with ``args``, importing the package from src."""
     src = Path(__file__).resolve().parents[1] / "src"
     return subprocess.run(
-        [sys.executable, "-c", "\n".join(lines)],
+        [sys.executable, *args],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )
+
+
+def _run_fresh(lines):
+    """Run a script in a new interpreter that imports the package from src."""
+    return _run_python("-c", "\n".join(lines))
 
 
 def test_no_command_imports_numpy():
@@ -884,7 +914,9 @@ def test_cli_process_skips_dataclasses_inspect_and_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-#: What ``import polydual.cli`` loads before any command runs.
+#: What every command's process loads besides its own modules: ``import
+#: polydual.cli`` loads the package, ``cli`` and ``errors``, and each command's
+#: module loads ``geometry``.
 CLI_BASE = {"polydual", "polydual.cli", "polydual.errors", "polydual.geometry"}
 PENTAGON_DISTANCES = ",".join(
     map(repr, distances_from(Point2(0.3, 0.1), RegularPolygonSpec(5, Point2(0.0, 0.0), 1.0)).values)
@@ -915,7 +947,13 @@ PENTAGON_DISTANCES = ",".join(
 )
 def test_each_command_loads_only_its_modules(argv, modules):
     """A fresh process loads the CLI's base modules plus its own command's, and neither
-    argparse nor json."""
+    argparse nor json.
+
+    So does ``python -m polydual.cli``, read from its ``-X importtime`` report,
+    where the CLI runs as ``__main__``: no module imports ``polydual.cli``,
+    which would compile and run it a second time.
+    """
+    expected = CLI_BASE | {f"polydual.{m}" for m in modules}
     proc = _run_fresh([
         "import contextlib, io, sys",
         "import polydual.cli",
@@ -925,7 +963,12 @@ def test_each_command_loads_only_its_modules(argv, modules):
         "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'polydual')))",
     ])
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == CLI_BASE | {f"polydual.{m}" for m in modules}
+    assert set(proc.stdout.split()) == expected
+    proc = _run_python("-X", "importtime", "-m", "polydual.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    imported = set(re.findall(r"\|\s*([\w.]+)\s*$", proc.stderr, re.M))
+    assert not {"argparse", "json"} & {m.split(".")[0] for m in imported}, proc.stderr
+    assert {m for m in imported if m.split(".")[0] == "polydual"} == expected - {"polydual.cli"}
 
 
 def test_main_writes_output_file(tmp_path, capsys):
