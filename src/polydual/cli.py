@@ -15,31 +15,24 @@ Each command is answered by ``command(payload, tol)`` in the module its
 ``_SUBCOMMANDS`` entry names, and ``run`` imports that module alone, so a
 process compiles and loads only its own command's code.  No such module
 imports this one: under ``-m`` this runs as ``__main__``, and an import
-would compile and run it a second time.  Errors are mapped in one place:
-``run`` rejects a ``tol`` (default 1e-9) that is not a finite number >= 0
-and turns domain errors into an error object; ``main`` maps a
-``SchemaError``, raised wherever a precondition is checked, and a failure
-to write ``--out``, to exit 2.  Any other exception is a bug and escapes
-as itself.  No argv value is converted here: argv text goes into the
-payload as split strings, which the commands read with
-``errors.parse_number`` as they read JSON values.  ``_read_argv`` is the
-one argv reader: it reads every argv that gets an answer from the option
-table itself, a unique flag prefix for its flag and a repeated flag's
-last value, so a process that answers imports neither ``argparse`` nor
-``json``.  argparse only writes the help and the usage errors, for the
-argv the reader declines.
+would compile and run it a second time.  ``run`` rejects a ``tol``
+(default 1e-9) that is not a finite number >= 0 and turns domain errors
+into an error object; ``main`` maps a ``SchemaError``, raised wherever a
+precondition is checked, and a failure to write ``--out``, to exit 2.
+Any other exception is a bug.  argv text goes into the payload as split
+strings, read by ``errors.parse_number`` as JSON values are.
+``_SUBCOMMANDS`` is the one argv grammar: ``_read_argv`` reads argv by
+it, and ``main`` writes the help and the usage errors from it, so no
+process imports ``argparse``, and one that answers imports no ``json``.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import TYPE_CHECKING, Any, NamedTuple, Optional
+from typing import Any, NamedTuple, Optional
 
 from .errors import DomainError, SchemaError, parse_number
-
-if TYPE_CHECKING:
-    import argparse
 
 
 class JobRequest(NamedTuple):
@@ -137,176 +130,136 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
 # argument parsing
 
 
-def _polygon_payload(text: str, name: str) -> dict[str, Any]:
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) not in (4, 5):
-        raise SchemaError(f"'{name}' must be 'n,cx,cy,r[,phase]'")
-    return {
-        "n": parts[0],
-        "center": {"x": parts[1], "y": parts[2]},
-        "r": parts[3],
-        "phase": parts[4] if len(parts) == 5 else 0.0,
-    }
-
-
-def _point_payload(text: str) -> dict[str, Any]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError("'--point' must be 'x,y'")
-    return {"x": parts[0], "y": parts[1]}
-
-
-def _opt(*flags: str, **kwargs: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
-    return flags, kwargs
-
-
-_TOL_OUT = (_opt("--tol"), _opt("--out"))
-_POLYGON_HELP = "n,cx,cy,r[,phase]"
-
 #: Each command's module, whose ``command(payload, tol)`` answers it, help line
-#: and options (none with a default), in the order ``polydual --help`` lists them.
+#: and options as its usage line shows them, in brackets when optional: ``--flag
+#: VALUE``, or a bare ``--flag`` that reads True.  None has a default.
 _SUBCOMMANDS = {
-    "averages": (
-        "cyclic",
-        "even-power distance means and closure checks",
-        (_opt("--distances", required=True), *_TOL_OUT),
-    ),
-    "dual": (
-        "dual",
-        "both size-parameter pairs from distances",
-        (_opt("--distances", required=True), *_TOL_OUT),
-    ),
-    "reconstruct": (
-        "reconstruct",
-        "coordinates of the companion polygon",
-        (
-            _opt("--polygon", required=True, help=_POLYGON_HELP),
-            _opt("--point", required=True, help="x,y"),
-            _opt("--direction"),
-            *_TOL_OUT,
-        ),
-    ),
-    "pompeiu": (
-        "pompeiu",
-        "equilateral-triangle closed forms",
-        (_opt("--distances", required=True), _opt("--construct", action="store_true"), *_TOL_OUT),
-    ),
-    "two-points": (
-        "two_points",
-        "equal-multiset points for a shared-vertex pair",
-        (
-            _opt("--polygon-a", required=True, help=_POLYGON_HELP),
-            _opt("--polygon-b", required=True, help=_POLYGON_HELP),
-            *_TOL_OUT,
-        ),
-    ),
-    "verify": (
-        "oracle",
-        "brute-force search vs each instance's swapped sizes",
-        (
-            _opt("--instances"),
-            _opt("--n-min"),
-            _opt("--n-max"),
-            _opt("--grid"),
-            _opt("--refine", help="caps the descent at 20 * REFINE iterations"),
-            _opt("--seed"),
-            # no --tol: the oracle judges its finds at its own fixed tolerance
-            _opt("--out"),
-        ),
-    ),
-    "render": (
-        "svg",
-        "emit an SVG figure",
-        (
-            _opt("--scene", required=True, choices=("dual", "two-points", "pompeiu")),
-            _opt("--polygon"),
-            _opt("--point", help="x,y"),
-            _opt("--direction"),
-            _opt("--distances"),
-            _opt("--polygon-a"),
-            _opt("--polygon-b"),
-            _opt("--mirror", action="store_true"),
-            *_TOL_OUT,
-        ),
-    ),
+    "averages": ("cyclic", "even-power distance means and closure checks",
+                 ("--distances D1,D2,...", "[--tol TOL]", "[--out PATH]")),
+    "dual": ("dual", "both size-parameter pairs from distances",
+             ("--distances D1,D2,...", "[--tol TOL]", "[--out PATH]")),
+    "reconstruct": ("reconstruct", "coordinates of the companion polygon",
+                    ("--polygon N,CX,CY,R[,PHASE]", "--point X,Y", "[--direction ANGLE]",
+                     "[--tol TOL]", "[--out PATH]")),
+    "pompeiu": ("pompeiu", "equilateral-triangle closed forms",
+                ("--distances D1,D2,D3", "[--construct]", "[--tol TOL]", "[--out PATH]")),
+    "two-points": ("two_points", "equal-multiset points for a shared-vertex pair",
+                   ("--polygon-a N,CX,CY,R[,PHASE]", "--polygon-b N,CX,CY,R[,PHASE]",
+                    "[--tol TOL]", "[--out PATH]")),
+    # no --tol: the oracle judges its finds at its own fixed tolerance, and
+    # --refine caps its descent at 20 * REFINE iterations
+    "verify": ("oracle", "brute-force search vs each instance's swapped sizes",
+               ("[--instances COUNT]", "[--n-min N]", "[--n-max N]", "[--grid G]",
+                "[--refine REFINE]", "[--seed SEED]", "[--out PATH]")),
+    "render": ("svg", "emit an SVG figure",
+               ("--scene {dual,two-points,pompeiu}", "[--polygon N,CX,CY,R[,PHASE]]",
+                "[--point X,Y]", "[--direction ANGLE]", "[--distances D1,D2,...]",
+                "[--polygon-a N,CX,CY,R[,PHASE]]", "[--polygon-b N,CX,CY,R[,PHASE]]",
+                "[--mirror]", "[--tol TOL]", "[--out PATH]")),
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser, which writes the help and every usage error."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="polydual",
-        description="Both regular n-gons realizing a list of point-to-vertex distances",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, options) in _SUBCOMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for flags, kwargs in options:
-            sp.add_argument(*flags, **kwargs)
-    return parser
+def _options(command: str) -> dict[str, tuple[bool, bool]]:
+    """``command``'s flags, each with whether it is required and whether it takes a value."""
+    return {flag: (spec[0] != "[", bool(value)) for spec in _SUBCOMMANDS[command][2]
+            for flag, _, value in [spec.strip("[]").partition(" ")]}
 
 
 def _payload_value(key: str, value: Any) -> Any:
     """An option's payload value: list-valued options split, the rest as given."""
+    if key not in ("distances", "point", "polygon", "polygon_a", "polygon_b"):
+        return value
+    parts = value.split(",")
     if key == "distances":
-        return value.split(",")
+        return parts
     if key == "point":
-        return _point_payload(value)
-    if key in ("polygon", "polygon_a", "polygon_b"):
-        return _polygon_payload(value, key)
-    return value
+        if len(parts) != 2:
+            raise SchemaError("'--point' must be 'x,y'")
+        return {"x": parts[0], "y": parts[1]}
+    parts = [part.strip() for part in parts]
+    if len(parts) not in (4, 5):
+        raise SchemaError(f"'{key}' must be 'n,cx,cy,r[,phase]'")
+    return {"n": parts[0], "center": {"x": parts[1], "y": parts[2]}, "r": parts[3],
+            "phase": parts[4] if len(parts) == 5 else 0.0}
 
 
-def _read_argv(argv: list[str]) -> Optional[tuple[str, dict[str, Any]]]:
-    """The command and the option values an argv sets, keyed by dest; None for argparse.
+class _Usage(Exception):
+    """An argv that gets no answer: ``(command or None, error or None for help)``."""
 
-    After a known command, each token is a declared flag or a unique
-    prefix of one, as ``--flag=value`` (the value as written) or ``--flag
-    value`` (the next token, unless it starts with ``--`` or is ``-h``);
-    a ``store_true`` flag stands bare and reads True.  A repeated flag
-    replaces the earlier value.  Help, a positional, an ambiguous prefix,
-    a missing value or required flag, or a value outside ``choices`` is
-    declined: argparse writes the help or the usage error.
+
+#: ``-h`` and every prefix of ``--help`` longer than ``--``.
+_HELP = ("-h", "--h", "--he", "--hel", "--help")
+
+
+def _read_argv(argv: list[str]) -> tuple[str, dict[str, Any]]:
+    """The command and the option values an argv sets, keyed by payload key.
+
+    After a known command, each token is a declared flag or a unique prefix
+    of one, as ``--flag=value`` (the value as written) or ``--flag value``
+    (the next token, unless it starts with ``--`` or is ``-h``); a bare flag
+    stands alone and reads True.  The last of a repeated flag wins.  Any
+    other argv raises ``_Usage``: help at a ``_HELP`` token, else its fault.
     """
-    if not argv or argv[0] not in _SUBCOMMANDS:
-        return None
-    options = {flags[0]: kwargs for flags, kwargs in _SUBCOMMANDS[argv[0]][2]}
+    if not argv or argv[0] in _HELP:
+        raise _Usage(None, None if argv else "the following arguments are required: command")
+    command = argv[0]
+    if command not in _SUBCOMMANDS:
+        raise _Usage(None, f"argument command: invalid choice: {command!r}")
+    options = _options(command)
     values: dict[str, Any] = {}
     tokens = iter(argv[1:])
     for token in tokens:
+        if token in _HELP:
+            raise _Usage(command, None)
         prefix, eq, value = token.partition("=")
-        flags = [prefix] if prefix in options else [f for f in options if f.startswith(prefix)]
-        if len(flags) != 1:  # -h, --help and its prefixes match no declared flag
-            return None
-        kwargs = options[flags[0]]
-        if kwargs.get("action") == "store_true":
+        flags = [prefix] if prefix in options else [
+            f for f in options if len(prefix) > 2 and f.startswith(prefix)]
+        if len(flags) != 1:
+            raise _Usage(command, f"ambiguous option: {prefix} could match {', '.join(flags)}"
+                         if flags else f"unrecognized arguments: {token}")
+        flag = flags[0]
+        if not options[flag][1]:
             if eq:
-                return None
+                raise _Usage(command, f"argument {flag}: ignored explicit argument {value!r}")
             value = True
-        else:
-            if not eq:
-                value = next(tokens, "--")  # a missing value declines as a flag does
-                if value.startswith("--") or value == "-h":
-                    return None
-            if value not in kwargs.get("choices", (value,)):
-                return None
-        values[flags[0]] = value
-    if any(kwargs.get("required") and flag not in values for flag, kwargs in options.items()):
-        return None
-    return argv[0], {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+        elif not eq:
+            value = next(tokens, "--")  # a missing value is refused as a flag is
+            if value.startswith("--") or value == "-h":
+                raise _Usage(command, f"argument {flag}: expected one argument")
+        values[flag] = value
+    missing = [flag for flag, (required, _) in options.items() if required and flag not in values]
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+
+
+def _usage(command: Optional[str]) -> str:
+    """The usage line, each option on one line when they do not fit on one."""
+    head = "usage: polydual" + (f" {command} [-h]" if command else " [-h]")
+    words = _SUBCOMMANDS[command][2] if command else (f"{{{','.join(_SUBCOMMANDS)}}} ...",)
+    sep = " " if len(head) + sum(len(w) + 1 for w in words) <= 79 else "\n" + " " * len(head) + " "
+    return f"{head} {sep.join(words)}\n"
+
+
+def _help(command: Optional[str]) -> str:
+    if command:
+        return f"{_usage(command)}\n{_SUBCOMMANDS[command][1]}\n"
+    rows = "".join(f"  {name:<13}{entry[1]}\n" for name, entry in _SUBCOMMANDS.items())
+    about = "Both regular n-gons realizing a list of point-to-vertex distances"
+    return f"{_usage(None)}\n{about}\n\ncommands:\n{rows}"
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    read = _read_argv(argv)
-    if read is None:  # help or a usage error, which argparse writes and exits on
-        parser = _build_parser()
-        parser.parse_args(argv)
-        parser.error("'--' is not an argument; a value that starts with '--' takes the '=' form")
-    command, values = read
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        command, values = _read_argv(argv)
+    except _Usage as exc:
+        command, error = exc.args
+        if error is None:
+            sys.stdout.write(_help(command))
+            return 0
+        sys.stderr.write(f"{_usage(command)}polydual: error: {error}\n")
+        return 2
     out = values.pop("out", None)
     try:
         payload = {key: _payload_value(key, value) for key, value in values.items()}

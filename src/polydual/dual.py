@@ -83,16 +83,16 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     distances are realizable exactly when they form a triangle, whose
     (16/3)*area^2 is the discriminant.  A largest distance a that exceeds
     the sum of the others by at most tol*a is clamped the same way, and
-    beyond that is a ``TriangleInequalityError``.  Only scaled values are
-    squared, and results scale back by products: they read inf or 0 only
-    outside the float range.
+    beyond that is a ``TriangleInequalityError`` naming the sorted sides.
+    Only scaled values are squared, and results scale back by products:
+    they read inf or 0 only outside the float range.
     """
     values = sorted(d.values, reverse=True)
     if d.n == 3:
         gap = values[0] - (values[1] + values[2])
         if gap > tol * values[0]:
             raise TriangleInequalityError(
-                "largest distance exceeds the sum of the others", sides=d.values, gap=gap
+                "largest distance exceeds the sum of the others", sides=tuple(values), gap=gap
             )
     m = values[0] or 1.0  # all-zero distances: nothing to scale
     squares = [(v / m) * (v / m) for v in values]

@@ -123,7 +123,7 @@ def triangles(t: PompeiuTriangle) -> tuple[RegularPolygonSpec, RegularPolygonSpe
     """``dual.polygons`` of the fit, larger first; a degenerate triple has no companion."""
     if t.degenerate:
         raise DegenerateError("distance triangle is degenerate; the companion collapses",
-                              sides=(t.d1, t.d2, t.d3))
+                              sides=tuple(sorted((t.d1, t.d2, t.d3), reverse=True)))
     return polygons(t.solution, 3)
 
 

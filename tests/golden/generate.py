@@ -6,9 +6,9 @@ frozen:
 
     PYTHONPATH=src python tests/golden/generate.py
 
-Every argv goes through ``polydual.cli.main`` in this process; argparse
-usage errors are recorded through their ``SystemExit`` code, and without
-their stderr, which argparse writes.  Every other entry pins its stderr.
+Every argv goes through ``polydual.cli.main`` in this process, and
+every entry pins its exit code, stdout and stderr, the help and the usage
+errors that ``main`` writes from the CLI's option table included.
 The result lands in ``cli_corpus.json`` next to this file and is
 replayed byte for byte by ``tests/test_golden.py``.  Regenerate only when a change to the
 CLI output is intended; the script prints the id of every entry that
@@ -21,9 +21,11 @@ figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
 (exit 2), ``--grid`` above its maximum and a non-numeric ``--tol`` or
 ``--instances`` among them, a point with a negative x and a negative
 distance in the ``=`` form and after a space, an abbreviated flag, an
-``=`` value ``--``, and every domain error code (exit 1), with a
-context of 17-digit sides; ``tests/test_golden.py`` checks that every
-code defined in ``polydual.errors`` appears.
+``=`` value ``--``, the help (exit 0), an ambiguous prefix, a value
+given to a bare flag, a stray ``--``, and every domain error code (exit
+1), with a context of 17-digit sides in descending order;
+``tests/test_golden.py`` checks that every code defined in
+``polydual.errors`` appears.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ FIXED: list[list[str]] = [
     ["reconstruct", "--polygon", "4,0,0,-1", "--point", "1,0"],
     ["reconstruct", "--polygon", "4.5,0,0,1", "--point", "1,0"],
     ["two-points", "--polygon-a", "x,0,0,1", "--polygon-b", "4,2,0,1"],
-    # usage errors: argparse exits 2
+    # usage errors: exit 2, the usage line and the fault on stderr
     [],
     ["bogus"],
     ["dual"],
@@ -191,7 +193,7 @@ APPENDED: list[list[str]] = [
     ["pompeiu", "--distances", "3e200,5e200,7e200", "--construct"],
     # a domain error's context prints through dumps: sides as an array of 17-digit numbers
     ["dual", "--distances", "0.1,0.2,5"],
-    # schema error: argparse converts no value, so a bad --tol is named by its key
+    # schema error: no argv value is converted, so a bad --tol is named by its key
     ["dual", "--distances", "3,5,7", "--tol", "abc"],
     # a point with a negative x, in the '=' form
     ["reconstruct", "--polygon", "4,0,0,1", "--point=-0.5,0"],
@@ -202,6 +204,13 @@ APPENDED: list[list[str]] = [
     ["dual", "--dist", "3,5,7"],
     # schema error: an '=' value is read as written, '--' included
     ["dual", "--distances=--"],
+    # the help, alone and after a command
+    ["--help"],
+    ["dual", "--help"],
+    # usage errors: an ambiguous prefix, a value given to a bare flag, a stray '--'
+    ["two-points", "--poly", "4,0,0,1,0", "--polygon-b", "4,2,1,1,180deg"],
+    ["pompeiu", "--distances", "3,5,7", "--construct=1"],
+    ["dual", "--distances", "3,5,7", "--"],
 ]
 
 
@@ -263,13 +272,11 @@ def seeded(seed: int = 20260) -> list[list[str]]:
 
 
 def replay(argv: list[str]) -> dict:
-    """Exit code, stdout and, when ``main(argv)`` returns, stderr, run in this process."""
+    """Exit code, stdout and stderr of ``main(argv)``, run in this process."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            return {"exit": main(list(argv)), "stdout": out.getvalue(), "stderr": err.getvalue()}
-        except SystemExit as exc:  # argparse's usage text is its own, so it is not pinned
-            return {"exit": exc.code, "stdout": out.getvalue()}
+        code = main(list(argv))
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def build() -> list[dict]:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -18,9 +19,10 @@ from hypothesis import strategies as st
 from polydual.cli import (
     _SUBCOMMANDS,
     JobRequest,
-    _build_parser,
+    _options,
     _quote,
     _read_argv,
+    _Usage,
     dumps,
     main,
     run,
@@ -556,16 +558,24 @@ def test_grid_is_bounded(grid, capsys):
 
 def test_option_count():
     # a new knob must be a deliberate change: update this count with it
-    parser = _build_parser()
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = [
-        a for sp in sub.choices.values() for a in sp._actions
-        if not isinstance(a, argparse._HelpAction)
-    ]
-    assert len(options) == 36
+    assert sum(len(_options(command)) for command in _SUBCOMMANDS) == 36
 
 
-#: argv lists that argparse answers itself, with help or a usage error.
+def _reference_parser():
+    """argparse built from the option table: the reference the argv reader is compared with."""
+    parser = argparse.ArgumentParser(prog="polydual")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command in _SUBCOMMANDS:
+        sp = sub.add_parser(command)
+        for flag, (required, takes_value) in _options(command).items():
+            action = "store" if takes_value else "store_true"
+            sp.add_argument(flag, required=required, action=action)
+    return parser
+
+
+REFERENCE = _reference_parser()
+
+#: argv lists that get help or a usage error.
 PARSER_EXITS = [
     ["--help"],
     *([command, "--help"] for command in _SUBCOMMANDS),
@@ -583,18 +593,40 @@ PARSER_EXITS = [
 ]
 
 
-def _parser_exit(parse, argv, capsys):
+def _parser_exit(argv, capsys):
+    """The reference parser's stdout, stderr and exit status for ``argv``."""
     with pytest.raises(SystemExit) as exc:
-        parse(argv)
+        REFERENCE.parse_args(argv)
     captured = capsys.readouterr()
     return captured.out, captured.err, exc.value.code
 
 
+def _main_exit(argv):
+    """``main(argv)``'s stdout, stderr and exit status."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return out.getvalue(), err.getvalue(), code
+
+
+def _error(err):
+    """What a usage error's last line says after the program's name."""
+    return err.splitlines()[-1].partition(": error: ")[2]
+
+
 @pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
 def test_main_exits_as_the_parser_does(argv, capsys):
-    want = _parser_exit(_build_parser().parse_args, argv, capsys)
-    assert _parser_exit(main, argv, capsys) == want
-    assert want[2] == (0 if "--help" in argv else 2)
+    want_out, want_err, want_code = _parser_exit(argv, capsys)
+    out, err, code = _main_exit(argv)
+    assert code == want_code == (0 if "--help" in argv else 2)
+    if code:  # the same fault; argparse also lists the choices of an unknown command
+        assert out == ""
+        assert err.startswith("usage: polydual")
+        assert _error(err) and _error(want_err).startswith(_error(err))
+    else:  # the command's usage line names every flag it takes
+        assert err == ""
+        assert out.startswith("usage: polydual") and want_out.startswith("usage: polydual")
+        assert len(argv) == 1 or all(flag in out for flag in _options(argv[0]))
 
 
 @pytest.mark.parametrize(
@@ -602,42 +634,45 @@ def test_main_exits_as_the_parser_does(argv, capsys):
     [["dual", "--distances", "3,5,7", "--"], ["verify", "--out", "--a b"]],
     ids=" ".join,
 )
-def test_a_stray_or_spaced_double_dash_is_a_usage_error(argv, capsys):
+def test_a_stray_or_spaced_double_dash_is_a_usage_error(argv):
     # a stray '--', or a spaced value that starts with '--', gets no answer
-    out, err, code = _parser_exit(main, argv, capsys)
+    out, err, code = _main_exit(argv)
     assert (out, code) == ("", 2)
     assert "polydual: error: " in err
 
 
 def _argparse_read(argv):
-    """The command and the values the full parser sets for ``argv``, or None where it exits."""
+    """The command and the values the reference parser sets, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            args = vars(_build_parser().parse_args(argv))
+            args = vars(REFERENCE.parse_args(argv))
         except SystemExit:
             return None
     command = args.pop("command")
     return command, {key: value for key, value in args.items() if value not in (None, False)}
 
 
-def _main_exit(argv):
-    """``main(argv)``'s stdout and exit status, for an argv that argparse answers."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-    return out.getvalue(), exc.value.code
+def _reader_read(argv):
+    """``_read_argv(argv)``, or None where it raises ``_Usage``."""
+    try:
+        return _read_argv(argv)
+    except _Usage:
+        return None
 
 
-def _has_spaced_single_dash_value(argv):
-    """Whether some flag of ``argv`` is followed by a token that starts with one '-'."""
+def _has_spaced_value(argv, dashes):
+    """Whether some flag of ``argv`` is followed by a token that starts with ``dashes``.
+
+    With one '-', the token must not start with two.
+    """
     return any(
-        flag.startswith("--") and "=" not in flag and value[:1] == "-" and value[:2] != "--"
+        flag.startswith("--") and "=" not in flag and value.startswith(dashes)
+        and (dashes == "--" or value[:2] != "--")
         for flag, value in zip(argv[1:], argv[2:])
     )
 
 
-FLAGS = sorted({flags[0] for _, _, options in _SUBCOMMANDS.values() for flags, _ in options})
+FLAGS = sorted({flag for command in _SUBCOMMANDS for flag in _options(command)})
 #: Help, abbreviations (unique or not), a positional and separators.
 ODD_FLAGS = ["-h", "--help", "--he", "--dist", "--poly", "--polygon-", "--n", "--sc", "--", "-",
              "extra"]
@@ -652,10 +687,10 @@ def _argvs(draw):
     Each flag is bare, joined to a value by '=' or followed by one.
     """
     command = draw(st.sampled_from(list(_SUBCOMMANDS)))
-    options = _SUBCOMMANDS[command][2]
-    own = [flags[0] for flags, _ in options]
-    flags = [flags[0] for flags, kwargs in options if kwargs.get("required")]
-    flags += draw(st.lists(st.sampled_from(own) | st.sampled_from(FLAGS + ODD_FLAGS), max_size=4))
+    options = _options(command)
+    flags = [flag for flag, (required, _) in options.items() if required]
+    flags += draw(st.lists(st.sampled_from(list(options)) | st.sampled_from(FLAGS + ODD_FLAGS),
+                           max_size=4))
     argv = [command]
     for flag in draw(st.permutations(flags)):
         value = draw(st.sampled_from(VALUES) | st.text(max_size=3))
@@ -677,15 +712,18 @@ def _with_known_argvs(test):
 @settings(max_examples=500)  # about one argv in seven is one the reader takes
 @given(_argvs())
 def test_argv_reader_agrees_with_argparse_where_it_reads(argv):
-    """Where argparse also reads, the same values; where it alone refuses, a spaced "-" value."""
-    read, want = _read_argv(argv), _argparse_read(argv)
-    if read is None:  # argparse writes the help, or the usage error
-        out, code = _main_exit(argv)
+    """Where both read, the same values; where one alone reads, a value the other refuses."""
+    read, want = _reader_read(argv), _argparse_read(argv)
+    if read is None:  # main writes the help, or the usage error
+        out, err, code = _main_exit(argv)
         if code == 0:
-            assert any(t == "-h" or len(t) > 2 and "--help".startswith(t) for t in argv), argv
-            assert out.startswith("usage: polydual")
+            assert any(t in ("-h", "--h", "--he", "--hel", "--help") for t in argv), argv
+            assert out.startswith("usage: polydual") and err == ""
         else:
             assert (code, out) == (2, "")
+            assert err.startswith("usage: polydual") and "\npolydual: error: " in err
+        if want is not None:  # argparse takes a spaced value with a space in it as a value
+            assert _has_spaced_value(argv, "--"), argv
     elif want is not None:
         if sys.version_info < (3, 13):  # there argparse turns an '=' value '--…' into []
             values = read[1]
@@ -693,12 +731,12 @@ def test_argv_reader_agrees_with_argparse_where_it_reads(argv):
                               for k, v in want[1].items()})
         assert read == want
     else:  # argparse reads the value as a flag
-        assert _has_spaced_single_dash_value(argv), argv
+        assert _has_spaced_value(argv, "-"), argv
 
 
 def test_argv_reader_reads_every_readme_example():
     for argv in _readme_argvs():
-        assert _read_argv(argv) is not None, argv
+        assert _read_argv(argv), argv
 
 
 @pytest.mark.parametrize(
@@ -712,8 +750,9 @@ def test_argv_reader_reads_every_readme_example():
         (["render", "--sc=dual", "--polygon", "4,0,0,1", "--poi", "-0.5,0", "--mirror",
           "--mirror"],
          {"scene": "dual", "polygon": "4,0,0,1", "point": "-0.5,0", "mirror": True}),
+        (["render", "--scene=star"], {"scene": "star"}),  # the render command refuses it
     ],
-    ids=["repeated", "prefix", "spaced-negative", "two-dash-value", "every-form"],
+    ids=["repeated", "prefix", "spaced-negative", "two-dash-value", "every-form", "unknown-scene"],
 )
 def test_argv_reader_reads(argv, values):
     assert _read_argv(argv) == (argv[0], values)
@@ -727,7 +766,6 @@ def test_argv_reader_reads(argv, values):
         ["dual", "--distances", "3,5,7", "--he"],  # a prefix of --help
         ["two-points", *README_PAIR, "--poly=4,0,0,1"],  # an ambiguous prefix
         ["dual", "--tol", "1e-9"],  # a required option missing
-        ["render", "--scene=star"],  # outside choices
         ["pompeiu", "--distances=3,5,7", "--construct=1"],
         ["dual", "--distances"],
         ["dual", "--distances", "--tol", "1e-9"],  # a spaced value starting with '--'
@@ -739,7 +777,38 @@ def test_argv_reader_reads(argv, values):
     ids=" ".join,
 )
 def test_argv_reader_declines(argv):
-    assert _read_argv(argv) is None
+    with pytest.raises(_Usage):
+        _read_argv(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, command, error",
+    [
+        (["--he"], None, None),
+        (["dual", "--distances=3,5,7", "-h"], "dual", None),
+        ([], None, "the following arguments are required: command"),
+        (["bogus", "--help"], None, "argument command: invalid choice: 'bogus'"),
+        (["dual", "--distances=3,5,7", "extra"], "dual", "unrecognized arguments: extra"),
+        (["dual", "--distances=3,5,7", "--"], "dual", "unrecognized arguments: --"),
+        (["verify", "--n=3"], "verify", "ambiguous option: --n could match --n-min, --n-max"),
+        (["dual", "--distances", "--tol", "1"], "dual",
+         "argument --distances: expected one argument"),
+        (["verify", "--out"], "verify", "argument --out: expected one argument"),
+        (["render", "--scene=dual", "--mirror=no"], "render",
+         "argument --mirror: ignored explicit argument 'no'"),
+        (["reconstruct", "--point=1,0"], "reconstruct",
+         "the following arguments are required: --polygon"),
+        (["two-points"], "two-points",
+         "the following arguments are required: --polygon-a, --polygon-b"),
+    ],
+    ids=["help-alone", "help-after-command", "no-command", "unknown-command", "positional",
+         "stray-separator", "ambiguous", "spaced-two-dash-value", "missing-value",
+         "bare-flag-value", "missing-required", "missing-both"],
+)
+def test_usage_exception_names_its_fault(argv, command, error):
+    with pytest.raises(_Usage) as exc:
+        _read_argv(argv)
+    assert exc.value.args == (command, error)
 
 
 @pytest.mark.parametrize(
@@ -752,7 +821,7 @@ def test_argv_reader_declines(argv):
     ids=" ".join,
 )
 def test_a_two_dash_value_is_a_schema_error(argv, tmp_path, monkeypatch, capsys):
-    # Pythons before 3.13 let argparse drop such a value, and the handler crashed on []
+    # an '=' value is read as written, so '--' reaches the distance reader
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -771,18 +840,18 @@ def test_out_may_be_named_two_dashes(tmp_path, monkeypatch, capsys):
     [([], "the following arguments are required: command"),
      (["bogus"], "argument command: invalid choice: 'bogus'")],
 )
-def test_command_errors_name_the_command_argument(argv, message, capsys):
-    _, err, code = _parser_exit(main, argv, capsys)
+def test_command_errors_name_the_command_argument(argv, message):
+    _, err, code = _main_exit(argv)
     assert code == 2
     assert f"polydual: error: {message}" in err
 
 
-def test_verify_takes_no_tol(capsys):
+def test_verify_takes_no_tol():
     # the oracle judges its finds at a fixed tolerance, so --tol would change nothing
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--instances", "1", "--grid", "8", "--refine", "1", "--tol", "1e-9"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err, code = _main_exit(
+        ["verify", "--instances", "1", "--grid", "8", "--refine", "1", "--tol", "1e-9"])
+    assert (out, code) == ("", 2)
+    assert err.endswith("polydual: error: unrecognized arguments: --tol\n")
 
 
 def _svg_numbers(text):
@@ -818,8 +887,7 @@ def test_render_svg_near_the_float_limit_prints_finite_numbers():
 def _assert_order_free(n, ratio, radius, rng, requests):
     """Each (command, payload) answers a shuffled distance list with the same bytes.
 
-    An error keeps its exit code, code and message; its context echoes the
-    sides in input order.
+    An error object too: its context names the sides in descending order.
     """
     poly = RegularPolygonSpec(n, Point2(0.0, 0.0), radius, 0.3)
     point = Point2(ratio * radius * 0.8, ratio * radius * 0.6)
@@ -830,8 +898,6 @@ def _assert_order_free(n, ratio, radius, rng, requests):
             run(JobRequest(command, {**payload, "distances": d})) for d in (distances, shuffled)
         )
         assert code_s == code, command
-        if code:
-            out, out_s = ({k: v for k, v in o.items() if k != "context"} for o in (out, out_s))
         assert dumps(out_s) == dumps(out), command
 
 
@@ -848,6 +914,24 @@ def test_triangles_print_the_same_bytes_for_any_order(ratio, radius, rng):
         ("pompeiu", {"construct": True}),
         ("render", {"scene": "pompeiu"}),
     ])
+
+
+@pytest.mark.parametrize(
+    "command, payload, distances",
+    [
+        ("dual", {}, [1, 2, 4]),  # TRIANGLE_INEQUALITY
+        ("pompeiu", {}, [0.1, 0.2, 5]),
+        ("pompeiu", {"construct": True}, [1, 2, 3]),  # DEGENERATE
+        ("render", {"scene": "pompeiu"}, [1, 2, 3]),
+    ],
+    ids=["dual", "pompeiu", "pompeiu-construct", "render"],
+)
+def test_error_objects_print_the_same_bytes_for_any_order(command, payload, distances):
+    printed = {
+        dumps(run(JobRequest(command, {**payload, "distances": list(order)})))
+        for order in itertools.permutations(distances)
+    }
+    assert len(printed) == 1 and '"code":' in printed.pop()
 
 
 def test_zero_tol_is_valid(capsys):
@@ -969,6 +1053,31 @@ def test_each_command_loads_only_its_modules(argv, modules):
     imported = set(re.findall(r"\|\s*([\w.]+)\s*$", proc.stderr, re.M))
     assert not {"argparse", "json"} & {m.split(".")[0] for m in imported}, proc.stderr
     assert {m for m in imported if m.split(".")[0] == "polydual"} == expected - {"polydual.cli"}
+
+
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["dual"], 2)], ids=["help", "usage"])
+def test_help_and_usage_errors_load_neither_argparse_nor_json(argv, code):
+    """The option table writes both: a fresh process loads no command module, argparse or json.
+
+    Both in process and under ``python -m polydual.cli`` with ``-X importtime``.
+    """
+    proc = _run_fresh([
+        "import contextlib, io, sys",
+        "import polydual.cli",
+        "out = contextlib.redirect_stdout(io.StringIO())",
+        "with out, contextlib.redirect_stderr(io.StringIO()):",
+        f"    assert polydual.cli.main({argv!r}) == {code}",
+        "assert not {'argparse', 'json'} & set(sys.modules), sorted(sys.modules)",
+        "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'polydual')))",
+    ])
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.split()) == {"polydual", "polydual.cli", "polydual.errors"}
+    proc = _run_python("-X", "importtime", "-m", "polydual.cli", *argv)
+    assert proc.returncode == code, proc.stderr
+    assert ("usage: polydual" in proc.stdout) == (code == 0)
+    imported = set(re.findall(r"\|\s*([\w.]+)\s*$", proc.stderr, re.M))
+    assert not {"argparse", "json"} & {m.split(".")[0] for m in imported}, proc.stderr
+    assert {m for m in imported if m.startswith("polydual")} == {"polydual", "polydual.errors"}
 
 
 def test_main_writes_output_file(tmp_path, capsys):

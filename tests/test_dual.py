@@ -99,7 +99,7 @@ class TestRealizability:
             solve(DistanceSpec((1.0, 5.0, 1.0)))
         assert isinstance(info.value, RealizabilityError)
         assert info.value.code == "TRIANGLE_INEQUALITY"
-        assert info.value.context == {"sides": (1.0, 5.0, 1.0), "gap": 3.0}
+        assert info.value.context == {"sides": (5.0, 1.0, 1.0), "gap": 3.0}  # sorted
 
     def test_triple_within_tol_of_a_triangle_answers_on_the_circumcircle(self):
         # the discriminant test alone would call this unrealizable at tol 1e-9

@@ -3,7 +3,7 @@
 Random payloads go through ``run`` for all seven commands, and random argv
 lists through ``main``.  In process a request answers (exit 0), comes back
 as a domain error object (exit 1) or raises ``SchemaError``; through
-``main`` it returns 0, 1 or 2, or argparse exits with 2.  Vertex counts,
+``main`` it returns 0, 1 or 2, a usage error included.  Vertex counts,
 ``instances``, ``grid`` and ``refine`` are drawn small or invalid, never
 large and valid, so every request ends quickly.
 """
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydual.cli import _SUBCOMMANDS, JobRequest, dumps, main, run
+from polydual.cli import _SUBCOMMANDS, JobRequest, _options, dumps, main, run
 from polydual.cyclic import CyclicAverages
 from polydual.errors import SchemaError
 from polydual.geometry import MAX_VERTICES, Point2, RegularPolygonSpec, distances_from
@@ -181,7 +181,7 @@ def text(value):
 
 def argv_of(request):
     """``request`` as an argv list; a key its command has no option for is left out."""
-    flags = {f for fs, _ in _SUBCOMMANDS[request.command][2] for f in fs}
+    flags = _options(request.command)
     argv = [request.command]
     for key, value in request.payload.items():
         flag = "--" + key.replace("_", "-")
@@ -198,10 +198,7 @@ def main_exit(argv):
     """``main``'s exit status for ``argv``, with stdout and stderr checked."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 2:

@@ -3,7 +3,7 @@
 The corpus (``golden/cli_corpus.json``) was written by ``golden/generate.py``
 and freezes the CLI's output byte for byte, so refactors of the code
 behind it are checked against the exact numbers, not approximations.
-Stderr is pinned for every entry but argparse's usage errors.
+Stderr is pinned for every entry, the help and the usage errors included.
 """
 
 import builtins
@@ -55,9 +55,12 @@ def test_replay_does_not_depend_on_how_sum_adds_floats(monkeypatch):
 
 
 def test_corpus_coverage():
-    ok = [json.loads(e["stdout"]) for e in CORPUS if e["exit"] == 0 and e["argv"][0] != "render"]
+    answers = [e for e in CORPUS if e["exit"] == 0 and not e["stdout"].startswith("usage: ")]
+    ok = [json.loads(e["stdout"]) for e in answers if e["argv"][0] != "render"]
     errors = {json.loads(e["stdout"])["code"] for e in CORPUS if e["exit"] == 1}
-    assert {e["argv"][0] for e in CORPUS if e["exit"] == 0} == {
+    assert [e["argv"] for e in CORPUS if e not in answers and e["exit"] == 0] == [
+        ["--help"], ["dual", "--help"]]
+    assert {e["argv"][0] for e in answers} == {
         "averages", "dual", "reconstruct", "pompeiu", "two-points", "verify", "render",
     }
     assert {e["exit"] for e in CORPUS} == {0, 1, 2}
@@ -66,21 +69,23 @@ def test_corpus_coverage():
     }
     classes = {o.get("solution", o).get("degeneracy") for o in ok}
     assert {"none", "on_circumcircle", "at_center"} <= classes
-    scenes = {e["argv"][2] for e in CORPUS if e["exit"] == 0 and e["argv"][0] == "render"}
+    scenes = {e["argv"][2] for e in answers if e["argv"][0] == "render"}
     assert scenes == {"dual", "two-points", "pompeiu"}
-    flags = {a for e in CORPUS if e["exit"] == 0 for a in e["argv"]}
+    flags = {a for e in answers for a in e["argv"]}
     assert {"--mirror", "--construct"} <= flags
     assert any("verify --instances 2 --grid 8 --refine 1" in " ".join(e["argv"]) for e in CORPUS)
 
 
 def test_stderr_is_pinned_for_every_entry_main_returns():
-    # only argparse's usage errors go unpinned, and they all exit 2 with empty stdout
-    unpinned = [e for e in CORPUS if "stderr" not in e]
-    assert {(e["exit"], e["stdout"]) for e in unpinned} == {(2, "")}
+    # exit 2 writes a schema error or a usage error to stderr and nothing to stdout
+    usage_errors = 0
     for e in CORPUS:
-        if "stderr" in e:
-            assert (e["stderr"] != "") == (e["exit"] == 2)
-            assert e["stderr"] == "" or e["stderr"].startswith("schema error: ")
+        assert (e["stderr"] != "") == (e["exit"] == 2)
+        if e["exit"] == 2:
+            assert e["stdout"] == ""
+            assert e["stderr"].startswith(("schema error: ", "usage: polydual"))
+            usage_errors += "\npolydual: error: " in e["stderr"]
+    assert usage_errors == 8
 
 
 def test_every_domain_error_code_is_reachable():
