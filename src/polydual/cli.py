@@ -135,7 +135,7 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
 #: VALUE``, or a bare ``--flag`` that reads True.  None has a default.
 _SUBCOMMANDS = {
     "averages": ("cyclic", "even-power distance means and closure checks",
-                 ("--distances D1,D2,...", "[--tol TOL]", "[--out PATH]")),
+                 ("--distances D1,D2,...", "[--out PATH]")),
     "dual": ("dual", "both size-parameter pairs from distances",
              ("--distances D1,D2,...", "[--tol TOL]", "[--out PATH]")),
     "reconstruct": ("reconstruct", "coordinates of the companion polygon",
@@ -146,8 +146,8 @@ _SUBCOMMANDS = {
     "two-points": ("two_points", "equal-multiset points for a shared-vertex pair",
                    ("--polygon-a N,CX,CY,R[,PHASE]", "--polygon-b N,CX,CY,R[,PHASE]",
                     "[--tol TOL]", "[--out PATH]")),
-    # no --tol: the oracle judges its finds at its own fixed tolerance, and
-    # --refine caps its descent at 20 * REFINE iterations
+    # no --tol, as in averages, which judges nothing: the oracle judges its finds
+    # at its own fixed tolerance, and --refine caps its descent at 20 * REFINE iterations
     "verify": ("oracle", "brute-force search vs each instance's swapped sizes",
                ("[--instances COUNT]", "[--n-min N]", "[--n-max N]", "[--grid G]",
                 "[--refine REFINE]", "[--seed SEED]", "[--out PATH]")),

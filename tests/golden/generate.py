@@ -16,10 +16,13 @@ changed, was added or was removed against the file it replaces.
 
 Coverage: every command, the three render scenes and the four standard
 figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
-1e-200 and times 1e200), the three degeneracy classes, oracle runs at
-``--grid 8 --refine 1`` and at the defaults, usage and schema errors
-(exit 2), ``--grid`` above its maximum and a non-numeric ``--tol`` or
-``--instances`` among them, a point with a negative x and a negative
+1e-200 and times 1e200), the three degeneracy classes, ``averages`` on
+lists that no regular polygon gives (``1,1,5`` and an n = 6 list whose
+closure identities hold), which it reports without a verdict while
+``dual`` refuses them, oracle runs at ``--grid 8 --refine 1`` and at the
+defaults, usage and schema errors (exit 2), ``--grid`` above its maximum,
+a non-numeric ``--tol`` or ``--instances`` and an ``averages --tol``
+among them, a point with a negative x and a negative
 distance in the ``=`` form and after a space, an abbreviated flag, an
 ``=`` value ``--``, the help (exit 0), an ambiguous prefix, a value
 given to a bare flag, a stray ``--``, and every domain error code (exit
@@ -63,7 +66,7 @@ FIXED: list[list[str]] = [
     ["averages", "--distances", "3,5,7"],
     ["averages", "--distances", SQUARE_DISTANCES],
     ["averages", "--distances", "1,2,3,4,5"],
-    ["averages", "--distances", "2,2,2,2,2,2", "--tol", "1e-12"],
+    ["averages", "--distances", "2,2,2,2,2,2", "--tol", "1e-12"],  # a usage error: no --tol
     # reconstruct
     ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--direction", "0"],
     ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0", "--direction", "90deg"],
@@ -135,6 +138,9 @@ def _csv(values) -> str:
 
 REGULAR_65 = _csv(distances_from(
     Point2(0.25, 0.1), RegularPolygonSpec(65, Point2(0.0, 0.0), 1.0, 0.3)).values)
+
+SIX_UNREALIZABLE = ("1.9188670635478835,1.3964240043768943,0.4668502890982536,"
+                    "0.46685028909825294,1.3964240043768938,1.9188670635478837")
 
 #: Inputs added after the corpus was first written.  They go after the
 #: seeded entries so that every earlier entry keeps its index, which the
@@ -211,6 +217,12 @@ APPENDED: list[list[str]] = [
     ["two-points", "--poly", "4,0,0,1,0", "--polygon-b", "4,2,1,1,180deg"],
     ["pompeiu", "--distances", "3,5,7", "--construct=1"],
     ["dual", "--distances", "3,5,7", "--"],
+    # no regular polygon gives these, and only dual judges that: averages reports the
+    # means of a broken triangle inequality, and of an n = 6 list whose closure
+    # identities hold at s2 = 1.95 < 2P = 2, where dual refuses the fit
+    ["averages", "--distances", "1,1,5"],
+    ["averages", "--distances", SIX_UNREALIZABLE],
+    ["dual", "--distances", SIX_UNREALIZABLE],
 ]
 
 

@@ -14,6 +14,8 @@ from polydual.cyclic import (
     averages_from_distances,
     check_consistency,
 )
+from polydual.dual import solve
+from polydual.errors import RealizabilityError, TriangleInequalityError
 from polydual.geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
 
 SQRT2 = math.sqrt(2.0)
@@ -184,7 +186,6 @@ class TestConsistency:
 
     def test_moment_inequality_guard(self):
         report = check_consistency(CyclicAverages(3, (4.0, 15.0)))
-        assert not report.moment_inequality_ok
         assert not report.passed
 
     @given(st.integers(0, 10_000))
@@ -198,6 +199,60 @@ class TestConsistency:
         values[worst] *= 1.01
         report = check_consistency(averages_from_distances(DistanceSpec(tuple(values))))
         assert not report.passed
+
+
+def _band_distances(n, s2):
+    """sqrt(s2 + 2*cos(psi + 2*pi*k/n)): P = 1, psi = pi/n at even n and 0 at odd n.
+
+    For s2 in [2*cos(pi/n), 2) every square is nonnegative and every
+    closure identity holds, yet s2^2 < 4*P^2, so no regular polygon gives
+    these distances: r and l would be complex.
+    """
+    psi = math.pi / n if n % 2 == 0 else 0.0
+    return DistanceSpec(tuple(math.sqrt(max(s2 + 2.0 * math.cos(psi + 2.0 * math.pi * k / n), 0.0))
+                              for k in range(n)))
+
+
+def _refused_by_solve(d):
+    try:
+        solve(d)
+    except (RealizabilityError, TriangleInequalityError):
+        return True
+    return False
+
+
+class TestUnrealizableBand:
+    """Lists that pass every closure identity but break 2*spread <= s2^2."""
+
+    SIX = (1.9188670635478835, 1.3964240043768943, 0.4668502890982536, 0.46685028909825294,
+           1.3964240043768938, 1.9188670635478837)
+
+    def test_triangle_inequality_breach_fails(self):
+        # n = 3 has no closure identity: the bound alone refuses it
+        d = DistanceSpec((1.0, 1.0, 5.0))
+        report = check_consistency(averages_from_distances(d))
+        assert report.checks == ()
+        assert not report.passed
+        assert _refused_by_solve(d)
+
+    def test_six_gon_with_complex_sizes_fails(self):
+        # s2 = 1.95, P = 1, psi = pi/6: the closure residuals are rounding only
+        d = DistanceSpec(self.SIX)
+        report = check_consistency(averages_from_distances(d))
+        assert all(c.residual <= 1e-12 * c.expected for c in report.checks)
+        assert not report.passed
+        assert _refused_by_solve(d)
+
+    def test_seeded_band_is_refused_by_both(self):
+        rng = np.random.default_rng(4)
+        accepted = []
+        for _ in range(3000):
+            n = int(rng.integers(3, 65))
+            s2 = float(rng.uniform(2.0 * math.cos(math.pi / n), 2.0 * (1.0 - 1e-3)))
+            d = _band_distances(n, s2)
+            if check_consistency(averages_from_distances(d)).passed or not _refused_by_solve(d):
+                accepted.append((n, s2))
+        assert accepted == []
 
 
 def _regular_distances(n, ratio):

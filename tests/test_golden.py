@@ -85,7 +85,7 @@ def test_stderr_is_pinned_for_every_entry_main_returns():
             assert e["stdout"] == ""
             assert e["stderr"].startswith(("schema error: ", "usage: polydual"))
             usage_errors += "\npolydual: error: " in e["stderr"]
-    assert usage_errors == 8
+    assert usage_errors == 9
 
 
 def test_every_domain_error_code_is_reachable():
