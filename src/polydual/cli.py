@@ -15,10 +15,10 @@ Each command is answered by ``command(payload, tol)`` in the module its
 ``_SUBCOMMANDS`` entry names, and ``run`` imports that module alone, so a
 process compiles and loads only its own command's code.  No such module
 imports this one: under ``-m`` this runs as ``__main__``, and an import
-would compile and run it a second time.  ``run`` rejects a ``tol``
-(default 1e-9) that is not a finite number >= 0 and turns domain errors
-into an error object; ``main`` maps a ``SchemaError``, raised wherever a
-precondition is checked, and a failure to write ``--out``, to exit 2.
+would compile and run it a second time.  ``run`` reads a ``tol`` only for
+a command with ``--tol`` (default 1e-9, finite and >= 0) and turns domain
+errors into an error object; ``main`` maps a ``SchemaError``, raised
+wherever a precondition is checked, and a failed ``--out`` to exit 2.
 Any other exception is a bug.  argv text goes into the payload as split
 strings, read by ``errors.parse_number`` as JSON values are.
 ``_SUBCOMMANDS`` is the one argv grammar: ``_read_argv`` reads argv by
@@ -115,7 +115,8 @@ def run(request: JobRequest) -> tuple[dict[str, Any], int]:
         raise SchemaError(f"unknown command {request.command!r}")
     if not isinstance(request.payload, dict):
         raise SchemaError("payload must be an object")
-    tol = parse_number(request.payload.get("tol", 1e-9), "tol")
+    takes_tol = "--tol" in _options(request.command)  # averages and verify ignore the key
+    tol = parse_number(request.payload.get("tol", 1e-9), "tol") if takes_tol else 1e-9
     if not 0.0 <= tol < math.inf:
         raise SchemaError("'tol' must be a finite number >= 0")
     # -X importtime reports an import made this way, not one by importlib.import_module

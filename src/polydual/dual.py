@@ -10,8 +10,9 @@ circumcircle does not.  ``solve`` is the one place the pair is fitted and
 realizability judged, for every n, ``polygons`` the one place both
 polygons are placed, and ``classify`` the degeneracy rule for fitted
 sizes: r = l puts the point on the circumcircle, l = 0 at the center.
-``command`` answers the CLI's ``dual``, and ``solution_json`` prints a fit
-for it and for ``pompeiu``.
+``command`` answers the CLI's ``dual``, judging the fit by the distances
+its polygon gives, and ``solution_json`` prints a fit for it and for
+``pompeiu``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import sys
 from typing import Any, NamedTuple
 
 from .errors import Degeneracy, RealizabilityError, TriangleInequalityError
-from .geometry import TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, parse_distances
+from .geometry import (TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, distances_from,
+                       parse_distances, verify_permutation)
 
 
 class RadiusDistancePair(NamedTuple):
@@ -38,8 +40,6 @@ class DualSolution(NamedTuple):
     larger: RadiusDistancePair
     smaller: RadiusDistancePair
     degeneracy: Degeneracy
-    #: Largest misfit of the squared distances, relative to max(d)^2.
-    residual: float
     #: psi in d_k^2 = r^2 + l^2 + 2*r*l*cos(psi + 2*pi*k/n), the largest distance at k = 0.
     phase: float
 
@@ -85,7 +85,7 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     the sum of the others by at most tol*a is clamped the same way, and
     beyond that is a ``TriangleInequalityError`` naming the sorted sides.
     Only scaled values are squared, and results scale back by products:
-    they read inf or 0 only outside the float range.
+    they read inf or 0 only outside the float range; ``command`` judges the fit.
     """
     values = sorted(d.values, reverse=True)
     if d.n == 3:
@@ -98,15 +98,14 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     squares = [(v / m) * (v / m) for v in values]
     cos_t, sin_t = _slot_tables(d.n)
     s2 = math.fsum(squares) / d.n
-    dev = [q - s2 for q in squares]
     # twice the first Fourier coefficient of the squares: 2P*cos(psi), -2P*sin(psi);
     # added left to right, since the builtin sum compensates from Python 3.12
     re = im = 0.0
-    for q, c, s in zip(dev, cos_t, sin_t):
+    for q, c, s in zip(squares, cos_t, sin_t):
+        q -= s2
         re += q * c
         im += q * s
-    re = 2.0 * re / d.n
-    im = 2.0 * im / d.n
+    re, im = 2.0 * re / d.n, 2.0 * im / d.n
     two_p = math.hypot(re, im)
     disc = (s2 + two_p) * (s2 - two_p)
     if d.n > 3 and disc < -tol * (s2 * s2):
@@ -115,7 +114,6 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
             discriminant=disc * m * m * m * m,
             mean_square=s2 * m * m,
         )
-    residual = max([abs(x - (re * c + im * s)) for x, c, s in zip(dev, cos_t, sin_t)])
     a = math.sqrt(s2 + two_p)
     b = math.sqrt(max(s2 - two_p, 0.0))
     r, l = 0.5 * (a + b), (two_p / (a + b) if a else 0.0)
@@ -127,7 +125,7 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     r, l, ab = r * m, l * m, a * b * m * m
     pair = RadiusDistancePair(r, l)
     return DualSolution(s2 * m * m, ab * ab, pair, RadiusDistancePair(l, r), degeneracy,
-                        residual, math.atan2(-im, re))
+                        math.atan2(-im, re))
 
 
 def polygons(sol: DualSolution, n: int) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
@@ -164,9 +162,10 @@ def solution_json(sol: DualSolution) -> dict[str, Any]:
 
 
 def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    """``dual``: the fit of the payload's distances, judged by its residual."""
-    sol = solve(parse_distances(payload), tol)
-    out = solution_json(sol)
-    residual = sol.residual
-    out["consistency"] = {"passed": residual <= max(tol, 1e-12), "residual": residual}
-    return out
+    """``dual``: the fit, and ``verify_permutation`` of the list against its larger
+    polygon of at most ``MAX_VERTICES`` vertices.  Squares come back within
+    64*eps*max(d)^2, so a small distance d only within 32*eps*max(d)^2/d."""
+    d = parse_distances(payload)
+    sol = solve(d, tol)
+    match = verify_permutation(d, distances_from(Point2(0.0, 0.0), polygons(sol, d.n)[0]), tol)
+    return {**solution_json(sol), "consistency": {"passed": match.ok, "residual": match.residual}}

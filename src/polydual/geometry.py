@@ -138,11 +138,10 @@ def verify_permutation(
     This is the package's one sorted-multiset comparison.  Matching in
     sorted order minimizes the largest pairwise gap, so the reported
     residual is the best achievable over all permutations; the
-    permutation itself is returned even on failure.  The lists match when
-    the residual is within tol times their largest value: computed
-    distances carry errors of order eps times that value, so the lists'
-    own scale is the floor.  Mismatched lengths are a caller bug, not
-    inequality.
+    permutation itself is returned even on failure.  The lists match within
+    tol, at least 1e-10, times their largest value: computed distances carry
+    rounding, up to 3.2e-13 of it between a list and its ``dual`` fit off
+    the circumcircle (n 3-4096).  Unequal lengths are a caller bug.
     """
     if d.n != x.n:
         raise ValueError(f"distance lists differ in length: {d.n} != {x.n}")
@@ -155,7 +154,7 @@ def verify_permutation(
         perm[i] = j
         residual = max(residual, abs(dv[i] - xv[j]))
     scale = max(dv[order_d[-1]], xv[order_x[-1]])
-    return PermutationMatch(residual <= tol * scale, tuple(perm), residual)
+    return PermutationMatch(residual <= max(tol, 1e-10) * scale, tuple(perm), residual)
 
 
 def vertex_bound(p: RegularPolygonSpec) -> float:

@@ -107,7 +107,7 @@ def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
     point = pair.point
     d_in = distances_from(point, pair.primary_polygon)
     d_b = distances_from(point, pair.b_polygon)
-    match = verify_permutation(d_in, d_b, max(tol, 1e-10))
+    match = verify_permutation(d_in, d_b, tol)
     mirror = verify_permutation(d_in, distances_from(point, pair.c_polygon))
     return {
         "b_polygon": _polygon_json(pair.b_polygon),

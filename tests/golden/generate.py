@@ -19,14 +19,16 @@ figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
 1e-200 and times 1e200), the three degeneracy classes, ``averages`` on
 lists that no regular polygon gives (``1,1,5`` and an n = 6 list whose
 closure identities hold), which it reports without a verdict while
-``dual`` refuses them, oracle runs at ``--grid 8 --refine 1`` and at the
-defaults, usage and schema errors (exit 2), ``--grid`` above its maximum,
-a non-numeric ``--tol`` or ``--instances`` and an ``averages --tol``
-among them, a point with a negative x and a negative
-distance in the ``=`` form and after a space, an abbreviated flag, an
-``=`` value ``--``, the help (exit 0), an ambiguous prefix, a value
-given to a bare flag, a stray ``--``, and every domain error code (exit
-1), with a context of 17-digit sides in descending order;
+``dual`` refuses them, ``--tol 0`` on ``two-points`` and on an on-circle
+``dual`` list, which match at ``verify_permutation``'s floor, oracle runs
+at ``--grid 8 --refine 1`` and at the defaults, usage and schema errors
+(exit 2), ``--grid`` above its maximum, a non-numeric ``--tol`` or
+``--instances`` and an ``averages --tol`` among them, a point with a
+negative x and a negative distance in the ``=`` form and after a space,
+an abbreviated flag, an ``=`` value ``--``, the help (exit 0), an
+ambiguous prefix, a value given to a bare flag, a stray ``--``, and
+every domain error code (exit 1), with a context of 17-digit sides in
+descending order;
 ``tests/test_golden.py`` checks that every code defined in
 ``polydual.errors`` appears.
 """
@@ -223,6 +225,10 @@ APPENDED: list[list[str]] = [
     ["averages", "--distances", "1,1,5"],
     ["averages", "--distances", SIX_UNREALIZABLE],
     ["dual", "--distances", SIX_UNREALIZABLE],
+    # tol 0 asks for verify_permutation's floor: the paper's exact pair, and dual on
+    # the circumcircle, whose fitted polygon gives the list back to rounding
+    ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,-2,0,3,0", "--tol", "0"],
+    ["dual", "--distances", ON_CIRCLE, "--tol", "0"],
 ]
 
 

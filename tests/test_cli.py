@@ -480,12 +480,12 @@ ALONG_LINE = ",".join(repr(1.0 + k / 65) for k in range(65))
 
 
 def test_dual_fits_65_distances_that_no_polygon_gives(capsys):
-    # no vertex cap: 65 distances along a line get a fit, whose residual
-    # rejects them
+    # 65 distances along a line get a fit, whose polygon's distances miss
+    # them by a residual in the input's units
     assert main(["dual", "--distances", ALONG_LINE]) == 0
     consistency = json.loads(capsys.readouterr().out)["consistency"]
     assert consistency["passed"] is False
-    assert consistency["residual"] == pytest.approx(0.106, abs=5e-4)
+    assert consistency["residual"] == pytest.approx(0.1086, abs=5e-4)
 
 
 @pytest.mark.parametrize("n", [65, 200, 1000])
@@ -937,6 +937,32 @@ def test_error_objects_print_the_same_bytes_for_any_order(command, payload, dist
 def test_zero_tol_is_valid(capsys):
     assert main(["two-points", *README_PAIR, "--tol", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["m2"] is not None
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [README_PAIR, ["--polygon-a", "4,0,0,1,0", "--polygon-b", "4,-2,0,3,0"],
+     ["--polygon-a", "4,0,0,1,0", "--polygon-b", "4,3,0,2,180deg"]],
+    ids=["readme", "collinear-outside", "collinear-between"],
+)
+def test_zero_tol_matches_at_the_floor(pair, capsys):
+    # the distances carry rounding; verify_permutation floors tol at 1e-10
+    assert main(["two-points", *pair, "--tol", "0"]) == 0
+    assert all(m["ok"] for m in json.loads(capsys.readouterr().out)["matches"])
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [("averages", {"distances": [3, 5, 7]}),
+     ("verify", {"instances": 1, "grid": 8, "refine": 1})],
+)
+def test_tol_is_read_only_by_commands_that_take_it(command, payload):
+    # averages and verify take no --tol, so a payload's tol is never read
+    for tol in ("abc", -1.0, math.nan):
+        assert run(JobRequest(command, {**payload, "tol": tol})) == run(
+            JobRequest(command, payload))
+    with pytest.raises(SchemaError, match="'tol' must be a number"):
+        run(JobRequest("dual", {"distances": [3, 5, 7], "tol": "abc"}))
 
 
 def _run_python(*args):

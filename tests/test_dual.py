@@ -1,5 +1,6 @@
 import functools
 import math
+import random
 import sys
 from decimal import Decimal, getcontext, localcontext
 
@@ -9,10 +10,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_configuration
-from polydual.cli import JobRequest, run
+from polydual import geometry
+from polydual.cli import JobRequest, main, run
 from polydual.dual import Degeneracy, polygons, solve
 from polydual.errors import RealizabilityError, TriangleInequalityError
-from polydual.geometry import DistanceSpec, Point2, RegularPolygonSpec, distances_from
+from polydual.geometry import (
+    TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, distances_from, verify_permutation,
+)
 from polydual.oracle import random_instance
 
 SQRT2 = math.sqrt(2.0)
@@ -318,6 +322,74 @@ def reference_fit(values):
         a = (s2 + two_p).sqrt()
         b = max(s2 - two_p, Decimal(0)).sqrt()
         return (a + b) / 2 * m, two_p / (a + b) * m
+
+
+class TestConsistency:
+    """``dual``'s verdict: ``verify_permutation`` of the list against its fitted polygon."""
+
+    @pytest.mark.parametrize("b, passed", [(1e-6, False), (1e-8, False), (1e-10, True),
+                                           (1e-12, True)])
+    def test_largest_distance_raised_by_a_factor_1_plus_b(self, b, passed):
+        # at tol 1e-9 the verdict bounds the distances, not their squares
+        verdicts = set()
+        for seed in range(70_000, 70_300):
+            poly, point = random_instance(seed, (4, 12))
+            d = sorted(distances_from(point, poly).values)
+            d[-1] *= 1.0 + b
+            result, code = run(JobRequest("dual", {"distances": d, "tol": 1e-9}))
+            verdicts.add(code == 0 and result["consistency"]["passed"])
+        assert verdicts == {passed}
+
+    @staticmethod
+    def fitted(d):
+        return distances_from(Point2(0.0, 0.0), polygons(solve(d), d.n)[0])
+
+    def test_on_circle_lists_pass_at_the_floor(self):
+        # r = l exactly: the fit's snap to the double root loses nothing
+        for seed in range(1000):
+            poly, point = random_instance(62_000 + seed, (3, 512), degenerate_mode=True)
+            d = distances_from(point, poly)
+            match = verify_permutation(d, self.fitted(d), 0.0)
+            assert match.ok and match.residual <= 1e-14 * max(d.values), seed
+
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-9, 1e-12])
+    def test_lists_near_the_center_pass_at_the_floor(self, ratio):
+        rng = random.Random(7)
+        for _ in range(100):
+            n = rng.randint(3, 512)
+            d = canonical(n, 2.0, 2.0 * ratio, rng.uniform(0.0, 7.0), rng.uniform(0.0, 7.0))
+            assert verify_permutation(d, self.fitted(d), 0.0).residual <= 1e-14 * max(d.values)
+
+    def test_near_the_circle_the_fit_gives_the_squares_back(self):
+        # the fit works on squares and gives each back within 64*eps*max(d)^2, so a
+        # distance d comes back within about 32*eps*max(d)^2/d: small distances,
+        # a vertex next to a point near the circumcircle, come back least well
+        rng = random.Random(9)
+        for i in range(600):
+            n = rng.randint(3, 512)
+            phase = rng.uniform(0.0, 7.0)
+            azimuth = phase + (TWO_PI * rng.randrange(n) / n if i % 2 else rng.uniform(0.0, 7.0))
+            l = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -3.0)
+            d = canonical(n, 1.0, l, phase, azimuth)
+            pairs = zip(sorted(d.values), sorted(self.fitted(d).values))
+            assert max(abs(a - b) * (a + b) for a, b in pairs) <= 64 * EPS * max(d.values) ** 2
+
+    def test_a_vertex_next_to_a_point_near_the_circle(self):
+        # the point 1e-7 beyond vertex 0: the fit snaps to r = l and puts that vertex
+        # on the point, and the verdict reports the polygon's miss of 1e-7
+        d = canonical(4, 1.0, 1.0 + 1e-7, phase=0.0, azimuth=0.0)
+        result, code = run(JobRequest("dual", {"distances": list(d.values)}))
+        assert code == 0 and result["degeneracy"] == "on_circumcircle"
+        assert result["consistency"]["residual"] == pytest.approx(1e-7, rel=1e-6)
+        assert result["consistency"]["passed"] is False
+
+    def test_past_the_vertex_cap_is_a_schema_error(self, monkeypatch):
+        # dual builds its fitted polygon, so it takes at most MAX_VERTICES distances
+        lists = {n: ",".join(map(repr, canonical(n, 1.0, 0.4).values)) for n in (8, 9)}
+        monkeypatch.setattr(geometry, "MAX_VERTICES", 8)
+        for n, code in ((8, 0), (9, 2)):
+            assert main(["dual", "--distances", lists[n]]) == code
+            assert main(["averages", "--distances", lists[n]]) == 0  # averages has no cap
 
 
 class TestFitProperties:

@@ -198,6 +198,13 @@ class TestMultisetEqual:
         z = DistanceSpec((0.0, 0.0, 0.0))
         assert verify_permutation(z, z, 1e-9).ok
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-10])
+    def test_tol_is_floored_at_1e_10_of_the_largest_value(self, tol):
+        # computed distances carry rounding, so no tol asks for more than the floor
+        d = DistanceSpec((1.0, 2.0, 4.0))
+        assert verify_permutation(d, DistanceSpec((1.0, 2.0, 4.0 + 3e-10)), tol).ok
+        assert not verify_permutation(d, DistanceSpec((1.0, 2.0, 4.0 + 5e-10)), tol).ok
+
     def test_mismatched_n_is_an_error(self):
         with pytest.raises(ValueError):
             verify_permutation(DistanceSpec((1, 2, 3)), DistanceSpec((1, 2, 3, 4)), 1e-9)

@@ -115,6 +115,12 @@ def test_phase_is_normalized():
     assert RegularPolygonSpec(n=3, center=ORIGIN, circumradius=1.0).phase == 0.0
 
 
+def test_a_fit_carries_no_verdict():
+    # dual judges a fit by its polygon's distances, so the fit keeps no residual
+    assert solve(DistanceSpec((3.0, 5.0, 7.0)))._fields == (
+        "mean_square", "discriminant", "larger", "smaller", "degeneracy", "phase")
+
+
 def test_repr_names_the_fields():
     assert repr(Point2(1.0, 2.0)) == "Point2(x=1.0, y=2.0)"
     assert repr(OracleConfig()) == "OracleConfig(grid_resolution=8, refine_iterations=3)"
