@@ -7,12 +7,11 @@ of the squared distances fix {r, l}; its two assignments describe two
 non-congruent regular polygons realizing the same distances, a larger one
 whose circumcircle contains the point and a smaller one whose
 circumcircle does not.  ``solve`` is the one place the pair is fitted and
-realizability judged, for every n, ``polygons`` the one place both
-polygons are placed, and ``classify`` the degeneracy rule for fitted
-sizes: r = l puts the point on the circumcircle, l = 0 at the center.
-``command`` answers the CLI's ``dual``, judging the fit by the distances
-its polygon gives, and ``solution_json`` prints a fit for it and for
-``pompeiu``.
+realizability and the degenerate classes judged, for every n: r = l puts
+the point on the circumcircle, l = 0 at the center.  ``polygons`` is the
+one place both polygons are placed.  ``command`` answers the CLI's
+``dual``, judging the fit by the distances its polygon gives, and
+``solution_json`` prints a fit for it and for ``pompeiu``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 import sys
 from typing import Any, NamedTuple
 
-from .errors import Degeneracy, RealizabilityError, TriangleInequalityError
+from .errors import Degeneracy, RealizabilityError, SchemaError, TriangleInequalityError
 from .geometry import (TWO_PI, DistanceSpec, Point2, RegularPolygonSpec, distances_from,
                        parse_distances, verify_permutation)
 
@@ -44,20 +43,8 @@ class DualSolution(NamedTuple):
     phase: float
 
 
-def classify(r: float, l: float) -> Degeneracy:
-    """Where the point sits, from the ratio t = min(r, l)/max(r, l) alone.
-
-    A class is declared when (1 - t)^2 or t is within 64*eps*(1 + t^2)
-    of zero, about the rounding the fit itself leaves on them.
-    """
-    hi, lo = (r, l) if r >= l else (l, r)
-    t = lo / hi if hi > 0.0 else 1.0
-    slack = 64.0 * sys.float_info.epsilon * (1.0 + t * t)
-    if (1.0 - t) * (1.0 - t) <= slack:
-        return Degeneracy.ON_CIRCUMCIRCLE
-    if t <= slack:
-        return Degeneracy.AT_CENTER
-    return Degeneracy.NONE
+#: Relative rounding a fit may carry: each degeneracy band's width, and what tol = 0 allows.
+_SLACK = 64.0 * sys.float_info.epsilon
 
 
 @functools.lru_cache(maxsize=256)
@@ -76,21 +63,28 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     polygon's vertices get farther from the point in that order (up to
     mirror), so any permutation of the input gives the same answer.  With
     A = r + l = sqrt(s2 + 2P) and B = |r - l| = sqrt(s2 - 2P), the small
-    root is 2P/(A + B), which needs no subtraction.  For n >= 4,
-    (s2 + 2P)(s2 - 2P) within -tol*s2^2 of zero is clamped to the double
-    root r = l on the circumcircle; below that no regular polygon realizes
-    the distances.  For n = 3 Pompeiu's theorem decides instead: three
-    distances are realizable exactly when they form a triangle, whose
-    (16/3)*area^2 is the discriminant.  A largest distance a that exceeds
-    the sum of the others by at most tol*a is clamped the same way, and
-    beyond that is a ``TriangleInequalityError`` naming the sorted sides.
-    Only scaled values are squared, and results scale back by products:
-    they read inf or 0 only outside the float range; ``command`` judges the fit.
+    root is 2P/(A + B), which needs no subtraction.  Near the circle s2 - 2P
+    cancels, so when the smallest distance u, at the slot angle theta
+    nearest pi, gives B^2 = u^2 - 4P*cos^2(theta/2) within the rounding of
+    s2 - 2P (64*sqrt(n)*eps*s2), as a polygon's list does, B^2 comes from u
+    and a vertex next to the point keeps its distance.  B^2 at most
+    64*eps*(u + 2P*(pi - |theta|)) is the double root r = l on the
+    circumcircle; l/r within 64*eps*(1 + (l/r)^2) of zero puts the point at
+    the center.  For n >= 4, (s2 + 2P)(s2 - 2P) below -(tol +
+    64*sqrt(n)*eps)*s2^2 means no regular polygon realizes the distances.
+    For n = 3 Pompeiu's theorem decides instead: three distances are
+    realizable exactly when they form a triangle, whose (16/3)*area^2 is
+    the discriminant, and a largest distance a above the sum of the others
+    by more than (tol + 64*sqrt(3)*eps)*a is a ``TriangleInequalityError``
+    naming the sorted sides.  Only scaled values are squared, and results
+    scale back by products: they read inf or 0 only outside the float
+    range.  ``command`` judges the fit.
     """
     values = sorted(d.values, reverse=True)
+    rounding = _SLACK * math.sqrt(d.n)  # of s2 - 2P: measured <= 1.4*sqrt(n)*eps, n 3-1e5
     if d.n == 3:
         gap = values[0] - (values[1] + values[2])
-        if gap > tol * values[0]:
+        if gap > (tol + rounding) * values[0]:
             raise TriangleInequalityError(
                 "largest distance exceeds the sum of the others", sides=tuple(values), gap=gap
             )
@@ -108,24 +102,30 @@ def solve(d: DistanceSpec, tol: float = 1e-9) -> DualSolution:
     re, im = 2.0 * re / d.n, 2.0 * im / d.n
     two_p = math.hypot(re, im)
     disc = (s2 + two_p) * (s2 - two_p)
-    if d.n > 3 and disc < -tol * (s2 * s2):
+    if d.n > 3 and disc < -(tol + rounding) * (s2 * s2):
         raise RealizabilityError(
             "no regular polygon realizes these distances (the fitted squares dip below 0)",
             discriminant=disc * m * m * m * m,
             mean_square=s2 * m * m,
         )
-    a = math.sqrt(s2 + two_p)
-    b = math.sqrt(max(s2 - two_p, 0.0))
-    r, l = 0.5 * (a + b), (two_p / (a + b) if a else 0.0)
-    # B = 0 is the clamp, however far below zero the discriminant was
-    degeneracy = classify(r, l) if b else Degeneracy.ON_CIRCUMCIRCLE
-    if degeneracy is Degeneracy.ON_CIRCUMCIRCLE:
-        # the double root: r = l up to rounding, so the noise in B is dropped
-        b, r, l = 0.0, 0.5 * a, 0.5 * a
+    a, psi = math.sqrt(s2 + two_p), math.atan2(-im, re)
+    b2, cut = s2 - two_p, 0.0
+    if b2 <= 1e-9 * math.sqrt(d.n) * s2:  # where the rounding of s2 - 2P could show
+        g = math.pi - abs(math.remainder(psi + math.atan2(sin_t[-1], cos_t[-1]), TWO_PI))
+        u, h = values[-1] / m, math.sin(0.5 * g)
+        fine = u * u - 2.0 * two_p * h * h
+        b2 = fine if abs(fine - b2) <= rounding * s2 else b2
+        cut = _SLACK * (u + two_p * g)
+    if b2 <= cut:  # also every clamped discriminant
+        b, r, l, degeneracy = 0.0, 0.5 * a, 0.5 * a, Degeneracy.ON_CIRCUMCIRCLE
+    else:
+        b = math.sqrt(b2)
+        r, l = 0.5 * (a + b), two_p / (a + b)
+        t = l / r  # l = 0 up to rounding puts the point at the center
+        degeneracy = Degeneracy.AT_CENTER if t <= _SLACK * (1.0 + t * t) else Degeneracy.NONE
     r, l, ab = r * m, l * m, a * b * m * m
     pair = RadiusDistancePair(r, l)
-    return DualSolution(s2 * m * m, ab * ab, pair, RadiusDistancePair(l, r), degeneracy,
-                        math.atan2(-im, re))
+    return DualSolution(s2 * m * m, ab * ab, pair, RadiusDistancePair(l, r), degeneracy, psi)
 
 
 def polygons(sol: DualSolution, n: int) -> tuple[RegularPolygonSpec, RegularPolygonSpec]:
@@ -162,10 +162,14 @@ def solution_json(sol: DualSolution) -> dict[str, Any]:
 
 
 def command(payload: dict[str, Any], tol: float) -> dict[str, Any]:
-    """``dual``: the fit, and ``verify_permutation`` of the list against its larger
-    polygon of at most ``MAX_VERTICES`` vertices.  Squares come back within
-    64*eps*max(d)^2, so a small distance d only within 32*eps*max(d)^2/d."""
+    """``dual``: the fit, and ``verify_permutation`` of the list against its larger polygon
+    (so at most ``MAX_VERTICES`` distances); a polygon past the float range is a schema error."""
     d = parse_distances(payload)
     sol = solve(d, tol)
-    match = verify_permutation(d, distances_from(Point2(0.0, 0.0), polygons(sol, d.n)[0]), tol)
+    larger = polygons(sol, d.n)[0]
+    try:
+        fitted = distances_from(Point2(0.0, 0.0), larger)
+    except SchemaError:
+        raise SchemaError("the fitted polygon's vertices leave the float range") from None
+    match = verify_permutation(d, fitted, tol)
     return {**solution_json(sol), "consistency": {"passed": match.ok, "residual": match.residual}}

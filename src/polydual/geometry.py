@@ -140,8 +140,8 @@ def verify_permutation(
     residual is the best achievable over all permutations; the
     permutation itself is returned even on failure.  The lists match within
     tol, at least 1e-10, times their largest value: computed distances carry
-    rounding, up to 3.2e-13 of it between a list and its ``dual`` fit off
-    the circumcircle (n 3-4096).  Unequal lengths are a caller bug.
+    rounding, between a polygon's list and its ``dual`` fit up to 3.2e-13 of
+    it (n 3-4096), 5.1e-12 near the circle (n 3-2e4).  Unequal lengths are a caller bug.
     """
     if d.n != x.n:
         raise ValueError(f"distance lists differ in length: {d.n} != {x.n}")

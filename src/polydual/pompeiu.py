@@ -71,7 +71,7 @@ def pompeiu_from_distances(
     ``dual.solve`` judges the triple by the triangle inequality at ``tol``,
     raising its domain error beyond it, and its fit rides on the returned
     triangle as ``solution``.  The triple is degenerate exactly when the
-    fit puts the point on the circumcircle (``dual.classify``), which
+    fit puts the point on the circumcircle (``dual.solve``), which
     forces the area to exactly zero.  The area is Kahan's ordering-stable
     Heron formula.  The margin sum(d^2) - 4*sqrt(3)*area is taken as
     2*sum((a^2 - b^2)^2) / (sum(d^2) + 4*sqrt(3)*area), by the identity

@@ -47,7 +47,7 @@ def two_points(
         raise SchemaError(f"vertex counts differ: {pa.n} != {pb.n}")
     r_a, r_b = pa.circumradius, pb.circumradius
     # computed vertices carry a few ulps of rounding, so a vertex shared in
-    # exact arithmetic is found even at tol 0 (the slack of dual.classify)
+    # exact arithmetic is found even at tol 0 (the slack of dual.solve)
     vtol = max(tol, 64.0 * sys.float_info.epsilon) * max(r_a, r_b)
     ca, cb = pa.center, pb.center
     coords_a, coords_b = vertex_coords(pa), vertex_coords(pb)

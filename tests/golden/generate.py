@@ -20,7 +20,9 @@ figures, ``--mirror``, ``pompeiu --construct`` (also on 3, 5, 7 times
 lists that no regular polygon gives (``1,1,5`` and an n = 6 list whose
 closure identities hold), which it reports without a verdict while
 ``dual`` refuses them, ``--tol 0`` on ``two-points`` and on an on-circle
-``dual`` list, which match at ``verify_permutation``'s floor, oracle runs
+``dual`` list, which match at ``verify_permutation``'s floor, ``dual`` on
+points 1e-7 and 1e-9 beyond a square's vertex, which it fits off the
+circumcircle and matches at the default tol and at ``--tol 0``, oracle runs
 at ``--grid 8 --refine 1`` and at the defaults, usage and schema errors
 (exit 2), ``--grid`` above its maximum, a non-numeric ``--tol`` or
 ``--instances`` and an ``averages --tol`` among them, a point with a
@@ -141,6 +143,13 @@ def _csv(values) -> str:
 REGULAR_65 = _csv(distances_from(
     Point2(0.25, 0.1), RegularPolygonSpec(65, Point2(0.0, 0.0), 1.0, 0.3)).values)
 
+
+def _beyond_vertex(e: float) -> str:
+    """Distances from (1 + e, 0) to the unit square with a vertex at (1, 0)."""
+    square = RegularPolygonSpec(4, Point2(0.0, 0.0), 1.0)
+    return _csv(distances_from(Point2(1.0 + e, 0.0), square).values)
+
+
 SIX_UNREALIZABLE = ("1.9188670635478835,1.3964240043768943,0.4668502890982536,"
                     "0.46685028909825294,1.3964240043768938,1.9188670635478837")
 
@@ -229,6 +238,10 @@ APPENDED: list[list[str]] = [
     # the circumcircle, whose fitted polygon gives the list back to rounding
     ["two-points", "--polygon-a", "4,0,0,1,0", "--polygon-b", "4,-2,0,3,0", "--tol", "0"],
     ["dual", "--distances", ON_CIRCLE, "--tol", "0"],
+    # a point 1e-7 and 1e-9 beyond a square's vertex: the fit keeps r != l, so its
+    # polygon gives the nearest distance back, also at tol 0
+    ["dual", "--distances", _beyond_vertex(1e-7)],
+    ["dual", "--distances", _beyond_vertex(1e-9), "--tol", "0"],
 ]
 
 

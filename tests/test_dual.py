@@ -341,47 +341,53 @@ class TestConsistency:
         assert verdicts == {passed}
 
     @staticmethod
-    def fitted(d):
-        return distances_from(Point2(0.0, 0.0), polygons(solve(d), d.n)[0])
+    def verdict(d, tol):
+        result, code = run(JobRequest("dual", {"distances": list(d.values), "tol": tol}))
+        assert code == 0, result
+        return result["consistency"]["passed"], result["consistency"]["residual"] / max(d.values)
 
-    def test_on_circle_lists_pass_at_the_floor(self):
-        # r = l exactly: the fit's snap to the double root loses nothing
+    def test_on_circle_lists_pass_at_tol_0(self):
+        # at tol 0 the realizability clamp still allows the rounding of s2 - 2P
         for seed in range(1000):
             poly, point = random_instance(62_000 + seed, (3, 512), degenerate_mode=True)
             d = distances_from(point, poly)
-            match = verify_permutation(d, self.fitted(d), 0.0)
-            assert match.ok and match.residual <= 1e-14 * max(d.values), seed
+            passed, residual = self.verdict(d, 0.0)
+            assert passed and residual <= 1e-14, seed
+            assert point_class(d.values) == "on_circle", seed
 
     @pytest.mark.parametrize("ratio", [1e-6, 1e-9, 1e-12])
-    def test_lists_near_the_center_pass_at_the_floor(self, ratio):
+    def test_lists_near_the_center_pass_at_tol_0(self, ratio):
         rng = random.Random(7)
         for _ in range(100):
             n = rng.randint(3, 512)
             d = canonical(n, 2.0, 2.0 * ratio, rng.uniform(0.0, 7.0), rng.uniform(0.0, 7.0))
-            assert verify_permutation(d, self.fitted(d), 0.0).residual <= 1e-14 * max(d.values)
+            passed, residual = self.verdict(d, 0.0)
+            assert passed and residual <= 1e-14
 
-    def test_near_the_circle_the_fit_gives_the_squares_back(self):
-        # the fit works on squares and gives each back within 64*eps*max(d)^2, so a
-        # distance d comes back within about 32*eps*max(d)^2/d: small distances,
-        # a vertex next to a point near the circumcircle, come back least well
+    def test_lists_near_the_circle_pass_at_tol_0(self):
+        # s2 - 2P keeps only about half the digits of (r - l)^2 here, so with a vertex
+        # next to the point the fit takes it from the smallest distance instead
         rng = random.Random(9)
-        for i in range(600):
-            n = rng.randint(3, 512)
+        for i in range(1000):
+            n = rng.choice((3, 4, 5, 8, 16, 64, 512))
             phase = rng.uniform(0.0, 7.0)
-            azimuth = phase + (TWO_PI * rng.randrange(n) / n if i % 2 else rng.uniform(0.0, 7.0))
-            l = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-10.0, -3.0)
+            offset = rng.choice((0.0, 1e-12, 1e-8, 1e-4, rng.uniform(0.0, 7.0)))
+            azimuth = phase + TWO_PI * rng.randrange(n) / n + offset
+            l = 1.0 + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-13.0, -3.0)
             d = canonical(n, 1.0, l, phase, azimuth)
-            pairs = zip(sorted(d.values), sorted(self.fitted(d).values))
-            assert max(abs(a - b) * (a + b) for a, b in pairs) <= 64 * EPS * max(d.values) ** 2
+            for tol in (0.0, 1e-9):
+                passed, residual = self.verdict(d, tol)
+                assert passed and residual <= 2e-11, (i, tol)
 
     def test_a_vertex_next_to_a_point_near_the_circle(self):
-        # the point 1e-7 beyond vertex 0: the fit snaps to r = l and puts that vertex
-        # on the point, and the verdict reports the polygon's miss of 1e-7
+        # the point 1e-7 beyond vertex 0: the fit keeps r - l = 1e-7, so its polygon
+        # puts that vertex 1e-7 from the point, as the list says
         d = canonical(4, 1.0, 1.0 + 1e-7, phase=0.0, azimuth=0.0)
-        result, code = run(JobRequest("dual", {"distances": list(d.values)}))
-        assert code == 0 and result["degeneracy"] == "on_circumcircle"
-        assert result["consistency"]["residual"] == pytest.approx(1e-7, rel=1e-6)
-        assert result["consistency"]["passed"] is False
+        result, code = run(JobRequest("dual", {"distances": list(d.values), "tol": 0.0}))
+        assert code == 0 and result["degeneracy"] == "none"
+        larger = result["larger"]
+        assert larger["circumradius"] - larger["center_distance"] == pytest.approx(1e-7, rel=1e-8)
+        assert result["consistency"] == {"passed": True, "residual": pytest.approx(0.0, abs=1e-15)}
 
     def test_past_the_vertex_cap_is_a_schema_error(self, monkeypatch):
         # dual builds its fitted polygon, so it takes at most MAX_VERTICES distances
@@ -390,6 +396,11 @@ class TestConsistency:
         for n, code in ((8, 0), (9, 2)):
             assert main(["dual", "--distances", lists[n]]) == code
             assert main(["averages", "--distances", lists[n]]) == 0  # averages has no cap
+
+    def test_a_fit_past_the_float_range_is_named(self, capsys):
+        # the fit of this list, no polygon's, has vertices beyond the largest float
+        assert main(["dual", "--distances", "1.79e308,1.79e308,1.79e308,1e300"]) == 2
+        assert "the fitted polygon's vertices leave the float range" in capsys.readouterr().err
 
 
 class TestFitProperties:
