@@ -1,8 +1,10 @@
-"""Shared helpers: seeded random configurations for the property suites, and exact oracle results."""
+"""Shared helpers: seeded random configurations for the property suites, the unit square,
+SVG class counts, and exact oracle results."""
 
 from __future__ import annotations
 
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -17,6 +19,11 @@ settings.register_profile(
 settings.load_profile("geometry")
 
 TWO_PI = 2.0 * math.pi
+
+
+def unit_square() -> RegularPolygonSpec:
+    """The square with vertices (+-1, +-1): circumradius sqrt(2), phase pi/4."""
+    return RegularPolygonSpec(4, Point2(0.0, 0.0), math.sqrt(2.0), math.pi / 4)
 
 
 def random_configuration(
@@ -78,6 +85,16 @@ def rotate_about(p: Point2, center: Point2, angle: float) -> Point2:
     c, s = math.cos(angle), math.sin(angle)
     dx, dy = p.x - center.x, p.y - center.y
     return Point2(center.x + c * dx - s * dy, center.y + s * dx + c * dy)
+
+
+def _count_classes(svg_text):
+    """How many elements of an SVG document carry each ``class``."""
+    counts = {}
+    for el in ET.fromstring(svg_text).iter():
+        cls = el.get("class")
+        if cls:
+            counts[cls] = counts.get(cls, 0) + 1
+    return counts
 
 
 def _result_hex(res):

@@ -12,13 +12,12 @@ import statistics
 import subprocess
 import sys
 import time
-import xml.etree.ElementTree as ET
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from conftest import _result_hex, random_configuration, shared_vertex_pair
+from conftest import _count_classes, _result_hex, random_configuration, shared_vertex_pair
 from polydual.cli import JobRequest, run
 from polydual.cyclic import _power_means, averages_from_distances
 from polydual.dual import Degeneracy, solve
@@ -323,15 +322,6 @@ def test_criterion_8_pompeiu_boundary():
             poly, point = random_instance(88_000 + seed, (3, 3), degenerate_mode=True)
             sol = solve(distances_from(point, poly))
             assert sol.discriminant <= 1e-9 * sol.mean_square**2
-
-
-def _count_classes(svg_text):
-    counts = {}
-    for el in ET.fromstring(svg_text).iter():
-        cls = el.get("class")
-        if cls:
-            counts[cls] = counts.get(cls, 0) + 1
-    return counts
 
 
 def test_criterion_9_cli_contract():

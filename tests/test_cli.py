@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import _count_classes
 from polydual.cli import (
     _SUBCOMMANDS,
     JobRequest,
@@ -40,13 +41,20 @@ SQUARE_POLYGON = "4,0,0,1.4142135623730951,0.7853981633974483"
 README_PAIR = ["--polygon-a", "4,0,0,1.4142135623730951,45deg", "--polygon-b", "4,2,1,1,180deg"]
 
 
-def run_cli(argv):
-    proc = subprocess.run(
-        [sys.executable, "-m", "polydual.cli", *argv],
+def _run_python(*args, text=True):
+    """Run a new interpreter with ``args``, importing the package from src."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
-        text=False,
+        text=text,
     )
-    return proc
+
+
+def run_cli(argv):
+    """``python -m polydual.cli`` with ``argv``, its output as bytes."""
+    return _run_python("-m", "polydual.cli", *argv, text=False)
 
 
 def _readme_argvs():
@@ -226,11 +234,6 @@ class TestProcessLevel:
         assert out["consistency"]["passed"] is True
         assert proc.stdout.endswith(b"\n")
 
-    def test_triangle_inequality_exit_one(self):
-        proc = run_cli(["dual", "--distances", "1,1,5"])
-        assert proc.returncode == 1
-        assert json.loads(proc.stdout)["code"] == "TRIANGLE_INEQUALITY"
-
     def test_usage_error_exit_two(self):
         proc = run_cli(["dual"])
         assert proc.returncode == 2
@@ -238,11 +241,6 @@ class TestProcessLevel:
     def test_schema_error_exit_two(self):
         proc = run_cli(["dual", "--distances", "1,foo,3"])
         assert proc.returncode == 2
-
-    def test_byte_determinism_json(self):
-        a = run_cli(["dual", "--distances", SQUARE_DISTANCES])
-        b = run_cli(["dual", "--distances", SQUARE_DISTANCES])
-        assert a.stdout == b.stdout
 
     def test_byte_determinism_svg(self, tmp_path):
         out1 = tmp_path / "a.svg"
@@ -261,16 +259,6 @@ class TestProcessLevel:
         assert a.returncode == b.returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert a.stdout == b.stdout
-
-
-def _count_classes(svg_text):
-    root = ET.fromstring(svg_text)
-    counts = {}
-    for el in root.iter():
-        cls = el.get("class")
-        if cls:
-            counts[cls] = counts.get(cls, 0) + 1
-    return counts
 
 
 class TestRenderStructure:
@@ -965,17 +953,6 @@ def test_tol_is_read_only_by_commands_that_take_it(command, payload):
         run(JobRequest("dual", {"distances": [3, 5, 7], "tol": "abc"}))
 
 
-def _run_python(*args):
-    """Run a new interpreter with ``args``, importing the package from src."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    return subprocess.run(
-        [sys.executable, *args],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-    )
-
-
 def _run_fresh(lines):
     """Run a script in a new interpreter that imports the package from src."""
     return _run_python("-c", "\n".join(lines))
@@ -1033,36 +1010,49 @@ PENTAGON_DISTANCES = ",".join(
 )
 
 
-@pytest.mark.parametrize(
-    "argv, modules",
-    [
-        (["dual", "--distances", "3,5,7"], {"dual"}),
-        (["dual", "--distances", PENTAGON_DISTANCES], {"dual"}),
-        (["averages", "--distances", SQUARE_DISTANCES], {"cyclic"}),
-        (["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"], {"reconstruct"}),
-        (["pompeiu", "--distances", "3,5,7", "--construct"], {"dual", "pompeiu"}),
-        (["two-points", *README_PAIR], {"two_points"}),
-        (["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
-         {"reconstruct", "svg"}),
-        (["render", "--scene", "two-points", *README_PAIR], {"svg", "two_points"}),
-        (["render", "--scene", "pompeiu", "--distances", "3,5,7"], {"dual", "pompeiu", "svg"}),
-        (["verify", "--instances", "1"], {"oracle"}),
-        (["reconstruct", "--polygon", "4,0,0,1", "--point", "-0.5,0", "--direction", "-0.5"],
-         {"reconstruct"}),
-        (["dual", "--dist", "3,5,7"], {"dual"}),
-    ],
-    ids=["dual-3", "dual-5", "averages", "reconstruct", "pompeiu-construct", "two-points",
-         "render-dual", "render-two-points", "render-pompeiu", "verify",
-         "reconstruct-negative", "dual-prefix"],
-)
-def test_each_command_loads_only_its_modules(argv, modules):
+#: Each command's own modules, a render command's by its scene.
+OWN_MODULES = {
+    "dual": {"dual"},
+    "averages": {"cyclic"},
+    "reconstruct": {"reconstruct"},
+    "pompeiu": {"dual", "pompeiu"},
+    "two-points": {"two_points"},
+    "verify": {"oracle"},
+    "render dual": {"reconstruct", "svg"},
+    "render two-points": {"svg", "two_points"},
+    "render pompeiu": {"dual", "pompeiu", "svg"},
+}
+MODULE_ARGVS = {
+    "dual-3": ["dual", "--distances", "3,5,7"],
+    "dual-5": ["dual", "--distances", PENTAGON_DISTANCES],
+    "averages": ["averages", "--distances", SQUARE_DISTANCES],
+    "reconstruct": ["reconstruct", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
+    "pompeiu-construct": ["pompeiu", "--distances", "3,5,7", "--construct"],
+    "two-points": ["two-points", *README_PAIR],
+    "render-dual": ["render", "--scene", "dual", "--polygon", SQUARE_POLYGON, "--point", "1,0"],
+    "render-two-points": ["render", "--scene", "two-points", *README_PAIR],
+    "render-pompeiu": ["render", "--scene", "pompeiu", "--distances", "3,5,7"],
+    "verify": ["verify", "--instances", "1"],
+    "reconstruct-negative": ["reconstruct", "--polygon", "4,0,0,1", "--point", "-0.5,0",
+                             "--direction", "-0.5"],
+    "dual-prefix": ["dual", "--dist", "3,5,7"],
+    # every README example, its --out file redirected by the test
+    **{f"readme-{i:02d}-{argv[0]}": argv for i, argv in enumerate(_readme_argvs())},
+}
+
+
+@pytest.mark.parametrize("argv", list(MODULE_ARGVS.values()), ids=list(MODULE_ARGVS))
+def test_each_command_loads_only_its_modules(argv, tmp_path):
     """A fresh process loads the CLI's base modules plus its own command's, and neither
     argparse nor json.
 
     So does ``python -m polydual.cli``, read from its ``-X importtime`` report,
     where the CLI runs as ``__main__``: no module imports ``polydual.cli``,
-    which would compile and run it a second time.
+    which would compile and run it a second time.  An ``--out`` file lands
+    in ``tmp_path``.
     """
+    argv = [str(tmp_path / a) if flag == "--out" else a for flag, a in zip(["", *argv], argv)]
+    modules = OWN_MODULES[f"render {argv[2]}" if argv[0] == "render" else argv[0]]
     expected = CLI_BASE | {f"polydual.{m}" for m in modules}
     proc = _run_fresh([
         "import contextlib, io, sys",
@@ -1124,14 +1114,29 @@ def test_unwritable_out_is_a_schema_error(tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+def _verdicts(report):
+    """Every ``passed`` and ``ok`` value in a parsed JSON report, however deep."""
+    if isinstance(report, dict):
+        for key, value in report.items():
+            yield from [value] if key in ("passed", "ok") else _verdicts(value)
+    elif isinstance(report, list):
+        for value in report:
+            yield from _verdicts(value)
+
+
 def test_readme_examples_run(tmp_path, monkeypatch, capsys):
-    # every README example, its --out files landing in tmp_path
+    # every README example, its --out files landing in tmp_path; each is a genuine
+    # configuration, so every verdict it prints is true, and every verify run agrees
     argvs = _readme_argvs()
     assert argvs
     monkeypatch.chdir(tmp_path)
     for argv in argvs:
         assert main(argv) == 0, argv
-    capsys.readouterr()
+        out = capsys.readouterr().out
+        report = json.loads(out) if out.startswith("{") else {}
+        assert all(v is True for v in _verdicts(report)), (argv, out)
+        if argv[0] == "verify":
+            assert report["instances"] == report["found"] == report["agreed"], (argv, out)
 
 
 SQUARE = {"n": 4, "center": {"x": 0.0, "y": 0.0}, "r": SQRT2, "phase": "45deg"}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import unit_square
 from polydual.geometry import (
     TWO_PI,
     DistanceSpec,
@@ -19,10 +20,6 @@ from polydual.svg import Scene, render_svg
 from polydual.two_points import two_points
 
 SQRT2 = math.sqrt(2.0)
-
-
-def unit_square():
-    return RegularPolygonSpec(4, Point2(0.0, 0.0), SQRT2, math.pi / 4)
 
 
 class TestVertices:

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from golden.generate import entry_id, replay
+from golden.generate import APPENDED, FIXED, entry_id, replay, seeded
 from polydual.errors import DomainError
 
-CORPUS = json.loads(
-    (Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
-)
+CORPUS_TEXT = (Path(__file__).parent / "golden" / "cli_corpus.json").read_text(encoding="utf-8")
+CORPUS = json.loads(CORPUS_TEXT)
 
 
 @pytest.mark.parametrize(
@@ -28,6 +27,13 @@ CORPUS = json.loads(
 )
 def test_replay_is_byte_identical(entry):
     assert replay(entry["argv"]) == {k: v for k, v in entry.items() if k != "argv"}
+
+
+def test_corpus_is_what_its_generator_writes():
+    # with the byte replay above, this is what regenerating the corpus and
+    # diffing it checks: the generator's argv lists, in order, written as it writes them
+    assert [e["argv"] for e in CORPUS] == FIXED + seeded() + APPENDED
+    assert CORPUS_TEXT == json.dumps(CORPUS, indent=1) + "\n"
 
 
 _builtin_sum = builtins.sum

@@ -624,22 +624,29 @@ def test_searches_are_pinned(row):
 
 
 #: sha256 over the ``_result_hex`` rows, one ``repr((seed, *row))`` line each, of
-#: the three sets ``polydual verify`` runs in CI at the defaults: (first seed,
-#: instances, n_range, digest), so a change to the search that moves one float
-#: fails.
+#: the three sets the README's ``polydual verify`` runs search at the defaults:
+#: (first seed, instances, n_range, config, digest), config ``None`` for the
+#: default, so a change to the search that moves one float fails.  The last row
+#: caps the descent at 20 iterations (``--refine 1``), as cli-cold's verify runs
+#: do, and must give the default's digest: no search needs more.
 PINNED_DIGESTS = [
-    (70000, 500, (3, 8), "4eafca5a54f02570ca2b0c8158507d521685b39d8b42ee6a68cd82ea88e3ce22"),
-    (5000, 300, (13, 64), "6b5ca96151122543244607d19b5005d5442460631f5f55a958bb740fa14142f6"),
-    (9000, 100, (65, 512), "2d21f95484c1566b1efd2540179c955bca3f0280bca2427b4fdbfd70530094a5"),
+    (70000, 500, (3, 8), None, "4eafca5a54f02570ca2b0c8158507d521685b39d8b42ee6a68cd82ea88e3ce22"),
+    (5000, 300, (13, 64), None, "6b5ca96151122543244607d19b5005d5442460631f5f55a958bb740fa14142f6"),
+    (9000, 100, (65, 512), None, "2d21f95484c1566b1efd2540179c955bca3f0280bca2427b4fdbfd70530094a5"),
+    (70000, 500, (3, 8), (8, 1), "4eafca5a54f02570ca2b0c8158507d521685b39d8b42ee6a68cd82ea88e3ce22"),
 ]
 
 
-@pytest.mark.parametrize("seed, instances, n_range, digest", PINNED_DIGESTS,
-                         ids=[f"{row[0]}-n{row[2][0]}-{row[2][1]}" for row in PINNED_DIGESTS])
-def test_search_sets_are_pinned(seed, instances, n_range, digest):
+@pytest.mark.parametrize(
+    "seed, instances, n_range, cfg, digest", PINNED_DIGESTS,
+    ids=[f"{row[0]}-n{row[2][0]}-{row[2][1]}" + (f"-cfg{row[3][0]}-{row[3][1]}" if row[3] else "")
+         for row in PINNED_DIGESTS],
+)
+def test_search_sets_are_pinned(seed, instances, n_range, cfg, digest):
+    cfg = OracleConfig() if cfg is None else OracleConfig(*cfg)
     h = hashlib.sha256()
     for s in range(seed, seed + instances):
-        res = search_second_polygon(*random_instance(s, n_range))
+        res = search_second_polygon(*random_instance(s, n_range), cfg)
         h.update(repr((s, *_result_hex(res))).encode() + b"\n")
     assert h.hexdigest() == digest
 

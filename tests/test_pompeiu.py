@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from conftest import rotate_about
+from conftest import random_configuration, rotate_about
 from polydual.cli import main
 from polydual.dual import Degeneracy, polygons, solve
 from polydual.errors import DegenerateError, TriangleInequalityError
@@ -36,20 +36,6 @@ TWO_PI = 2.0 * math.pi
 EPS = sys.float_info.epsilon
 
 
-def random_equilateral_with_point(rng, *, ratio_range=(0.0, 3.0), ratio_gap=1e-3):
-    radius = float(np.exp(rng.uniform(np.log(0.1), np.log(10.0))))
-    ratio = float(rng.uniform(*ratio_range))
-    while abs(ratio - 1.0) < ratio_gap:
-        ratio = float(rng.uniform(*ratio_range))
-    phase = float(rng.uniform(0.0, TWO_PI))
-    az = float(rng.uniform(0.0, TWO_PI))
-    cx, cy = (float(v) for v in rng.uniform(-2.0, 2.0, size=2))
-    poly = RegularPolygonSpec(3, Point2(cx, cy), radius, phase)
-    dist = ratio * radius
-    point = Point2(cx + dist * math.cos(az), cy + dist * math.sin(az))
-    return poly, point
-
-
 class TestPompeiuTriangle:
     def test_three_five_seven_area(self):
         tri = pompeiu_from_distances(3.0, 5.0, 7.0)
@@ -73,7 +59,7 @@ class TestPompeiuTriangle:
     def test_triangle_carries_the_fit(self):
         rng = np.random.default_rng(39)
         for _ in range(50):
-            poly, point = random_equilateral_with_point(rng)
+            poly, point = random_configuration(rng, 3)
             d = distances_from(point, poly).values
             assert pompeiu_from_distances(*d).solution == solve(DistanceSpec(d), math.inf)
 
@@ -143,12 +129,12 @@ class TestClosedForms:
 
     def test_agreement_with_general_solver(self):
         rng = np.random.default_rng(31)
-        cases = [random_equilateral_with_point(rng) for _ in range(300)]
+        cases = [random_configuration(rng, 3) for _ in range(300)]
         # the point on the circumcircle
         cases += [random_instance(88_000 + s, (3, 3), degenerate_mode=True) for s in range(400)]
         # the point near the center
         cases += [
-            random_equilateral_with_point(rng, ratio_range=(q, q))
+            random_configuration(rng, 3, ratio_range=(q, q))
             for q in (1e-6, 1e-7, 1e-8, 1e-9)
             for _ in range(150)
         ]
@@ -205,7 +191,7 @@ class TestWeitzenbock:
     def test_margin_is_six_times_center_distance_squared(self):
         rng = np.random.default_rng(32)
         for _ in range(200):
-            poly, point = random_equilateral_with_point(rng)
+            poly, point = random_configuration(rng, 3)
             d = distances_from(point, poly)
             tri = pompeiu_from_distances(*d.values)
             dual = solve_equilateral(tri)
@@ -234,7 +220,7 @@ class TestWeitzenbock:
         ]
         for kwargs in classes:
             for _ in range(400):
-                poly, point = random_equilateral_with_point(rng, **kwargs)
+                poly, point = random_configuration(rng, 3, **kwargs)
                 d = distances_from(point, poly).values
                 got = pompeiu_from_distances(*d).weitzenbock_margin
                 want = _decimal_margin(d)
@@ -291,7 +277,7 @@ class TestConstructionA:
             {"ratio_range": (1.0 - 1e-3, 1.0 + 1e-3), "ratio_gap": 1e-6}
         ] * 200
         for kwargs in inputs:
-            poly, point = random_equilateral_with_point(rng, **kwargs)
+            poly, point = random_configuration(rng, 3, **kwargs)
             d = distances_from(point, poly)
             tp = construct_both_triangles(*d.values)
             dual = solve_equilateral(pompeiu_from_distances(*d.values))
@@ -309,7 +295,7 @@ class TestConstructionA:
             {"ratio_range": (1.0 - 1e-3, 1.0 + 1e-3), "ratio_gap": 1e-6}
         ] * 100 + [{"ratio_range": (0.0, 1e-6)}] * 100
         for kwargs in inputs:
-            poly, point = random_equilateral_with_point(rng, **kwargs)
+            poly, point = random_configuration(rng, 3, **kwargs)
             d = distances_from(point, poly).values
             tp = construct_both_triangles(*d)
             for a, b in zip(tp.larger, tp.smaller):
@@ -331,7 +317,7 @@ class TestConstructionB:
     def test_preserves_multiset_both_directions(self):
         rng = np.random.default_rng(34)
         for _ in range(200):
-            poly, point = random_equilateral_with_point(rng)
+            poly, point = random_configuration(rng, 3)
             d = distances_from(point, poly)
             q = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI))).b_polygon
             assert verify_permutation(d, distances_from(point, q), 1e-10).ok
@@ -346,7 +332,7 @@ class TestConstructionB:
     def test_applying_twice_returns_congruent(self):
         rng = np.random.default_rng(35)
         for _ in range(100):
-            poly, point = random_equilateral_with_point(rng)
+            poly, point = random_configuration(rng, 3)
             q = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI))).b_polygon
             back = construct_dual(q, point, float(rng.uniform(0.0, TWO_PI))).b_polygon
             assert back.circumradius == pytest.approx(poly.circumradius, rel=1e-9)
@@ -357,7 +343,7 @@ class TestConstructionB:
     def test_orientations_give_mirror_pair(self):
         rng = np.random.default_rng(36)
         for _ in range(100):
-            poly, point = random_equilateral_with_point(rng)
+            poly, point = random_configuration(rng, 3)
             pair = construct_dual(poly, point, float(rng.uniform(0.0, TWO_PI)))
             q_pos, q_neg = pair.b_polygon, pair.c_polygon
             assert q_pos.circumradius == q_neg.circumradius
@@ -401,7 +387,7 @@ class TestPompeiuForward:
     def test_measured_distances_always_form_a_triangle(self):
         rng = np.random.default_rng(37)
         for _ in range(400):
-            poly, point = random_equilateral_with_point(rng)
+            poly, point = random_configuration(rng, 3)
             d = distances_from(point, poly)
             tri = pompeiu_from_distances(*d.values)  # must not raise
             assert not tri.degenerate
@@ -459,7 +445,7 @@ class TestRotationWitness:
         for ratio in ratios:
             kwargs = {"ratio_gap": 1e-3} if ratio is None else {
                 "ratio_range": (ratio, ratio), "ratio_gap": 0.0}
-            poly, point = random_equilateral_with_point(rng, **kwargs)
+            poly, point = random_configuration(rng, 3, **kwargs)
             d = distances_from(point, poly).values
             t = pompeiu_from_distances(*d)
             if t.degenerate:  # within about 1.7e-7 of the circle, both refuse

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_configuration
+from conftest import random_configuration, unit_square
 from polydual.dual import polygons, solve
 from polydual.errors import DegenerateError
 from polydual.geometry import (
@@ -20,10 +20,6 @@ from polydual.reconstruct import construct_dual
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 TWO_PI = 2.0 * math.pi
-
-
-def unit_square():
-    return RegularPolygonSpec(4, Point2(0.0, 0.0), SQRT2, math.pi / 4)
 
 
 class TestConstructDual:
